@@ -14,7 +14,7 @@
 //! of the seed and flags, identical on every machine:
 //!
 //! - **check_cost** — candidate probes + alarm joins performed by the
-//!   monitor's checks in the segment (`MonitorStats::check_cost` delta).
+//!   monitor's checks in the segment (`HubStats::check_cost` delta).
 //! - **cost_per_event_milli** — `1000 × check_cost / events`, the
 //!   amortized per-event check cost. The headline claim is that this is
 //!   *flat across segments*: segment 4 monitors a history 4× longer than
@@ -57,8 +57,8 @@ struct Segment {
     peak_candidates: u64,
     /// Per-check cost distribution (log-bucketed percentiles, so the
     /// figures are deterministic and machine-independent like every
-    /// other column): p50/p90/p99/max of `monitor.check.cost` samples
-    /// recorded during the segment.
+    /// other column): p50/p90/p99/max of the `monitor.check.cost`
+    /// samples `step` records during the segment.
     cost_p50: u64,
     cost_p90: u64,
     cost_p99: u64,
@@ -123,9 +123,11 @@ fn step(
         }
     }
     last_event[p] = Some(e);
+    let before = m.stats().check_cost;
     if let Some(alarm) = m.check().expect("check never fails") {
         *last_alarm = Some(alarm);
     }
+    slicing_observe::sample("monitor.check.cost", m.stats().check_cost - before);
 }
 
 fn main() {

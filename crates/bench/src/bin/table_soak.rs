@@ -2,8 +2,8 @@
 //! one million events — late cross-process messages, periodic fault
 //! bursts, acknowledged alarms — flows through an [`OnlineMonitor`] with
 //! causal-stability garbage collection on, is killed at the midpoint,
-//! checkpointed through the `slicing.checkpoint/v1` codec, restored, and
-//! run to completion. The committed artifact — `BENCH_soak.json` (schema
+//! checkpointed through the `slicing.serve-checkpoint/v1` codec, restored,
+//! and run to completion. The committed artifact — `BENCH_soak.json` (schema
 //! `slicing.bench-soak/v1`) — is the baseline CI gates against.
 //!
 //! ```text
@@ -17,7 +17,7 @@
 //! its two headline claims in-process before writing the artifact:
 //!
 //! - **Bounded retention.** `retained_peak` — the high-water mark of the
-//!   `monitor.retained_events` gauge — stays below a constant derived
+//!   `serve.retained_events` gauge — stays below a constant derived
 //!   from the GC configuration, *independent of stream length*. An
 //!   un-GC'd monitor run over a prefix of the same stream provides the
 //!   linear-growth foil (the `plain_prefix` row).
@@ -28,8 +28,9 @@
 //!   checkpoint in between.
 //!
 //! The kill happens at the exact stream midpoint: the monitor is
-//! checkpointed to a real file with [`write_checkpoint`], dropped, loaded
-//! back with [`load_checkpoint`], and resumed with [`resume_monitor`].
+//! checkpointed to a real file with [`write_hub_checkpoint`], dropped,
+//! loaded back with [`load_checkpoint`], and resumed with
+//! [`resume_monitor`].
 //! Because restarts renumber event ids densely, the workload addresses
 //! events by `(process, position)` — the coordinates that survive — and
 //! translates them through [`OnlineMonitor::event_at`] at delivery time.
@@ -43,7 +44,7 @@ use slicing_computation::{cut_heap_allocs, Value};
 use slicing_detect::{GcConfig, OnlineMonitor};
 use slicing_observe::json::{JsonArray, JsonObject};
 use slicing_predicates::LocalPredicate;
-use slicing_recover::{load_checkpoint, resume_monitor, write_checkpoint};
+use slicing_recover::{load_checkpoint, resume_monitor, write_hub_checkpoint};
 
 /// Message endpoints stay within this many global steps of the tip —
 /// strictly below any accepted `--gc-lag`, so late deliveries never
@@ -198,19 +199,16 @@ fn fresh(procs: usize, gc: Option<GcConfig>) -> OnlineMonitor {
 /// load, restore, re-register the clauses. Returns the resumed monitor.
 fn kill_and_resume(m: OnlineMonitor, procs: usize) -> OnlineMonitor {
     let path = std::env::temp_dir().join(format!("slicing-soak-{}.ckpt", std::process::id()));
-    write_checkpoint(&path, &m, 0).expect("write midpoint checkpoint");
+    write_hub_checkpoint(&path, m.hub(), 0, 1).expect("write midpoint checkpoint");
     let before = m.stats();
+    let clauses: Vec<LocalPredicate> = (0..procs)
+        .map(|i| {
+            let v = m.var(i, "x").expect("declared in fresh()");
+            LocalPredicate::int(v, "x > 0", |x| x > 0)
+        })
+        .collect();
     drop(m);
     let (state, _seq) = load_checkpoint(&path).expect("load midpoint checkpoint");
-    let clauses: Vec<LocalPredicate> = {
-        let probe = OnlineMonitor::from_state(&state).expect("restore");
-        (0..procs)
-            .map(|i| {
-                let v = probe.var(i, "x").expect("declared var survives");
-                LocalPredicate::int(v, "x > 0", |x| x > 0)
-            })
-            .collect()
-    };
     let resumed = resume_monitor(&state, clauses).expect("resume");
     assert_eq!(
         resumed.stats(),

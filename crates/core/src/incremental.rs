@@ -9,7 +9,7 @@
 //! the causal order. The clocks give an `O(1)` cycle check at
 //! [`message`](OnlineSlicer::message) time — a cyclic observation is
 //! rejected *before* it corrupts the history — and power the amortized
-//! `O(1)` checks of [`OnlineMonitor`](../../slicing_detect/struct.OnlineMonitor.html).
+//! `O(1)` checks of [`MonitorHub`](../../slicing_detect/struct.MonitorHub.html).
 
 use slicing_computation::{
     BuildError, Computation, ComputationBuilder, Cut, EventId, ProcessId, Value, VarRef,
@@ -591,6 +591,15 @@ impl OnlineSlicer {
         self.builder.var(self.builder.process(process), name)
     }
 
+    /// The name `var` was declared under.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var` was not declared on this slicer.
+    pub fn var_name(&self, var: VarRef) -> &str {
+        self.builder.var_name(var)
+    }
+
     /// Number of leading positions of `process` compacted away (0 until
     /// [`compact`](OnlineSlicer::compact) first drops something).
     pub fn base_of(&self, process: usize) -> u32 {
@@ -653,22 +662,34 @@ impl OnlineSlicer {
             .collect();
         // Round down to a consistent cut: if the frontier event of q's
         // column causally depends on something outside the cut, retreat.
-        // Terminates because the current base cut is consistent (its
-        // events' clocks are frozen — summary events accept no messages).
+        // Clocks only grow along a process, so the positions whose event
+        // fits under the cut form a prefix of the column, found by binary
+        // search. Terminates because the current base cut is consistent
+        // (its events' clocks are frozen — summary events accept no
+        // messages).
         loop {
             let mut changed = false;
             for q in 0..n {
                 let p = self.builder.process(q);
-                while cut[q] > self.builder.base_of(p) + 1 {
-                    let e = self.builder.event_at(p, cut[q] - 1);
-                    let clk = &self.clocks[self.slot(e)];
-                    let consistent = (0..n).all(|r| clk.count(ProcessId::new(r)) <= cut[r]);
-                    if consistent {
-                        break;
-                    }
-                    cut[q] -= 1;
-                    changed = true;
+                let fits = |c: u32| {
+                    let clk = &self.clocks[self.slot(self.builder.event_at(p, c - 1))];
+                    (0..n).all(|r| clk.count(ProcessId::new(r)) <= cut[r])
+                };
+                let (mut lo, mut hi) = (self.builder.base_of(p) + 1, cut[q]);
+                if hi <= lo || fits(hi) {
+                    continue;
                 }
+                hi -= 1;
+                while lo < hi {
+                    let mid = hi - (hi - lo) / 2;
+                    if fits(mid) {
+                        lo = mid;
+                    } else {
+                        hi = mid - 1;
+                    }
+                }
+                cut[q] = lo;
+                changed = true;
             }
             if !changed {
                 break;

@@ -1,111 +1,42 @@
 //! Online fault monitoring: the paper's motivating loop — observe the
-//! execution as it unfolds, keep the slice current, and raise an alarm
-//! the moment some consistent cut of the history violates the invariant.
+//! execution as it unfolds and raise an alarm the moment some consistent
+//! cut of the history satisfies the fault.
 //!
-//! Built on the incremental conjunctive slicer
-//! ([`OnlineSlicer`](slicing_core::OnlineSlicer)); the monitored fault is
-//! a *conjunction of local predicates* (e.g. "no process holds the token",
-//! or any single clause of a CNF invariant — run one monitor per clause
-//! for full CNF coverage).
-//!
-//! Checks are incremental in the weak-conjunctive-predicate style: each
-//! watched process keeps a FIFO queue of *candidate* positions (events
-//! where its conjuncts hold); a check only re-examines heads whose queue
-//! changed since the previous check (plus everything, once, after a late
-//! message re-times the history). Each candidate is eliminated at most
-//! once ever, so for a fixed number of processes the per-event check cost
-//! is amortized `O(1)` — *independent of the history length* — and the
-//! steady state allocates no cut storage at all.
-
-use std::collections::VecDeque;
+//! The monitored fault is a *conjunction of local predicates* (e.g. "no
+//! process holds the token", or any single clause of a CNF invariant).
+//! [`OnlineMonitor`] watches one such predicate as the single tenant of a
+//! [`MonitorHub`], the one online engine: clocks, candidate queues,
+//! settles, GC and checkpoints are all the hub's.
 
 use slicing_computation::{
-    BuildError, Computation, Cut, EventId, GlobalState, ProcessId, Value, VarRef,
+    BuildError, Computation, Cut, EventId, GlobalState, ProcSet, Value, VarRef,
 };
-use slicing_core::{OnlineSlicer, SlicerState};
-use slicing_predicates::{LocalPredicate, Predicate};
+use slicing_core::slice_conjunctive;
+use slicing_predicates::{Conjunctive, LocalPredicate, Predicate};
 
 use crate::enumerate::detect_bfs;
 use crate::metrics::{Detection, Limits};
+use crate::multiplex::{GcConfig, HubState, HubStats, MonitorHub};
 
-/// Configuration for causal-stability garbage collection; see
-/// [`OnlineMonitor::with_gc`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GcConfig {
-    /// Always keep at least the last `lag` positions of every process,
-    /// even when stability would allow dropping more — headroom for
-    /// protocols whose message-lateness bound is known. Must exceed the
-    /// maximum lateness (in positions) of any message the stream will
-    /// deliver, or very late messages are rejected with
-    /// [`BuildError::CompactedEvent`].
-    pub lag: u32,
-    /// Run a compaction every `every` observed events.
-    pub every: u64,
-}
-
-impl Default for GcConfig {
-    /// A conservative default: keep the last 128 positions per process,
-    /// compact every 1024 events.
-    fn default() -> Self {
-        GcConfig {
-            lag: 128,
-            every: 1024,
-        }
-    }
-}
-
-/// Deterministic counters describing a monitor's work so far. Every field
-/// is a pure event/probe count — no wall-clock — so the numbers are
-/// reproducible run-to-run and can gate CI.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MonitorStats {
-    /// Events observed (excluding the fictitious initial events).
-    pub events: u64,
-    /// Messages recorded.
-    pub messages: u64,
-    /// Calls to [`check`](OnlineMonitor::check) /
-    /// [`check_detailed`](OnlineMonitor::check_detailed).
-    pub checks: u64,
-    /// Distinct alarms reported.
-    pub alarms: u64,
-    /// Total check work: candidate-pair probes plus alarm joins, summed
-    /// over all checks. The amortized-`O(1)` claim is about this counter:
-    /// it grows linearly in events observed, not quadratically.
-    pub check_cost: u64,
-    /// The work of the most recent check alone.
-    pub last_check_cost: u64,
-    /// Candidate cuts unlocked by observations: events whose local
-    /// conjuncts held when observed on a watched process.
-    pub delta_cuts: u64,
-    /// Peak number of simultaneously queued candidates.
-    pub peak_candidates: u64,
-    /// Garbage collections that actually reclaimed storage.
-    pub compactions: u64,
-    /// Events whose storage stability GC reclaimed.
-    pub dropped_events: u64,
-    /// Peak retained-event gauge observed across GC runs (0 until the
-    /// first GC). The "bounded memory" soak claim is about this number.
-    pub retained_peak: u64,
-}
+/// The tenant id the monitor registers its predicate under.
+const TENANT: &str = "monitor";
 
 /// An online monitor for a conjunctive global fault.
 ///
 /// Feed events and messages as they are observed;
 /// [`check`](OnlineMonitor::check) reports the earliest consistent cut of
-/// the observed history that satisfies every watched conjunct, if any.
-/// Both the constraint edges and the least-cut table are maintained
-/// incrementally by the underlying [`OnlineSlicer`], and each check
-/// examines only the *delta* since the last check — new candidate events
-/// and the eliminations they trigger — so steady-state monitoring costs
-/// amortized `O(1)` per event and performs no cut allocations (for up to
-/// 16 processes, where cuts are stored inline).
+/// the observed history that satisfies every watched conjunct, if any,
+/// once per distinct cut. Each check examines only the *delta* since the
+/// last one, so steady-state monitoring costs amortized `O(1)` per event
+/// and performs no cut allocations (for up to 16 processes, where cuts are
+/// stored inline).
 ///
-/// `possibly: fault` over a growing history is monotone — once a
-/// satisfying cut exists it exists forever — so the earliest witness is
-/// stable and [`check`](OnlineMonitor::check) reports it exactly once.
-/// After taking corrective action (e.g. rolling back to a recovery line),
-/// start a fresh monitor from the recovered state; that is the paper's
-/// monitor → detect → correct loop.
+/// Watches are collected until the stream starts: the first
+/// [`observe`](OnlineMonitor::observe) (or [`check`](OnlineMonitor::check))
+/// registers them as the hub's one tenant, and a watch after that is a
+/// [`BuildError::LateWatch`]. After taking corrective action (e.g. rolling
+/// back to a recovery line), start a fresh monitor from the recovered
+/// state; that is the paper's monitor → detect → correct loop.
 ///
 /// # Examples
 ///
@@ -128,61 +59,11 @@ pub struct MonitorStats {
 /// ```
 #[derive(Debug)]
 pub struct OnlineMonitor {
-    slicer: OnlineSlicer,
-    /// Per process: queued candidate positions — events whose local
-    /// conjuncts hold, in observation order. Only consulted for watched
-    /// processes. Each position enters and leaves its queue at most once.
-    queues: Vec<VecDeque<u32>>,
-    /// Per process: whether its queue head changed since the last settle.
-    dirty: Vec<bool>,
-    /// Whether any queue head changed since the last settle.
-    dirty_any: bool,
-    /// The slicer's clock revision at the last settle; a bump means late
-    /// messages re-timed history and cached consistency facts expired.
-    seen_revision: u64,
-    /// The settled verdict: the least satisfying cut of the history so
-    /// far, if any. Valid while `!dirty_any` and the revision is unchanged.
-    current_alarm: Option<Cut>,
-    /// Scratch cut for the alarm join; reused across checks so the warm
-    /// path allocates nothing.
-    alarm_scratch: Cut,
-    /// Cuts already reported; `check` returns each alarm once.
-    last_alarm: Option<Cut>,
-    stats: MonitorStats,
-    /// Stability GC configuration; `None` keeps full history (default).
-    gc: Option<GcConfig>,
-    /// Events observed since the last GC run.
-    since_gc: u64,
-}
-
-/// A serializable snapshot of an [`OnlineMonitor`] — the slicer state plus
-/// the candidate queues and settled verdict. Produced by
-/// [`OnlineMonitor::export_state`], consumed by
-/// [`OnlineMonitor::from_state`]; the JSON codec lives in
-/// [`checkpoint`](crate::checkpoint). Alarm cuts use absolute counts, so a
-/// restored monitor reports byte-identical alarms.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MonitorState {
-    /// The underlying slicer's retained state.
-    pub slicer: SlicerState,
-    /// Per process: queued candidate positions (absolute).
-    pub queues: Vec<Vec<u32>>,
-    /// Per process: whether its queue head changed since the last settle.
-    pub dirty: Vec<bool>,
-    /// Whether any queue head changed since the last settle.
-    pub dirty_any: bool,
-    /// The slicer clock revision at the last settle.
-    pub seen_revision: u64,
-    /// The settled verdict, if any (absolute counts).
-    pub current_alarm: Option<Vec<u32>>,
-    /// The last reported alarm, for dedup (absolute counts).
-    pub last_alarm: Option<Vec<u32>>,
-    /// Deterministic work counters.
-    pub stats: MonitorStats,
-    /// Stability GC configuration, if enabled.
-    pub gc: Option<GcConfig>,
-    /// Events observed since the last GC run.
-    pub since_gc: u64,
+    hub: MonitorHub,
+    /// The watched conjuncts.
+    clauses: Vec<LocalPredicate>,
+    /// The tenant's group, once registered.
+    group: Option<u32>,
 }
 
 impl OnlineMonitor {
@@ -190,73 +71,68 @@ impl OnlineMonitor {
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as
-    /// [`OnlineSlicer::new`].
+    /// Panics under the same conditions as [`MonitorHub::new`].
     pub fn new(num_processes: usize) -> Self {
         OnlineMonitor {
-            slicer: OnlineSlicer::new(num_processes),
-            // Initial events hold vacuously until a watch says otherwise.
-            queues: (0..num_processes).map(|_| VecDeque::from([0u32])).collect(),
-            dirty: vec![true; num_processes],
-            dirty_any: true,
-            seen_revision: 0,
-            current_alarm: None,
-            alarm_scratch: Cut::bottom(num_processes),
-            last_alarm: None,
-            stats: MonitorStats::default(),
-            gc: None,
-            since_gc: 0,
+            hub: MonitorHub::new(num_processes),
+            clauses: Vec::new(),
+            group: None,
         }
     }
 
-    /// Enables causal-stability garbage collection: every
-    /// [`GcConfig::every`] events the monitor compacts the slicer below the
-    /// stability frontier (capped by [`GcConfig::lag`] and by the oldest
-    /// live candidate of each queue), keeping live state proportional to
-    /// the unstable suffix instead of the full history. Compaction never
-    /// changes verdicts, alarms, or deterministic counters other than the
-    /// GC counters themselves.
+    /// Enables causal-stability garbage collection; see
+    /// [`MonitorHub::with_gc`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.every` is zero.
     pub fn with_gc(mut self, config: GcConfig) -> Self {
-        assert!(config.every > 0, "GC cadence must be positive");
-        self.gc = Some(config);
+        self.hub = self.hub.with_gc(config);
         self
     }
 
-    /// The GC configuration, if stability GC is enabled.
-    pub fn gc_config(&self) -> Option<GcConfig> {
-        self.gc
+    /// Wraps a hub restored from a checkpoint of a monitor watching
+    /// `clauses` (the hub's one tenant, if the stream had started).
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::InvalidState`] if the hub has more than one tenant or
+    /// `clauses` do not match the checkpointed clause set.
+    pub fn from_hub(
+        mut hub: MonitorHub,
+        clauses: Vec<LocalPredicate>,
+    ) -> Result<OnlineMonitor, BuildError> {
+        let group = match hub.tenant_ids().as_slice() {
+            [] => None,
+            [id] => {
+                hub.restore_tenant(id, &Conjunctive::new(clauses.clone()))?;
+                hub.group_of(id)
+            }
+            ids => {
+                return Err(BuildError::InvalidState {
+                    detail: format!("a monitor has one tenant, the state has {}", ids.len()),
+                })
+            }
+        };
+        Ok(OnlineMonitor {
+            hub,
+            clauses,
+            group,
+        })
     }
 
     /// Declares a monitored variable (before its process's first event).
     ///
     /// # Errors
     ///
-    /// Propagates [`BuildError`]s from the underlying slicer.
+    /// Propagates [`BuildError`]s from the hub.
     pub fn declare_var(
         &mut self,
         process: usize,
         name: &str,
         initial: Value,
     ) -> Result<VarRef, BuildError> {
-        self.slicer.declare_var(process, name, initial)
-    }
-
-    /// Adds a conjunct of the fault predicate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::LateWatch`] if the variable's process already
-    /// observed events; the history is left untouched.
-    pub fn watch(
-        &mut self,
-        var: VarRef,
-        label: impl Into<String>,
-        f: impl Fn(Value) -> bool + Send + Sync + 'static,
-    ) -> Result<(), BuildError> {
-        let p = var.process().as_usize();
-        self.slicer.watch(var, label, f)?;
-        self.rescan_initial(p);
-        Ok(())
+        self.hub.declare_var(process, name, initial)
     }
 
     /// Adds an integer conjunct, validated against the declared type up
@@ -265,17 +141,15 @@ impl OnlineMonitor {
     /// # Errors
     ///
     /// [`BuildError::TypeMismatch`] for a non-integer variable,
-    /// [`BuildError::LateWatch`] after the process's first event.
+    /// [`BuildError::LateWatch`] once the stream has started.
     pub fn watch_int(
         &mut self,
         var: VarRef,
         label: impl Into<String>,
         f: impl Fn(i64) -> bool + Send + Sync + 'static,
     ) -> Result<(), BuildError> {
-        let p = var.process().as_usize();
-        self.slicer.watch_int(var, label, f)?;
-        self.rescan_initial(p);
-        Ok(())
+        self.check_type(var, "int")?;
+        self.watch_clause(LocalPredicate::int(var, label, f))
     }
 
     /// Adds a boolean conjunct, validated against the declared type up
@@ -284,17 +158,29 @@ impl OnlineMonitor {
     /// # Errors
     ///
     /// [`BuildError::TypeMismatch`] for a non-boolean variable,
-    /// [`BuildError::LateWatch`] after the process's first event.
+    /// [`BuildError::LateWatch`] once the stream has started.
     pub fn watch_bool(
         &mut self,
         var: VarRef,
         label: impl Into<String>,
         f: impl Fn(bool) -> bool + Send + Sync + 'static,
     ) -> Result<(), BuildError> {
-        let p = var.process().as_usize();
-        self.slicer.watch_bool(var, label, f)?;
-        self.rescan_initial(p);
-        Ok(())
+        self.check_type(var, "bool")?;
+        self.watch_clause(LocalPredicate::new(vec![var], label, move |vals| {
+            f(vals[0].expect_bool())
+        }))
+    }
+
+    fn check_type(&self, var: VarRef, expected: &'static str) -> Result<(), BuildError> {
+        match self.hub.value(var) {
+            Some(declared) if declared.type_name() != expected => Err(BuildError::TypeMismatch {
+                process: var.process(),
+                name: self.hub.var_name(var).to_owned(),
+                expected,
+                got: declared.type_name(),
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Adds a whole local clause (possibly over several variables of one
@@ -302,36 +188,33 @@ impl OnlineMonitor {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError::LateWatch`] if the clause's process already
-    /// observed events.
+    /// Returns [`BuildError::LateWatch`] once the stream has started.
     pub fn watch_clause(&mut self, clause: LocalPredicate) -> Result<(), BuildError> {
-        let p = clause.process().as_usize();
-        self.slicer.watch_clause(clause)?;
-        self.rescan_initial(p);
+        if self.group.is_some() || self.hub.stats().events > 0 {
+            return Err(BuildError::LateWatch {
+                process: clause.process(),
+            });
+        }
+        self.clauses.push(clause);
         Ok(())
     }
 
-    /// A new watch may flip the initial event's truth; rebuild the (at
-    /// most one-element) queue and force a re-settle.
-    fn rescan_initial(&mut self, process: usize) {
-        self.queues[process].clear();
-        let init = self.slicer.event_at(process, 0);
-        if self.slicer.event_holds(init) {
-            self.queues[process].push_back(0);
+    /// Starts the stream: registers the watched conjuncts as the hub's one
+    /// tenant.
+    fn start(&mut self) -> Result<(), BuildError> {
+        if self.group.is_none() && !self.clauses.is_empty() {
+            let source: Vec<&str> = self.clauses.iter().map(LocalPredicate::label).collect();
+            let conj = Conjunctive::new(self.clauses.clone());
+            self.group = Some(self.hub.add_tenant(TENANT, &conj, &source.join(" && "))?);
         }
-        for d in &mut self.dirty {
-            *d = true;
-        }
-        self.dirty_any = true;
+        Ok(())
     }
 
-    /// Records a new event with its variable writes. `O(1)` monitor work
-    /// on top of the slicer's clock extension: if the event's conjuncts
-    /// hold it joins its process's candidate queue.
+    /// Records a new event with its variable writes.
     ///
     /// # Errors
     ///
-    /// Propagates the slicer's validation errors
+    /// Propagates the hub's validation errors
     /// ([`BuildError::TypeMismatch`], [`BuildError::StaleAssignment`]);
     /// on error nothing is recorded.
     pub fn observe(
@@ -339,139 +222,8 @@ impl OnlineMonitor {
         process: usize,
         assignments: &[(VarRef, Value)],
     ) -> Result<EventId, BuildError> {
-        let timed = slicing_observe::enabled(slicing_observe::Level::Trace);
-        let t0 = timed.then(std::time::Instant::now);
-        let e = self.slicer.observe(process, assignments)?;
-        self.stats.events += 1;
-        slicing_observe::counter("monitor.events", 1);
-        if self.slicer.is_watched(process) && self.slicer.event_holds(e) {
-            let pos = self.slicer.events_on(process) - 1;
-            if self.queues[process].is_empty() {
-                // The head changed: the settled verdict may be stale.
-                self.dirty[process] = true;
-                self.dirty_any = true;
-            }
-            self.queues[process].push_back(pos);
-            self.stats.delta_cuts += 1;
-            slicing_observe::counter("monitor.delta_cuts", 1);
-            let queued: u64 = self.queues.iter().map(|q| q.len() as u64).sum();
-            if queued > self.stats.peak_candidates {
-                self.stats.peak_candidates = queued;
-                slicing_observe::gauge("monitor.peak_candidates", queued);
-            }
-        }
-        if self.gc.is_some() {
-            self.since_gc += 1;
-            if self.since_gc >= self.gc.expect("checked").every {
-                self.since_gc = 0;
-                self.run_gc();
-            }
-        }
-        if let Some(t0) = t0 {
-            slicing_observe::gauge("monitor.observe_nanos", t0.elapsed().as_nanos() as u64);
-        }
-        Ok(e)
-    }
-
-    /// One stability-GC pass: compact the slicer below the stability
-    /// frontier, pinned by each queue's oldest live candidate (a candidate
-    /// must stay addressable until eliminated or folded into an alarm).
-    fn run_gc(&mut self) {
-        let config = self.gc.expect("run_gc requires GC to be enabled");
-        let n = self.slicer.num_processes();
-        let keep_floor: Vec<u32> = (0..n)
-            .map(|p| self.queues[p].front().copied().unwrap_or(u32::MAX))
-            .collect();
-        let result = self.slicer.compact(&keep_floor, config.lag);
-        let stable: u64 = result.stable_frontier.iter().map(|&g| g as u64).sum();
-        slicing_observe::gauge("monitor.stable_frontier", stable);
-        slicing_observe::gauge("monitor.retained_events", result.retained_events);
-        self.stats.retained_peak = self.stats.retained_peak.max(result.retained_events);
-        if result.dropped_events > 0 {
-            self.stats.compactions += 1;
-            self.stats.dropped_events += result.dropped_events;
-            slicing_observe::counter("monitor.compactions", 1);
-            for q in &mut self.queues {
-                if q.capacity() > 2 * q.len() + 64 {
-                    q.shrink_to_fit();
-                }
-            }
-        }
-    }
-
-    /// Acknowledges the currently settled alarm: the witnessing candidate
-    /// heads are consumed (each queue advances past its contribution to the
-    /// alarm cut) and monitoring continues, watching for the *next*
-    /// distinct fault instance. Returns `false` (and does nothing) if no
-    /// alarm is currently settled.
-    ///
-    /// A long-lived deployment should acknowledge every alarm it handles:
-    /// un-acknowledged alarm heads are pinned forever, which also pins the
-    /// GC floor and lets candidate queues grow without bound.
-    pub fn acknowledge_alarm(&mut self) -> bool {
-        if self.current_alarm.is_none() {
-            return false;
-        }
-        let n = self.slicer.num_processes();
-        for p in 0..n {
-            if self.slicer.is_watched(p) {
-                self.queues[p].pop_front();
-                self.dirty[p] = true;
-            }
-        }
-        self.current_alarm = None;
-        self.dirty_any = true;
-        slicing_observe::counter("monitor.alarms_acknowledged", 1);
-        true
-    }
-
-    /// The slicer's causal-stability frontier; see
-    /// [`OnlineSlicer::stable_frontier`].
-    pub fn stable_frontier(&self) -> Vec<u32> {
-        self.slicer.stable_frontier()
-    }
-
-    /// Events whose storage is currently retained by the slicer.
-    pub fn retained_events(&self) -> u64 {
-        self.slicer.retained_events()
-    }
-
-    /// Looks up a declared variable by process and name — the handle a
-    /// resuming caller needs to re-register watches after
-    /// [`from_state`](OnlineMonitor::from_state).
-    pub fn var(&self, process: usize, name: &str) -> Option<VarRef> {
-        self.slicer.var(process, name)
-    }
-
-    /// The event at `pos` on `process`, or `None` if the position is out
-    /// of range or compacted away. Lets a resuming driver translate
-    /// trace positions (which survive a restart) back into live event
-    /// handles for late message delivery.
-    pub fn event_at(&self, process: usize, pos: u32) -> Option<EventId> {
-        self.slicer.retained_event_at(process, pos)
-    }
-
-    /// Events observed on `process` so far, including the initial event.
-    pub fn events_on(&self, process: usize) -> u32 {
-        self.slicer.events_on(process)
-    }
-
-    /// Observes a batch of events in order; each element is a process and
-    /// its assignments. Returns the new event ids.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first failing observation; earlier events of the batch
-    /// remain part of the history.
-    pub fn observe_batch(
-        &mut self,
-        batch: &[(usize, Vec<(VarRef, Value)>)],
-    ) -> Result<Vec<EventId>, BuildError> {
-        let mut ids = Vec::with_capacity(batch.len());
-        for (process, assignments) in batch {
-            ids.push(self.observe(*process, assignments)?);
-        }
-        Ok(ids)
+        self.start()?;
+        self.hub.observe(process, assignments)
     }
 
     /// Records a message between two observed events.
@@ -482,10 +234,7 @@ impl OnlineMonitor {
     /// `O(1)` before anything is recorded), plus the builder's own
     /// validations (duplicates, self-messages).
     pub fn message(&mut self, send: EventId, recv: EventId) -> Result<(), BuildError> {
-        self.slicer.message(send, recv)?;
-        self.stats.messages += 1;
-        slicing_observe::counter("monitor.messages", 1);
-        Ok(())
+        self.hub.message(send, recv)
     }
 
     /// Checks the observed history: returns the earliest consistent cut
@@ -494,270 +243,78 @@ impl OnlineMonitor {
     ///
     /// # Errors
     ///
-    /// Never fails on a history assembled through this monitor (cyclic
-    /// messages are rejected at [`message`](OnlineMonitor::message) time);
-    /// the `Result` is kept for interface stability.
+    /// Fails only where [`observe`](OnlineMonitor::observe) would: when
+    /// the watched conjuncts cannot be registered (e.g. a clause reads an
+    /// undeclared variable).
     pub fn check(&mut self) -> Result<Option<Cut>, BuildError> {
-        Ok(self.check_detailed()?.found)
+        self.start()?;
+        Ok(self.hub.check_all().pop().map(|r| r.alarm.cut.clone()))
     }
 
-    /// [`check`](OnlineMonitor::check) with full search metrics:
-    /// `cuts_explored` counts candidate probes and alarm joins this check
-    /// performed, `max_stored_cuts` the candidates currently queued.
-    ///
-    /// # Errors
-    ///
-    /// Never fails on a history assembled through this monitor; see
-    /// [`check`](OnlineMonitor::check).
-    pub fn check_detailed(&mut self) -> Result<Detection, BuildError> {
-        let _span = slicing_observe::span("monitor.check");
-        let timed = slicing_observe::enabled(slicing_observe::Level::Trace);
-        let t0 = timed.then(std::time::Instant::now);
-        let start = std::time::Instant::now();
-
-        if self.slicer.clock_revision() != self.seen_revision {
-            // Late messages re-timed history: cached consistency facts are
-            // void. Re-probe every watched head.
-            self.seen_revision = self.slicer.clock_revision();
-            for d in &mut self.dirty {
-                *d = true;
-            }
-            self.dirty_any = true;
-        }
-        let work = if self.dirty_any { self.settle() } else { 0 };
-
-        self.stats.checks += 1;
-        self.stats.check_cost += work;
-        self.stats.last_check_cost = work;
-        slicing_observe::counter("monitor.check_cost", work);
-        slicing_observe::sample("monitor.check.cost", work);
-
-        let found = if self.current_alarm.is_some() && self.current_alarm != self.last_alarm {
-            self.last_alarm.clone_from(&self.current_alarm);
-            self.stats.alarms += 1;
-            slicing_observe::counter("monitor.alarms", 1);
-            self.current_alarm.clone()
-        } else {
-            None
-        };
-        let max_stored_cuts = self.queues.iter().map(|q| q.len() as u64).sum();
-        if let Some(t0) = t0 {
-            slicing_observe::gauge("monitor.check_nanos", t0.elapsed().as_nanos() as u64);
-        }
-        Ok(Detection {
-            found,
-            cuts_explored: work,
-            max_stored_cuts,
-            peak_bytes: 0,
-            elapsed: start.elapsed(),
-            aborted: None,
-            phases: Vec::new(),
-        })
+    /// Acknowledges the currently settled alarm: the witnessing candidate
+    /// heads are consumed and monitoring continues, watching for the
+    /// *next* distinct fault instance. Returns `false` (and does nothing)
+    /// if no alarm is currently settled. Un-acknowledged alarm heads pin
+    /// the GC floor; see [`MonitorHub::acknowledge`].
+    pub fn acknowledge_alarm(&mut self) -> bool {
+        self.group.is_some_and(|g| self.hub.acknowledge(g))
     }
 
-    /// Candidate elimination à la weak-conjunctive-predicate detection:
-    /// pop queue heads that can never front a satisfying consistent cut,
-    /// until the heads are mutually consistent (alarm: their clocks' join
-    /// is the least satisfying cut) or some watched queue runs dry (no
-    /// alarm yet). Only dirty heads are probed; each elimination is
-    /// permanent, so total work is linear in candidates ever queued.
-    /// Returns the number of probes + joins performed.
-    fn settle(&mut self) -> u64 {
-        let n = self.slicer.num_processes();
-        let mut work = 0u64;
-        'outer: loop {
-            for p in 0..n {
-                if self.slicer.is_watched(p) && self.queues[p].is_empty() {
-                    // Some conjunct has no viable candidate: no satisfying
-                    // cut exists yet. New candidates re-dirty the process.
-                    for d in &mut self.dirty {
-                        *d = false;
-                    }
-                    self.dirty_any = false;
-                    self.current_alarm = None;
-                    return work;
-                }
-            }
-            for p in 0..n {
-                if !self.dirty[p] || !self.slicer.is_watched(p) {
-                    continue;
-                }
-                let head_p = *self.queues[p].front().expect("checked non-empty");
-                let e_p = self.slicer.event_at(p, head_p);
-                for q in 0..n {
-                    if q == p || !self.slicer.is_watched(q) {
-                        continue;
-                    }
-                    let head_q = *self.queues[q].front().expect("checked non-empty");
-                    let e_q = self.slicer.event_at(q, head_q);
-                    work += 2;
-                    // e_q happened before e_p: every cut containing e_p has
-                    // its q-frontier strictly after e_q, so e_q can never
-                    // front a satisfying cut. The pop is permanent — clocks
-                    // only grow, so the inequality can only strengthen.
-                    if self.slicer.clock(e_p).count(ProcessId::new(q)) > head_q + 1 {
-                        self.queues[q].pop_front();
-                        self.dirty[q] = true;
-                        continue 'outer;
-                    }
-                    if self.slicer.clock(e_q).count(ProcessId::new(p)) > head_p + 1 {
-                        self.queues[p].pop_front();
-                        continue 'outer;
-                    }
-                }
-                self.dirty[p] = false;
-            }
-            break;
-        }
-        // All watched heads are mutually consistent: the join of their
-        // clocks is the least consistent cut satisfying every conjunct.
-        work += 1;
-        for p in 0..n {
-            self.alarm_scratch.set_count(ProcessId::new(p), 1);
-        }
-        for p in 0..n {
-            if !self.slicer.is_watched(p) {
-                continue;
-            }
-            let head = *self.queues[p].front().expect("checked non-empty");
-            let e = self.slicer.event_at(p, head);
-            self.alarm_scratch.join_assign(self.slicer.clock(e));
-        }
-        match &mut self.current_alarm {
-            Some(cut) => cut.clone_from(&self.alarm_scratch),
-            None => self.current_alarm = Some(self.alarm_scratch.clone()),
-        }
-        self.dirty_any = false;
-        work
+    /// Looks up a declared variable by process and name.
+    pub fn var(&self, process: usize, name: &str) -> Option<VarRef> {
+        self.hub.var(process, name)
+    }
+
+    /// The event at `pos` on `process`, or `None` if the position is out
+    /// of range or compacted away — how a resuming driver translates trace
+    /// positions (which survive a restart) into live event handles.
+    pub fn event_at(&self, process: usize, pos: u32) -> Option<EventId> {
+        self.hub.event_at(process, pos)
+    }
+
+    /// Events observed on `process` so far, including the initial event.
+    pub fn events_on(&self, process: usize) -> u32 {
+        self.hub.events_on(process)
+    }
+
+    /// The causal-stability frontier; see [`MonitorHub::stable_frontier`].
+    pub fn stable_frontier(&self) -> Vec<u32> {
+        self.hub.stable_frontier()
+    }
+
+    /// Events whose storage is currently retained.
+    pub fn retained_events(&self) -> u64 {
+        self.hub.retained_events()
     }
 
     /// Deterministic work counters accumulated so far.
-    pub fn stats(&self) -> MonitorStats {
-        self.stats
+    pub fn stats(&self) -> HubStats {
+        self.hub.stats()
     }
 
-    /// Serializes the monitor's retained state (everything but the watch
-    /// closures); see [`MonitorState`]. Restore with
-    /// [`from_state`](OnlineMonitor::from_state) followed by one
-    /// [`restore_watch_clause`](OnlineMonitor::restore_watch_clause) per
-    /// original conjunct.
-    pub fn export_state(&self) -> MonitorState {
-        MonitorState {
-            slicer: self.slicer.export_state(),
-            queues: self
-                .queues
-                .iter()
-                .map(|q| q.iter().copied().collect())
-                .collect(),
-            dirty: self.dirty.clone(),
-            dirty_any: self.dirty_any,
-            seen_revision: self.seen_revision,
-            current_alarm: self.current_alarm.as_ref().map(|c| c.counts().to_vec()),
-            last_alarm: self.last_alarm.as_ref().map(|c| c.counts().to_vec()),
-            stats: self.stats,
-            gc: self.gc,
-            since_gc: self.since_gc,
-        }
+    /// The hub the monitor runs on (for checkpoint writers).
+    pub fn hub(&self) -> &MonitorHub {
+        &self.hub
     }
 
-    /// Reconstructs a monitor from a checkpointed [`MonitorState`]. The
-    /// restored monitor has **no watches** — re-register every original
-    /// conjunct with
-    /// [`restore_watch_clause`](OnlineMonitor::restore_watch_clause) before
-    /// observing further events; then the continuation is byte-identical to
-    /// an uninterrupted run (same alarms, same deterministic counters).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::InvalidState`] when the state is structurally
-    /// inconsistent.
-    pub fn from_state(state: &MonitorState) -> Result<OnlineMonitor, BuildError> {
-        let invalid = |detail: String| BuildError::InvalidState { detail };
-        let slicer = OnlineSlicer::from_state(&state.slicer)?;
-        let n = slicer.num_processes();
-        if state.queues.len() != n || state.dirty.len() != n {
-            return Err(invalid(format!(
-                "{n} processes but {} queues and {} dirty flags",
-                state.queues.len(),
-                state.dirty.len()
-            )));
-        }
-        for (p, q) in state.queues.iter().enumerate() {
-            let (base, len) = (slicer.base_of(p), slicer.events_on(p));
-            for &pos in q {
-                if pos < base || pos >= len {
-                    return Err(invalid(format!(
-                        "queued candidate {pos} of process {p} outside retained \
-                         range {base}..{len}"
-                    )));
-                }
-            }
-            if !q.windows(2).all(|w| w[0] < w[1]) {
-                return Err(invalid(format!(
-                    "candidate queue of process {p} is not strictly increasing"
-                )));
-            }
-        }
-        for (what, cut) in [
-            ("current_alarm", &state.current_alarm),
-            ("last_alarm", &state.last_alarm),
-        ] {
-            if let Some(counts) = cut {
-                if counts.len() != n {
-                    return Err(invalid(format!("{what} has arity {}", counts.len())));
-                }
-            }
-        }
-        if let Some(gc) = state.gc {
-            if gc.every == 0 {
-                return Err(invalid("GC cadence must be positive".into()));
-            }
-        }
-        Ok(OnlineMonitor {
-            slicer,
-            queues: state
-                .queues
-                .iter()
-                .map(|q| q.iter().copied().collect())
-                .collect(),
-            dirty: state.dirty.clone(),
-            dirty_any: state.dirty_any,
-            seen_revision: state.seen_revision,
-            current_alarm: state.current_alarm.as_deref().map(Cut::from_counts),
-            alarm_scratch: Cut::bottom(n),
-            last_alarm: state.last_alarm.as_deref().map(Cut::from_counts),
-            stats: state.stats,
-            gc: state.gc,
-            since_gc: state.since_gc,
-        })
+    /// The hub's retained state; restore it with
+    /// [`MonitorHub::from_state`] and [`from_hub`](OnlineMonitor::from_hub).
+    pub fn export_state(&self) -> HubState {
+        self.hub.export_state()
     }
 
-    /// Re-registers a watch clause on a monitor restored with
-    /// [`from_state`](OnlineMonitor::from_state); see
-    /// [`OnlineSlicer::restore_watch_clause`]. Candidate queues come from
-    /// the checkpoint, so no rescan happens.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::InvalidState`] if the clause contradicts the
-    /// checkpointed truth of a retained event.
-    pub fn restore_watch_clause(&mut self, clause: LocalPredicate) -> Result<(), BuildError> {
-        self.slicer.restore_watch_clause(clause)
-    }
-
-    /// Reference check: materializes the history, slices it, and searches
-    /// the slice with the offline engine — no incremental state, no alarm
-    /// dedup. Used by differential tests to pin
-    /// [`check`](OnlineMonitor::check) to the offline semantics; costs
-    /// `O(history)` per call.
+    /// Reference check: materializes the history, slices it with the
+    /// offline conjunctive slicer, and searches the slice — no incremental
+    /// state, no alarm dedup. Differential tests pin
+    /// [`check`](OnlineMonitor::check) to it; costs `O(history)` per call.
     ///
     /// # Errors
     ///
     /// Returns [`BuildError::CyclicOrder`] if observed messages formed a
     /// cycle (unreachable for histories assembled through this monitor).
     pub fn check_offline(&self) -> Result<Detection, BuildError> {
-        let comp = self.slicer.snapshot_computation()?;
-        let slice = self.slicer.slice_of(&comp);
+        let comp = self.history()?;
+        let slice = slice_conjunctive(&comp, &Conjunctive::new(self.clauses.clone()));
         Ok(detect_bfs(&slice, &comp, &LeanTrue, &Limits::none()))
     }
 
@@ -769,18 +326,18 @@ impl OnlineMonitor {
     /// Returns [`BuildError::CyclicOrder`] if observed messages formed a
     /// cycle (unreachable for histories assembled through this monitor).
     pub fn history(&self) -> Result<Computation, BuildError> {
-        self.slicer.snapshot_computation()
+        self.hub.history()
     }
 }
 
-/// The residual predicate on the lean conjunctive slice: every slice cut
+/// The residual predicate on the conjunctive slice: every slice cut
 /// satisfies the conjunction, so the first reached cut is the alarm.
 #[derive(Debug)]
 struct LeanTrue;
 
 impl Predicate for LeanTrue {
-    fn support(&self) -> slicing_computation::ProcSet {
-        slicing_computation::ProcSet::empty()
+    fn support(&self) -> ProcSet {
+        ProcSet::empty()
     }
 
     fn eval(&self, _state: &GlobalState<'_>) -> bool {
@@ -840,9 +397,10 @@ mod tests {
         let x = m.declare_var(0, "x", Value::Int(0)).unwrap();
         m.watch_int(x, "x > 1", |v| v > 1).unwrap();
         m.observe(0, &[(x, Value::Int(2))]).unwrap();
-        let d = m.check_detailed().unwrap();
-        assert!(d.detected());
-        assert!(d.cuts_explored >= 1);
+        assert!(m.check().unwrap().is_some());
+        let stats = m.stats();
+        assert_eq!((stats.checks, stats.alarms), (1, 1));
+        assert!(stats.check_cost >= 1);
         assert!(m.history().unwrap().num_events() == 2);
     }
 
@@ -885,6 +443,7 @@ mod tests {
             (2, 1),
         ];
         let mut events = Vec::new();
+        let mut last = None;
         for (i, &(p, val)) in script.iter().enumerate() {
             let e = m.observe(p, &[(vars[p], Value::Int(val))]).unwrap();
             events.push(e);
@@ -895,14 +454,13 @@ mod tests {
                 m.message(events[2], events[7]).unwrap();
             }
             let offline = m.check_offline().unwrap();
-            let d = m.check_detailed().unwrap();
-            if let Some(cut) = &d.found {
-                assert_eq!(Some(cut), offline.found.as_ref(), "prefix {i}");
+            if let Some(cut) = m.check().unwrap() {
+                assert_eq!(Some(&cut), offline.found.as_ref(), "prefix {i}");
+                last = Some(cut);
             } else {
                 // No *new* alarm: either nothing exists offline, or the
                 // previously reported cut is still the verdict.
-                let prev = m.last_alarm.as_ref();
-                assert_eq!(offline.found.as_ref(), prev, "prefix {i}");
+                assert_eq!(offline.found, last, "prefix {i}");
             }
         }
     }
@@ -973,17 +531,25 @@ mod tests {
         let mut m = OnlineMonitor::new(2);
         let a = m.declare_var(0, "x", Value::Int(0)).unwrap();
         let b = m.declare_var(1, "x", Value::Int(0)).unwrap();
+        // A mistyped watch is rejected up front …
+        assert!(matches!(
+            m.watch_bool(a, "x", |v| v),
+            Err(BuildError::TypeMismatch { .. })
+        ));
         m.watch_int(a, "x > 0", |v| v > 0).unwrap();
         m.watch_int(b, "x > 0", |v| v > 0).unwrap();
-        // A mistyped observation is rejected without panicking …
+        // … a mistyped observation is rejected without panicking …
         let err = m.observe(0, &[(a, Value::Bool(true))]).unwrap_err();
         assert!(matches!(err, BuildError::TypeMismatch { .. }));
-        // … a late watch is rejected without panicking …
+        // … a watch after the stream started is rejected without
+        // panicking, even on a process with no events yet …
         let e0 = m.observe(0, &[(a, Value::Int(1))]).unwrap();
-        assert!(matches!(
-            m.watch_int(a, "late", |v| v > 1),
-            Err(BuildError::LateWatch { .. })
-        ));
+        for var in [a, b] {
+            assert!(matches!(
+                m.watch_int(var, "late", |v| v > 1),
+                Err(BuildError::LateWatch { .. })
+            ));
+        }
         // … and a cyclic message is rejected before corrupting history.
         let e1 = m.observe(1, &[(b, Value::Int(1))]).unwrap();
         m.message(e0, e1).unwrap();
@@ -1113,57 +679,38 @@ mod tests {
         );
     }
 
+    /// A monitor's exported state restores through the hub, and the hub's
+    /// `from_state` rejects every structural corruption of it.
     #[test]
     fn from_state_rejects_corrupt_monitor_state() {
         let mut m = OnlineMonitor::new(2).with_gc(GcConfig { lag: 4, every: 8 });
         watched_pair(&mut m);
         drive_rounds(&mut m, 30);
         let good = m.export_state();
-        assert!(OnlineMonitor::from_state(&good).is_ok());
+        let clauses = m.clauses.clone();
+        let restored = OnlineMonitor::from_hub(MonitorHub::from_state(&good).unwrap(), clauses);
+        assert_eq!(restored.unwrap().export_state(), good);
+
+        let invalid = |s: &HubState| {
+            matches!(
+                MonitorHub::from_state(s),
+                Err(BuildError::InvalidState { .. })
+            )
+        };
+        let mut s = good.clone();
+        s.slots[0].candidates.push(10_000); // position past the end of history
+        assert!(invalid(&s));
 
         let mut s = good.clone();
-        s.queues[0].push(10_000); // position past the end of history
-        assert!(matches!(
-            OnlineMonitor::from_state(&s),
-            Err(BuildError::InvalidState { .. })
-        ));
-
-        let mut s = good.clone();
-        s.dirty.pop(); // arity mismatch
-        assert!(matches!(
-            OnlineMonitor::from_state(&s),
-            Err(BuildError::InvalidState { .. })
-        ));
+        s.groups[0].dirty.pop(); // arity mismatch
+        assert!(invalid(&s));
 
         let mut s = good.clone();
         s.gc = Some(GcConfig { lag: 4, every: 0 });
-        assert!(matches!(
-            OnlineMonitor::from_state(&s),
-            Err(BuildError::InvalidState { .. })
-        ));
+        assert!(invalid(&s));
 
         let mut s = good;
-        s.current_alarm = Some(vec![1, 1, 1]); // wrong arity
-        assert!(matches!(
-            OnlineMonitor::from_state(&s),
-            Err(BuildError::InvalidState { .. })
-        ));
-    }
-
-    #[test]
-    fn observe_batch_streams_like_single_observes() {
-        let mut m = OnlineMonitor::new(2);
-        let a = m.declare_var(0, "x", Value::Int(0)).unwrap();
-        let b = m.declare_var(1, "x", Value::Int(0)).unwrap();
-        m.watch_int(a, "x > 0", |v| v > 0).unwrap();
-        m.watch_int(b, "x > 0", |v| v > 0).unwrap();
-        let ids = m
-            .observe_batch(&[(0, vec![(a, Value::Int(2))]), (1, vec![(b, Value::Int(3))])])
-            .unwrap();
-        assert_eq!(ids.len(), 2);
-        let alarm = m.check().unwrap().expect("both positive");
-        assert_eq!(alarm.counts(), &[2, 2]);
-        assert_eq!(m.stats().events, 2);
-        assert_eq!(m.stats().delta_cuts, 2);
+        s.groups[0].current_alarm = Some(vec![1, 1, 1]); // wrong arity
+        assert!(invalid(&s));
     }
 }

@@ -1,13 +1,15 @@
 //! Predicate multiplexing: many conjunctive predicates, one event stream.
 //!
-//! A production monitor watches thousands of expressions (per-user alerts,
-//! per-shard invariants) over the same firehose. Running one
-//! [`OnlineMonitor`](crate::OnlineMonitor) per predicate repeats all the
-//! shared work: every monitor re-times the same clocks, re-evaluates the
-//! same local clauses, and re-stores the same candidate events. The
-//! [`MonitorHub`] factors that sharing out, exploiting the same structure
-//! the grafting algebra does (a conjunction's slice is the edge-union of
-//! its conjuncts' slices, keyed by [`GraftKey`]):
+//! [`MonitorHub`] is the one online-monitor engine: a production monitor
+//! watches thousands of expressions (per-user alerts, per-shard
+//! invariants) over the same firehose, and a single watched predicate —
+//! [`OnlineMonitor`](crate::OnlineMonitor) — is the hub with one tenant.
+//! Running one engine per predicate would repeat all the shared work:
+//! re-timing the same clocks, re-evaluating the same local clauses, and
+//! re-storing the same candidate events. The hub factors that sharing out,
+//! exploiting the same structure the grafting algebra does (a
+//! conjunction's slice is the edge-union of its conjuncts' slices, keyed
+//! by [`GraftKey`]):
 //!
 //! - **one** watch-free [`OnlineSlicer`] keeps vector clocks, messages,
 //!   and the stability-GC machinery for every tenant;
@@ -18,8 +20,11 @@
 //!   tenants watching the same per-process conjunct bundle share storage;
 //! - each **group** (distinct predicate) runs the Garg–Waldecker
 //!   candidate-elimination settle over its slots' streams with a private
-//!   cursor per slot — byte-identical alarms, witnesses, and check-work
-//!   counters to a standalone [`OnlineMonitor`](crate::OnlineMonitor);
+//!   cursor per slot: checks re-examine only heads that changed since the
+//!   last check (plus everything, once, after a late message re-times the
+//!   history), and each candidate is eliminated at most once ever, so the
+//!   per-event check cost is amortized `O(1)` — independent of the
+//!   history length — and the steady state allocates no cut storage;
 //! - **tenants** map onto groups; N tenants watching the same predicate
 //!   cost one group. Alarms fan out over bounded channels that drop
 //!   laggards rather than ever blocking ingestion.
@@ -56,11 +61,35 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 
-use slicing_computation::{BuildError, Cut, EventId, ProcessId, Value, VarRef};
+use slicing_computation::{BuildError, Computation, Cut, EventId, ProcessId, Value, VarRef};
 use slicing_core::{GraftKey, OnlineSlicer, SlicerState};
 use slicing_predicates::{Conjunctive, LocalPredicate};
 
-use crate::monitor::GcConfig;
+/// Configuration for causal-stability garbage collection; see
+/// [`MonitorHub::with_gc`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GcConfig {
+    /// Always keep at least the last `lag` positions of every process,
+    /// even when stability would allow dropping more — headroom for
+    /// protocols whose message-lateness bound is known. Must exceed the
+    /// maximum lateness (in positions) of any message the stream will
+    /// deliver, or very late messages are rejected with
+    /// [`BuildError::CompactedEvent`].
+    pub lag: u32,
+    /// Run a compaction every `every` observed events; must be positive.
+    pub every: u64,
+}
+
+impl Default for GcConfig {
+    /// A conservative default: keep the last 128 positions per process,
+    /// compact every 1024 events.
+    fn default() -> Self {
+        GcConfig {
+            lag: 128,
+            every: 1024,
+        }
+    }
+}
 
 /// Deterministic counters describing a hub's work so far — pure event and
 /// probe counts, no wall-clock, so the numbers gate CI. The headline claim
@@ -162,9 +191,7 @@ impl Slot {
     }
 }
 
-/// One distinct predicate: per-slot cursors plus the settle state of an
-/// [`OnlineMonitor`](crate::OnlineMonitor), replicated field for field so
-/// alarms, witnesses, and work counters match a standalone monitor.
+/// One distinct predicate: per-slot cursors plus its settle state.
 #[derive(Debug)]
 struct Group {
     key: GraftKey,
@@ -173,10 +200,16 @@ struct Group {
     slot_of: Vec<Option<u32>>,
     /// Per process: absolute cursor into the slot's candidate stream.
     fronts: Vec<u64>,
+    /// Per process: whether the head changed since the last settle.
     dirty: Vec<bool>,
+    /// Whether any head changed since the last settle.
     dirty_any: bool,
+    /// The slicer's clock revision at the last settle; a bump means late
+    /// messages re-timed history and cached consistency facts expired.
     seen_revision: u64,
+    /// The settled verdict: the least satisfying cut so far, if any.
     current_alarm: Option<Cut>,
+    /// The last reported alarm; each distinct alarm is reported once.
     last_alarm: Option<Cut>,
     check_cost: u64,
     alarms: u64,
@@ -271,7 +304,7 @@ pub struct TenantState {
 /// A serializable snapshot of a [`MonitorHub`] — everything but the clause
 /// closures, which [`restore_tenant`](MonitorHub::restore_tenant)
 /// re-registers. The JSON codec lives in
-/// [`serve_checkpoint`](crate::serve_checkpoint).
+/// [`checkpoint`](crate::checkpoint).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HubState {
     /// The underlying slicer's retained state.
@@ -325,8 +358,19 @@ impl MonitorHub {
         }
     }
 
-    /// Enables causal-stability GC with the given configuration.
+    /// Enables causal-stability garbage collection: every
+    /// [`GcConfig::every`] events the hub trims candidates no cursor can
+    /// reach and compacts the slicer below the stability frontier (capped
+    /// by [`GcConfig::lag`] and by the oldest live candidate on each
+    /// process), keeping live state proportional to the unstable suffix
+    /// instead of the full history. Compaction never changes verdicts,
+    /// alarms, or deterministic counters other than the GC counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.every` is zero.
     pub fn with_gc(mut self, config: GcConfig) -> Self {
+        assert!(config.every > 0, "GC cadence must be positive");
         self.gc = Some(config);
         self
     }
@@ -382,6 +426,36 @@ impl MonitorHub {
     /// Deterministic work counters accumulated so far.
     pub fn stats(&self) -> HubStats {
         self.stats
+    }
+
+    /// The computation observed so far (the retained suffix once GC has
+    /// compacted).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::CyclicOrder`] if observed messages formed a
+    /// cycle (unreachable for histories assembled through this hub).
+    pub fn history(&self) -> Result<Computation, BuildError> {
+        self.slicer.snapshot_computation()
+    }
+
+    /// The slicer's causal-stability frontier; see
+    /// [`OnlineSlicer::stable_frontier`].
+    pub fn stable_frontier(&self) -> Vec<u32> {
+        self.slicer.stable_frontier()
+    }
+
+    /// The name a variable was declared under.
+    pub(crate) fn var_name(&self, var: VarRef) -> &str {
+        self.slicer.var_name(var)
+    }
+
+    /// The current value of a declared variable.
+    pub(crate) fn value(&self, var: VarRef) -> Option<Value> {
+        self.values
+            .get(var.process().as_usize())?
+            .get(var.index())
+            .copied()
     }
 
     /// Registered tenants.
@@ -864,10 +938,12 @@ impl MonitorHub {
     /// Checks every dirty group and returns the newly settled alarms, one
     /// report per alarming group. Each report's alarm is also fanned out
     /// to the group's subscriber channels (laggards drop, never block).
-    /// Per group this is exactly
-    /// [`OnlineMonitor::check`](crate::OnlineMonitor::check): cached `O(1)`
-    /// when clean, Garg–Waldecker candidate elimination when dirty, each
-    /// distinct alarm reported once.
+    /// Per group: cached `O(1)` when clean, Garg–Waldecker candidate
+    /// elimination when dirty, each distinct alarm reported once.
+    ///
+    /// `possibly: fault` over a growing history is monotone under new
+    /// events, so a group's earliest witness is stable until a late
+    /// message re-times the history.
     pub fn check_all(&mut self) -> Vec<AlarmReport> {
         let _span = slicing_observe::span("serve.check");
         self.stats.checks += 1;
@@ -940,11 +1016,13 @@ impl MonitorHub {
         slot.candidates[(front - slot.start) as usize]
     }
 
-    /// Candidate elimination for one group, field-for-field the settle of
-    /// [`OnlineMonitor`](crate::OnlineMonitor) with queue heads read
-    /// through the shared slot streams: pop heads that can never front a
+    /// Candidate elimination for one group, with queue heads read through
+    /// the shared slot streams: pop heads that can never front a
     /// satisfying consistent cut until the heads are mutually consistent
-    /// (alarm) or some watched stream runs dry. Returns probes + joins.
+    /// (alarm: the join of their clocks is the least satisfying cut) or
+    /// some watched stream runs dry. Only dirty heads are probed; each
+    /// elimination is permanent, so total work is linear in candidates
+    /// ever queued. Returns probes + joins.
     fn settle_group(&mut self, g: usize) -> u64 {
         let n = self.num_processes();
         let mut work = 0u64;
@@ -1443,6 +1521,9 @@ mod tests {
         assert_eq!(reports[0].alarm.cut.counts(), &[2, 2]);
     }
 
+    /// A group sharing its slots with other tenants' groups raises exactly
+    /// the alarms (and does exactly the settle work) of the same predicate
+    /// watched alone.
     #[test]
     fn alarms_match_a_standalone_monitor() {
         let mut hub = MonitorHub::new(3);
@@ -1461,6 +1542,16 @@ mod tests {
         };
         hub.add_tenant("t", &pred(&hv), "x@0 > 1 && x@2 <= 3")
             .unwrap();
+        // Neighbours sharing the x@0 slot and the x@2 clause.
+        let x0 = LocalPredicate::int(hv[0], "x@0 > 1", |v| v > 1);
+        hub.add_tenant("u", &Conjunctive::new(vec![x0]), "x@0 > 1")
+            .unwrap();
+        let both = Conjunctive::new(vec![
+            LocalPredicate::int(hv[1], "x@1 == 2", |v| v == 2),
+            LocalPredicate::int(hv[2], "x@2 <= 3", |v| v <= 3),
+        ]);
+        hub.add_tenant("v", &both, "x@1 == 2 && x@2 <= 3").unwrap();
+        let g = hub.group_of("t").unwrap();
         for clause in pred(&mv).clauses() {
             m.watch_clause(clause.clone()).unwrap();
         }
@@ -1480,13 +1571,20 @@ mod tests {
                 assert_eq!(hr.is_ok(), mr.is_ok(), "message at step {step}");
             }
             let reports = hub.check_all();
-            let hub_alarm = reports.first().map(|r| r.alarm.cut.clone());
+            let hub_alarm = reports
+                .iter()
+                .find(|r| r.group == g)
+                .map(|r| r.alarm.cut.clone());
             let mon_alarm = m.check().unwrap();
             assert_eq!(hub_alarm, mon_alarm, "step {step}");
         }
-        let g = hub.group_of("t").unwrap();
         assert_eq!(hub.group_check_cost(g).unwrap(), m.stats().check_cost);
-        assert_eq!(hub.stats().alarms, m.stats().alarms);
+    }
+
+    #[test]
+    #[should_panic(expected = "GC cadence must be positive")]
+    fn zero_gc_cadence_is_rejected() {
+        let _ = MonitorHub::new(2).with_gc(GcConfig { lag: 4, every: 0 });
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Differential lockdown for the predicate-multiplexing hub: N tenants on
-//! one [`MonitorHub`] must be observationally identical to N independent
-//! [`OnlineMonitor`]s fed the same stream — same alarms at the same
-//! points, same least-cut witnesses — while doing strictly less total
-//! work. Plus the degradation contract: a laggard subscriber loses
-//! alarms, never the ingestion path.
+//! Differential lockdown for the predicate-multiplexing hub: every one of
+//! N tenants on one [`MonitorHub`] must raise exactly the alarms offline
+//! slice-then-search finds on the history snapshot — at every check, with
+//! late messages re-timing the history — while the hub does strictly less
+//! total work than N standalone [`OnlineMonitor`]s. Plus the degradation
+//! contract: a laggard subscriber loses alarms, never the ingestion path.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
-use slicing_computation::{Cut, Value, VarRef};
-use slicing_detect::{MonitorHub, OnlineMonitor};
+use slicing_computation::{BuildError, Cut, Value, VarRef};
+use slicing_core::PredicateSpec;
+use slicing_detect::{detect_with_slicing, Limits, MonitorHub, OnlineMonitor};
 use slicing_observe::{Level, MemoryRecorder};
 use slicing_predicates::{Conjunctive, LocalPredicate};
 
@@ -69,11 +71,14 @@ enum Step {
 
 /// The shared deterministic stream: events on random processes, a
 /// cross-process message every few steps (index pairs into the event
-/// log), so GC frontiers and causal joins are exercised.
-fn build_stream(seed: u64, steps: usize) -> Vec<Step> {
+/// log), so GC frontiers and causal joins are exercised. With `late`,
+/// every few steps also delivers a message between two *older* events,
+/// re-timing history the hub has already settled.
+fn build_stream(seed: u64, steps: usize, late: bool) -> Vec<Step> {
     let mut rng = XorShift(seed);
     let mut stream = Vec::with_capacity(steps);
     let mut event_procs: Vec<usize> = Vec::new();
+    let mut sent = HashSet::new();
     for s in 0..steps {
         let process = rng.below(PROCS as u64) as usize;
         stream.push(Step::Event {
@@ -81,42 +86,57 @@ fn build_stream(seed: u64, steps: usize) -> Vec<Step> {
             value: rng.below(6) as i64,
         });
         event_procs.push(process);
+        let mut offer = |from: usize, to: usize, stream: &mut Vec<Step>| {
+            // A message must cross processes and is sent once; skip bad
+            // draws rather than redrawing so the stream stays a pure
+            // function of the seed. Observation order is a topological
+            // order, so forward messages never form a cycle.
+            if event_procs[from] != event_procs[to] && sent.insert((from, to)) {
+                stream.push(Step::Msg { from, to });
+            }
+        };
         if s % 4 == 3 && event_procs.len() > 1 {
             let to = event_procs.len() - 1;
             let from = rng.below(to as u64) as usize;
-            // A message must cross processes; skip same-process draws
-            // rather than redrawing so the stream stays a pure function
-            // of the seed.
-            if event_procs[from] != event_procs[to] {
-                stream.push(Step::Msg { from, to });
-            }
+            offer(from, to, &mut stream);
+        }
+        if late && s % 7 == 6 && event_procs.len() > 2 {
+            let to = 1 + rng.below(event_procs.len() as u64 - 2) as usize;
+            let from = rng.below(to as u64) as usize;
+            offer(from, to, &mut stream);
         }
     }
     stream
 }
 
+/// A hub with `tenants` tenants drawn from the clause pool; returns it
+/// with the variables and each tenant's predicate.
+fn tenant_hub(tenants: usize) -> (MonitorHub, Vec<VarRef>, Vec<Conjunctive>) {
+    let mut hub = MonitorHub::new(PROCS);
+    let vars: Vec<VarRef> = (0..PROCS)
+        .map(|p| hub.declare_var(p, "x", Value::Int(0)).unwrap())
+        .collect();
+    let pool = clause_pool(&vars);
+    let mut preds = Vec::new();
+    for i in 0..tenants {
+        let (a, b) = tenant_clauses(i, pool.len());
+        let pred = Conjunctive::new(vec![pool[a].1.clone(), pool[b].1.clone()]);
+        let source = format!("{} && {}", pool[a].0, pool[b].0);
+        hub.add_tenant(&format!("t{i}"), &pred, &source).unwrap();
+        preds.push(pred);
+    }
+    (hub, vars, preds)
+}
+
 struct HubRun {
-    alarms: Vec<Vec<(u64, Cut)>>,
-    check_cost_by_tenant: Vec<u64>,
     events: u64,
     clause_evals: u64,
     total_check_cost: u64,
 }
 
 fn run_hub(tenants: usize, stream: &[Step]) -> HubRun {
-    let mut hub = MonitorHub::new(PROCS);
-    let vars: Vec<VarRef> = (0..PROCS)
-        .map(|p| hub.declare_var(p, "x", Value::Int(0)).unwrap())
-        .collect();
-    let pool = clause_pool(&vars);
-    for i in 0..tenants {
-        let (a, b) = tenant_clauses(i, pool.len());
-        let pred = Conjunctive::new(vec![pool[a].1.clone(), pool[b].1.clone()]);
-        let source = format!("{} && {}", pool[a].0, pool[b].0);
-        hub.add_tenant(&format!("t{i}"), &pred, &source).unwrap();
-    }
+    let (mut hub, vars, _) = tenant_hub(tenants);
     let registration_evals = hub.stats().clause_evals;
-    let mut alarms = vec![Vec::new(); tenants];
     let mut event_ids = Vec::new();
     for step in stream {
         match step {
@@ -130,23 +150,10 @@ fn run_hub(tenants: usize, stream: &[Step]) -> HubRun {
                 hub.message(event_ids[*from], event_ids[*to]).unwrap();
             }
         }
-        for report in hub.check_all() {
-            for id in &report.tenants {
-                let i: usize = id[1..].parse().unwrap();
-                alarms[i].push((report.alarm.events, report.alarm.cut.clone()));
-            }
-        }
+        hub.check_all();
     }
-    let check_cost_by_tenant = (0..tenants)
-        .map(|i| {
-            let g = hub.group_of(&format!("t{i}")).unwrap();
-            hub.group_check_cost(g).unwrap()
-        })
-        .collect();
     let stats = hub.stats();
     HubRun {
-        alarms,
-        check_cost_by_tenant,
         events: stats.events,
         clause_evals: stats.clause_evals - registration_evals,
         total_check_cost: stats.check_cost,
@@ -154,7 +161,6 @@ fn run_hub(tenants: usize, stream: &[Step]) -> HubRun {
 }
 
 struct MonitorRun {
-    alarms: Vec<(u64, Cut)>,
     events: u64,
     check_cost: u64,
 }
@@ -168,9 +174,7 @@ fn run_monitor(tenant: usize, stream: &[Step]) -> MonitorRun {
     let (a, b) = tenant_clauses(tenant, pool.len());
     m.watch_clause(pool[a].1.clone()).unwrap();
     m.watch_clause(pool[b].1.clone()).unwrap();
-    let mut alarms = Vec::new();
     let mut event_ids = Vec::new();
-    let mut events = 0u64;
     for step in stream {
         match step {
             Step::Event { process, value } => {
@@ -178,44 +182,77 @@ fn run_monitor(tenant: usize, stream: &[Step]) -> MonitorRun {
                     .observe(*process, &[(vars[*process], Value::Int(*value))])
                     .unwrap();
                 event_ids.push(e);
-                events += 1;
             }
             Step::Msg { from, to } => {
                 m.message(event_ids[*from], event_ids[*to]).unwrap();
             }
         }
-        if let Some(cut) = m.check().unwrap() {
-            alarms.push((events, cut));
-        }
+        m.check().unwrap();
     }
     let stats = m.stats();
     MonitorRun {
-        alarms,
         events: stats.events,
         check_cost: stats.check_cost,
     }
 }
 
-/// The tentpole differential: 24 tenants multiplexed on one hub report
-/// exactly the alarms (count, position, and least-cut witness) that 24
-/// independent monitors report, and per-group settle work matches the
-/// standalone monitor probe-for-probe.
+/// The tentpole differential: at every check of a stream with late
+/// messages, each of 24 tenants multiplexed on one hub agrees with offline
+/// slice-then-search on the hub's history snapshot. A fresh alarm must be
+/// the offline least satisfying cut; silence means the offline verdict is
+/// still the tenant's last alarm — or was retracted by a late message
+/// (message additions remove consistent cuts, so `possibly` is not
+/// monotone under them). A *different* satisfying cut must be reported.
 #[test]
-fn hub_matches_independent_monitors_alarm_for_alarm() {
+fn hub_alarms_match_offline_slice_then_search() {
     const TENANTS: usize = 24;
-    let stream = build_stream(0x5eed_cafe, 400);
-    let hub = run_hub(TENANTS, &stream);
-    for i in 0..TENANTS {
-        let solo = run_monitor(i, &stream);
-        assert_eq!(
-            hub.alarms[i], solo.alarms,
-            "tenant t{i}: hub and standalone monitor disagree"
-        );
-        assert_eq!(
-            hub.check_cost_by_tenant[i], solo.check_cost,
-            "tenant t{i}: group settle work diverged from the standalone monitor"
-        );
+    let stream = build_stream(0x5eed_cafe, 240, true);
+    let (mut hub, vars, preds) = tenant_hub(TENANTS);
+    let specs: Vec<PredicateSpec> = preds.into_iter().map(PredicateSpec::conjunctive).collect();
+    let mut last: Vec<Option<Cut>> = vec![None; TENANTS];
+    let (mut event_ids, mut alarms, mut late) = (Vec::new(), 0, 0);
+    for (step, s) in stream.iter().enumerate() {
+        match s {
+            Step::Event { process, value } => {
+                let e = hub
+                    .observe(*process, &[(vars[*process], Value::Int(*value))])
+                    .unwrap();
+                event_ids.push(e);
+            }
+            Step::Msg { from, to } => {
+                late += usize::from(*to + 1 < event_ids.len());
+                match hub.message(event_ids[*from], event_ids[*to]) {
+                    Ok(()) | Err(BuildError::DuplicateMessage { .. }) => {}
+                    Err(e) => panic!("step {step}: forward message rejected: {e}"),
+                }
+            }
+        }
+        let mut fresh: Vec<Option<Cut>> = vec![None; TENANTS];
+        for report in hub.check_all() {
+            for id in &report.tenants {
+                fresh[id[1..].parse::<usize>().unwrap()] = Some(report.alarm.cut.clone());
+            }
+        }
+        let history = hub.history().unwrap();
+        for i in 0..TENANTS {
+            let offline = detect_with_slicing(&history, &specs[i], &Limits::none())
+                .search
+                .found;
+            match fresh[i].take() {
+                Some(cut) => {
+                    assert_eq!(Some(&cut), offline.as_ref(), "t{i}, step {step}");
+                    last[i] = Some(cut);
+                    alarms += 1;
+                }
+                None => assert!(
+                    offline.is_none() || offline == last[i],
+                    "t{i}, step {step}: offline verdict moved to {offline:?} without an alarm"
+                ),
+            }
+        }
     }
+    assert!(alarms > TENANTS, "only {alarms} alarms: harness too weak");
+    assert!(late > 10, "only {late} late messages: harness too weak");
 }
 
 /// The sharing claim, as a strict inequality on deterministic counters:
@@ -225,7 +262,7 @@ fn hub_matches_independent_monitors_alarm_for_alarm() {
 #[test]
 fn multiplexed_work_is_strictly_below_the_independent_sum() {
     const TENANTS: usize = 24;
-    let stream = build_stream(0x5eed_cafe, 400);
+    let stream = build_stream(0x5eed_cafe, 400, false);
     let hub = run_hub(TENANTS, &stream);
     let mut independent_total = 0u64;
     let mut shared_settles = 0u64;

@@ -45,10 +45,6 @@ pub const METRICS: &str = "slicing.metrics/v1";
 /// The verdict document `slicing bench-diff` emits.
 pub const BENCH_DIFF: &str = "slicing.bench-diff/v1";
 
-/// A monitor + slicer checkpoint for mid-stream restart
-/// (`slicing monitor --checkpoint` / `--resume`).
-pub const CHECKPOINT: &str = "slicing.checkpoint/v1";
-
 /// `table_soak`'s long-run baseline (`BENCH_soak.json`).
 pub const BENCH_SOAK: &str = "slicing.bench-soak/v1";
 
@@ -61,8 +57,8 @@ pub const SERVE_REPORT: &str = "slicing.serve-report/v1";
 /// `table_serve`'s tenant-sweep baseline (`BENCH_serve.json`).
 pub const BENCH_SERVE: &str = "slicing.bench-serve/v1";
 
-/// A multi-tenant hub checkpoint for mid-stream restart
-/// (`slicing serve --checkpoint` / `--resume`).
+/// A hub checkpoint for mid-stream restart (`slicing serve` and
+/// `slicing monitor`, `--checkpoint` / `--resume`).
 pub const SERVE_CHECKPOINT: &str = "slicing.serve-checkpoint/v1";
 
 /// Every schema this workspace version knows, for enumeration in docs
@@ -78,7 +74,6 @@ pub const ALL: &[&str] = &[
     PROFILE,
     METRICS,
     BENCH_DIFF,
-    CHECKPOINT,
     BENCH_SOAK,
     BENCH_PROTOCOLS,
     SERVE_REPORT,
@@ -170,7 +165,6 @@ pub fn validate(doc: &JsonValue) -> Result<&'static str, SchemaError> {
         PROFILE => validate_profile(doc)?,
         METRICS => validate_metrics(doc)?,
         BENCH_DIFF => validate_bench_diff(doc)?,
-        CHECKPOINT => validate_checkpoint(doc)?,
         BENCH_SOAK => validate_bench_soak(doc)?,
         BENCH_PROTOCOLS => validate_bench_protocols(doc)?,
         SERVE_REPORT => validate_serve_report(doc)?,
@@ -342,68 +336,6 @@ fn validate_metrics(doc: &JsonValue) -> Result<(), SchemaError> {
         for field in ["count", "p50", "p90", "p99", "max"] {
             require_u64(hist, field, &hat)?;
         }
-    }
-    Ok(())
-}
-
-fn validate_checkpoint(doc: &JsonValue) -> Result<(), SchemaError> {
-    let n = require_u64(doc, "processes", "document")?;
-    if n == 0 {
-        return Err(fail("document: \"processes\" must be positive".to_owned()));
-    }
-    require_u64(doc, "metrics_seq", "document")?;
-    require_u64(doc, "seen_revision", "document")?;
-    require_u64(doc, "clock_revision", "document")?;
-    require_u64(doc, "since_gc", "document")?;
-    require_bool(doc, "dirty_any", "document")?;
-    for field in ["base", "vars", "snapshots", "queues", "dirty"] {
-        let arr = require_array(doc, field, "document")?;
-        if arr.len() != n as usize {
-            return Err(fail(format!(
-                "document: field {field:?} must have one entry per process"
-            )));
-        }
-    }
-    let events = require_array(doc, "events", "document")?;
-    for (i, ev) in events.iter().enumerate() {
-        let eat = format!("events[{i}]");
-        require_u64(ev, "p", &eat)?;
-        require_bool(ev, "holds", &eat)?;
-        let clock = require_array(ev, "clock", &eat)?;
-        if clock.len() != n as usize {
-            return Err(fail(format!("{eat}: clock must have arity {n}")));
-        }
-    }
-    for field in ["messages", "settled_edges"] {
-        for (i, pair) in require_array(doc, field, "document")?.iter().enumerate() {
-            let ok = pair
-                .as_array()
-                .is_some_and(|p| p.len() == 2 && p.iter().all(|v| v.as_u64().is_some()));
-            if !ok {
-                return Err(fail(format!(
-                    "document: {field}[{i}] must be a [send, recv] index pair"
-                )));
-            }
-        }
-    }
-    for field in ["current_alarm", "last_alarm", "gc"] {
-        require(doc, field, "document")?; // may be null; decode checks shape
-    }
-    let stats = require(doc, "stats", "document")?;
-    for field in [
-        "events",
-        "messages",
-        "checks",
-        "alarms",
-        "check_cost",
-        "last_check_cost",
-        "delta_cuts",
-        "peak_candidates",
-        "compactions",
-        "dropped_events",
-        "retained_peak",
-    ] {
-        require_u64(stats, field, "document.stats")?;
     }
     Ok(())
 }

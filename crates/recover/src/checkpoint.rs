@@ -1,64 +1,33 @@
-//! Checkpoint files: durable `slicing.checkpoint/v1` snapshots of a
-//! running [`OnlineMonitor`], written so a killed monitor can restart
-//! mid-stream and converge to the same verdicts as an uninterrupted run.
+//! Checkpoint files: durable `slicing.serve-checkpoint/v1` snapshots of a
+//! running [`MonitorHub`] (an [`OnlineMonitor`] is a hub with one tenant),
+//! written so a killed monitor or service can restart mid-stream and
+//! converge to the same verdicts as an uninterrupted run.
 //!
 //! This is the file layer over [`slicing_detect::checkpoint`]'s codec:
 //!
-//! - [`write_checkpoint`] serializes the monitor's exported state (plus
-//!   the metrics-stream cursor) and writes it *atomically* — to a
-//!   `.tmp` sibling first, then renamed over the target — so a crash
-//!   mid-write leaves the previous checkpoint intact rather than a
-//!   truncated JSON document;
-//! - [`load_checkpoint`] reads a file back, revalidates it against the
-//!   observe schema registry, and decodes it;
-//! - [`resume_monitor`] rebuilds a live monitor from the loaded state
-//!   and re-registers the caller's watch clauses (closures cannot be
-//!   serialized; each is cross-validated against the checkpointed truth
-//!   assignments).
+//! - [`write_hub_checkpoint`] serializes the hub's exported state (plus
+//!   the metrics-stream cursor) and installs it *atomically* through
+//!   [`rotate_and_write`] — to a `.tmp` sibling first, then renamed over
+//!   the target — so a crash mid-write leaves the previous checkpoint
+//!   intact rather than a truncated JSON document;
+//! - [`load_hub_checkpoint`] reads a file back, decodes it, and
+//!   revalidates it against the observe schema registry;
+//! - [`resume_monitor`] rebuilds a live monitor from the loaded state and
+//!   re-registers the caller's watch clauses (closures cannot be
+//!   serialized; the clause set is cross-validated against the
+//!   checkpointed one).
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use slicing_computation::BuildError;
-use slicing_detect::checkpoint::{decode_str, encode};
-use slicing_detect::{HubState, MonitorHub, MonitorState, OnlineMonitor};
+use slicing_detect::checkpoint::{decode, encode};
+use slicing_detect::{HubState, MonitorHub, OnlineMonitor};
 use slicing_predicates::LocalPredicate;
 
-/// Atomically writes `monitor`'s current state (and the metrics-stream
-/// sequence cursor) to `path` as one `slicing.checkpoint/v1` line.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from writing the temporary sibling or
-/// renaming it into place.
-pub fn write_checkpoint(path: &Path, monitor: &OnlineMonitor, metrics_seq: u64) -> io::Result<()> {
-    write_checkpoint_rotating(path, monitor, metrics_seq, 1)
-}
-
-/// [`write_checkpoint`] with retention: the newest checkpoint lands at
-/// `path`, prior generations shift to `path.1`, `path.2`, …, and only the
-/// last `keep` files survive. See [`rotate_and_write`].
-///
-/// # Errors
-///
-/// Propagates filesystem errors; `keep == 0` is rejected as
-/// [`io::ErrorKind::InvalidInput`].
-pub fn write_checkpoint_rotating(
-    path: &Path,
-    monitor: &OnlineMonitor,
-    metrics_seq: u64,
-    keep: usize,
-) -> io::Result<()> {
-    let text = encode(&monitor.export_state(), metrics_seq);
-    rotate_and_write(path, &text, keep)?;
-    slicing_observe::counter("recover.checkpoints_written", 1);
-    Ok(())
-}
-
 /// Writes a [`MonitorHub`]'s state as one `slicing.serve-checkpoint/v1`
-/// line with the same atomicity and `keep`-generation retention as
-/// [`write_checkpoint_rotating`].
+/// line, keeping the last `keep` generations; see [`rotate_and_write`].
 ///
 /// # Errors
 ///
@@ -70,7 +39,7 @@ pub fn write_hub_checkpoint(
     metrics_seq: u64,
     keep: usize,
 ) -> io::Result<()> {
-    let text = slicing_detect::serve_checkpoint::encode(&hub.export_state(), metrics_seq);
+    let text = encode(&hub.export_state(), metrics_seq);
     rotate_and_write(path, &text, keep)?;
     slicing_observe::counter("recover.checkpoints_written", 1);
     Ok(())
@@ -136,82 +105,47 @@ pub fn rotate_and_write(path: &Path, text: &str, keep: usize) -> io::Result<()> 
     fs::rename(&tmp, path)
 }
 
-/// Loads and decodes a checkpoint file written by [`write_checkpoint`].
-///
-/// The document is first checked against the observe schema registry
-/// (the same validation `slicing validate` applies), then decoded with
-/// the full semantic checks of the codec. Returns the monitor state and
-/// the metrics sequence number the stream should resume from.
+/// Loads and decodes a `slicing.serve-checkpoint/v1` file written by
+/// [`write_hub_checkpoint`], parsing it once: the codec's semantic checks
+/// run first (so a retired format gets its own message), then the schema
+/// registry's structural ones (the validation `slicing validate`
+/// applies). The caller rebuilds the hub with [`MonitorHub::from_state`]
+/// and re-registers every tenant predicate via
+/// [`MonitorHub::restore_tenant`] using the sources in the state.
 ///
 /// # Errors
 ///
 /// Filesystem errors are returned as-is; malformed or invalid documents
 /// surface as [`io::ErrorKind::InvalidData`] carrying the codec's
 /// [`BuildError::InvalidState`] detail.
-pub fn load_checkpoint(path: &Path) -> io::Result<(MonitorState, u64)> {
-    let text = fs::read_to_string(path)?;
-    let doc = slicing_observe::json::parse(text.trim()).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}: {e}", path.display()),
-        )
-    })?;
-    slicing_observe::schema::validate(&doc).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}: {e}", path.display()),
-        )
-    })?;
-    decode_str(text.trim()).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}: {e}", path.display()),
-        )
-    })
-}
-
-/// Loads and decodes a `slicing.serve-checkpoint/v1` file written by
-/// [`write_hub_checkpoint`], with the same schema-registry revalidation
-/// as [`load_checkpoint`]. The caller rebuilds the hub with
-/// [`MonitorHub::from_state`] and re-registers every tenant predicate via
-/// [`MonitorHub::restore_tenant`] using the sources in the state.
-///
-/// # Errors
-///
-/// Filesystem errors are returned as-is; malformed or invalid documents
-/// surface as [`io::ErrorKind::InvalidData`].
 pub fn load_hub_checkpoint(path: &Path) -> io::Result<(HubState, u64)> {
     let text = fs::read_to_string(path)?;
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let doc = slicing_observe::json::parse(text.trim())
         .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
+    let decoded = decode(&doc).map_err(|e| invalid(format!("{}: {e}", path.display())))?;
     slicing_observe::schema::validate(&doc)
         .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
-    slicing_detect::serve_checkpoint::decode(&doc)
-        .map_err(|e| invalid(format!("{}: {e}", path.display())))
+    Ok(decoded)
 }
 
 /// Rebuilds a live monitor from a loaded checkpoint state and re-registers
 /// the fault predicate's clauses.
 ///
-/// Clauses are matched to the checkpoint by variable (process + name):
-/// [`OnlineMonitor::restore_watch_clause`] revalidates each against the
-/// checkpointed per-event truth assignments, so a clause that disagrees
-/// with the history it claims to have produced is rejected instead of
-/// silently corrupting future verdicts.
+/// The clause set is matched to the checkpointed one by process and label
+/// ([`MonitorHub::restore_tenant`]), so a predicate that differs from the
+/// one the history was monitored under is rejected instead of silently
+/// corrupting future verdicts.
 ///
 /// # Errors
 ///
 /// Returns [`BuildError::InvalidState`] if the state is internally
-/// inconsistent or a clause contradicts the checkpointed assignments.
+/// inconsistent, holds more than one tenant, or the clauses do not match.
 pub fn resume_monitor(
-    state: &MonitorState,
+    state: &HubState,
     clauses: Vec<LocalPredicate>,
 ) -> Result<OnlineMonitor, BuildError> {
-    let mut monitor = OnlineMonitor::from_state(state)?;
-    for clause in clauses {
-        monitor.restore_watch_clause(clause)?;
-    }
+    let monitor = OnlineMonitor::from_hub(MonitorHub::from_state(state)?, clauses)?;
     slicing_observe::counter("recover.monitors_resumed", 1);
     Ok(monitor)
 }

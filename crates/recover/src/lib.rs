@@ -46,8 +46,8 @@ mod line;
 mod replay;
 
 pub use checkpoint::{
-    load_checkpoint, load_hub_checkpoint, resume_monitor, rotate_and_write, write_checkpoint,
-    write_checkpoint_rotating, write_hub_checkpoint,
+    load_hub_checkpoint, load_hub_checkpoint as load_checkpoint, resume_monitor, rotate_and_write,
+    write_hub_checkpoint,
 };
 pub use line::{
     max_consistent_cut_below, recovery_line, recovery_line_exhaustive, LineMethod, RecoveryLine,

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use slicing_computation::Value;
 use slicing_detect::{GcConfig, OnlineMonitor};
 use slicing_predicates::LocalPredicate;
-use slicing_recover::{load_checkpoint, resume_monitor, write_checkpoint};
+use slicing_recover::{load_checkpoint, resume_monitor, write_hub_checkpoint};
 
 const N: usize = 3;
 /// Generated message endpoints stay within this many global steps of the
@@ -151,17 +151,14 @@ fn every_kill_point_resumes_to_the_oracle_run() {
                 apply(&mut first, op);
             }
             let path = ckpt_path(&format!("{seed}-{kill_at}"));
-            write_checkpoint(&path, &first, 0).unwrap();
+            write_hub_checkpoint(&path, first.hub(), 0, 1).unwrap();
+            let watched = clauses(&first);
             drop(first);
 
             // Restore and replay the tail.
             let (state, metrics_seq) = load_checkpoint(&path).unwrap();
             assert_eq!(metrics_seq, 0);
-            let mut resumed = resume_monitor(&state, {
-                let probe = OnlineMonitor::from_state(&state).unwrap();
-                clauses(&probe)
-            })
-            .unwrap();
+            let mut resumed = resume_monitor(&state, watched).unwrap();
             for (i, &op) in ops.iter().enumerate().skip(kill_at) {
                 let verdict = apply(&mut resumed, op);
                 assert_eq!(

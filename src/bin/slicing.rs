@@ -68,16 +68,17 @@ on `monitor` the `slicing.monitor-report/v1` stream summary, and on
 `bench-diff` the `slicing.bench-diff/v1` verdict document.
 `recover` simulates a protocol run, injects the chosen fault, and drives
 the full detect → recovery line → rollback → replay loop. `monitor`
-replays the trace through the incremental online monitor (amortized O(1)
-per check), reporting every distinct alarm cut as it appears; the
-predicate must be a conjunction of local clauses. `--metrics` streams
-`slicing.metrics/v1` delta snapshots (one JSONL line every N observed
-events, default 100) to <path> while the monitor runs. `--gc-lag` /
-`--gc-every` enable causal-stability garbage collection (compact
-history more than N events behind the stable frontier, attempted every
-N observations; defaults 128/1024 when either flag is given).
-`--checkpoint` writes a versioned `slicing.checkpoint/v1` snapshot of
-the monitor to <path> — atomically, every `--checkpoint-every` N events
+replays the trace through the online monitoring hub with one tenant
+(amortized O(1) per check), reporting every distinct alarm cut as it
+appears; the predicate must be a conjunction of local clauses.
+`--metrics` streams `slicing.metrics/v1` delta snapshots (one JSONL line
+every N observed events, default 100) to <path> while the monitor runs.
+`--gc-lag` / `--gc-every` enable causal-stability garbage collection
+(compact history more than N events behind the stable frontier,
+attempted every N observations; defaults 128/1024 when either flag is
+given).
+`--checkpoint` writes a versioned `slicing.serve-checkpoint/v1` snapshot
+of the hub to <path> — atomically, every `--checkpoint-every` N events
 and once at end of stream; `--checkpoint-keep K` retains the last K
 snapshot generations (<path>, <path>.1, …) and deletes older ones, so a
 long-running monitor uses bounded disk. `--resume` restores a monitor
@@ -93,8 +94,7 @@ mid-stream with `tenant <id> <expr>` / `untenant <id>` directive lines
 in the stream itself. Tenants watching overlapping conjunctions share
 candidate queues through the graft cache, so the per-event cost grows
 sublinearly with the tenant count. Alarms print per tenant as
-`alarm tenant=<id> after N events: ...`; checkpoints use the
-`slicing.serve-checkpoint/v1` schema and `--resume` picks a killed
+`alarm tenant=<id> after N events: ...`, and `--resume` picks a killed
 service back up mid-stream (feed the same stream again; the consumed
 prefix is skipped). With `--report` it writes a
 `slicing.serve-report/v1` summary.
@@ -820,8 +820,8 @@ fn main() -> ExitCode {
 // ---------------------------------------------------------------------------
 
 use computation_slicing::computation::trace::{parse_line, TraceOp};
-use computation_slicing::detect::{GcConfig, MonitorHub, OnlineMonitor};
-use computation_slicing::{Conjunctive, Cut, Value, VarRef};
+use computation_slicing::detect::{GcConfig, HubState, MonitorHub};
+use computation_slicing::{Conjunctive, Cut, Value};
 
 /// A contextual trace error in the same shape `TraceError::Syntax`
 /// renders, so streaming and batch parsing report problems identically.
@@ -1030,45 +1030,6 @@ impl MsgTracker {
     }
 }
 
-/// Delivers one message edge to the monitor. Messages whose receive lies
-/// inside a resumed prefix are already part of the checkpointed state and
-/// are never redelivered; endpoints compacted by GC (or rejected by the
-/// engine) are warned about and skipped — the stream keeps flowing.
-fn deliver_monitor_msg(m: &mut OnlineMonitor, msg: &TraceMsg, skipped_until: &[u32]) {
-    if msg.recv.1 <= skipped_until[msg.recv.0] {
-        return;
-    }
-    match (
-        m.event_at(msg.send.0, msg.send.1),
-        m.event_at(msg.recv.0, msg.recv.1),
-    ) {
-        (Some(s), Some(r)) => {
-            if let Err(err) = m.message(s, r) {
-                eprintln!("warning: skipped message {s} -> {r}: {err}");
-            }
-        }
-        _ => eprintln!("warning: skipped message into history compacted by GC"),
-    }
-}
-
-/// [`deliver_monitor_msg`] for the multiplexing hub.
-fn deliver_hub_msg(hub: &mut MonitorHub, msg: &TraceMsg, skipped_until: &[u32]) {
-    if msg.recv.1 <= skipped_until[msg.recv.0] {
-        return;
-    }
-    match (
-        hub.event_at(msg.send.0, msg.send.1),
-        hub.event_at(msg.recv.0, msg.recv.1),
-    ) {
-        (Some(s), Some(r)) => {
-            if let Err(err) = hub.message(s, r) {
-                eprintln!("warning: skipped message {s} -> {r}: {err}");
-            }
-        }
-        _ => eprintln!("warning: skipped message into history compacted by GC"),
-    }
-}
-
 /// Writes a report document to `path` (stdout for `-`).
 fn write_report(path: &str, json: &str) -> Result<(), String> {
     if path == "-" {
@@ -1079,75 +1040,376 @@ fn write_report(path: &str, json: &str) -> Result<(), String> {
     }
 }
 
-/// `slicing monitor`: replay one conjunctive predicate over a recorded
-/// trace through the incremental online monitor. Ingestion is streaming:
-/// a header pass gathers declarations and message edges, then events are
-/// fed to the monitor line by line.
-fn monitor_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
-    use std::io::BufRead;
+/// The flags `monitor` and `serve` share: check cadence, metrics stream,
+/// stability GC, rotated checkpoints and resume.
+struct OnlineFlags {
+    check_every: u64,
+    metrics_path: Option<String>,
+    metrics_every: u64,
+    checkpoint_path: Option<String>,
+    checkpoint_every: Option<u64>,
+    checkpoint_keep: usize,
+    resume_path: Option<String>,
+    gc_every: Option<u64>,
+    gc_lag: Option<u32>,
+}
 
-    let (trace, pred_src) = two_args(args)?;
-    let mut check_every: u64 = 1;
-    let mut metrics_path: Option<String> = None;
-    let mut metrics_every: u64 = 100;
-    let mut checkpoint_path: Option<String> = None;
-    let mut checkpoint_every: Option<u64> = None;
-    let mut checkpoint_keep: usize = 1;
-    let mut resume_path: Option<String> = None;
-    let mut gc_every: Option<u64> = None;
-    let mut gc_lag: Option<u32> = None;
-    let mut it = args[3..].iter();
-    while let Some(flag) = it.next() {
-        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        match flag.as_str() {
-            "--check-every" => check_every = parse_positive(flag, value)?,
-            "--metrics" => metrics_path = Some(value.clone()),
-            "--metrics-every" => metrics_every = parse_positive(flag, value)?,
-            "--checkpoint" => checkpoint_path = Some(value.clone()),
-            "--checkpoint-every" => checkpoint_every = Some(parse_positive(flag, value)?),
+impl OnlineFlags {
+    fn new() -> Self {
+        OnlineFlags {
+            check_every: 1,
+            metrics_path: None,
+            metrics_every: 100,
+            checkpoint_path: None,
+            checkpoint_every: None,
+            checkpoint_keep: 1,
+            resume_path: None,
+            gc_every: None,
+            gc_lag: None,
+        }
+    }
+
+    /// Applies one `flag value` pair; `Ok(false)` if `flag` is not shared.
+    fn apply(&mut self, flag: &str, value: &str) -> Result<bool, String> {
+        match flag {
+            "--check-every" => self.check_every = parse_positive(flag, value)?,
+            "--metrics" => self.metrics_path = Some(value.to_owned()),
+            "--metrics-every" => self.metrics_every = parse_positive(flag, value)?,
+            "--checkpoint" => self.checkpoint_path = Some(value.to_owned()),
+            "--checkpoint-every" => self.checkpoint_every = Some(parse_positive(flag, value)?),
             "--checkpoint-keep" => {
-                checkpoint_keep = usize::try_from(parse_positive(flag, value)?)
+                self.checkpoint_keep = usize::try_from(parse_positive(flag, value)?)
                     .map_err(|_| format!("{flag}: value exceeds usize range"))?
             }
-            "--resume" => resume_path = Some(value.clone()),
-            "--gc-every" => gc_every = Some(parse_positive(flag, value)?),
+            "--resume" => self.resume_path = Some(value.to_owned()),
+            "--gc-every" => self.gc_every = Some(parse_positive(flag, value)?),
             "--gc-lag" => {
-                gc_lag = Some(
+                self.gc_lag = Some(
                     u32::try_from(parse_positive(flag, value)?)
                         .map_err(|_| format!("{flag}: value exceeds u32 range"))?,
                 )
             }
-            other => return Err(format!("unknown flag {other}\n\n{}", usage())),
+            _ => return Ok(false),
         }
-    }
-    if checkpoint_every.is_some() && checkpoint_path.is_none() {
-        return Err(format!(
-            "--checkpoint-every needs --checkpoint <path>\n\n{}",
-            usage()
-        ));
-    }
-    if resume_path.is_some() && (gc_every.is_some() || gc_lag.is_some()) {
-        return Err("GC configuration travels inside the checkpoint; drop \
-             --gc-every/--gc-lag when using --resume"
-            .to_owned());
+        Ok(true)
     }
 
-    // Live telemetry: a scoped snapshotter sees every counter, gauge, and
-    // sample the monitor emits on this thread and turns them into
-    // periodic `slicing.metrics/v1` delta lines. Checkpointing needs the
-    // snapshotter even without --metrics so the stream cursor can be
-    // persisted.
-    let snapshotter = (metrics_path.is_some() || checkpoint_path.is_some())
-        .then(|| std::sync::Arc::new(slicing_observe::MetricsSnapshotter::new()));
-    let mut metrics_out = match &metrics_path {
-        Some(path) => Some(std::io::BufWriter::new(
-            std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?,
-        )),
-        None => None,
-    };
-    let _metrics_guard = snapshotter
-        .as_ref()
-        .map(|s| slicing_observe::scoped(s.clone()));
+    /// The checks that span flags, once every flag is in.
+    fn validate(&self) -> Result<(), String> {
+        if self.checkpoint_every.is_some() && self.checkpoint_path.is_none() {
+            return Err(format!(
+                "--checkpoint-every needs --checkpoint <path>\n\n{}",
+                usage()
+            ));
+        }
+        if self.resume_path.is_some() && (self.gc_every.is_some() || self.gc_lag.is_some()) {
+            return Err("GC configuration travels inside the checkpoint; drop \
+                 --gc-every/--gc-lag when using --resume"
+                .to_owned());
+        }
+        Ok(())
+    }
+}
+
+/// The observe → deliver → check loop `monitor` and `serve` share over
+/// one [`MonitorHub`]: message delivery by trace coordinates, the resumed
+/// prefix skipped, and the metrics stream and rotated checkpoints the
+/// flags ask for. The hub itself stays with the caller, which creates it
+/// when the stream says how many processes there are.
+struct OnlineRun {
+    flags: OnlineFlags,
+    /// Live telemetry: a scoped snapshotter sees every counter, gauge, and
+    /// sample the hub emits on this thread and turns them into periodic
+    /// `slicing.metrics/v1` delta lines. Checkpointing needs it even
+    /// without --metrics so the stream cursor can be persisted.
+    snapshotter: Option<std::sync::Arc<slicing_observe::MetricsSnapshotter>>,
+    metrics_out: Option<std::io::BufWriter<std::fs::File>>,
+    _metrics_guard: Option<slicing_observe::ScopedRecorder>,
+    tracker: MsgTracker,
+    msgs: Vec<TraceMsg>,
+    /// Per process: events read from the trace so far.
+    positions: Vec<u32>,
+    /// Per process: the last position inside the resumed prefix.
+    skipped_until: Vec<u32>,
+    /// Events the resumed checkpoint already consumed.
+    skip: u64,
+    /// Events read from the trace so far.
+    observed: u64,
+    last_ckpt: Option<u64>,
+    alarm_log: Vec<(String, u64, Cut)>,
+    /// Renders an alarm line from its tenant, event count and cut.
+    alarm_line: fn(&str, u64, &Cut) -> String,
+}
+
+impl OnlineRun {
+    /// Loads the checkpoint `--resume` names, then opens the metrics
+    /// stream (continuing the checkpoint's sequence).
+    fn open(
+        flags: OnlineFlags,
+        alarm_line: fn(&str, u64, &Cut) -> String,
+    ) -> Result<(Self, Option<HubState>), String> {
+        let resume = match &flags.resume_path {
+            Some(path) => Some(
+                computation_slicing::recovery::load_hub_checkpoint(std::path::Path::new(path))
+                    .map_err(|e| {
+                        if e.kind() == std::io::ErrorKind::InvalidData {
+                            e.to_string() // already carries the path
+                        } else {
+                            format!("{path}: {e}")
+                        }
+                    })?,
+            ),
+            None => None,
+        };
+        let snapshotter = (flags.metrics_path.is_some() || flags.checkpoint_path.is_some())
+            .then(|| std::sync::Arc::new(slicing_observe::MetricsSnapshotter::new()));
+        if let (Some(s), Some((_, seq))) = (&snapshotter, &resume) {
+            s.resume_from(*seq);
+        }
+        let metrics_out = match &flags.metrics_path {
+            Some(path) => Some(std::io::BufWriter::new(
+                std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?,
+            )),
+            None => None,
+        };
+        let metrics_guard = snapshotter
+            .as_ref()
+            .map(|s| slicing_observe::scoped(s.clone()));
+        let run = OnlineRun {
+            flags,
+            snapshotter,
+            metrics_out,
+            _metrics_guard: metrics_guard,
+            tracker: MsgTracker::new(),
+            msgs: Vec::new(),
+            positions: Vec::new(),
+            skipped_until: Vec::new(),
+            skip: 0,
+            observed: 0,
+            last_ckpt: None,
+            alarm_log: Vec::new(),
+            alarm_line,
+        };
+        Ok((run, resume.map(|(state, _)| state)))
+    }
+
+    /// The hub for a trace of `procs` processes: rebuilt from the resumed
+    /// state (whose consumed events are then skipped), else fresh with the
+    /// flags' GC.
+    fn hub(&mut self, procs: usize, resume: Option<HubState>) -> Result<MonitorHub, String> {
+        self.positions = vec![0; procs];
+        self.skipped_until = vec![0; procs];
+        let Some(state) = resume else {
+            let hub = MonitorHub::new(procs);
+            return Ok(match (self.flags.gc_every, self.flags.gc_lag) {
+                (None, None) => hub,
+                (every, lag) => hub.with_gc(GcConfig {
+                    lag: lag.unwrap_or(GcConfig::default().lag),
+                    every: every.unwrap_or(GcConfig::default().every),
+                }),
+            });
+        };
+        let path = self.flags.resume_path.as_deref().unwrap_or("checkpoint");
+        if state.values.len() != procs {
+            return Err(format!(
+                "{path}: checkpoint has {} processes but the trace has {procs} — wrong trace?",
+                state.values.len()
+            ));
+        }
+        self.skip = state.stats.events;
+        let hub = MonitorHub::from_state(&state).map_err(|e| format!("{path}: {e}"))?;
+        println!("resumed from {path}: {} events already consumed", self.skip);
+        Ok(hub)
+    }
+
+    /// Declares a trace variable on a fresh hub; a resumed hub must
+    /// already declare it.
+    fn declare(
+        &self,
+        hub: &mut MonitorHub,
+        process: usize,
+        name: &str,
+        initial: Value,
+        lineno: usize,
+    ) -> Result<(), String> {
+        if self.flags.resume_path.is_none() {
+            hub.declare_var(process, name, initial)
+                .map_err(|e| trace_syntax(lineno, &e.to_string()))?;
+        } else if hub.var(process, name).is_none() {
+            return Err(format!(
+                "checkpoint does not declare {name}@{process} — wrong trace?"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Registers a message edge and delivers it once both endpoints have
+    /// been read.
+    fn add_msg(&mut self, hub: &mut MonitorHub, msg: TraceMsg) {
+        self.msgs.push(msg);
+        let idx = self.msgs.len() - 1;
+        if self.tracker.add(idx, &self.msgs[idx], &self.positions) {
+            self.deliver(hub, idx);
+        }
+    }
+
+    /// Delivers message `idx`. Messages whose receive lies inside a
+    /// resumed prefix are already part of the checkpointed state and are
+    /// never redelivered; endpoints compacted by GC (or rejected by the
+    /// hub) are warned about and skipped — the stream keeps flowing.
+    fn deliver(&self, hub: &mut MonitorHub, idx: usize) {
+        let msg = &self.msgs[idx];
+        if msg.recv.1 <= self.skipped_until[msg.recv.0] {
+            return;
+        }
+        match (
+            hub.event_at(msg.send.0, msg.send.1),
+            hub.event_at(msg.recv.0, msg.recv.1),
+        ) {
+            (Some(s), Some(r)) => {
+                if let Err(err) = hub.message(s, r) {
+                    eprintln!("warning: skipped message {s} -> {r}: {err}");
+                }
+            }
+            _ => eprintln!("warning: skipped message into history compacted by GC"),
+        }
+    }
+
+    /// Counts the next event of process `p`. Returns `false` for an event
+    /// inside the resumed prefix: the restored hub already holds it, so
+    /// only the messages it completes are settled.
+    fn advance(&mut self, hub: &mut MonitorHub, p: usize) -> bool {
+        self.positions[p] += 1;
+        self.observed += 1;
+        if self.observed > self.skip {
+            return true;
+        }
+        self.skipped_until[p] = self.positions[p];
+        for idx in self.tracker.touch(p, self.positions[p]) {
+            self.deliver(hub, idx);
+        }
+        false
+    }
+
+    /// Observes the event [`advance`](OnlineRun::advance) counted, delivers
+    /// the messages it completes, then checks, snapshots metrics and
+    /// checkpoints at their cadences.
+    fn observe(
+        &mut self,
+        hub: &mut MonitorHub,
+        p: usize,
+        writes: &[(String, Value)],
+        lineno: usize,
+    ) -> Result<(), String> {
+        let mut assignments = Vec::with_capacity(writes.len());
+        for (name, value) in writes {
+            let var = hub.var(p, name).ok_or_else(|| {
+                trace_syntax(lineno, &format!("unknown variable {name:?} on process {p}"))
+            })?;
+            assignments.push((var, *value));
+        }
+        hub.observe(p, &assignments)
+            .map_err(|e| format!("trace line {lineno}: {e}"))?;
+        for idx in self.tracker.touch(p, self.positions[p]) {
+            self.deliver(hub, idx);
+        }
+        let ev = hub.stats().events;
+        if ev.is_multiple_of(self.flags.check_every) {
+            self.check(hub);
+        }
+        if ev.is_multiple_of(self.flags.metrics_every) {
+            self.snapshot(ev)?;
+        }
+        if self
+            .flags
+            .checkpoint_every
+            .is_some_and(|every| ev.is_multiple_of(every))
+        {
+            self.checkpoint(hub)?;
+        }
+        Ok(())
+    }
+
+    /// Checks every tenant and prints and logs the new alarms.
+    fn check(&mut self, hub: &mut MonitorHub) {
+        for r in hub.check_all() {
+            for tenant in &r.tenants {
+                println!(
+                    "{}",
+                    (self.alarm_line)(tenant, r.alarm.events, &r.alarm.cut)
+                );
+                self.alarm_log
+                    .push((tenant.clone(), r.alarm.events, r.alarm.cut.clone()));
+            }
+        }
+    }
+
+    fn snapshot(&mut self, events: u64) -> Result<(), String> {
+        if let (Some(s), Some(out)) = (&self.snapshotter, self.metrics_out.as_mut()) {
+            s.write_snapshot(out, events)
+                .map_err(|e| format!("writing metrics: {e}"))?;
+        }
+        Ok(())
+    }
+
+    fn checkpoint(&mut self, hub: &MonitorHub) -> Result<(), String> {
+        if let Some(path) = &self.flags.checkpoint_path {
+            let seq = self.snapshotter.as_ref().map_or(0, |s| s.seq());
+            computation_slicing::recovery::write_hub_checkpoint(
+                std::path::Path::new(path),
+                hub,
+                seq,
+                self.flags.checkpoint_keep,
+            )
+            .map_err(|e| format!("writing {path}: {e}"))?;
+        }
+        self.last_ckpt = Some(hub.stats().events);
+        Ok(())
+    }
+
+    /// End of stream: a final check, checkpoint and metrics snapshot so
+    /// the artifacts cover the tail whatever the cadences (each skipped
+    /// when its cadence just ran, so no rotation generation is wasted on a
+    /// duplicate).
+    fn finish(&mut self, hub: &mut MonitorHub) -> Result<(), String> {
+        let ev = hub.stats().events;
+        if !ev.is_multiple_of(self.flags.check_every) {
+            self.check(hub);
+        }
+        if self.last_ckpt != Some(ev) {
+            self.checkpoint(hub)?;
+        }
+        if !ev.is_multiple_of(self.flags.metrics_every) || ev == 0 {
+            self.snapshot(ev)?;
+        }
+        if let Some(out) = self.metrics_out.as_mut() {
+            use std::io::Write;
+            out.flush().map_err(|e| format!("writing metrics: {e}"))?;
+        }
+        Ok(())
+    }
+}
+
+/// `slicing monitor`: replay one conjunctive predicate over a recorded
+/// trace through a one-tenant hub. Ingestion is streaming: a header pass
+/// gathers declarations and message edges (so every message is known
+/// before its endpoints replay), then events are fed line by line.
+fn monitor_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
+    use std::io::BufRead;
+
+    let (trace, pred_src) = two_args(args)?;
+    let mut flags = OnlineFlags::new();
+    let mut it = args[3..].iter();
+    while let Some(flag) = it.next() {
+        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        if !flags.apply(flag, value)? {
+            return Err(format!("unknown flag {flag}\n\n{}", usage()));
+        }
+    }
+    flags.validate()?;
+    let (mut run, resume) = OnlineRun::open(flags, |_, events, cut| {
+        format!("alarm after {events} events: fault possible at cut {cut}")
+    })?;
 
     let source = TraceSource::open(trace)?;
     let index = scan_trace(&source)?;
@@ -1157,101 +1419,31 @@ fn monitor_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
         "monitor needs a conjunctive predicate (local clauses joined by &&)".to_owned()
     })?;
 
-    // Fresh start, or restore a checkpointed monitor and skip the prefix
-    // of the trace it already consumed.
-    let (mut m, skip) = match &resume_path {
-        Some(path) => {
-            let (state, seq) =
-                computation_slicing::recovery::load_checkpoint(std::path::Path::new(path))
-                    .map_err(|e| e.to_string())?;
-            if state.slicer.num_processes != index.procs {
-                return Err(format!(
-                    "{path}: checkpoint has {} processes but the trace has {} — \
-                     wrong trace?",
-                    state.slicer.num_processes, index.procs
-                ));
-            }
-            if let Some(s) = &snapshotter {
-                s.resume_from(seq);
-            }
-            let m = computation_slicing::recovery::resume_monitor(&state, conj.clauses().to_vec())
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                "resumed from {path}: {} events already consumed",
-                state.stats.events
-            );
-            (m, state.stats.events)
-        }
-        None => {
-            let mut m = OnlineMonitor::new(index.procs);
-            if gc_every.is_some() || gc_lag.is_some() {
-                m = m.with_gc(GcConfig {
-                    lag: gc_lag.unwrap_or(128),
-                    every: gc_every.unwrap_or(1024),
-                });
-            }
-            (m, 0)
+    // A monitor checkpoint holds the one tenant; the predicate must match
+    // its clause set.
+    let resumed_tenant = match resume.as_ref().map(|s| s.tenants.as_slice()) {
+        None => None,
+        Some([t]) => Some(t.id.clone()),
+        Some(ts) => {
+            return Err(format!(
+                "a monitor resumes a one-tenant checkpoint, this one has {}",
+                ts.len()
+            ))
         }
     };
-
-    // Mirror the trace's variables in declaration (file) order, so event
-    // writes resolve by name without any further trace lookups. On resume
-    // the declarations come from the checkpoint and are looked up instead.
-    let mut var_of: Vec<std::collections::HashMap<String, VarRef>> =
-        vec![std::collections::HashMap::new(); index.procs];
-    for (p, name, initial, _lineno) in &index.decls {
-        let mv = if resume_path.is_some() {
-            m.var(*p, name)
-                .ok_or_else(|| format!("checkpoint does not declare {name}@{p} — wrong trace?"))?
-        } else {
-            m.declare_var(*p, name, *initial)
-                .map_err(|e| e.to_string())?
-        };
-        var_of[*p].insert(name.clone(), mv);
+    let mut hub = run.hub(index.procs, resume)?;
+    for (p, name, initial, lineno) in &index.decls {
+        run.declare(&mut hub, *p, name, *initial, *lineno)?;
     }
-    if resume_path.is_none() {
-        for clause in conj.clauses() {
-            m.watch_clause(clause.clone()).map_err(|e| e.to_string())?;
-        }
+    match &resumed_tenant {
+        Some(id) => hub.restore_tenant(id, &conj),
+        None => hub.add_tenant("monitor", &conj, pred_src).map(drop),
     }
+    .map_err(|e| e.to_string())?;
 
-    let write_ckpt = |m: &OnlineMonitor,
-                      snapshotter: &Option<std::sync::Arc<slicing_observe::MetricsSnapshotter>>|
-     -> Result<(), String> {
-        if let Some(path) = &checkpoint_path {
-            let seq = snapshotter.as_ref().map_or(0, |s| s.seq());
-            computation_slicing::recovery::write_checkpoint_rotating(
-                std::path::Path::new(path),
-                m,
-                seq,
-                checkpoint_keep,
-            )
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        }
-        Ok(())
-    };
-
-    // Replay pass: stream events straight into the monitor; a message is
-    // delivered as soon as both endpoints have been replayed.
-    let mut tracker = MsgTracker::new();
-    let mut positions = vec![0u32; index.procs];
-    let mut skipped_until = vec![0u32; index.procs];
-    for (i, msg) in index.msgs.iter().enumerate() {
-        if tracker.add(i, msg, &positions) {
-            deliver_monitor_msg(&mut m, msg, &skipped_until);
-        }
+    for msg in index.msgs {
+        run.add_msg(&mut hub, msg);
     }
-    let mut observed = 0u64;
-    let mut last_ckpt: Option<u64> = None;
-    let mut alarms: Vec<Cut> = Vec::new();
-    let check =
-        |m: &mut OnlineMonitor, alarms: &mut Vec<Cut>, observed: u64| -> Result<(), String> {
-            if let Some(cut) = m.check().map_err(|e| e.to_string())? {
-                println!("alarm after {observed} events: fault possible at cut {cut}");
-                alarms.push(cut);
-            }
-            Ok(())
-        };
     for (i, raw) in source.reader()?.lines().enumerate() {
         let lineno = i + 1;
         let raw = raw.map_err(|e| format!("reading {}: {e}", source.display()))?;
@@ -1264,67 +1456,13 @@ fn monitor_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
         else {
             continue; // header and messages were consumed in the first pass
         };
-        positions[p] += 1;
-        let pos = positions[p];
-        observed += 1;
-        if observed <= skip {
-            // Consumed before the checkpoint: messages among skipped
-            // events are already part of the checkpointed state and are
-            // not redelivered.
-            skipped_until[p] = pos;
-            for idx in tracker.touch(p, pos) {
-                deliver_monitor_msg(&mut m, &index.msgs[idx], &skipped_until);
-            }
-            continue;
-        }
-        let mut assignments = Vec::with_capacity(writes.len());
-        for (name, value) in &writes {
-            let var = var_of[p].get(name).copied().ok_or_else(|| {
-                trace_syntax(lineno, &format!("unknown variable {name:?} on process {p}"))
-            })?;
-            assignments.push((var, *value));
-        }
-        m.observe(p, &assignments)
-            .map_err(|e| format!("trace line {lineno}: {e}"))?;
-        for idx in tracker.touch(p, pos) {
-            deliver_monitor_msg(&mut m, &index.msgs[idx], &skipped_until);
-        }
-        if observed.is_multiple_of(check_every) {
-            check(&mut m, &mut alarms, observed)?;
-        }
-        if observed.is_multiple_of(metrics_every) {
-            if let (Some(s), Some(out)) = (&snapshotter, metrics_out.as_mut()) {
-                s.write_snapshot(out, observed)
-                    .map_err(|e| format!("writing metrics: {e}"))?;
-            }
-        }
-        if let Some(every) = checkpoint_every {
-            if observed.is_multiple_of(every) {
-                write_ckpt(&m, &snapshotter)?;
-                last_ckpt = Some(observed);
-            }
+        if run.advance(&mut hub, p) {
+            run.observe(&mut hub, p, &writes, lineno)?;
         }
     }
-    if !observed.is_multiple_of(check_every) {
-        check(&mut m, &mut alarms, observed)?;
-    }
-    // A final checkpoint so the artifact always reflects the full stream,
-    // whatever the cadence (skipped when the cadence just wrote it, so a
-    // rotation generation isn't wasted on a duplicate).
-    if last_ckpt != Some(observed) {
-        write_ckpt(&m, &snapshotter)?;
-    }
-    if let (Some(s), Some(out)) = (&snapshotter, metrics_out.as_mut()) {
-        // Final snapshot so the stream always covers the tail.
-        if !observed.is_multiple_of(metrics_every) || observed == 0 {
-            s.write_snapshot(out, observed)
-                .map_err(|e| format!("writing metrics: {e}"))?;
-        }
-        use std::io::Write;
-        out.flush().map_err(|e| format!("writing metrics: {e}"))?;
-    }
+    run.finish(&mut hub)?;
 
-    let stats = m.stats();
+    let stats = hub.stats();
     println!(
         "monitored {} events, {} messages: {} distinct alarm cut(s)",
         stats.events, stats.messages, stats.alarms
@@ -1348,9 +1486,9 @@ fn monitor_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
             .u64("peak_candidates", stats.peak_candidates)
             .raw(
                 "alarm_cuts",
-                &alarms
+                &run.alarm_log
                     .iter()
-                    .fold(slicing_observe::json::JsonArray::new(), |arr, c| {
+                    .fold(slicing_observe::json::JsonArray::new(), |arr, (_, _, c)| {
                         arr.push_str(&c.to_string())
                     })
                     .finish(),
@@ -1427,15 +1565,7 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
     let mut stream: Option<String> = None;
     let mut cli_tenants: Vec<(String, String)> = Vec::new();
     let mut listen: Option<String> = None;
-    let mut check_every: u64 = 1;
-    let mut metrics_path: Option<String> = None;
-    let mut metrics_every: u64 = 100;
-    let mut checkpoint_path: Option<String> = None;
-    let mut checkpoint_every: Option<u64> = None;
-    let mut checkpoint_keep: usize = 1;
-    let mut resume_path: Option<String> = None;
-    let mut gc_every: Option<u64> = None;
-    let mut gc_lag: Option<u32> = None;
+    let mut flags = OnlineFlags::new();
     let mut it = args[1..].iter();
     while let Some(arg) = it.next() {
         if !arg.starts_with("--") {
@@ -1461,37 +1591,14 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
                 cli_tenants.push((id.to_owned(), expr.trim().to_owned()));
             }
             "--listen" => listen = Some(value.clone()),
-            "--check-every" => check_every = parse_positive(arg, value)?,
-            "--metrics" => metrics_path = Some(value.clone()),
-            "--metrics-every" => metrics_every = parse_positive(arg, value)?,
-            "--checkpoint" => checkpoint_path = Some(value.clone()),
-            "--checkpoint-every" => checkpoint_every = Some(parse_positive(arg, value)?),
-            "--checkpoint-keep" => {
-                checkpoint_keep = usize::try_from(parse_positive(arg, value)?)
-                    .map_err(|_| format!("{arg}: value exceeds usize range"))?
+            other => {
+                if !flags.apply(other, value)? {
+                    return Err(format!("unknown flag {other}\n\n{}", usage()));
+                }
             }
-            "--resume" => resume_path = Some(value.clone()),
-            "--gc-every" => gc_every = Some(parse_positive(arg, value)?),
-            "--gc-lag" => {
-                gc_lag = Some(
-                    u32::try_from(parse_positive(arg, value)?)
-                        .map_err(|_| format!("{arg}: value exceeds u32 range"))?,
-                )
-            }
-            other => return Err(format!("unknown flag {other}\n\n{}", usage())),
         }
     }
-    if checkpoint_every.is_some() && checkpoint_path.is_none() {
-        return Err(format!(
-            "--checkpoint-every needs --checkpoint <path>\n\n{}",
-            usage()
-        ));
-    }
-    if resume_path.is_some() && (gc_every.is_some() || gc_lag.is_some()) {
-        return Err("GC configuration travels inside the checkpoint; drop \
-             --gc-every/--gc-lag when using --resume"
-            .to_owned());
-    }
+    flags.validate()?;
     if listen.is_some() {
         if let Some(path) = &stream {
             return Err(format!(
@@ -1500,35 +1607,9 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
             ));
         }
     }
-
-    let mut resume_state = match &resume_path {
-        Some(path) => Some(
-            computation_slicing::recovery::load_hub_checkpoint(std::path::Path::new(path))
-                .map_err(|e| {
-                    if e.kind() == std::io::ErrorKind::InvalidData {
-                        e.to_string() // already carries the path
-                    } else {
-                        format!("{path}: {e}")
-                    }
-                })?,
-        ),
-        None => None,
-    };
-
-    let snapshotter = (metrics_path.is_some() || checkpoint_path.is_some())
-        .then(|| std::sync::Arc::new(slicing_observe::MetricsSnapshotter::new()));
-    if let (Some(s), Some((_, seq))) = (&snapshotter, &resume_state) {
-        s.resume_from(*seq);
-    }
-    let mut metrics_out = match &metrics_path {
-        Some(path) => Some(std::io::BufWriter::new(
-            std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?,
-        )),
-        None => None,
-    };
-    let _metrics_guard = snapshotter
-        .as_ref()
-        .map(|s| slicing_observe::scoped(s.clone()));
+    let (mut run, mut resume_state) = OnlineRun::open(flags, |tenant, events, cut| {
+        format!("alarm tenant={tenant} after {events} events: fault possible at cut {cut}")
+    })?;
 
     let mut input: Box<dyn BufRead> = match (&listen, stream.as_deref().unwrap_or("-")) {
         (Some(addr), _) => {
@@ -1548,36 +1629,11 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
         )),
     };
 
-    let write_hub_ckpt =
-        |hub: &MonitorHub,
-         snapshotter: &Option<std::sync::Arc<slicing_observe::MetricsSnapshotter>>|
-         -> Result<(), String> {
-            if let Some(path) = &checkpoint_path {
-                let seq = snapshotter.as_ref().map_or(0, |s| s.seq());
-                computation_slicing::recovery::write_hub_checkpoint(
-                    std::path::Path::new(path),
-                    hub,
-                    seq,
-                    checkpoint_keep,
-                )
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            }
-            Ok(())
-        };
-
     let mut hub: Option<MonitorHub> = None;
     let mut resume_tenants: Vec<(String, String)> = Vec::new();
-    let mut skip: u64 = 0;
     let mut tenants_ensured = false;
     let mut decls: Vec<(usize, String, Value, usize)> = Vec::new();
     let mut header: Option<Computation> = None;
-    let mut tracker = MsgTracker::new();
-    let mut msgs: Vec<TraceMsg> = Vec::new();
-    let mut positions: Vec<u32> = Vec::new();
-    let mut skipped_until: Vec<u32> = Vec::new();
-    let mut observed = 0u64;
-    let mut last_ckpt: Option<u64> = None;
-    let mut alarm_log: Vec<(String, u64, Cut)> = Vec::new();
 
     let mut buf = String::new();
     let mut lineno = 0usize;
@@ -1607,7 +1663,7 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
                 ensure_tenants(h, comp, &resume_tenants, &cli_tenants)?;
                 tenants_ensured = true;
             }
-            let in_skip = observed < skip;
+            let in_skip = run.observed < run.skip;
             if in_skip && h.group_of(id).is_some() {
                 continue; // replay of an add the checkpoint already holds
             }
@@ -1632,7 +1688,7 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
                 .ok_or_else(|| trace_syntax(lineno, "untenant directive before procs"))?;
             let id = rest.trim();
             let removed = h.remove_tenant(id);
-            if observed >= skip {
+            if run.observed >= run.skip {
                 if removed {
                     println!("tenant {id} removed after {} events", h.stats().events);
                 } else {
@@ -1650,43 +1706,14 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
                 if hub.is_some() {
                     return Err(trace_syntax(lineno, "duplicate procs line"));
                 }
-                let h = match resume_state.take() {
-                    Some((state, _seq)) => {
-                        if state.values.len() != procs {
-                            return Err(format!(
-                                "checkpoint has {} processes but the stream has {procs} — \
-                                 wrong stream?",
-                                state.values.len()
-                            ));
-                        }
-                        skip = state.stats.events;
-                        resume_tenants = state
-                            .tenants
-                            .iter()
-                            .map(|t| (t.id.clone(), t.source.clone()))
-                            .collect();
-                        let h = MonitorHub::from_state(&state).map_err(|e| e.to_string())?;
-                        println!(
-                            "resumed from {}: {} events already consumed",
-                            resume_path.as_deref().unwrap_or("checkpoint"),
-                            skip
-                        );
-                        h
-                    }
-                    None => {
-                        let mut h = MonitorHub::new(procs);
-                        if gc_every.is_some() || gc_lag.is_some() {
-                            h = h.with_gc(GcConfig {
-                                lag: gc_lag.unwrap_or(128),
-                                every: gc_every.unwrap_or(1024),
-                            });
-                        }
-                        h
-                    }
-                };
-                positions = vec![0; procs];
-                skipped_until = vec![0; procs];
-                hub = Some(h);
+                if let Some(state) = &resume_state {
+                    resume_tenants = state
+                        .tenants
+                        .iter()
+                        .map(|t| (t.id.clone(), t.source.clone()))
+                        .collect();
+                }
+                hub = Some(run.hub(procs, resume_state.take())?);
             }
             TraceOp::Var {
                 process,
@@ -1699,16 +1726,7 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
                 if process >= h.num_processes() {
                     return Err(trace_syntax(lineno, "process index out of range"));
                 }
-                if resume_path.is_some() {
-                    if h.var(process, &name).is_none() {
-                        return Err(format!(
-                            "checkpoint does not declare {name}@{process} — wrong stream?"
-                        ));
-                    }
-                } else {
-                    h.declare_var(process, &name, initial)
-                        .map_err(|e| trace_syntax(lineno, &e.to_string()))?;
-                }
+                run.declare(h, process, &name, initial, lineno)?;
                 decls.push((process, name, initial, lineno));
                 header = None; // new variable invalidates the parse context
             }
@@ -1721,15 +1739,7 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
                 if p >= h.num_processes() {
                     return Err(trace_syntax(lineno, "process index out of range"));
                 }
-                positions[p] += 1;
-                observed += 1;
-                if observed <= skip {
-                    // Consumed before the checkpoint: already inside the
-                    // restored hub state, don't re-observe.
-                    skipped_until[p] = positions[p];
-                    for idx in tracker.touch(p, positions[p]) {
-                        deliver_hub_msg(h, &msgs[idx], &skipped_until);
-                    }
+                if !run.advance(h, p) {
                     continue;
                 }
                 if !tenants_ensured {
@@ -1737,42 +1747,7 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
                     ensure_tenants(h, comp, &resume_tenants, &cli_tenants)?;
                     tenants_ensured = true;
                 }
-                let mut assignments = Vec::with_capacity(writes.len());
-                for (name, value) in &writes {
-                    let var = h.var(p, name).ok_or_else(|| {
-                        trace_syntax(lineno, &format!("unknown variable {name:?} on process {p}"))
-                    })?;
-                    assignments.push((var, *value));
-                }
-                h.observe(p, &assignments)
-                    .map_err(|e| format!("stream line {lineno}: {e}"))?;
-                for idx in tracker.touch(p, positions[p]) {
-                    deliver_hub_msg(h, &msgs[idx], &skipped_until);
-                }
-                let ev = h.stats().events;
-                if ev.is_multiple_of(check_every) {
-                    for r in h.check_all() {
-                        for tenant in &r.tenants {
-                            println!(
-                                "alarm tenant={tenant} after {} events: fault possible at cut {}",
-                                r.alarm.events, r.alarm.cut
-                            );
-                            alarm_log.push((tenant.clone(), r.alarm.events, r.alarm.cut.clone()));
-                        }
-                    }
-                }
-                if ev.is_multiple_of(metrics_every) {
-                    if let (Some(s), Some(out)) = (&snapshotter, metrics_out.as_mut()) {
-                        s.write_snapshot(out, ev)
-                            .map_err(|e| format!("writing metrics: {e}"))?;
-                    }
-                }
-                if let Some(every) = checkpoint_every {
-                    if ev.is_multiple_of(every) {
-                        write_hub_ckpt(h, &snapshotter)?;
-                        last_ckpt = Some(ev);
-                    }
-                }
+                run.observe(h, p, &writes, lineno)?;
             }
             TraceOp::Msg { send, recv } => {
                 let h = hub
@@ -1784,11 +1759,7 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
                 if recv.0 >= h.num_processes() {
                     return Err(trace_syntax(lineno, "bad recv endpoint"));
                 }
-                msgs.push(TraceMsg { send, recv });
-                let idx = msgs.len() - 1;
-                if tracker.add(idx, &msgs[idx], &positions) {
-                    deliver_hub_msg(h, &msgs[idx], &skipped_until);
-                }
+                run.add_msg(h, TraceMsg { send, recv });
             }
             _ => {}
         }
@@ -1801,29 +1772,7 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
         let comp = header_comp(&mut header, h.num_processes(), &decls)?;
         ensure_tenants(h, comp, &resume_tenants, &cli_tenants)?;
     }
-    let ev = h.stats().events;
-    if !ev.is_multiple_of(check_every) {
-        for r in h.check_all() {
-            for tenant in &r.tenants {
-                println!(
-                    "alarm tenant={tenant} after {} events: fault possible at cut {}",
-                    r.alarm.events, r.alarm.cut
-                );
-                alarm_log.push((tenant.clone(), r.alarm.events, r.alarm.cut.clone()));
-            }
-        }
-    }
-    if last_ckpt != Some(ev) {
-        write_hub_ckpt(h, &snapshotter)?;
-    }
-    if let (Some(s), Some(out)) = (&snapshotter, metrics_out.as_mut()) {
-        if !ev.is_multiple_of(metrics_every) || ev == 0 {
-            s.write_snapshot(out, ev)
-                .map_err(|e| format!("writing metrics: {e}"))?;
-        }
-        use std::io::Write;
-        out.flush().map_err(|e| format!("writing metrics: {e}"))?;
-    }
+    run.finish(h)?;
 
     let stats = h.stats();
     println!(
@@ -1845,7 +1794,8 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
         stats.check_cost, stats.clause_evals, stats.checks, stats.peak_candidates
     );
     if let Some(path) = report {
-        let log = alarm_log
+        let log = run
+            .alarm_log
             .iter()
             .fold(
                 slicing_observe::json::JsonArray::new(),

@@ -66,8 +66,8 @@ pub use slicing_core::{
 pub use slicing_detect::{
     definitely, detect_bfs, detect_dfs, detect_hybrid, detect_pom, detect_resilient,
     detect_reverse_search, detect_with_slicing, AlarmReport, Detection, HubAlarm, HubStats,
-    HybridDetection, Limits, MonitorHub, MonitorStats, OnlineMonitor, ResilientConfig,
-    ResilientDetection, SliceDetection,
+    HybridDetection, Limits, MonitorHub, OnlineMonitor, ResilientConfig, ResilientDetection,
+    SliceDetection,
 };
 pub use slicing_predicates::{
     AtLeastInTransit, AtMostInTransit, BoundedDifference, Conjunctive, FnPredicate,

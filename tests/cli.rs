@@ -602,7 +602,7 @@ fn monitor_checkpoint_resume_converges_to_the_unbroken_run() {
     let doc = slicing_observe::json::parse(std::fs::read_to_string(&ckpt).unwrap().trim()).unwrap();
     assert_eq!(
         slicing_observe::schema::validate(&doc).unwrap(),
-        slicing_observe::schema::CHECKPOINT
+        slicing_observe::schema::SERVE_CHECKPOINT
     );
 
     let resumed = slicing_with_stdin(
@@ -904,11 +904,41 @@ fn monitor_checkpoint_keep_rotates_generations() {
             slicing_observe::json::parse(std::fs::read_to_string(&path).unwrap().trim()).unwrap();
         assert_eq!(
             slicing_observe::schema::validate(&doc).unwrap(),
-            slicing_observe::schema::CHECKPOINT
+            slicing_observe::schema::SERVE_CHECKPOINT
         );
         std::fs::remove_file(&path).ok();
     }
     assert!(!std::path::PathBuf::from(format!("{ckpt_s}.3")).exists());
+}
+
+/// A checkpoint in the retired single-monitor format fails both resuming
+/// subcommands with an error naming the format and the way out, not a
+/// panic or a bare "unknown schema".
+#[test]
+fn retired_checkpoint_format_fails_resume_with_a_restart_hint() {
+    let trace = figure1_trace();
+    let ckpt = tmp_path("retired.ckpt");
+    std::fs::write(
+        &ckpt,
+        "{\"schema\":\"slicing.checkpoint/v1\",\"processes\":3,\"metrics_seq\":0,\
+         \"queues\":[[0],[],[]],\"dirty_any\":false}\n",
+    )
+    .unwrap();
+    let ckpt_s = ckpt.to_str().unwrap();
+    for args in [
+        &["monitor", "-", "x1@0 > 1", "--resume", ckpt_s][..],
+        &["serve", "--tenant", "c=x1@0 > 1", "--resume", ckpt_s][..],
+    ] {
+        let out = slicing_with_stdin(args, &trace);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(
+            err.contains("slicing.checkpoint/v1") && err.contains("restart without --resume"),
+            "{args:?}: {err}"
+        );
+    }
+    std::fs::remove_file(&ckpt).ok();
 }
 
 /// Malformed traces and predicates must come back as error messages, not
