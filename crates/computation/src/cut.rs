@@ -22,6 +22,21 @@ use crate::process::ProcessId;
 /// vector's buffer and does not count.
 static CUT_HEAP_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// The calling thread's share of [`CUT_HEAP_ALLOCS`], so unit tests can
+    /// count their own spills while other tests run on parallel threads.
+    static THREAD_HEAP_ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one heap-allocating cut construction.
+#[inline]
+fn count_heap_alloc() {
+    CUT_HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    THREAD_HEAP_ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
 /// Reads the process-wide count of heap-allocating cut constructions.
 ///
 /// Deltas of this counter bound the deep-clone traffic of an algorithm on
@@ -90,7 +105,7 @@ impl Cut {
                 buf: [value; Self::INLINE_PROCESSES],
             })
         } else {
-            CUT_HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            count_heap_alloc();
             Cut(Repr::Spilled(vec![value; num_processes]))
         }
     }
@@ -105,7 +120,7 @@ impl Cut {
                 buf,
             })
         } else {
-            CUT_HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            count_heap_alloc();
             Cut(Repr::Spilled(counts.to_vec()))
         }
     }
@@ -277,7 +292,7 @@ impl Clone for Cut {
                 buf: *buf,
             }),
             Repr::Spilled(v) => {
-                CUT_HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+                count_heap_alloc();
                 Cut(Repr::Spilled(v.clone()))
             }
         }
@@ -673,31 +688,41 @@ mod tests {
         assert!(a < b);
     }
 
+    /// This thread's spills. Tests run on parallel threads and the
+    /// process-wide [`cut_heap_allocs`] sees every thread's, so exact
+    /// deltas are taken from this count.
+    fn thread_heap_allocs() -> u64 {
+        THREAD_HEAP_ALLOCS.with(|n| n.get())
+    }
+
     #[test]
     fn inline_cuts_never_touch_the_heap() {
-        let before = cut_heap_allocs();
+        let before = thread_heap_allocs();
         let a = Cut::bottom(Cut::INLINE_PROCESSES);
         let b = a.clone();
         let j = a.join(&b);
         let m = a.meet(&j);
         let mut s = m.clone();
         s.join_in_place(&a);
-        assert_eq!(cut_heap_allocs(), before, "inline ops allocated");
+        assert_eq!(thread_heap_allocs(), before, "inline ops allocated");
     }
 
     #[test]
     fn spilled_ops_count_heap_allocations() {
         let n = Cut::INLINE_PROCESSES + 4;
-        let before = cut_heap_allocs();
+        let process_before = cut_heap_allocs();
+        let before = thread_heap_allocs();
         let a = Cut::bottom(n); // +1
         let b = a.clone(); // +1
         let _j = a.join(&b); // +1 (clone inside join)
-        assert_eq!(cut_heap_allocs() - before, 3);
+        assert_eq!(thread_heap_allocs() - before, 3);
+        // The process-wide counter saw them too (and maybe other threads').
+        assert!(cut_heap_allocs() - process_before >= 3);
         // From<Vec> adopts the buffer: no new allocation.
-        let before = cut_heap_allocs();
+        let before = thread_heap_allocs();
         let big = Cut::from(vec![1u32; n]);
         assert!(!big.is_inline());
-        assert_eq!(cut_heap_allocs(), before);
+        assert_eq!(thread_heap_allocs(), before);
     }
 
     #[test]
@@ -705,10 +730,10 @@ mod tests {
         let n = Cut::INLINE_PROCESSES + 2;
         let src = Cut::from(vec![3u32; n]);
         let mut dst = Cut::from(vec![1u32; n]);
-        let before = cut_heap_allocs();
+        let before = thread_heap_allocs();
         dst.clone_from(&src);
         assert_eq!(dst, src);
-        assert_eq!(cut_heap_allocs(), before, "clone_from reallocated");
+        assert_eq!(thread_heap_allocs(), before, "clone_from reallocated");
     }
 
     #[test]
