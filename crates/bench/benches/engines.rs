@@ -1,5 +1,5 @@
 //! Cross-engine comparison on one fixed workload: how the detection
-//! engines (BFS, DFS, reverse search, partial-order methods, parallel BFS,
+//! engines (BFS, DFS, reverse search, partial-order methods,
 //! slice-then-search, hybrid) trade time against each other when the
 //! predicate holds nowhere (worst case: the space must be exhausted).
 
@@ -7,8 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use slicing_bench::Workload;
 use slicing_detect::{
-    detect_bfs, detect_bfs_parallel, detect_dfs, detect_hybrid, detect_pom, detect_reverse_search,
-    detect_with_slicing, suggested_pom_budget, Limits,
+    detect_bfs, detect_dfs, detect_hybrid, detect_pom, detect_reverse_search, detect_with_slicing,
+    suggested_pom_budget, Limits,
 };
 
 fn bench_engines(c: &mut Criterion) {
@@ -32,9 +32,6 @@ fn bench_engines(c: &mut Criterion) {
         b.iter(|| detect_reverse_search(&comp, &pred, &limits))
     });
     group.bench_function("pom", |b| b.iter(|| detect_pom(&comp, &pred, &limits)));
-    group.bench_function("parallel_bfs_4", |b| {
-        b.iter(|| detect_bfs_parallel(&comp, &comp, &pred, &limits, 4))
-    });
     group.bench_function("slicing", |b| {
         b.iter(|| detect_with_slicing(&comp, &spec, &limits))
     });

@@ -1,5 +1,4 @@
-//! Peak-live-memory table for the traversal engines: full-visited-set BFS
-//! against the bounded-memory lean engine on fixed workloads. The
+//! Peak-live-memory table for level-order search on fixed workloads. The
 //! committed artifact — `BENCH_memory.json` (schema
 //! `slicing.bench-memory/v1`) — is the baseline CI gates against.
 //!
@@ -12,23 +11,26 @@
 //! of the workload, identical on every machine:
 //!
 //! - **peak_live_cuts** — the engine's high-water mark of simultaneously
-//!   stored cuts (`Detection::max_stored_cuts`). For BFS this is the whole
-//!   visited set; for lean it is two lattice layers.
-//! - **visited_inserts / layers / regen_probes** — the visited-set and
-//!   layer-regeneration effort counters.
+//!   stored cuts (`Detection::max_stored_cuts`): two adjacent lattice
+//!   layers on a computation.
+//! - **visited_inserts / layers** — the dedup store's admissions (every
+//!   cut reached, exactly as a global visited set would count them) and
+//!   the lattice layers walked (`detect.bfs.layers`).
 //! - **heap_allocs** — spilled-cut heap allocations during the run.
 //!
 //! Wall-clock is intentionally absent: this table exists to gate memory
 //! semantics, and wall-clock is never gated. `--quick` is accepted for CLI
 //! symmetry with the other tables but changes nothing — with no
-//! repetitions to trim, the quick run **is** the full run.
+//! repetitions to trim, the quick run **is** the full run. The binary
+//! asserts the headline bar itself: on the exhaustive grid sweep, the
+//! live set stays within 10% of the cuts explored.
 
 use std::sync::Arc;
 
 use slicing_bench::Workload;
 use slicing_computation::test_fixtures::{grid, hypercube};
 use slicing_computation::{cut_heap_allocs, ProcSet};
-use slicing_detect::{detect_bfs, detect_lean, Detection, Limits};
+use slicing_detect::{detect_bfs, Detection, Limits};
 use slicing_observe::json::{JsonArray, JsonObject};
 use slicing_observe::{Level, MemoryRecorder};
 use slicing_predicates::FnPredicate;
@@ -43,7 +45,6 @@ struct Entry {
     peak_live_cuts: u64,
     visited_inserts: u64,
     layers: u64,
-    regen_probes: u64,
     heap_allocs: u64,
 }
 
@@ -59,15 +60,14 @@ impl Entry {
             .u64("peak_live_cuts", self.peak_live_cuts)
             .u64("visited_inserts", self.visited_inserts)
             .u64("layers", self.layers)
-            .u64("regen_probes", self.regen_probes)
             .u64("heap_allocs", self.heap_allocs)
             .finish()
     }
 }
 
-/// Runs one engine once under a trace recorder and captures the
-/// deterministic memory counters.
-fn measure<F: FnOnce() -> Detection>(workload: &str, engine: &'static str, f: F) -> Entry {
+/// Runs level-order search once on `workload` under a trace recorder
+/// and captures the deterministic memory counters.
+fn measure<F: FnOnce() -> Detection>(workload: &str, f: F) -> Entry {
     let rec = Arc::new(MemoryRecorder::new(Level::Trace));
     let allocs_before = cut_heap_allocs();
     let d = {
@@ -76,50 +76,21 @@ fn measure<F: FnOnce() -> Detection>(workload: &str, engine: &'static str, f: F)
     };
     assert!(
         d.completed(),
-        "{workload}.{engine} aborted under no limits: {:?}",
+        "{workload} aborted under no limits: {:?}",
         d.aborted
     );
-    if engine == "lean" {
-        // The gauge stream and the tracker must agree on the high-water
-        // mark — a cheap cross-check of the instrumentation itself.
-        assert_eq!(
-            rec.gauge_max("detect.lean.peak_live_cuts"),
-            Some(d.max_stored_cuts),
-            "{workload}: peak gauge disagrees with the tracker"
-        );
-    }
     Entry {
-        name: format!("{engine}.{workload}"),
+        name: format!("bfs.{workload}"),
         workload: workload.to_string(),
-        engine,
+        engine: "bfs",
         detected: d.detected(),
         witness_size: d.found.as_ref().map_or(0, |c| c.size()),
         cuts: d.cuts_explored,
         peak_live_cuts: d.max_stored_cuts,
         visited_inserts: rec.counter_total("detect.visited.inserts"),
-        layers: rec.counter_total("detect.lean.layers"),
-        regen_probes: rec.counter_total("detect.lean.regen_probes"),
+        layers: rec.counter_total("detect.bfs.layers"),
         heap_allocs: cut_heap_allocs() - allocs_before,
     }
-}
-
-/// Runs both engines on one workload and asserts the lean contract: same
-/// verdict, same witness size, same explored count — only the live set may
-/// differ.
-fn measure_pair<F>(entries: &mut Vec<Entry>, workload: &str, run: F)
-where
-    F: Fn(&'static str) -> Detection,
-{
-    let bfs = measure(workload, "bfs", || run("bfs"));
-    let lean = measure(workload, "lean", || run("lean"));
-    assert_eq!(bfs.detected, lean.detected, "{workload}: verdict differs");
-    assert_eq!(
-        bfs.witness_size, lean.witness_size,
-        "{workload}: witness differs"
-    );
-    assert_eq!(bfs.cuts, lean.cuts, "{workload}: explored count differs");
-    entries.push(bfs);
-    entries.push(lean);
 }
 
 fn main() {
@@ -138,82 +109,67 @@ fn main() {
     let limits = Limits::none();
     let mut entries: Vec<Entry> = Vec::new();
 
-    // Exhaustive sweep: the never-predicate forces both engines through
-    // all (grid+1)² cuts, so BFS stores the whole lattice while lean
-    // retains two 41-cut layers.
+    // Exhaustive sweep: the never-predicate forces the search through all
+    // (grid+1)² cuts while it retains two layers of at most grid+1 cuts.
+    let grid_tag = format!("grid{grid_size}");
     let comp = grid(grid_size, grid_size);
     let never = FnPredicate::new(ProcSet::all(2), "false", |_| false);
-    measure_pair(
-        &mut entries,
-        &format!("grid{grid_size}"),
-        |engine| match engine {
-            "bfs" => detect_bfs(&comp, &comp, &never, &limits),
-            _ => detect_lean(&comp, &comp, &never, &limits),
-        },
-    );
+    entries.push(measure(&grid_tag, || {
+        detect_bfs(&comp, &comp, &never, &limits)
+    }));
 
     // Wide middle layers: the 5-process hypercube's widest layer is a
     // multinomial peak, the shape the O(widest layer) bound is about.
     let cube = hypercube(5, 8);
     let never5 = FnPredicate::new(ProcSet::all(5), "false", |_| false);
-    measure_pair(&mut entries, "cube5x8", |engine| match engine {
-        "bfs" => detect_bfs(&cube, &cube, &never5, &limits),
-        _ => detect_lean(&cube, &cube, &never5, &limits),
-    });
+    entries.push(measure("cube5x8", || {
+        detect_bfs(&cube, &cube, &never5, &limits)
+    }));
 
     // The paper's protocol workloads with an injected fault: detection
-    // stops at the earliest witness, so both engines walk the same short
-    // prefix of layers.
+    // stops at the earliest witness, a short prefix of layers.
     for w in [Workload::PrimarySecondary, Workload::DatabasePartitioning] {
         let seed = 3;
         let healthy = w.simulate(5, 10, seed);
         let faulty = w.inject_fault(&healthy, seed);
         let pred = w.violation_pred(&faulty);
-        measure_pair(&mut entries, w.name(), |engine| match engine {
-            "bfs" => detect_bfs(&faulty, &faulty, &pred, &limits),
-            _ => detect_lean(&faulty, &faulty, &pred, &limits),
-        });
+        entries.push(measure(w.name(), || {
+            detect_bfs(&faulty, &faulty, &pred, &limits)
+        }));
     }
 
-    // The acceptance bar: on the exhaustive grid sweep the lean engine's
-    // live set must be at most 10% of the BFS visited set.
-    let grid_tag = format!("grid{grid_size}");
-    let bfs_visited = entries
+    // The acceptance bar: on the exhaustive grid sweep the live set is at
+    // most 10% of the cuts explored.
+    let grid_entry = entries
         .iter()
-        .find(|e| e.workload == grid_tag && e.engine == "bfs")
-        .map(|e| e.visited_inserts)
-        .expect("grid bfs entry");
-    let lean_peak = entries
-        .iter()
-        .find(|e| e.workload == grid_tag && e.engine == "lean")
-        .map(|e| e.peak_live_cuts)
-        .expect("grid lean entry");
+        .find(|e| e.workload == grid_tag)
+        .expect("grid entry");
+    let (peak, explored) = (grid_entry.peak_live_cuts, grid_entry.cuts);
     assert!(
-        lean_peak * 10 <= bfs_visited,
-        "lean peak {lean_peak} exceeds 10% of BFS visited set {bfs_visited}"
+        peak * 10 <= explored,
+        "{grid_tag}: peak live {peak} cuts exceeds 10% of the {explored} explored"
     );
 
     println!("# Peak-live-memory — grid {grid_size}×{grid_size}, fixed seeds");
     println!(
-        "{:<28} {:>8} {:>10} {:>10} {:>10} {:>8} {:>12} {:>6}",
-        "entry", "detected", "cuts", "peak live", "visited", "layers", "regen probes", "alloc"
+        "{:<28} {:>8} {:>10} {:>10} {:>10} {:>8} {:>6}",
+        "entry", "detected", "cuts", "peak live", "visited", "layers", "alloc"
     );
     for e in &entries {
         println!(
-            "{:<28} {:>8} {:>10} {:>10} {:>10} {:>8} {:>12} {:>6}",
+            "{:<28} {:>8} {:>10} {:>10} {:>10} {:>8} {:>6}",
             e.name,
             e.detected,
             e.cuts,
             e.peak_live_cuts,
             e.visited_inserts,
             e.layers,
-            e.regen_probes,
             e.heap_allocs
         );
     }
     println!(
-        "# grid{grid_size}: lean peak {lean_peak} cuts = {:.1}% of BFS visited set {bfs_visited}",
-        100.0 * lean_peak as f64 / bfs_visited as f64
+        "# {grid_tag}: peak live {peak} cuts = {:.1}% of the {explored} explored",
+        100.0 * peak as f64 / explored as f64
     );
 
     let doc = JsonObject::new()

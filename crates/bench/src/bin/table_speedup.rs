@@ -27,7 +27,7 @@ use std::time::Instant;
 use slicing_bench::{measure_slicing, Workload};
 use slicing_computation::test_fixtures::{grid, hypercube};
 use slicing_computation::{cut_heap_allocs, ProcSet};
-use slicing_detect::{detect_bfs, detect_bfs_parallel, detect_dfs, Limits};
+use slicing_detect::{detect_bfs, detect_dfs, Limits};
 use slicing_observe::json::{JsonArray, JsonObject};
 use slicing_observe::{Level, MemoryRecorder};
 use slicing_predicates::FnPredicate;
@@ -35,7 +35,6 @@ use slicing_predicates::FnPredicate;
 struct Entry {
     name: String,
     engine: &'static str,
-    threads: usize,
     reps: u32,
     wall_us: f64,
     detected: bool,
@@ -44,9 +43,6 @@ struct Entry {
     hits: u64,
     inserts: u64,
     heap_allocs: u64,
-    /// Layers the parallel engine ran on its sequential replica path
-    /// (`detect.parallel.seq_layers`); zero for other engines.
-    seq_layers: u64,
     /// J-table row joins in the kernelized slicer
     /// (`slice.j_table.row_joins`); zero outside the slicing pipeline.
     row_joins: u64,
@@ -57,7 +53,6 @@ impl Entry {
         JsonObject::new()
             .str("name", &self.name)
             .str("engine", self.engine)
-            .u64("threads", self.threads as u64)
             .u64("reps", u64::from(self.reps))
             .f64("wall_us_per_run", self.wall_us)
             .bool("detected", self.detected)
@@ -66,7 +61,6 @@ impl Entry {
             .u64("hits", self.hits)
             .u64("inserts", self.inserts)
             .u64("heap_allocs", self.heap_allocs)
-            .u64("seq_layers", self.seq_layers)
             .u64("row_joins", self.row_joins)
             .finish()
     }
@@ -77,7 +71,6 @@ impl Entry {
 fn measure<F: FnMut() -> (bool, u64)>(
     name: impl Into<String>,
     engine: &'static str,
-    threads: usize,
     reps: u32,
     mut f: F,
 ) -> Entry {
@@ -91,7 +84,6 @@ fn measure<F: FnMut() -> (bool, u64)>(
     let probes = rec.counter_total("detect.visited.probes");
     let hits = rec.counter_total("detect.visited.hits");
     let inserts = rec.counter_total("detect.visited.inserts");
-    let seq_layers = rec.counter_total("detect.parallel.seq_layers");
     let row_joins = rec.counter_total("slice.j_table.row_joins");
 
     let start = Instant::now();
@@ -102,7 +94,6 @@ fn measure<F: FnMut() -> (bool, u64)>(
     Entry {
         name: name.into(),
         engine,
-        threads,
         reps,
         wall_us,
         detected,
@@ -111,7 +102,6 @@ fn measure<F: FnMut() -> (bool, u64)>(
         hits,
         inserts,
         heap_allocs,
-        seq_layers,
         row_joins,
     }
 }
@@ -141,62 +131,24 @@ fn main() {
     // through all (grid+1)² cuts, making the visited set the hot path.
     let comp = grid(grid_size, grid_size);
     let never = FnPredicate::new(ProcSet::all(2), "false", |_| false);
-    entries.push(measure(
-        format!("bfs.grid{grid_size}"),
-        "bfs",
-        1,
-        reps,
-        || {
-            let d = detect_bfs(&comp, &comp, &never, &limits);
-            (d.detected(), d.cuts_explored)
-        },
-    ));
-    entries.push(measure(
-        format!("dfs.grid{grid_size}"),
-        "dfs",
-        1,
-        reps,
-        || {
-            let d = detect_dfs(&comp, &comp, &never, &limits);
-            (d.detected(), d.cuts_explored)
-        },
-    ));
-    for threads in [2usize, 4] {
-        entries.push(measure(
-            format!("bfs_parallel{threads}.grid{grid_size}"),
-            "bfs_parallel",
-            threads,
-            reps,
-            || {
-                let d = detect_bfs_parallel(&comp, &comp, &never, &limits, threads);
-                (d.detected(), d.cuts_explored)
-            },
-        ));
-    }
+    entries.push(measure(format!("bfs.grid{grid_size}"), "bfs", reps, || {
+        let d = detect_bfs(&comp, &comp, &never, &limits);
+        (d.detected(), d.cuts_explored)
+    }));
+    entries.push(measure(format!("dfs.grid{grid_size}"), "dfs", reps, || {
+        let d = detect_dfs(&comp, &comp, &never, &limits);
+        (d.detected(), d.cuts_explored)
+    }));
 
-    // Parallel scaling needs wide lattice layers: a 5-process hypercube's
-    // middle layers are thousands of cuts wide, so worker expansion and
-    // shard merging both run threaded. Grid layers (≤ 41 cuts) stay on the
-    // inline path by design — parallelism cannot pay for spawns there.
+    // Wide lattice layers: a 5-process hypercube's middle layers are
+    // thousands of cuts wide, where the layer-local dedup store pays most.
     let cube = hypercube(5, 8);
     let never5 = FnPredicate::new(ProcSet::all(5), "false", |_| false);
     let cube_reps = (reps / 4).max(1);
-    entries.push(measure("bfs.cube5x8", "bfs", 1, cube_reps, || {
+    entries.push(measure("bfs.cube5x8", "bfs", cube_reps, || {
         let d = detect_bfs(&cube, &cube, &never5, &limits);
         (d.detected(), d.cuts_explored)
     }));
-    for threads in [2usize, 4] {
-        entries.push(measure(
-            format!("bfs_parallel{threads}.cube5x8"),
-            "bfs_parallel",
-            threads,
-            cube_reps,
-            || {
-                let d = detect_bfs_parallel(&cube, &cube, &never5, &limits, threads);
-                (d.detected(), d.cuts_explored)
-            },
-        ));
-    }
 
     // The paper's protocol workloads (Figures 2/3) through the slicing
     // pipeline: slice construction dominates, search explores few cuts.
@@ -210,7 +162,6 @@ fn main() {
         entries.push(measure(
             format!("slicing.{}", w.name()),
             "slicing",
-            1,
             (reps / 20).max(1),
             || {
                 let mut detected = false;
@@ -240,45 +191,14 @@ fn main() {
 
     println!("# Detection throughput — grid {grid_size}×{grid_size}, {reps} reps, {seeds} protocol seeds");
     println!(
-        "{:<32} {:>8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>6} {:>8} {:>9}",
-        "entry",
-        "threads",
-        "wall µs/run",
-        "cuts",
-        "probes",
-        "hits",
-        "inserts",
-        "alloc",
-        "seq_lyr",
-        "row_join"
+        "{:<32} {:>12} {:>10} {:>10} {:>10} {:>10} {:>6} {:>9}",
+        "entry", "wall µs/run", "cuts", "probes", "hits", "inserts", "alloc", "row_join"
     );
     for e in &entries {
         println!(
-            "{:<32} {:>8} {:>12.1} {:>10} {:>10} {:>10} {:>10} {:>6} {:>8} {:>9}",
-            e.name,
-            e.threads,
-            e.wall_us,
-            e.cuts,
-            e.probes,
-            e.hits,
-            e.inserts,
-            e.heap_allocs,
-            e.seq_layers,
-            e.row_joins
+            "{:<32} {:>12.1} {:>10} {:>10} {:>10} {:>10} {:>6} {:>9}",
+            e.name, e.wall_us, e.cuts, e.probes, e.hits, e.inserts, e.heap_allocs, e.row_joins
         );
-    }
-    for e in entries.iter().filter(|e| e.engine == "bfs_parallel") {
-        let workload = e.name.split_once('.').map_or("", |(_, w)| w);
-        let seq = entries
-            .iter()
-            .find(|s| s.engine == "bfs" && s.name.ends_with(workload));
-        if let Some(seq) = seq {
-            println!(
-                "# {workload} speedup at {} threads: {:.2}×",
-                e.threads,
-                seq.wall_us / e.wall_us
-            );
-        }
     }
 
     let doc = JsonObject::new()

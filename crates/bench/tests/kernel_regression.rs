@@ -3,8 +3,8 @@
 //! The expected values below were captured from the pre-kernel
 //! implementation (every engine backed by `std::collections::HashSet<Cut>`
 //! with heap-allocated `Cut(Vec<u32>)` payloads). The pooled `CutSet` /
-//! `CutMap64` kernel, the `Arc`-shared slice J-table, and the sharded
-//! parallel BFS must reproduce them bit-for-bit: same verdict, same
+//! `CutMap64` kernel, the `Arc`-shared slice J-table, and the two-layer
+//! level-order BFS must reproduce them bit-for-bit: same verdict, same
 //! witness size, same number of cuts explored. Any divergence means the
 //! optimization changed semantics, not just speed.
 
@@ -14,8 +14,7 @@ use slicing_bench::Workload;
 use slicing_computation::test_fixtures::{figure1, grid, random_computation, RandomConfig};
 use slicing_computation::{cut_heap_allocs, Computation, ProcSet};
 use slicing_detect::{
-    detect_bfs, detect_bfs_parallel, detect_dfs, detect_pom, detect_reverse_search,
-    detect_with_slicing, Limits,
+    detect_bfs, detect_dfs, detect_pom, detect_reverse_search, detect_with_slicing, Limits,
 };
 use slicing_observe::{Level, MemoryRecorder};
 use slicing_predicates::{expr::parse_predicate, FnPredicate};
@@ -24,13 +23,7 @@ use slicing_sim::primary_secondary;
 /// (detected, witness size, cuts explored) for one engine run.
 type Row = (bool, Option<u64>, u64);
 
-fn check(
-    tag: &str,
-    comp: &Computation,
-    pred: &FnPredicate,
-    expect: [Row; 4],
-    par_size: Option<u64>,
-) {
+fn check(tag: &str, comp: &Computation, pred: &FnPredicate, expect: [Row; 4]) {
     let l = Limits::none();
     let rows = [
         ("bfs", detect_bfs(comp, comp, pred, &l)),
@@ -46,15 +39,6 @@ fn check(
         );
         assert_eq!(got, want, "{tag} {name}");
     }
-    for threads in [2, 4] {
-        let par = detect_bfs_parallel(comp, comp, pred, &l, threads);
-        assert_eq!(par.detected(), par_size.is_some(), "{tag} par t{threads}");
-        assert_eq!(
-            par.found.as_ref().map(|c| c.size()),
-            par_size,
-            "{tag} par t{threads}"
-        );
-    }
 }
 
 #[test]
@@ -66,8 +50,8 @@ fn random_computations_match_the_old_kernel() {
         send_percent: 40,
         recv_percent: 40,
     };
-    // seed → (bfs, dfs, pom, rev) rows + parallel witness size.
-    let table: [(u64, [Row; 4], Option<u64>); 4] = [
+    // seed → (bfs, dfs, pom, rev) rows.
+    let table: [(u64, [Row; 4]); 4] = [
         (
             1,
             [
@@ -76,7 +60,6 @@ fn random_computations_match_the_old_kernel() {
                 (true, Some(13), 27),
                 (true, Some(8), 160),
             ],
-            Some(7),
         ),
         (
             7,
@@ -86,7 +69,6 @@ fn random_computations_match_the_old_kernel() {
                 (true, Some(11), 8),
                 (true, Some(11), 8),
             ],
-            Some(6),
         ),
         (
             13,
@@ -96,7 +78,6 @@ fn random_computations_match_the_old_kernel() {
                 (true, Some(7), 4),
                 (true, Some(8), 5),
             ],
-            Some(7),
         ),
         (
             42,
@@ -106,10 +87,9 @@ fn random_computations_match_the_old_kernel() {
                 (true, Some(4), 1),
                 (true, Some(4), 1),
             ],
-            Some(4),
         ),
     ];
-    for (seed, expect, par_size) in table {
+    for (seed, expect) in table {
         let comp = random_computation(seed, &cfg);
         let vars: Vec<_> = comp
             .processes()
@@ -119,7 +99,7 @@ fn random_computations_match_the_old_kernel() {
         let pred = FnPredicate::new(ProcSet::all(4), "sum == t", move |st| {
             vars.iter().map(|&v| st.get(v).expect_int()).sum::<i64>() == t
         });
-        check(&format!("rand{seed}"), &comp, &pred, expect, par_size);
+        check(&format!("rand{seed}"), &comp, &pred, expect);
     }
 }
 
@@ -148,7 +128,6 @@ fn exhaustive_grid_sweep_matches_the_old_kernel() {
             (false, None, 169),
             (false, None, 169),
         ],
-        None,
     );
 }
 

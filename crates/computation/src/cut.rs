@@ -5,44 +5,39 @@
 //! those inner loops allocation-free, the per-process counts live inline in
 //! the struct for computations of up to [`Cut::INLINE_PROCESSES`] processes
 //! and spill to the heap only beyond that. Cloning an inline cut is a plain
-//! stack copy; heap spills are counted in a process-wide counter
-//! ([`cut_heap_allocs`]) so tests and benches can assert that hot paths do
-//! not allocate.
+//! stack copy; heap spills are counted per thread ([`cut_heap_allocs`]) so
+//! tests and benches can assert that hot paths do not allocate.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::process::ProcessId;
 
-/// Number of `Cut`s that allocated a heap buffer since process start.
-///
-/// Incremented (relaxed) on every spill: constructing, cloning, or
-/// combining a cut that spans more than [`Cut::INLINE_PROCESSES`]
-/// processes. Converting an existing `Vec<u32>` into a `Cut` reuses the
-/// vector's buffer and does not count.
-static CUT_HEAP_ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-#[cfg(test)]
 thread_local! {
-    /// The calling thread's share of [`CUT_HEAP_ALLOCS`], so unit tests can
-    /// count their own spills while other tests run on parallel threads.
-    static THREAD_HEAP_ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Heap-allocating cut constructions on this thread; see
+    /// [`cut_heap_allocs`].
+    static CUT_HEAP_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Counts one heap-allocating cut construction.
 #[inline]
 fn count_heap_alloc() {
-    CUT_HEAP_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    #[cfg(test)]
-    THREAD_HEAP_ALLOCS.with(|n| n.set(n.get() + 1));
+    CUT_HEAP_ALLOCS.with(|n| n.set(n.get() + 1));
 }
 
-/// Reads the process-wide count of heap-allocating cut constructions.
+/// Reads the calling thread's count of heap-allocating cut constructions
+/// since the thread started.
 ///
-/// Deltas of this counter bound the deep-clone traffic of an algorithm on
-/// wide computations; for `<= INLINE_PROCESSES` processes it never moves.
+/// Incremented on every spill: constructing, cloning, or combining a cut
+/// that spans more than [`Cut::INLINE_PROCESSES`] processes. Converting an
+/// existing `Vec<u32>` into a `Cut` reuses the vector's buffer and does
+/// not count. Deltas of this counter bound the deep-clone traffic of an
+/// algorithm on wide computations; for `<= INLINE_PROCESSES` processes it
+/// never moves. The count is per thread, so a test measures exactly its
+/// own spills while other tests run on parallel threads (no library code
+/// builds cuts on threads of its own).
 pub fn cut_heap_allocs() -> u64 {
-    CUT_HEAP_ALLOCS.load(Ordering::Relaxed)
+    CUT_HEAP_ALLOCS.with(Cell::get)
 }
 
 /// Storage for the per-process counts: inline up to
@@ -688,41 +683,31 @@ mod tests {
         assert!(a < b);
     }
 
-    /// This thread's spills. Tests run on parallel threads and the
-    /// process-wide [`cut_heap_allocs`] sees every thread's, so exact
-    /// deltas are taken from this count.
-    fn thread_heap_allocs() -> u64 {
-        THREAD_HEAP_ALLOCS.with(|n| n.get())
-    }
-
     #[test]
     fn inline_cuts_never_touch_the_heap() {
-        let before = thread_heap_allocs();
+        let before = cut_heap_allocs();
         let a = Cut::bottom(Cut::INLINE_PROCESSES);
         let b = a.clone();
         let j = a.join(&b);
         let m = a.meet(&j);
         let mut s = m.clone();
         s.join_in_place(&a);
-        assert_eq!(thread_heap_allocs(), before, "inline ops allocated");
+        assert_eq!(cut_heap_allocs(), before, "inline ops allocated");
     }
 
     #[test]
     fn spilled_ops_count_heap_allocations() {
         let n = Cut::INLINE_PROCESSES + 4;
-        let process_before = cut_heap_allocs();
-        let before = thread_heap_allocs();
+        let before = cut_heap_allocs();
         let a = Cut::bottom(n); // +1
         let b = a.clone(); // +1
         let _j = a.join(&b); // +1 (clone inside join)
-        assert_eq!(thread_heap_allocs() - before, 3);
-        // The process-wide counter saw them too (and maybe other threads').
-        assert!(cut_heap_allocs() - process_before >= 3);
+        assert_eq!(cut_heap_allocs() - before, 3);
         // From<Vec> adopts the buffer: no new allocation.
-        let before = thread_heap_allocs();
+        let before = cut_heap_allocs();
         let big = Cut::from(vec![1u32; n]);
         assert!(!big.is_inline());
-        assert_eq!(thread_heap_allocs(), before);
+        assert_eq!(cut_heap_allocs(), before);
     }
 
     #[test]
@@ -730,10 +715,10 @@ mod tests {
         let n = Cut::INLINE_PROCESSES + 2;
         let src = Cut::from(vec![3u32; n]);
         let mut dst = Cut::from(vec![1u32; n]);
-        let before = thread_heap_allocs();
+        let before = cut_heap_allocs();
         dst.clone_from(&src);
         assert_eq!(dst, src);
-        assert_eq!(thread_heap_allocs(), before, "clone_from reallocated");
+        assert_eq!(cut_heap_allocs(), before, "clone_from reallocated");
     }
 
     #[test]

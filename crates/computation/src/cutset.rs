@@ -453,11 +453,8 @@ impl CutSet {
 
     /// Empties the set while keeping its allocations, so the next fill of
     /// similar size performs no heap traffic. Stats stay cumulative.
-    ///
-    /// The search engines historically built a fresh `CutSet` per
-    /// detection call, reallocating the arena and slot table every run;
-    /// engines that hold a reusable scratch (see `LeanArena` in
-    /// `slicing-detect`) call this between runs instead.
+    /// The level-order search resets the arena of each finished layer and
+    /// refills it with the layer after next.
     pub fn reset(&mut self) {
         self.pool.reset();
     }

@@ -97,8 +97,7 @@ pub trait CutSpace {
         std::mem::size_of::<Cut>() + 4 * self.num_processes()
     }
 
-    /// Unit-step successor enumeration, the layer-regeneration hook of the
-    /// lean (bounded-memory) traversal: calls `f` with every process whose
+    /// Unit-step successor enumeration: calls `f` with every process whose
     /// single-event advance of `cut` stays in the space, in ascending
     /// process order, and returns `true`.
     ///
@@ -107,15 +106,15 @@ pub trait CutSpace {
     /// layered by event count and each layer's successors all land in the
     /// next layer. Spaces whose successors can add several events at once
     /// (a slice advances by meta-events/J-closures) must return `false`
-    /// without calling `f` — the default — and the lean engine then falls
-    /// back to size-bucketed pending sets instead of layer regeneration.
+    /// without calling `f` — the default. The level-order search asks this
+    /// of the bottom cut to choose its store: a unit-step space lets it
+    /// deduplicate within the layer under construction and forget every
+    /// older layer.
     ///
     /// Implementations must enumerate in the same process order
     /// [`for_each_successor`](CutSpace::for_each_successor) uses, so that
     /// `advance(cut, p)` over the enumeration reproduces the exact
-    /// successor stream — the property that makes the lean engine's
-    /// verdict, witness, and explored-cut count identical to the global-
-    /// visited-set BFS.
+    /// successor stream.
     fn for_each_advance(&self, _cut: &Cut, _f: &mut dyn FnMut(ProcessId)) -> bool {
         false
     }
@@ -128,9 +127,7 @@ impl CutSpace for Computation {
 
     fn bottom(&self) -> Option<Cut> {
         // Adopt a `Vec` instead of calling `Cut::bottom`: for wide
-        // computations the adoption path does not count a heap spill, so a
-        // detection run that otherwise reuses arena scratch (the lean
-        // engine) keeps `cut_heap_allocs()` flat across calls.
+        // computations the adoption path does not count a heap spill.
         Some(Cut::from(vec![1u32; Computation::num_processes(self)]))
     }
 

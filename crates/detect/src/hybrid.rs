@@ -10,6 +10,7 @@ use slicing_observe::Level;
 
 use crate::metrics::Limits;
 use crate::pom::detect_pom;
+use crate::resilient::SpecPredicate;
 use crate::slicing::{detect_with_slicing, SliceDetection};
 
 /// Which engine produced the final verdict of a hybrid run.
@@ -72,27 +73,12 @@ pub fn detect_hybrid(
     pom_budget_bytes: u64,
     limits: &Limits,
 ) -> HybridDetection {
-    struct SpecPred<'s>(&'s PredicateSpec);
-    impl std::fmt::Debug for SpecPred<'_> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "{:?}", self.0)
-        }
-    }
-    impl slicing_predicates::Predicate for SpecPred<'_> {
-        fn support(&self) -> slicing_computation::ProcSet {
-            self.0.support()
-        }
-        fn eval(&self, state: &slicing_computation::GlobalState<'_>) -> bool {
-            self.0.eval(state)
-        }
-    }
-
     let _span = slicing_observe::span("detect.hybrid");
     let pom_limits = Limits {
         max_bytes: Some(pom_budget_bytes.min(limits.max_bytes.unwrap_or(u64::MAX))),
         ..*limits
     };
-    let mut pom = detect_pom(comp, &SpecPred(spec), &pom_limits);
+    let mut pom = detect_pom(comp, &SpecPredicate(spec), &pom_limits);
     if pom.completed() {
         pom.phases = vec![("pom".to_owned(), pom.elapsed)];
         return HybridDetection {

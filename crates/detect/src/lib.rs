@@ -7,7 +7,10 @@
 //!
 //! - [`detect_bfs`] / [`detect_dfs`]: explicit lattice enumeration
 //!   (Cooper–Marzullo style) over any [`CutSpace`] — a computation **or a
-//!   slice**, which is how slicing plugs in;
+//!   slice**, which is how slicing plugs in. BFS is level-order: on a
+//!   computation it keeps only two lattice layers of cuts alive (peak
+//!   memory O(widest layer), not O(lattice)) with the verdict, witness and
+//!   explored count of a global-visited-set BFS;
 //! - [`detect_pom`]: selective search with persistent sets and sleep sets
 //!   — the partial-order-methods baseline (Stoller–Unnikrishnan–Liu) the
 //!   paper evaluates against;
@@ -16,14 +19,14 @@
 //! - [`detect_with_slicing`]: the paper's pipeline — compute the slice for
 //!   a [`PredicateSpec`](slicing_core::PredicateSpec), then search its few
 //!   cuts evaluating the exact predicate;
-//! - [`detect_lean`]: bounded-memory layered enumeration — BFS-identical
-//!   verdict, witness, and explored count while keeping only two lattice
-//!   layers of cuts alive (peak memory O(widest layer), not O(lattice)),
-//!   with a sharded parallel variant ([`detect_lean_parallel`]);
 //! - [`definitely`]: the `definitely` modality (every observation passes
 //!   through a satisfying cut), as an extension;
 //! - [`detect_resilient`]: graceful degradation — a chain of the above
 //!   engines under per-engine budgets, falling through on exhaustion.
+//!
+//! [`Engine`] is the one registry of engine names (`slicing`, `hybrid`,
+//! `pom`, `bfs`, `dfs`, `reverse`): the CLI, the resilient chain and the
+//! test kit all parse and dispatch through it.
 //!
 //! The [`testkit`] module (and the [`engine_matrix!`](engine_matrix)
 //! macro) run any of these engines against the brute-force lattice oracle
@@ -56,12 +59,10 @@ pub mod checkpoint;
 mod definitely;
 mod enumerate;
 mod hybrid;
-mod lean;
 mod metrics;
 mod modalities;
 mod monitor;
 mod multiplex;
-mod parallel;
 mod pom;
 mod resilient;
 mod reverse_search;
@@ -70,21 +71,19 @@ mod slicing;
 pub mod testkit;
 
 pub use definitely::{definitely, detect_not_definitely};
-pub use enumerate::{detect_bfs, detect_bfs_banded, detect_dfs};
+pub use enumerate::{detect_bfs, detect_dfs, detect_lean};
 pub use hybrid::{detect_hybrid, suggested_pom_budget, HybridDetection, HybridPhase};
-pub use lean::{detect_lean, detect_lean_parallel, detect_lean_with, LeanArena};
 pub use metrics::{AbortReason, Detection, Limits};
-pub use modalities::{
-    controllable, detect_controllable, invariant, invariant_lean, invariant_via_slicing,
-};
+pub use modalities::{controllable, detect_controllable, invariant, invariant_via_slicing};
 pub use monitor::OnlineMonitor;
 pub use multiplex::{
     AlarmReport, GcConfig, GroupState, HubAlarm, HubState, HubStats, MonitorHub, SlotState,
     TenantState,
 };
-pub use parallel::detect_bfs_parallel;
 pub use pom::detect_pom;
-pub use resilient::{detect_resilient, Engine, ResilientConfig, ResilientDetection};
+pub use resilient::{
+    detect_resilient, Engine, ParseEngineError, ResilientConfig, ResilientDetection, SpecPredicate,
+};
 pub use reverse_search::{detect_reverse_search, detect_reverse_search_slice};
 pub use slicing::{detect_on_slice, detect_with_slicing, SliceDetection};
 

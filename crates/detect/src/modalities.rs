@@ -47,7 +47,9 @@ pub fn invariant_via_slicing(
 }
 
 /// Decides `invariant: b` by direct enumeration (the baseline for
-/// [`invariant_via_slicing`]).
+/// [`invariant_via_slicing`]): a level-order search for `possibly: ¬b`,
+/// which on a fault-free run sweeps the whole lattice at two layers of
+/// live cuts.
 ///
 /// # Panics
 ///
@@ -56,28 +58,6 @@ pub fn invariant<P: Predicate + ?Sized>(comp: &Computation, pred: &P, limits: &L
     let d = crate::enumerate::detect_bfs(comp, comp, &Negated(pred), limits);
     assert!(d.completed(), "invariant check hit a resource limit");
     !d.detected()
-}
-
-/// Decides `invariant: b` with the bounded-memory lean traversal: searches
-/// `possibly: ¬b` via [`detect_lean`](crate::detect_lean), so fault-free
-/// verification sweeps the whole lattice at O(widest layer) live cuts
-/// instead of storing it all.
-///
-/// # Errors
-///
-/// Returns the inner [`Detection`] as `Err` (boxed, like
-/// [`invariant_via_slicing`]) if the search aborted on a limit — including
-/// [`Limits::max_live_cuts`] — leaving the question unanswered.
-pub fn invariant_lean<P: Predicate + ?Sized>(
-    comp: &Computation,
-    pred: &P,
-    limits: &Limits,
-) -> Result<bool, Box<Detection>> {
-    let d = crate::lean::detect_lean(comp, comp, &Negated(pred), limits);
-    if !d.completed() {
-        return Err(Box::new(d));
-    }
-    Ok(!d.detected())
 }
 
 struct Negated<'a, P: ?Sized>(&'a P);
@@ -237,32 +217,6 @@ mod tests {
         });
         assert!(!invariant(&comp, &pred, &Limits::none()));
         assert!(controllable(&comp, &pred, &Limits::none()));
-    }
-
-    #[test]
-    fn invariant_lean_agrees_with_direct() {
-        let cfg = RandomConfig {
-            processes: 3,
-            events_per_process: 3,
-            value_range: 2,
-            ..RandomConfig::default()
-        };
-        for seed in 0..20 {
-            let comp = random_computation(seed, &cfg);
-            let pred = parse_predicate(&comp, "x@0 + x@1 >= 0 && x@2 <= 1").unwrap();
-            let direct = invariant(&comp, &pred, &Limits::none());
-            let lean = invariant_lean(&comp, &pred, &Limits::none()).unwrap();
-            assert_eq!(direct, lean, "seed {seed}");
-        }
-        // Aborts surface as Err, not as a verdict.
-        let comp = grid(9, 9);
-        let always = FnPredicate::new(ProcSet::all(2), "true", |_| true);
-        let r = invariant_lean(&comp, &always, &Limits::cuts(3));
-        assert!(matches!(r, Err(d) if !d.completed()));
-        // The lean engine decides invariants under live-cut caps that the
-        // BFS-backed `invariant` could never satisfy on this lattice.
-        let r = invariant_lean(&comp, &always, &Limits::live_cuts(25));
-        assert!(r.unwrap());
     }
 
     #[test]

@@ -1,30 +1,37 @@
-//! Graceful degradation across detection engines: try the cheapest
-//! suitable engine first and fall through to progressively more general
-//! ones whenever a budget (memory, cut count, or deadline) is exhausted,
-//! so a single engine hitting its limit degrades the run instead of
-//! failing it.
+//! The engine registry and graceful degradation across it.
 //!
-//! The default chain mirrors the paper's preference order: slice-then-
-//! search (exponentially cheaper when the predicate slices well), the
-//! hybrid strategy of Section 5.1, the partial-order-methods baseline,
-//! then the bounded-memory lean traversal (BFS semantics at two layers of
-//! live cuts), and finally plain breadth-first enumeration as the engine
-//! of last resort.
+//! [`Engine`] names every detection engine once: it parses from the names
+//! the CLI accepts ([`FromStr`]) and dispatches a run
+//! ([`Engine::detect`]), so the CLI, the differential test kit and the
+//! degradation chain share one table.
+//!
+//! [`detect_resilient`] tries the cheapest suitable engine first and falls
+//! through to progressively more general ones whenever a budget (memory,
+//! cut count, or deadline) is exhausted, so a single engine hitting its
+//! limit degrades the run instead of failing it. The default chain mirrors
+//! the paper's preference order: slice-then-search (exponentially cheaper
+//! when the predicate slices well), the hybrid strategy of Section 5.1,
+//! the partial-order-methods baseline, and finally level-order
+//! enumeration (two lattice layers of live cuts) as the engine of last
+//! resort.
 
+use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
-use slicing_computation::Computation;
+use slicing_computation::{Computation, GlobalState, ProcSet};
 use slicing_core::PredicateSpec;
 use slicing_observe::Level;
+use slicing_predicates::Predicate;
 
-use crate::enumerate::detect_bfs;
+use crate::enumerate::{detect_bfs, detect_dfs};
 use crate::hybrid::{detect_hybrid, suggested_pom_budget, HybridPhase};
-use crate::lean::detect_lean;
 use crate::metrics::{AbortReason, Detection, Limits};
 use crate::pom::detect_pom;
+use crate::reverse_search::detect_reverse_search;
 use crate::slicing::detect_with_slicing;
 
-/// One engine in the degradation chain.
+/// A detection engine, by the name the CLI and reports use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Slice-then-search ([`detect_with_slicing`]).
@@ -33,30 +40,142 @@ pub enum Engine {
     Hybrid,
     /// Partial-order methods ([`detect_pom`]).
     Pom,
-    /// Bounded-memory layered enumeration ([`detect_lean`]): BFS-identical
-    /// verdict and witness at O(widest layer) live cuts, tried before the
-    /// full-memory enumeration of last resort.
-    Lean,
-    /// Plain breadth-first lattice enumeration ([`detect_bfs`]).
+    /// Level-order lattice enumeration ([`detect_bfs`]).
     Bfs,
+    /// Depth-first lattice enumeration ([`detect_dfs`]).
+    Dfs,
+    /// Polynomial-space reverse search
+    /// ([`detect_reverse_search`](crate::detect_reverse_search)).
+    Reverse,
 }
 
 impl Engine {
+    /// Every engine, in registry order.
+    pub const ALL: [Engine; 6] = [
+        Engine::Slicing,
+        Engine::Hybrid,
+        Engine::Pom,
+        Engine::Bfs,
+        Engine::Dfs,
+        Engine::Reverse,
+    ];
+
     /// Stable lowercase name, used in counters and reports.
     pub fn name(self) -> &'static str {
         match self {
             Engine::Slicing => "slicing",
             Engine::Hybrid => "hybrid",
             Engine::Pom => "pom",
-            Engine::Lean => "lean",
             Engine::Bfs => "bfs",
+            Engine::Dfs => "dfs",
+            Engine::Reverse => "reverse",
+        }
+    }
+
+    /// Detects `possibly: pred` on `comp` with this engine under `limits`.
+    ///
+    /// The lattice engines evaluate `pred` directly; the slice-based ones
+    /// (slicing, hybrid) slice `spec`, which must denote the same
+    /// predicate. The hybrid returns the detection of the phase that
+    /// answered, with [`suggested_pom_budget`] as its partial-order
+    /// budget.
+    pub fn detect<P: Predicate + ?Sized>(
+        self,
+        comp: &Computation,
+        pred: &P,
+        spec: &PredicateSpec,
+        limits: &Limits,
+    ) -> Detection {
+        match self {
+            Engine::Slicing => detect_with_slicing(comp, spec, limits).search,
+            Engine::Hybrid => hybrid(comp, spec, suggested_pom_budget(comp, 4), limits),
+            Engine::Pom => detect_pom(comp, pred, limits),
+            Engine::Bfs => detect_bfs(comp, comp, pred, limits),
+            Engine::Dfs => detect_dfs(comp, comp, pred, limits),
+            Engine::Reverse => detect_reverse_search(comp, pred, limits),
         }
     }
 }
 
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+/// The hybrid run's answer: the partial-order detection, or the slicing
+/// one when the partial-order phase ran out of budget.
+fn hybrid(comp: &Computation, spec: &PredicateSpec, pom_budget: u64, limits: &Limits) -> Detection {
+    let h = detect_hybrid(comp, spec, pom_budget, limits);
+    match h.phase {
+        HybridPhase::PartialOrder => h.pom,
+        HybridPhase::Slicing => h.slicing.expect("slicing phase ran").search,
+    }
+}
+
+impl fmt::Display for Engine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// Why a name does not parse as an [`Engine`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParseEngineError {
+    /// The name of an engine folded into `bfs`: `lean`, `parallel` or
+    /// `lean-parallel`. Level-order search now keeps lean's two layers of
+    /// live cuts on one thread.
+    Retired(String),
+    /// A name that is not in the registry.
+    Unknown(String),
+}
+
+impl fmt::Display for ParseEngineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParseEngineError::Retired(name) => write!(
+                f,
+                "engine {name:?} was folded into bfs, which now keeps two lattice layers of live cuts"
+            ),
+            ParseEngineError::Unknown(name) => {
+                write!(f, "unknown engine {name:?} (expected one of ")?;
+                for (i, engine) in Engine::ALL.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}{engine}")?;
+                }
+                f.write_str(")")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ParseEngineError {}
+
+impl FromStr for Engine {
+    type Err = ParseEngineError;
+
+    /// Parses a registry name; `slice` is accepted for `slicing`.
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        if name == "slice" {
+            return Ok(Engine::Slicing);
+        }
+        if let Some(engine) = Engine::ALL.into_iter().find(|e| e.name() == name) {
+            return Ok(engine);
+        }
+        match name {
+            "lean" | "parallel" | "lean-parallel" => {
+                Err(ParseEngineError::Retired(name.to_owned()))
+            }
+            _ => Err(ParseEngineError::Unknown(name.to_owned())),
+        }
+    }
+}
+
+/// A [`PredicateSpec`] viewed as a plain [`Predicate`], for the engines
+/// that evaluate one (the spec-taking engines slice it instead).
+#[derive(Debug)]
+pub struct SpecPredicate<'s>(pub &'s PredicateSpec);
+
+impl Predicate for SpecPredicate<'_> {
+    fn support(&self) -> ProcSet {
+        self.0.support()
+    }
+    fn eval(&self, state: &GlobalState<'_>) -> bool {
+        self.0.eval(state)
     }
 }
 
@@ -73,11 +192,9 @@ pub struct ResilientConfig {
     pub hybrid_pom_budget: Option<u64>,
     /// Budget of the partial-order-methods attempt.
     pub pom: Option<Limits>,
-    /// Budget of the bounded-memory layered attempt. Pairs naturally with
-    /// [`Limits::max_live_cuts`]: caps that abort the global-visited
-    /// engines almost immediately still let this one finish.
-    pub lean: Option<Limits>,
-    /// Budget of the last-resort breadth-first attempt.
+    /// Budget of the last-resort level-order attempt. Pairs naturally with
+    /// [`Limits::max_live_cuts`]: it keeps only two lattice layers alive,
+    /// so caps that abort the global-visited engines still let it finish.
     pub bfs: Option<Limits>,
 }
 
@@ -98,7 +215,6 @@ impl ResilientConfig {
             hybrid: Some(limits),
             hybrid_pom_budget: None,
             pom: Some(limits),
-            lean: Some(limits),
             bfs: Some(limits),
         }
     }
@@ -110,7 +226,6 @@ impl ResilientConfig {
             self.slicing.is_some(),
             self.hybrid.is_some(),
             self.pom.is_some(),
-            self.lean.is_some(),
             self.bfs.is_some(),
         ]
         .iter()
@@ -124,7 +239,6 @@ impl ResilientConfig {
             &mut self.slicing,
             &mut self.hybrid,
             &mut self.pom,
-            &mut self.lean,
             &mut self.bfs,
         ] {
             if let Some(l) = slot.take() {
@@ -174,48 +288,20 @@ pub fn detect_resilient(
     spec: &PredicateSpec,
     config: &ResilientConfig,
 ) -> ResilientDetection {
-    struct SpecPred<'s>(&'s PredicateSpec);
-    impl std::fmt::Debug for SpecPred<'_> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "{:?}", self.0)
-        }
-    }
-    impl slicing_predicates::Predicate for SpecPred<'_> {
-        fn support(&self) -> slicing_computation::ProcSet {
-            self.0.support()
-        }
-        fn eval(&self, state: &slicing_computation::GlobalState<'_>) -> bool {
-            self.0.eval(state)
-        }
-    }
-
     let _span = slicing_observe::span("detect.resilient");
-    let chain: [(Engine, &Option<Limits>); 5] = [
+    let chain: [(Engine, &Option<Limits>); 4] = [
         (Engine::Slicing, &config.slicing),
         (Engine::Hybrid, &config.hybrid),
         (Engine::Pom, &config.pom),
-        (Engine::Lean, &config.lean),
         (Engine::Bfs, &config.bfs),
     ];
     let mut attempts: Vec<(Engine, Option<AbortReason>)> = Vec::new();
     let mut last: Option<(Engine, Detection)> = None;
     for (engine, limits) in chain {
         let Some(limits) = limits else { continue };
-        let detection = match engine {
-            Engine::Slicing => detect_with_slicing(comp, spec, limits).search,
-            Engine::Hybrid => {
-                let budget = config
-                    .hybrid_pom_budget
-                    .unwrap_or_else(|| suggested_pom_budget(comp, 4));
-                let h = detect_hybrid(comp, spec, budget, limits);
-                match h.phase {
-                    HybridPhase::PartialOrder => h.pom,
-                    HybridPhase::Slicing => h.slicing.expect("slicing phase ran").search,
-                }
-            }
-            Engine::Pom => detect_pom(comp, &SpecPred(spec), limits),
-            Engine::Lean => detect_lean(comp, comp, &SpecPred(spec), limits),
-            Engine::Bfs => detect_bfs(comp, comp, &SpecPred(spec), limits),
+        let detection = match (engine, config.hybrid_pom_budget) {
+            (Engine::Hybrid, Some(budget)) => hybrid(comp, spec, budget, limits),
+            _ => engine.detect(comp, &SpecPredicate(spec), spec, limits),
         };
         let aborted = detection.aborted;
         attempts.push((engine, aborted));
@@ -323,25 +409,18 @@ mod tests {
             hybrid: Some(starved),
             hybrid_pom_budget: None,
             pom: Some(starved),
-            lean: Some(starved),
             bfs: Some(Limits::none()),
         };
         let r = detect_resilient(&comp, &spec, &config);
         assert_eq!(r.engine, Engine::Bfs);
-        assert_eq!(r.fallbacks(), 4);
+        assert_eq!(r.fallbacks(), 3);
         assert!(!r.exhausted);
         let engines: Vec<Engine> = r.attempts.iter().map(|&(e, _)| e).collect();
         assert_eq!(
             engines,
-            vec![
-                Engine::Slicing,
-                Engine::Hybrid,
-                Engine::Pom,
-                Engine::Lean,
-                Engine::Bfs
-            ]
+            vec![Engine::Slicing, Engine::Hybrid, Engine::Pom, Engine::Bfs]
         );
-        for (e, reason) in &r.attempts[..4] {
+        for (e, reason) in &r.attempts[..3] {
             assert!(reason.is_some(), "{e} should have aborted");
         }
     }
@@ -353,7 +432,7 @@ mod tests {
         let r = detect_resilient(&comp, &spec, &ResilientConfig::uniform(starved));
         assert!(r.exhausted);
         assert!(!r.detected());
-        assert_eq!(r.attempts.len(), 5);
+        assert_eq!(r.attempts.len(), 4);
         assert!(r.attempts.iter().all(|&(_, reason)| reason.is_some()));
     }
 
@@ -366,7 +445,6 @@ mod tests {
             hybrid: None,
             hybrid_pom_budget: None,
             pom: None,
-            lean: None,
             bfs: Some(Limits::none()),
         };
         let r = detect_resilient(&comp, &spec, &config);
@@ -376,8 +454,8 @@ mod tests {
     }
 
     #[test]
-    fn lean_live_cut_exhaustion_falls_through_with_counter() {
-        // A live-cut cap of 1 starves lean before it can answer; the abort
+    fn live_cut_exhaustion_falls_through_with_counter() {
+        // A live-cut cap of 1 starves POM before it can answer; the abort
         // is a clean budget verdict (not a wrong answer), the chain falls
         // through to BFS, and exactly one fallback is counted.
         let comp = figure1();
@@ -386,9 +464,8 @@ mod tests {
             slicing: None,
             hybrid: None,
             hybrid_pom_budget: None,
-            pom: None,
-            lean: Some(Limits::live_cuts(1)),
-            bfs: Some(Limits::none()),
+            pom: Some(Limits::live_cuts(1)),
+            bfs: Some(Limits::live_cuts(64)),
         };
         let rec = std::sync::Arc::new(slicing_observe::MemoryRecorder::new(
             slicing_observe::Level::Trace,
@@ -400,7 +477,7 @@ mod tests {
         assert_eq!(
             r.attempts,
             vec![
-                (Engine::Lean, Some(AbortReason::LiveCutLimit)),
+                (Engine::Pom, Some(AbortReason::LiveCutLimit)),
                 (Engine::Bfs, None)
             ]
         );
@@ -408,15 +485,32 @@ mod tests {
         assert!(r.detected() && !r.exhausted);
         assert_eq!(rec.counter_total("detect.resilient.fallback"), 1);
         assert_eq!(rec.counter_total("detect.resilient.exhausted"), 0);
-        // A cap sized for two lattice layers lets lean answer in place.
-        let roomy = ResilientConfig {
-            lean: Some(Limits::live_cuts(64)),
+        // A cap below two lattice layers starves BFS too.
+        let starved = ResilientConfig {
+            bfs: Some(Limits::live_cuts(1)),
             ..config
         };
-        let r = detect_resilient(&comp, &spec, &roomy);
-        assert_eq!(r.engine, Engine::Lean);
-        assert_eq!(r.fallbacks(), 0);
-        assert!(r.detected());
+        let r = detect_resilient(&comp, &spec, &starved);
+        assert!(r.exhausted && !r.detected());
+        assert_eq!(
+            r.attempts[1],
+            (Engine::Bfs, Some(AbortReason::LiveCutLimit))
+        );
+    }
+
+    #[test]
+    fn registry_names_round_trip_and_retired_names_are_typed() {
+        for engine in Engine::ALL {
+            assert_eq!(engine.name().parse::<Engine>(), Ok(engine));
+        }
+        assert_eq!("slice".parse::<Engine>(), Ok(Engine::Slicing));
+        for retired in ["lean", "parallel", "lean-parallel"] {
+            let err = retired.parse::<Engine>().unwrap_err();
+            assert_eq!(err, ParseEngineError::Retired(retired.to_owned()));
+            assert!(err.to_string().contains("folded into bfs"), "{err}");
+        }
+        let err = "warp".parse::<Engine>().unwrap_err();
+        assert!(err.to_string().contains("unknown engine"), "{err}");
     }
 
     #[test]
@@ -426,7 +520,6 @@ mod tests {
             hybrid: None,
             hybrid_pom_budget: None,
             pom: None,
-            lean: None,
             bfs: Some(Limits::none()),
         }
         .with_total_deadline(Duration::from_millis(100));

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 use slicing_computation::Computation;
 use slicing_core::{PredicateSpec, Slice};
 
-use crate::enumerate::detect_bfs_banded;
+use crate::enumerate::detect_bfs;
 use crate::metrics::{AbortReason, Detection, Limits};
 
 /// The outcome of slice-based detection: slicing cost plus the (usually
@@ -136,15 +136,14 @@ pub fn detect_on_slice(
     let errors_before = slicing_predicates::eval_type_errors();
     let mut search = {
         let _span = slicing_observe::span("detect.search_phase");
-        // Banded visited set: the residual search is probe-bound on big
-        // slices, and banding by cut size keeps each duplicate check in a
-        // cache-resident table while reproducing the plain-BFS verdict,
-        // witness, and explored set exactly.
+        // On a slice the level-order engine keeps a visited set banded by
+        // cut size: the residual search is probe-bound on big slices, and
+        // banding keeps each duplicate check in a cache-resident table.
         let pred = SpecPred {
             spec,
             failed_clause: std::sync::atomic::AtomicUsize::new(usize::MAX),
         };
-        detect_bfs_banded(slice, comp, &pred, limits)
+        detect_bfs(slice, comp, &pred, limits)
     };
     downgrade_on_eval_errors(&mut search, errors_before);
     search.phases = vec![

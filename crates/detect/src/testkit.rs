@@ -8,13 +8,19 @@
 //! [`Case`] and asserts the invariants every engine must uphold;
 //! [`engine_matrix!`](crate::engine_matrix) stamps out one `#[test]` per
 //! engine over a case-producing function, so adding a corpus locks **all**
-//! engines to the oracle at once.
+//! engines to the oracle at once. [`reference_bfs`] is the second oracle:
+//! a plain global-visited BFS that the level-order engine must match
+//! witness for witness and counter for counter.
+
+use std::collections::{HashSet, VecDeque};
 
 use slicing_computation::oracle::satisfying_cuts;
-use slicing_computation::{Computation, Cut, GlobalState};
+use slicing_computation::{Computation, Cut, CutSpace, GlobalState};
 use slicing_core::PredicateSpec;
+use slicing_predicates::Predicate;
 
 use crate::metrics::Limits;
+use crate::resilient::Engine;
 
 /// One differential test case: a computation, a specification to detect,
 /// and a tag naming the case in assertion messages.
@@ -39,70 +45,30 @@ impl Case {
     }
 }
 
-/// A [`PredicateSpec`] viewed as a plain
-/// [`Predicate`](slicing_predicates::Predicate), for the engines that take
-/// one (the spec-taking engines slice it instead).
-#[derive(Debug)]
-pub struct SpecPredicate<'s>(pub &'s PredicateSpec);
-
-impl slicing_predicates::Predicate for SpecPredicate<'_> {
-    fn support(&self) -> slicing_computation::ProcSet {
-        self.0.support()
-    }
-    fn eval(&self, state: &GlobalState<'_>) -> bool {
-        self.0.eval(state)
-    }
-}
+pub use crate::resilient::SpecPredicate;
 
 /// The engine names [`check_engine`] understands — the rows of the
-/// differential matrix.
-pub const ENGINES: [&str; 8] = [
-    "bfs",
-    "dfs",
-    "pom",
-    "slicing",
-    "hybrid",
-    "lean",
-    "parallel",
-    "parallel_lean",
-];
+/// differential matrix, each an [`Engine`] registry name.
+pub const ENGINES: [&str; 5] = ["bfs", "dfs", "pom", "slicing", "hybrid"];
 
-/// Runs the named engine on `case` (unlimited budget) and asserts the
-/// contract every engine shares:
+/// Runs the named engine on `case` (unlimited budget) through the
+/// [`Engine`] registry and asserts the contract every engine shares:
 ///
 /// - the verdict equals the brute-force oracle's;
 /// - a returned witness satisfies the spec and is a consistent cut;
-/// - level-order engines (`bfs`, `lean`, `parallel`, `parallel_lean`)
-///   return a witness of *minimum size* among all satisfying cuts.
+/// - the level-order engine (`bfs`) returns a witness of *minimum size*
+///   among all satisfying cuts.
 ///
 /// # Panics
 ///
-/// Panics on any violated invariant, and on an unknown engine name.
+/// Panics on any violated invariant, and on a name the registry does not
+/// know.
 pub fn check_engine(name: &str, case: &Case) {
     let Case { tag, comp, spec } = case;
-    let pred = SpecPredicate(spec);
-    let limits = Limits::none();
-    let detection = match name {
-        "bfs" => crate::detect_bfs(comp, comp, &pred, &limits),
-        "dfs" => crate::detect_dfs(comp, comp, &pred, &limits),
-        "pom" => crate::detect_pom(comp, &pred, &limits),
-        "slicing" => crate::detect_with_slicing(comp, spec, &limits).search,
-        "hybrid" => {
-            let budget = crate::suggested_pom_budget(comp, 4);
-            let h = crate::detect_hybrid(comp, spec, budget, &limits);
-            // Normalize to a (detected, witness) view shared with the rest.
-            let found = h.found().cloned();
-            assert_eq!(h.detected(), found.is_some(), "[{tag}] hybrid view");
-            let mut d = h.pom.clone();
-            d.found = found;
-            d.aborted = None;
-            d
-        }
-        "lean" => crate::detect_lean(comp, comp, &pred, &limits),
-        "parallel" => crate::detect_bfs_parallel(comp, comp, &pred, &limits, 4),
-        "parallel_lean" => crate::detect_lean_parallel(comp, comp, &pred, &limits, 4),
-        other => panic!("unknown engine {other:?} (expected one of {ENGINES:?})"),
-    };
+    let engine: Engine = name
+        .parse()
+        .unwrap_or_else(|e| panic!("unknown engine {name:?}: {e}"));
+    let detection = engine.detect(comp, &SpecPredicate(spec), spec, &Limits::none());
     assert!(
         detection.completed(),
         "[{tag}] {name}: aborted under no limits: {:?}",
@@ -124,7 +90,7 @@ pub fn check_engine(name: &str, case: &Case) {
             comp.is_consistent(witness),
             "[{tag}] {name}: witness {witness} is not a consistent cut"
         );
-        if matches!(name, "bfs" | "lean" | "parallel" | "parallel_lean") {
+        if engine == Engine::Bfs {
             let min_size = oracle.iter().map(Cut::size).min().expect("non-empty");
             assert_eq!(
                 witness.size(),
@@ -133,6 +99,61 @@ pub fn check_engine(name: &str, case: &Case) {
             );
         }
     }
+}
+
+/// What [`reference_bfs`] saw: the first satisfying cut in level order,
+/// the cuts evaluated up to it, and the visited-set traffic — successors
+/// already seen (`hits`) and cuts admitted (`inserts`, the bottom
+/// included).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReferenceRun {
+    /// The witness, if any cut satisfies the predicate.
+    pub found: Option<Cut>,
+    /// Cuts whose predicate value was evaluated.
+    pub cuts_explored: u64,
+    /// Successors that were already in the visited set.
+    pub hits: u64,
+    /// Cuts admitted to the visited set.
+    pub inserts: u64,
+}
+
+/// The oracle for [`detect_bfs`](crate::detect_bfs): a global-visited
+/// breadth-first search written for clarity, not speed — a FIFO queue of
+/// cuts and a `HashSet<Vec<u32>>` of every cut seen. The engine must
+/// reproduce its witness, explored count, hits and inserts exactly.
+pub fn reference_bfs<S: CutSpace + ?Sized, P: Predicate + ?Sized>(
+    space: &S,
+    comp: &Computation,
+    pred: &P,
+) -> ReferenceRun {
+    let mut run = ReferenceRun {
+        found: None,
+        cuts_explored: 0,
+        hits: 0,
+        inserts: 0,
+    };
+    let Some(bottom) = space.bottom() else {
+        return run;
+    };
+    let mut visited: HashSet<Vec<u32>> = HashSet::from([bottom.counts().to_vec()]);
+    let mut queue = VecDeque::from([bottom]);
+    run.inserts = 1;
+    while let Some(cut) = queue.pop_front() {
+        run.cuts_explored += 1;
+        if pred.eval(&GlobalState::new(comp, &cut)) {
+            run.found = Some(cut);
+            break;
+        }
+        space.for_each_successor(&cut, &mut |next| {
+            if visited.insert(next.counts().to_vec()) {
+                run.inserts += 1;
+                queue.push_back(next.clone());
+            } else {
+                run.hits += 1;
+            }
+        });
+    }
+    run
 }
 
 /// Stamps out one `#[test]` per detection engine, each running
@@ -161,13 +182,13 @@ pub fn check_engine(name: &str, case: &Case) {
 /// ```
 ///
 /// The generated test names are the engine names (`bfs`, `dfs`, `pom`,
-/// `slicing`, `hybrid`, `lean`, `parallel`, `parallel_lean`), so a failing
-/// row is visible directly in the test report.
+/// `slicing`, `hybrid`), so a failing row is visible directly in the test
+/// report.
 #[macro_export]
 macro_rules! engine_matrix {
     ($case_fn:path) => {
         $crate::engine_matrix!(
-            @tests $case_fn, bfs dfs pom slicing hybrid lean parallel parallel_lean
+            @tests $case_fn, bfs dfs pom slicing hybrid
         );
     };
     (@tests $case_fn:path, $($engine:ident)+) => {

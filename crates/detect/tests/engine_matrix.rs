@@ -1,6 +1,6 @@
 //! The differential engine matrix: every detection engine — BFS, DFS,
-//! partial-order methods, slicing, hybrid, lean, and sharded parallel lean
-//! — runs over the same seeded corpus and is checked against the
+//! partial-order methods, slicing, and hybrid — runs over the same seeded
+//! corpus and is checked against the
 //! brute-force lattice oracle by
 //! [`check_engine`](slicing_detect::testkit::check_engine). One `#[test]`
 //! per engine is stamped out by `engine_matrix!`, so a regression in any
@@ -87,9 +87,9 @@ fn cases() -> Vec<Case> {
         ));
     }
 
-    // Deep with sparse messaging: middle layers exceed the parallel
-    // engine's fan-out threshold (128 frontier cuts), so the graded
-    // packed mode — not just the sequential replica — faces the oracle.
+    // Deep with sparse messaging: middle layers exceed 128 cuts, so the
+    // level-order engine's layer-local tables grow and clear at scale
+    // in front of the oracle.
     let deep = RandomConfig {
         processes: 4,
         events_per_process: 6,
@@ -161,14 +161,13 @@ fn cases() -> Vec<Case> {
     cases.push(Case::new("work-queue corrupt", wq_bad, wq_spec));
 
     // 17-process leader election: a protocol run past the inline→spill cut
-    // boundary whose widest lattice layer also exceeds the parallel
-    // engine's 128-cut fan-out threshold.
+    // boundary whose widest lattice layer also exceeds 128 cuts.
     let le_wide = protocol_run(LeaderElection::new(17), 0, 2);
     let spec = leader_election::violation_spec(&le_wide);
     cases.push(Case::new("leader-election wide", le_wide, spec));
 
     // 17-process work queue, corrupt: detectable on spilled cuts, and its
-    // widest layer is far past the 128-cut fan-out threshold too.
+    // widest layer is far past 128 cuts too.
     let wq_wide = protocol_run(WorkQueue::new(17), 2, 3);
     let (wq_wide_bad, _) = inject_work_queue_fault(&wq_wide, 9).expect("a broker counter");
     let spec = work_queue::violation_spec(&wq_wide_bad);
@@ -197,8 +196,8 @@ fn corpus_has_both_verdicts() {
 
 /// Guard: the protocol cases keep stressing the two size boundaries — a
 /// run past the 16-process inline→spill cut representation, and a lattice
-/// whose widest rank layer exceeds the parallel engine's 128-cut fan-out
-/// threshold.
+/// whose widest rank layer exceeds 128 cuts, so the level-order engine's
+/// layer-local dedup tables grow and are cleared at scale.
 #[test]
 fn corpus_crosses_the_size_boundaries() {
     use slicing_computation::lattice::all_cuts;
@@ -240,6 +239,6 @@ fn corpus_crosses_the_size_boundaries() {
     assert!(
         widest > 128,
         "widest protocol lattice layer is {widest}, \
-         below the 128-cut parallel fan-out threshold"
+         below the 128-cut wide-layer bar"
     );
 }

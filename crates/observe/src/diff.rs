@@ -34,10 +34,9 @@ pub struct DiffRules {
 pub fn rules_for(schema: &str) -> Option<DiffRules> {
     match schema {
         s if s == crate::schema::BENCH_DETECT => Some(DiffRules {
-            // seq_layers (parallel adaptive granularity) and row_joins
-            // (slicer J-table work) are exact functions of the workload,
-            // like the visited-set counters — deterministic columns gate,
-            // wall-clock never does.
+            // row_joins (slicer J-table work) is an exact function of the
+            // workload, like the visited-set counters — deterministic
+            // columns gate, wall-clock never does.
             exact: &["detected"],
             gated: &[
                 "cuts_explored",
@@ -45,7 +44,6 @@ pub fn rules_for(schema: &str) -> Option<DiffRules> {
                 "hits",
                 "inserts",
                 "heap_allocs",
-                "seq_layers",
                 "row_joins",
             ],
         }),
@@ -56,7 +54,6 @@ pub fn rules_for(schema: &str) -> Option<DiffRules> {
                 "peak_live_cuts",
                 "visited_inserts",
                 "layers",
-                "regen_probes",
                 "heap_allocs",
             ],
         }),
@@ -359,7 +356,7 @@ mod tests {
             "{{\"schema\":\"slicing.bench-detect/v1\",\"binary\":\"table_speedup\",\
              \"entries\":[{{\"name\":\"bfs.grid40\",\"engine\":\"bfs\",\"detected\":{detected},\
              \"wall_us_per_run\":142.5,\"cuts_explored\":{cuts},\"probes\":5644,\"hits\":1600,\
-             \"inserts\":1681,\"heap_allocs\":{heap},\"seq_layers\":0,\"row_joins\":0}}]}}"
+             \"inserts\":1681,\"heap_allocs\":{heap},\"row_joins\":0}}]}}"
         ))
         .unwrap()
     }
@@ -369,7 +366,7 @@ mod tests {
         let doc = detect_doc(1681, false, 0);
         let report = diff(&doc, &doc, DEFAULT_THRESHOLD).unwrap();
         assert!(report.pass());
-        assert_eq!(report.checks.len(), 8); // 1 exact + 7 gated
+        assert_eq!(report.checks.len(), 7); // 1 exact + 6 gated
         let json = report.to_json();
         let parsed = parse(&json).unwrap();
         assert_eq!(
@@ -436,7 +433,7 @@ mod tests {
             "{\"schema\":\"slicing.bench-detect/v1\",\"binary\":\"table_speedup\",\
              \"entries\":[{\"name\":\"other\",\"engine\":\"bfs\",\"detected\":false,\
              \"cuts_explored\":1,\"probes\":1,\"hits\":1,\"inserts\":1,\"heap_allocs\":0,\
-             \"seq_layers\":0,\"row_joins\":0}]}",
+             \"row_joins\":0}]}",
         )
         .unwrap();
         assert!(diff(&detect, &renamed, DEFAULT_THRESHOLD)

@@ -238,7 +238,6 @@ fn validate_bench_detect(doc: &JsonValue) -> Result<(), SchemaError> {
             "hits",
             "inserts",
             "heap_allocs",
-            "seq_layers",
             "row_joins",
         ],
     )
@@ -254,7 +253,6 @@ fn validate_bench_memory(doc: &JsonValue) -> Result<(), SchemaError> {
             "peak_live_cuts",
             "visited_inserts",
             "layers",
-            "regen_probes",
             "heap_allocs",
         ],
     )
@@ -571,7 +569,7 @@ mod tests {
         let detect = "{\"schema\":\"slicing.bench-detect/v1\",\"binary\":\"table_speedup\",\
                       \"entries\":[{\"name\":\"bfs.grid40\",\"engine\":\"bfs\",\"detected\":false,\
                       \"cuts_explored\":1681,\"probes\":5644,\"hits\":1600,\"inserts\":1681,\
-                      \"heap_allocs\":0,\"seq_layers\":0,\"row_joins\":0}]}";
+                      \"heap_allocs\":0,\"row_joins\":0}]}";
         assert_eq!(validate(&parse(detect).unwrap()).unwrap(), BENCH_DETECT);
         let online = "{\"schema\":\"slicing.bench-online/v1\",\"binary\":\"table_online\",\
                       \"entries\":[{\"name\":\"segment1\",\"events\":2000,\"checks\":2000,\

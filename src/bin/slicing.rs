@@ -17,15 +17,15 @@ use std::process::ExitCode;
 use computation_slicing::computation::lattice::{count_cuts, for_each_cut};
 use computation_slicing::computation::test_fixtures;
 use computation_slicing::computation::trace::from_text;
+use computation_slicing::detect::{Engine, ParseEngineError};
 use computation_slicing::predicates::expr::parse_predicate;
 use computation_slicing::recovery::RecoveryOutcome;
 use computation_slicing::sim::{self, Protocol};
 use computation_slicing::slicer::dot::{computation_to_dot, slice_to_dot};
 use computation_slicing::slicer::{compile_predicate, SliceStats};
 use computation_slicing::{
-    definitely, detect, detect_bfs, detect_dfs, detect_pom, detect_reverse_search,
-    detect_with_slicing, recover, Computation, GlobalState, Limits, PredicateSpec, RecoverConfig,
-    RecoveryVerdict, ResilientConfig,
+    definitely, detect, detect_bfs, recover, Computation, GlobalState, Limits, PredicateSpec,
+    RecoverConfig, RecoveryVerdict, ResilientConfig,
 };
 
 fn usage() -> &'static str {
@@ -34,8 +34,8 @@ fn usage() -> &'static str {
 
   slicing stats   <trace> <predicate>
   slicing detect  <trace> <predicate>
-                  [--engine slice|bfs|dfs|pom|reverse|parallel|hybrid|lean|lean-parallel]
-                  [--max-cuts N] [--max-live-cuts N] [--cap-kb N] [--threads N] [--timeout-ms N]
+                  [--engine slicing|hybrid|pom|bfs|dfs|reverse]
+                  [--max-cuts N] [--max-live-cuts N] [--cap-kb N] [--timeout-ms N]
   slicing modality <trace> <predicate> --mode possibly|definitely|invariant|controllable
   slicing monitor <trace> <predicate> [--check-every N]
                   [--metrics <path>] [--metrics-every N]
@@ -48,8 +48,7 @@ fn usage() -> &'static str {
                   [--checkpoint <path>] [--checkpoint-every N] [--checkpoint-keep K]
                   [--resume <path>]
   slicing profile <trace> <predicate>
-                  [--engine slice|bfs|dfs|pom|reverse|parallel|hybrid|lean|lean-parallel]
-                  [--threads N] [--folded] [--out <path>]
+                  [--engine slicing|hybrid|pom|bfs|dfs|reverse] [--folded] [--out <path>]
   slicing bench-diff <baseline.json> <current.json> [--threshold T]
   slicing validate <file>...
   slicing recover --protocol ps|db [--procs N] [--events N] [--seed S]
@@ -60,6 +59,10 @@ fn usage() -> &'static str {
   slicing dot     <trace> [<predicate>]
   slicing fixture figure1|grid40
 
+`detect` and `profile` run one engine from the registry; the default,
+`slicing` (also spelled `slice`), slices the predicate and searches the
+slice. `bfs` is level-order search: on a computation it keeps two lattice
+layers of cuts alive, so `--max-live-cuts` bounds it by the widest layer.
 --log mirrors the SLICING_LOG environment variable (the flag wins) and
 prints leveled span/counter traces to stderr. --report writes the detect
 outcome as one `slicing.run-report/v1` JSON object to <path> (`-` for
@@ -227,14 +230,16 @@ fn run() -> Result<(), String> {
         }
         "detect" => {
             let (trace, pred_src) = two_args(&args)?;
-            let mut engine = "slice".to_owned();
+            let mut engine_name = "slice".to_owned();
             let mut limits = Limits::none();
-            let mut threads = 4usize;
             let mut it = args[3..].iter();
             while let Some(flag) = it.next() {
+                if flag == "--threads" {
+                    return Err(retired_option("--threads"));
+                }
                 let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
                 match flag.as_str() {
-                    "--engine" => engine = value.clone(),
+                    "--engine" => engine_name = value.clone(),
                     "--max-cuts" => {
                         limits.max_cuts = Some(value.parse().map_err(|e| format!("{e}"))?)
                     }
@@ -246,7 +251,6 @@ fn run() -> Result<(), String> {
                         let kb: u64 = value.parse().map_err(|e| format!("{e}"))?;
                         limits.max_bytes = Some(kb * 1024);
                     }
-                    "--threads" => threads = value.parse().map_err(|e| format!("{e}"))?,
                     "--timeout-ms" => {
                         let ms: u64 = value.parse().map_err(|e| format!("{e}"))?;
                         limits.max_elapsed = Some(std::time::Duration::from_millis(ms));
@@ -254,52 +258,18 @@ fn run() -> Result<(), String> {
                     other => return Err(format!("unknown flag {other}\n\n{}", usage())),
                 }
             }
+            let engine = parse_engine(&engine_name)?;
             let comp = load_trace(trace)?;
             let pred = parse_predicate(&comp, pred_src).map_err(|e| e.to_string())?;
-
-            let outcome = match engine.as_str() {
-                "slice" => {
-                    let spec = compile_predicate(&comp, &pred);
-                    let r = detect_with_slicing(&comp, &spec, &limits);
-                    println!(
-                        "slicing: {} (slice {} bytes, computed in {:?})",
-                        r.search, r.slice_bytes, r.slicing_elapsed
-                    );
-                    r.search
-                }
-                "bfs" => detect_bfs(&comp, &comp, &pred, &limits),
-                "dfs" => detect_dfs(&comp, &comp, &pred, &limits),
-                "pom" => detect_pom(&comp, &pred, &limits),
-                "reverse" => detect_reverse_search(&comp, &pred, &limits),
-                "parallel" => detect::detect_bfs_parallel(&comp, &comp, &pred, &limits, threads),
-                "lean" => detect::detect_lean(&comp, &comp, &pred, &limits),
-                "lean-parallel" => {
-                    detect::detect_lean_parallel(&comp, &comp, &pred, &limits, threads)
-                }
-                "hybrid" => {
-                    let spec = compile_predicate(&comp, &pred);
-                    let budget = detect::suggested_pom_budget(&comp, 4);
-                    let h = detect::detect_hybrid(&comp, &spec, budget, &limits);
-                    println!(
-                        "hybrid: answered by {:?} (POM budget {budget} bytes)",
-                        h.phase
-                    );
-                    match (h.phase, h.slicing) {
-                        (detect::HybridPhase::Slicing, Some(s)) => s.search,
-                        _ => h.pom,
-                    }
-                }
-                other => return Err(format!("unknown engine {other}\n\n{}", usage())),
-            };
-            if engine != "slice" {
-                println!("{engine}: {outcome}");
-            }
+            let spec = compile_predicate(&comp, &pred);
+            let outcome = engine.detect(&comp, &pred, &spec, &limits);
+            println!("{engine}: {outcome}");
             if let Some(path) = &report {
                 // A real slicing.run-report/v1 document (the same shape
                 // the bench binaries emit), so `slicing validate` and
                 // bench tooling can consume it.
                 let mut run =
-                    slicing_observe::RunReport::new(workload_name(trace), engine.as_str());
+                    slicing_observe::RunReport::new(workload_name(trace), engine_name.as_str());
                 run.procs = Some(comp.num_processes() as u64);
                 run.events = Some(comp.num_events() as u64);
                 run.detected = Some(outcome.detected());
@@ -458,8 +428,7 @@ fn run() -> Result<(), String> {
         "serve" => serve_cmd(&args, report.as_deref()),
         "profile" => {
             let (trace, pred_src) = two_args(&args)?;
-            let mut engine = "slice".to_owned();
-            let mut threads = 4usize;
+            let mut engine_name = "slice".to_owned();
             let mut folded = false;
             let mut out = None;
             let mut it = args[3..].iter();
@@ -467,35 +436,29 @@ fn run() -> Result<(), String> {
                 match flag.as_str() {
                     "--folded" => folded = true,
                     "--engine" => {
-                        engine = it.next().ok_or("--engine needs a value")?.clone();
+                        engine_name = it.next().ok_or("--engine needs a value")?.clone();
                     }
-                    "--threads" => {
-                        threads = it
-                            .next()
-                            .ok_or("--threads needs a value")?
-                            .parse()
-                            .map_err(|e| format!("{e}"))?;
-                    }
+                    "--threads" => return Err(retired_option("--threads")),
                     "--out" => out = Some(it.next().ok_or("--out needs a path")?.clone()),
                     other => return Err(format!("unknown flag {other}\n\n{}", usage())),
                 }
             }
+            let engine = parse_engine(&engine_name)?;
             let comp = load_trace(trace)?;
             let pred = parse_predicate(&comp, pred_src).map_err(|e| e.to_string())?;
+            let spec = compile_predicate(&comp, &pred);
 
-            // The profiler is the process-wide recorder for the run, so
-            // worker threads of the parallel engines report too. It
+            // The profiler is the process-wide recorder for the run. It
             // replaces any --log stderr logger for the profiled region.
             let profiler = std::sync::Arc::new(slicing_observe::Profiler::new());
             slicing_observe::install(profiler.clone());
-            let outcome = run_engine(&comp, &pred, &engine, &Limits::none(), threads);
+            let outcome = engine.detect(&comp, &pred, &spec, &Limits::none());
             slicing_observe::uninstall();
-            let outcome = outcome?;
 
             let mut profile = profiler.report();
             profile.workload = workload_name(trace);
             profile.predicate = pred_src.to_owned();
-            profile.engine = engine;
+            profile.engine = engine_name;
             let json = profile.to_json();
             if let Some(path) = &out {
                 std::fs::write(path, format!("{json}\n"))
@@ -714,38 +677,20 @@ fn recover_protocol<P: Protocol>(
     Ok(recover(make, spec_of, &subject, cfg))
 }
 
-/// Runs one detection engine by name, silently (no per-engine printing);
-/// shared by `slicing profile`.
-fn run_engine(
-    comp: &Computation,
-    pred: &computation_slicing::predicates::expr::ExprPredicate,
-    engine: &str,
-    limits: &Limits,
-    threads: usize,
-) -> Result<computation_slicing::Detection, String> {
-    Ok(match engine {
-        "slice" => {
-            let spec = compile_predicate(comp, pred);
-            detect_with_slicing(comp, &spec, limits).search
-        }
-        "bfs" => detect_bfs(comp, comp, pred, limits),
-        "dfs" => detect_dfs(comp, comp, pred, limits),
-        "pom" => detect_pom(comp, pred, limits),
-        "reverse" => detect_reverse_search(comp, pred, limits),
-        "parallel" => detect::detect_bfs_parallel(comp, comp, pred, limits, threads),
-        "lean" => detect::detect_lean(comp, comp, pred, limits),
-        "lean-parallel" => detect::detect_lean_parallel(comp, comp, pred, limits, threads),
-        "hybrid" => {
-            let spec = compile_predicate(comp, pred);
-            let budget = detect::suggested_pom_budget(comp, 4);
-            let h = detect::detect_hybrid(comp, &spec, budget, limits);
-            match (h.phase, h.slicing) {
-                (detect::HybridPhase::Slicing, Some(s)) => s.search,
-                _ => h.pom,
-            }
-        }
-        other => return Err(format!("unknown engine {other}\n\n{}", usage())),
+/// Parses an `--engine` value through the engine registry.
+fn parse_engine(name: &str) -> Result<Engine, String> {
+    name.parse().map_err(|e| match e {
+        ParseEngineError::Retired(_) => retired_option(&format!("--engine {name}")),
+        ParseEngineError::Unknown(_) => format!("{e}\n\n{}", usage()),
     })
+}
+
+/// The one error for an option of the removed lean and parallel engines.
+fn retired_option(flag: &str) -> String {
+    format!(
+        "{flag} is no longer supported: --engine bfs now has lean's memory bound \
+         (two lattice layers of live cuts) and runs on one thread"
+    )
 }
 
 /// The fixed profiling workload: a 40×40 grid (two processes, forty

@@ -66,9 +66,8 @@ fn stats_reports_the_figure1_reduction() {
 fn detect_engines_agree() {
     let trace = figure1_trace();
     let pred = "x1@0 * x2@1 + x3@2 < 5 && x1@0 > 1 && x3@2 <= 3";
-    for engine in [
-        "slice", "bfs", "dfs", "pom", "reverse", "parallel", "hybrid",
-    ] {
+    let registry = computation_slicing::detect::Engine::ALL.map(|e| e.name());
+    for engine in registry.into_iter().chain(["slice"]) {
         let out = slicing_with_stdin(&["detect", "-", pred, "--engine", engine], &trace);
         assert!(out.status.success(), "{engine}");
         let text = stdout(&out);
@@ -939,6 +938,34 @@ fn retired_checkpoint_format_fails_resume_with_a_restart_hint() {
         );
     }
     std::fs::remove_file(&ckpt).ok();
+}
+
+/// Options of the engines folded into level-order BFS fail `detect` and
+/// `profile` with one message naming the option and the way out, not a
+/// panic or a bare "unknown engine".
+#[test]
+fn retired_engine_options_fail_with_one_typed_message() {
+    let trace = figure1_trace();
+    for sub in ["detect", "profile"] {
+        for (option, flag) in [
+            (&["--engine", "lean"][..], "--engine lean"),
+            (&["--engine", "parallel"][..], "--engine parallel"),
+            (&["--engine", "lean-parallel"][..], "--engine lean-parallel"),
+            (&["--threads", "2"][..], "--threads"),
+        ] {
+            let mut args = vec![sub, "-", "x1@0 > 1"];
+            args.extend_from_slice(option);
+            let out = slicing_with_stdin(&args, &trace);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(!err.contains("panicked"), "{args:?}: {err}");
+            assert!(
+                err.contains(&format!("{flag} is no longer supported"))
+                    && err.contains("--engine bfs now has lean's memory bound"),
+                "{args:?}: {err}"
+            );
+        }
+    }
 }
 
 /// Malformed traces and predicates must come back as error messages, not
