@@ -1,8 +1,8 @@
 //! Scenario-zoo detection table: the leader-election, CRDT-replication,
 //! and work-queue workloads through the slicing pipeline and the
 //! partial-order-methods baseline, on fixed seeds with one injected
-//! corrupt fault each. The committed baseline — `BENCH_protocols.json`
-//! (schema `slicing.bench-protocols/v1`) — is what CI gates against.
+//! corrupt fault each. The committed baseline is `BENCH_protocols.json`,
+//! a `slicing.bench/v1` table.
 //!
 //! ```text
 //! cargo run --release -p slicing-bench --bin table_protocols -- \
@@ -13,12 +13,12 @@
 //! Two measurements per entry:
 //!
 //! - **wall_us_per_run** — mean wall-clock over `--reps` repetitions with
-//!   no recorder installed. Machine-dependent; reported, never gated.
+//!   no recorder installed. Machine-dependent; an `info` column, never
+//!   compared.
 //! - **detected / witness_size / cuts / probes / hits / inserts /
 //!   heap_allocs / row_joins** — exact functions of the seeded workload,
-//!   identical on every machine. `detected` and `witness_size` must
-//!   reproduce bit-for-bit; the effort counters get the usual 25% drift
-//!   allowance.
+//!   identical on every machine. `detected` and `witness_size` are
+//!   `exact` columns; the effort counters are `gated` at 25% drift.
 //!
 //! `--quick` only lowers `--reps`: the workloads (and therefore every
 //! deterministic counter) stay identical to the committed full run.
@@ -28,83 +28,39 @@ use std::time::Instant;
 
 use slicing_bench::Workload;
 use slicing_computation::{cut_heap_allocs, Computation};
-use slicing_detect::{detect_pom, detect_with_slicing, Limits};
-use slicing_observe::json::{JsonArray, JsonObject};
+use slicing_detect::{detect_pom, detect_with_slicing, Detection, Engine, Limits};
+use slicing_observe::diff::{exact, gated, info, BenchTable, Field};
 use slicing_observe::{Level, MemoryRecorder};
-
-struct Entry {
-    name: String,
-    engine: &'static str,
-    reps: u32,
-    wall_us: f64,
-    detected: bool,
-    witness_size: u64,
-    cuts: u64,
-    probes: u64,
-    hits: u64,
-    inserts: u64,
-    heap_allocs: u64,
-    row_joins: u64,
-}
-
-impl Entry {
-    fn to_json(&self) -> String {
-        JsonObject::new()
-            .str("name", &self.name)
-            .str("engine", self.engine)
-            .u64("reps", u64::from(self.reps))
-            .f64("wall_us_per_run", self.wall_us)
-            .bool("detected", self.detected)
-            .u64("witness_size", self.witness_size)
-            .u64("cuts_explored", self.cuts)
-            .u64("probes", self.probes)
-            .u64("hits", self.hits)
-            .u64("inserts", self.inserts)
-            .u64("heap_allocs", self.heap_allocs)
-            .u64("row_joins", self.row_joins)
-            .finish()
-    }
-}
 
 /// Runs `f` once under a trace recorder for the deterministic counters,
 /// then `reps` times bare for the wall clock.
-fn measure<F: FnMut() -> (bool, u64, u64)>(
-    name: impl Into<String>,
-    engine: &'static str,
-    reps: u32,
-    mut f: F,
-) -> Entry {
+fn measure<F: FnMut() -> Detection>(engine: Engine, reps: u32, mut f: F) -> Vec<Field> {
     let rec = Arc::new(MemoryRecorder::new(Level::Trace));
     let allocs_before = cut_heap_allocs();
-    let (detected, witness_size, cuts) = {
+    let d = {
         let _guard = slicing_observe::scoped(rec.clone());
         f()
     };
     let heap_allocs = cut_heap_allocs() - allocs_before;
-    let probes = rec.counter_total("detect.visited.probes");
-    let hits = rec.counter_total("detect.visited.hits");
-    let inserts = rec.counter_total("detect.visited.inserts");
-    let row_joins = rec.counter_total("slice.j_table.row_joins");
 
     let start = Instant::now();
     for _ in 0..reps {
         std::hint::black_box(f());
     }
     let wall_us = start.elapsed().as_secs_f64() * 1e6 / f64::from(reps.max(1));
-    Entry {
-        name: name.into(),
-        engine,
-        reps,
-        wall_us,
-        detected,
-        witness_size,
-        cuts,
-        probes,
-        hits,
-        inserts,
-        heap_allocs,
-        row_joins,
-    }
+    vec![
+        exact("engine", engine.name()),
+        info("reps", reps),
+        info("wall_us_per_run", wall_us),
+        exact("detected", d.detected()),
+        exact("witness_size", d.found.as_ref().map_or(0, |c| c.size())),
+        gated("cuts_explored", d.cuts_explored),
+        gated("probes", rec.counter_total("detect.visited.probes")),
+        gated("hits", rec.counter_total("detect.visited.hits")),
+        gated("inserts", rec.counter_total("detect.visited.inserts")),
+        gated("heap_allocs", heap_allocs),
+        gated("row_joins", rec.counter_total("slice.j_table.row_joins")),
+    ]
 }
 
 fn main() {
@@ -128,7 +84,12 @@ fn main() {
     }
     let reps = reps.unwrap_or(if quick { 5 } else { 50 });
     let limits = Limits::none();
-    let mut entries: Vec<Entry> = Vec::new();
+    let mut table = BenchTable::new("table_protocols")
+        .param("quick", quick)
+        .param("procs", procs as u64)
+        .param("events", events)
+        .param("seeds", seeds)
+        .param("reps", reps);
 
     for w in Workload::PROTOCOLS {
         // One corrupt fault per seed, injected into the protocol's own
@@ -142,16 +103,18 @@ fn main() {
             .collect();
         for (seed, comp) in faulty.iter().enumerate() {
             let name = format!("{}.s{seed}", w.name());
-            entries.push(measure(format!("slicing.{name}"), "slicing", reps, || {
-                let s = detect_with_slicing(comp, &w.violation_spec(comp), &limits);
-                let witness = s.search.found.as_ref().map_or(0, |c| c.size());
-                (s.detected(), witness, s.search.cuts_explored)
-            }));
-            entries.push(measure(format!("pom.{name}"), "pom", reps, || {
-                let d = detect_pom(comp, &w.violation_pred(comp), &limits);
-                let witness = d.found.as_ref().map_or(0, |c| c.size());
-                (d.detected(), witness, d.cuts_explored)
-            }));
+            table.row(
+                format!("slicing.{name}"),
+                measure(Engine::Slicing, reps, || {
+                    detect_with_slicing(comp, &w.violation_spec(comp), &limits).search
+                }),
+            );
+            table.row(
+                format!("pom.{name}"),
+                measure(Engine::Pom, reps, || {
+                    detect_pom(comp, &w.violation_pred(comp), &limits)
+                }),
+            );
         }
         // The warm-arena contract: once the measurement loop has warmed
         // every pool, further slicing reps must not touch the cut heap.
@@ -170,65 +133,18 @@ fn main() {
     println!(
         "# Scenario-zoo detection — n = {procs}, events/process = {events}, {seeds} seeds, {reps} reps"
     );
-    println!(
-        "{:<36} {:>12} {:>4} {:>8} {:>8} {:>8} {:>6} {:>8} {:>6} {:>9}",
-        "entry",
-        "wall µs/run",
-        "det",
-        "witness",
-        "cuts",
-        "probes",
-        "hits",
-        "inserts",
-        "alloc",
-        "row_join"
-    );
-    for e in &entries {
+    print!("{}", table.render_text());
+    for slicing in table.row_names().filter(|n| n.starts_with("slicing.")) {
+        let workload = &slicing["slicing.".len()..];
+        let pom = format!("pom.{workload}");
+        let wall = |row: &str| table.value(row, "wall_us_per_run").as_f64().unwrap_or(0.0);
         println!(
-            "{:<36} {:>12.1} {:>4} {:>8} {:>8} {:>8} {:>6} {:>8} {:>6} {:>9}",
-            e.name,
-            e.wall_us,
-            e.detected,
-            e.witness_size,
-            e.cuts,
-            e.probes,
-            e.hits,
-            e.inserts,
-            e.heap_allocs,
-            e.row_joins
+            "# {workload}: slicing explores {} cuts vs pom's {} ({:.2}× wall)",
+            table.u64(slicing, "cuts_explored"),
+            table.u64(&pom, "cuts_explored"),
+            wall(&pom) / wall(slicing)
         );
     }
-    for e in entries.iter().filter(|e| e.engine == "pom") {
-        let workload = e.name.strip_prefix("pom.").unwrap_or("");
-        let slicing = entries
-            .iter()
-            .find(|s| s.engine == "slicing" && s.name.ends_with(workload));
-        if let Some(s) = slicing {
-            println!(
-                "# {workload}: slicing explores {} cuts vs pom's {} ({:.2}× wall)",
-                s.cuts,
-                e.cuts,
-                e.wall_us / s.wall_us
-            );
-        }
-    }
-
-    let doc = JsonObject::new()
-        .str("schema", slicing_observe::schema::BENCH_PROTOCOLS)
-        .str("binary", "table_protocols")
-        .bool("quick", quick)
-        .u64("procs", procs as u64)
-        .u64("events", u64::from(events))
-        .u64("seeds", seeds)
-        .u64("reps", u64::from(reps))
-        .raw(
-            "entries",
-            &entries
-                .iter()
-                .fold(JsonArray::new(), |arr, e| arr.push_raw(&e.to_json()))
-                .finish(),
-        )
-        .finish();
-    std::fs::write(&out, format!("{doc}\n")).expect("write bench artifact");
-    eprintln!("# wrote {} entries to {out}", entries.len());
+    table.write(&out).expect("write bench artifact");
+    eprintln!("# wrote {out}");
 }

@@ -2,8 +2,8 @@
 //! stream — eight processes, churning integer values, cross-process
 //! messages — is served to 1, 16, and 256 tenants whose two-clause
 //! conjunctive predicates are drawn from a bounded pool, so large rosters
-//! overlap heavily. The committed artifact — `BENCH_serve.json` (schema
-//! `slicing.bench-serve/v1`) — is the baseline CI gates against.
+//! overlap heavily. The committed baseline is `BENCH_serve.json`, a
+//! `slicing.bench/v1` table.
 //!
 //! ```text
 //! cargo run --release -p slicing-bench --bin table_serve -- \
@@ -11,63 +11,35 @@
 //! ```
 //!
 //! Every reported number is a **deterministic counter** — a pure function
-//! of the seed and flags, identical on every machine. The sweep asserts
-//! its headline claims in-process before writing the artifact:
+//! of the seed and flags, identical on every machine. Per-event work
+//! (`cost_per_event_milli`) is clause evaluations plus settle probes per
+//! event, ×1000; `first_quarter_milli` and `last_quarter_milli` are the
+//! same figure over the first and last quarter of the stream. The sweep
+//! asserts its headline claims in-process before writing the artifact:
 //!
-//! - **Sublinear cost growth.** Per-event work (clause evaluations plus
-//!   settle probes, `cost_per_event_milli`) for 256 tenants stays under
-//!   `PRED_SHAPES`× (24×) the single-tenant cost — it tracks the number
-//!   of distinct predicates, never the roster size — because shared
-//!   sub-slices are keyed once per distinct clause bundle, not once per
-//!   tenant.
+//! - **Sublinear cost growth.** Per-event work for 256 tenants stays
+//!   under `PRED_SHAPES`× (24×) the single-tenant cost — it tracks the
+//!   number of distinct predicates, never the roster size — because
+//!   shared sub-slices are keyed once per distinct clause bundle, not
+//!   once per tenant.
 //! - **Bounded structure.** Distinct groups saturate at the predicate
 //!   pool size: 256 tenants fold onto the same few dozen shared groups.
+//! - **Flat cost in history length.** Every roster's last quarter costs
+//!   at most 25% (plus one probe) more per event than its first, on a
+//!   history four times longer, and the warm hub never allocates cut
+//!   storage.
 //!
 //! Wall-clock is intentionally absent: this table gates the *work* of the
 //! multiplexer, never time.
 
 use slicing_computation::{cut_heap_allocs, Value, VarRef};
-use slicing_detect::MonitorHub;
-use slicing_observe::json::{JsonArray, JsonObject};
+use slicing_detect::{HubStats, MonitorHub};
+use slicing_observe::diff::{exact, gated, BenchTable, Field};
 use slicing_predicates::{Conjunctive, LocalPredicate};
 
 /// Distinct predicate shapes tenants draw from; 256 tenants spread over
 /// this many groups, so group structure saturates early in the sweep.
 const PRED_SHAPES: usize = 24;
-
-struct Row {
-    name: String,
-    tenants: u64,
-    groups: u64,
-    slots: u64,
-    events: u64,
-    messages: u64,
-    alarms: u64,
-    check_cost: u64,
-    clause_evals: u64,
-    delta_cuts: u64,
-    cost_per_event_milli: u64,
-    heap_allocs: u64,
-}
-
-impl Row {
-    fn to_json(&self) -> String {
-        JsonObject::new()
-            .str("name", &self.name)
-            .u64("tenants", self.tenants)
-            .u64("groups", self.groups)
-            .u64("slots", self.slots)
-            .u64("events", self.events)
-            .u64("messages", self.messages)
-            .u64("alarms", self.alarms)
-            .u64("check_cost", self.check_cost)
-            .u64("clause_evals", self.clause_evals)
-            .u64("delta_cuts", self.delta_cuts)
-            .u64("cost_per_event_milli", self.cost_per_event_milli)
-            .u64("heap_allocs", self.heap_allocs)
-            .finish()
-    }
-}
 
 struct XorShift(u64);
 
@@ -148,9 +120,17 @@ fn shape_clauses(shape: usize, pool_len: usize) -> (usize, usize) {
     (a, b)
 }
 
+/// Per-event multiplexing work between two stats snapshots, ×1000:
+/// every clause evaluation plus every settle probe. The event ingest
+/// itself is tenant-independent and excluded.
+fn cost_milli(cur: &HubStats, prev: &HubStats) -> u64 {
+    let work = cur.clause_evals - prev.clause_evals + cur.check_cost - prev.check_cost;
+    work * 1000 / (cur.events - prev.events).max(1)
+}
+
 /// Serves the shared stream to `tenants` tenants on one hub and returns
 /// the sweep row.
-fn run_sweep(procs: usize, tenants: u64, stream: &[Step]) -> Row {
+fn run_sweep(procs: usize, tenants: u64, stream: &[Step]) -> Vec<Field> {
     let allocs_before = cut_heap_allocs();
     let mut hub = MonitorHub::new(procs);
     let vars: Vec<VarRef> = (0..procs)
@@ -164,11 +144,26 @@ fn run_sweep(procs: usize, tenants: u64, stream: &[Step]) -> Row {
         hub.add_tenant(&format!("t{i}"), &pred, &source)
             .expect("tenant registers");
     }
-    let registration_evals = hub.stats().clause_evals;
+    // Registration evaluates each clause on the initial state; that work
+    // is not per-event, so every figure starts from here.
+    let start = hub.stats();
+    let events = stream
+        .iter()
+        .filter(|s| matches!(s, Step::Event { .. }))
+        .count() as u64;
+    let quarter = events / 4;
+    let (mut first_quarter, mut last_quarter_start) = (start, start);
     let mut event_ids = Vec::new();
     for step in stream {
         match step {
             Step::Event { process, value } => {
+                let seen = event_ids.len() as u64;
+                if seen == quarter {
+                    first_quarter = hub.stats();
+                }
+                if seen == events - quarter {
+                    last_quarter_start = hub.stats();
+                }
                 let e = hub
                     .observe(*process, &[(vars[*process], Value::Int(*value))])
                     .expect("typed observation");
@@ -182,25 +177,24 @@ fn run_sweep(procs: usize, tenants: u64, stream: &[Step]) -> Row {
         hub.check_all();
     }
     let stats = hub.stats();
-    let clause_evals = stats.clause_evals - registration_evals;
-    // Per-event multiplexing work: every clause evaluation plus every
-    // settle probe, normalized by stream length. The event ingest itself
-    // is tenant-independent and excluded.
-    let work = clause_evals + stats.check_cost;
-    Row {
-        name: format!("tenants{tenants}"),
-        tenants,
-        groups: hub.group_count() as u64,
-        slots: hub.slot_count() as u64,
-        events: stats.events,
-        messages: stats.messages,
-        alarms: stats.alarms,
-        check_cost: stats.check_cost,
-        clause_evals,
-        delta_cuts: stats.delta_cuts,
-        cost_per_event_milli: work * 1000 / stats.events.max(1),
-        heap_allocs: cut_heap_allocs() - allocs_before,
-    }
+    vec![
+        exact("tenants", tenants),
+        gated("groups", hub.group_count() as u64),
+        gated("slots", hub.slot_count() as u64),
+        exact("events", stats.events),
+        exact("messages", stats.messages),
+        exact("alarms", stats.alarms),
+        gated("check_cost", stats.check_cost),
+        gated("clause_evals", stats.clause_evals - start.clause_evals),
+        gated("delta_cuts", stats.delta_cuts),
+        gated("cost_per_event_milli", cost_milli(&stats, &start)),
+        gated("first_quarter_milli", cost_milli(&first_quarter, &start)),
+        gated(
+            "last_quarter_milli",
+            cost_milli(&stats, &last_quarter_start),
+        ),
+        gated("heap_allocs", cut_heap_allocs() - allocs_before),
+    ]
 }
 
 fn main() {
@@ -225,102 +219,78 @@ fn main() {
 
     let stream = build_stream(procs, events);
     let sweep: &[u64] = &[1, 16, 256];
-    let rows: Vec<Row> = sweep
-        .iter()
-        .map(|&n| run_sweep(procs, n, &stream))
-        .collect();
-
-    let one = &rows[0];
-    let big = &rows[rows.len() - 1];
+    let mut table = BenchTable::new("table_serve")
+        .param("quick", quick)
+        .param("procs", procs as u64)
+        .param("events", events);
+    for &n in sweep {
+        table.row(format!("tenants{n}"), run_sweep(procs, n, &stream));
+    }
+    let rows: Vec<String> = table.row_names().map(str::to_owned).collect();
+    let cost = |row: &str| table.u64(row, "cost_per_event_milli");
+    let (one, big) = (&rows[0], &rows[rows.len() - 1]);
 
     // Headline claim 1: per-event work scales with the number of distinct
     // predicate shapes (the structure), never the roster size — a 256×
     // roster costs less than PRED_SHAPES× (24×) the single-tenant work,
     // an order of magnitude under linear.
     assert!(
-        big.cost_per_event_milli < one.cost_per_event_milli * PRED_SHAPES as u64,
-        "multiplexing cost is not sublinear: {} tenants at {} milli/event vs 1 tenant at {}",
-        big.tenants,
-        big.cost_per_event_milli,
-        one.cost_per_event_milli
+        cost(big) < cost(one) * PRED_SHAPES as u64,
+        "multiplexing cost is not sublinear: {big} at {} milli/event vs {one} at {}",
+        cost(big),
+        cost(one)
     );
     // Per-event cost grows with roster size (more distinct groups), it
     // just grows sublinearly.
     for pair in rows.windows(2) {
         assert!(
-            pair[0].cost_per_event_milli <= pair[1].cost_per_event_milli,
+            cost(&pair[0]) <= cost(&pair[1]),
             "cost should be monotone in tenants: {} then {}",
-            pair[0].cost_per_event_milli,
-            pair[1].cost_per_event_milli
+            cost(&pair[0]),
+            cost(&pair[1])
         );
     }
     // Headline claim 2: group structure saturates at the predicate pool.
+    let (groups, tenants) = (table.u64(big, "groups"), table.u64(big, "tenants"));
     assert!(
-        big.groups <= PRED_SHAPES as u64 && big.groups < big.tenants,
-        "groups did not saturate: {} groups for {} tenants",
-        big.groups,
-        big.tenants
+        groups <= PRED_SHAPES as u64 && groups < tenants,
+        "groups did not saturate: {groups} groups for {tenants} tenants"
     );
-    assert!(
-        rows.iter().all(|r| r.alarms > 0),
-        "a sweep row never alarmed — workload too weak"
-    );
+    for row in &rows {
+        assert!(
+            table.u64(row, "alarms") > 0,
+            "{row} never alarmed — workload too weak"
+        );
+        // Headline claim 3: per-event work is flat in history length. The
+        // last quarter watches a history four times longer than the
+        // first; an O(history) check would scale its cost by as much.
+        // Allow 25% plus one probe of absolute slack.
+        let (first, last) = (
+            table.u64(row, "first_quarter_milli"),
+            table.u64(row, "last_quarter_milli"),
+        );
+        assert!(
+            last <= first * 125 / 100 + 1000,
+            "{row}: per-event work grew with history length: {first} -> {last} milli/event"
+        );
+        assert_eq!(
+            table.u64(row, "heap_allocs"),
+            0,
+            "{row}: the warm hub allocated cut storage"
+        );
+    }
 
     println!(
         "# Tenant sweep — {procs} procs, {events} events, {PRED_SHAPES} predicate shapes, sweep {sweep:?}"
     );
-    println!(
-        "{:<12} {:>7} {:>6} {:>6} {:>9} {:>8} {:>8} {:>11} {:>12} {:>12} {:>8}",
-        "row",
-        "tenants",
-        "groups",
-        "slots",
-        "events",
-        "messages",
-        "alarms",
-        "cost",
-        "clause_eval",
-        "milli/event",
-        "alloc"
-    );
-    for r in &rows {
-        println!(
-            "{:<12} {:>7} {:>6} {:>6} {:>9} {:>8} {:>8} {:>11} {:>12} {:>12} {:>8}",
-            r.name,
-            r.tenants,
-            r.groups,
-            r.slots,
-            r.events,
-            r.messages,
-            r.alarms,
-            r.check_cost,
-            r.clause_evals,
-            r.cost_per_event_milli,
-            r.heap_allocs
-        );
-    }
+    print!("{}", table.render_text());
     println!(
         "# sublinear: {}x tenants for {:.1}x per-event work ({} -> {} milli/event)",
-        big.tenants / one.tenants,
-        big.cost_per_event_milli as f64 / one.cost_per_event_milli.max(1) as f64,
-        one.cost_per_event_milli,
-        big.cost_per_event_milli
+        tenants / table.u64(one, "tenants"),
+        cost(big) as f64 / cost(one).max(1) as f64,
+        cost(one),
+        cost(big)
     );
-
-    let doc = JsonObject::new()
-        .str("schema", slicing_observe::schema::BENCH_SERVE)
-        .str("binary", "table_serve")
-        .bool("quick", quick)
-        .u64("procs", procs as u64)
-        .u64("events", events)
-        .raw(
-            "entries",
-            &rows
-                .iter()
-                .fold(JsonArray::new(), |arr, r| arr.push_raw(&r.to_json()))
-                .finish(),
-        )
-        .finish();
-    std::fs::write(&out, format!("{doc}\n")).expect("write bench artifact");
-    eprintln!("# wrote {} rows to {out}", rows.len());
+    table.write(&out).expect("write bench artifact");
+    eprintln!("# wrote {out}");
 }

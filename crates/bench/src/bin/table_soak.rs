@@ -3,8 +3,8 @@
 //! bursts, acknowledged alarms — flows through an [`OnlineMonitor`] with
 //! causal-stability garbage collection on, is killed at the midpoint,
 //! checkpointed through the `slicing.serve-checkpoint/v1` codec, restored,
-//! and run to completion. The committed artifact — `BENCH_soak.json` (schema
-//! `slicing.bench-soak/v1`) — is the baseline CI gates against.
+//! and run to completion. The committed baseline is `BENCH_soak.json`, a
+//! `slicing.bench/v1` table.
 //!
 //! ```text
 //! cargo run --release -p slicing-bench --bin table_soak -- \
@@ -14,7 +14,7 @@
 //!
 //! Every reported number is a **deterministic counter** — a pure function
 //! of the seed and flags, identical on every machine. The soak asserts
-//! its two headline claims in-process before writing the artifact:
+//! its headline claims in-process before writing the artifact:
 //!
 //! - **Bounded retention.** `retained_peak` — the high-water mark of the
 //!   `serve.retained_events` gauge — stays below a constant derived
@@ -26,6 +26,8 @@
 //!   even though the last segment sits on a history several times
 //!   longer — and even though the stream was killed and restored from a
 //!   checkpoint in between.
+//! - **Invisible GC.** The GC'd first segment equals the un-GC'd prefix
+//!   on events, messages, alarms, checks and check cost.
 //!
 //! The kill happens at the exact stream midpoint: the monitor is
 //! checkpointed to a real file with [`write_hub_checkpoint`], dropped,
@@ -41,8 +43,8 @@
 use std::collections::VecDeque;
 
 use slicing_computation::{cut_heap_allocs, Value};
-use slicing_detect::{GcConfig, OnlineMonitor};
-use slicing_observe::json::{JsonArray, JsonObject};
+use slicing_detect::{GcConfig, HubStats, OnlineMonitor};
+use slicing_observe::diff::{exact, gated, BenchTable, Field};
 use slicing_predicates::LocalPredicate;
 use slicing_recover::{load_checkpoint, resume_monitor, write_hub_checkpoint};
 
@@ -54,38 +56,24 @@ const LATENESS_WINDOW: usize = 32;
 /// fires every this-many steps, guaranteeing alarms throughout the soak.
 const BURST_PERIOD: u64 = 4096;
 
-struct Row {
-    name: String,
-    events: u64,
-    messages: u64,
-    checks: u64,
-    alarms: u64,
-    check_cost: u64,
-    cost_per_event_milli: u64,
-    delta_cuts: u64,
-    compactions: u64,
-    dropped_events: u64,
-    retained_peak: u64,
-    heap_allocs: u64,
-}
-
-impl Row {
-    fn to_json(&self) -> String {
-        JsonObject::new()
-            .str("name", &self.name)
-            .u64("events", self.events)
-            .u64("messages", self.messages)
-            .u64("checks", self.checks)
-            .u64("alarms", self.alarms)
-            .u64("check_cost", self.check_cost)
-            .u64("cost_per_event_milli", self.cost_per_event_milli)
-            .u64("delta_cuts", self.delta_cuts)
-            .u64("compactions", self.compactions)
-            .u64("dropped_events", self.dropped_events)
-            .u64("retained_peak", self.retained_peak)
-            .u64("heap_allocs", self.heap_allocs)
-            .finish()
-    }
+/// One soak row: the work between two stats snapshots. Stream shape
+/// and verdicts are `exact` columns; the work counters are `gated`.
+fn soak_row(cur: &HubStats, prev: &HubStats, retained_peak: u64, heap_allocs: u64) -> Vec<Field> {
+    let events = cur.events - prev.events;
+    let check_cost = cur.check_cost - prev.check_cost;
+    vec![
+        exact("events", events),
+        exact("messages", cur.messages - prev.messages),
+        gated("checks", cur.checks - prev.checks),
+        exact("alarms", cur.alarms - prev.alarms),
+        gated("check_cost", check_cost),
+        gated("cost_per_event_milli", check_cost * 1000 / events.max(1)),
+        gated("delta_cuts", cur.delta_cuts - prev.delta_cuts),
+        gated("compactions", cur.compactions - prev.compactions),
+        gated("dropped_events", cur.dropped_events - prev.dropped_events),
+        gated("retained_peak", retained_peak),
+        gated("heap_allocs", heap_allocs),
+    ]
 }
 
 struct XorShift(u64);
@@ -258,38 +246,38 @@ fn main() {
         every: gc_every,
     };
 
+    let mut table = BenchTable::new("table_soak")
+        .param("quick", quick)
+        .param("procs", procs as u64)
+        .param("segments", segments)
+        .param("events_per_segment", per_segment)
+        .param("gc_lag", gc_lag)
+        .param("gc_every", gc_every);
+
     // The linear-growth foil: the same stream prefix through an un-GC'd
     // monitor. One segment is plenty to dwarf the GC'd peak.
-    let plain_events = per_segment;
     let mut plain = fresh(procs, None);
     let mut plain_load = Workload::new(procs);
     let plain_allocs = cut_heap_allocs();
-    for _ in 0..plain_events {
+    for _ in 0..per_segment {
         plain_load.step(&mut plain);
     }
-    let ps = plain.stats();
     let plain_retained = plain.retained_events();
-    let plain_row = Row {
-        name: "plain_prefix".to_owned(),
-        events: ps.events,
-        messages: ps.messages,
-        checks: ps.checks,
-        alarms: ps.alarms,
-        check_cost: ps.check_cost,
-        cost_per_event_milli: ps.check_cost * 1000 / ps.events.max(1),
-        delta_cuts: ps.delta_cuts,
-        compactions: ps.compactions,
-        dropped_events: ps.dropped_events,
-        retained_peak: plain_retained,
-        heap_allocs: cut_heap_allocs() - plain_allocs,
-    };
+    table.row(
+        "plain_prefix",
+        soak_row(
+            &plain.stats(),
+            &HubStats::default(),
+            plain_retained,
+            cut_heap_allocs() - plain_allocs,
+        ),
+    );
     drop(plain);
 
     // The soak proper: same generator, GC on, killed and restored at the
     // exact midpoint.
     let mut m = fresh(procs, Some(gc));
     let mut load = Workload::new(procs);
-    let mut rows: Vec<Row> = vec![plain_row];
     let mut prev = m.stats();
     for seg in 1..=segments {
         let allocs_before = cut_heap_allocs();
@@ -300,22 +288,15 @@ fn main() {
             m = kill_and_resume(m, procs);
         }
         let cur = m.stats();
-        let seg_events = cur.events - prev.events;
-        let check_cost = cur.check_cost - prev.check_cost;
-        rows.push(Row {
-            name: format!("segment{seg}"),
-            events: seg_events,
-            messages: cur.messages - prev.messages,
-            checks: cur.checks - prev.checks,
-            alarms: cur.alarms - prev.alarms,
-            check_cost,
-            cost_per_event_milli: check_cost * 1000 / seg_events.max(1),
-            delta_cuts: cur.delta_cuts - prev.delta_cuts,
-            compactions: cur.compactions - prev.compactions,
-            dropped_events: cur.dropped_events - prev.dropped_events,
-            retained_peak: cur.retained_peak,
-            heap_allocs: cut_heap_allocs() - allocs_before,
-        });
+        table.row(
+            format!("segment{seg}"),
+            soak_row(
+                &cur,
+                &prev,
+                cur.retained_peak,
+                cut_heap_allocs() - allocs_before,
+            ),
+        );
         prev = cur;
     }
     let stats = m.stats();
@@ -331,9 +312,15 @@ fn main() {
         "retention is not bounded: peak {} > roof {roof}",
         stats.retained_peak
     );
+    // The un-GC'd prefix retains one event per observation; the GC'd
+    // stream keeps an order of magnitude less.
     assert!(
-        stats.retained_peak < plain_retained,
-        "GC'd peak {} should undercut the un-GC'd prefix {}",
+        plain_retained >= per_segment,
+        "the un-GC'd prefix retained {plain_retained} of {per_segment} events"
+    );
+    assert!(
+        stats.retained_peak * 10 < plain_retained,
+        "GC'd peak {} should undercut a tenth of the un-GC'd prefix {}",
         stats.retained_peak,
         plain_retained
     );
@@ -345,68 +332,32 @@ fn main() {
 
     // Headline claim 2: per-event check cost is flat across segments —
     // including across the midpoint kill/restore.
-    let first = &rows[1];
-    let last = &rows[rows.len() - 1];
+    let last_row = format!("segment{segments}");
+    let first = table.u64("segment1", "cost_per_event_milli");
+    let last = table.u64(&last_row, "cost_per_event_milli");
     assert!(
-        last.cost_per_event_milli <= first.cost_per_event_milli * 125 / 100 + 1000,
-        "per-event check cost grew with history length: {} -> {} milliprobe/event",
-        first.cost_per_event_milli,
-        last.cost_per_event_milli
+        last <= first * 125 / 100 + 1000,
+        "per-event check cost grew with history length: {first} -> {last} milliprobe/event"
     );
+
+    // Headline claim 3: GC is invisible — the GC'd first segment replays
+    // the un-GC'd prefix's stream with identical verdicts and work.
+    for column in ["events", "messages", "alarms", "checks", "check_cost"] {
+        assert_eq!(
+            table.value("segment1", column),
+            table.value("plain_prefix", column),
+            "GC changed {column} on the first segment"
+        );
+    }
 
     println!(
         "# Run-forever soak — {procs} procs, {segments}×{per_segment} events, GC lag {gc_lag} / every {gc_every}, kill+resume at midpoint"
     );
+    print!("{}", table.render_text());
     println!(
-        "{:<13} {:>9} {:>9} {:>8} {:>11} {:>12} {:>8} {:>9} {:>10} {:>6}",
-        "row",
-        "events",
-        "messages",
-        "alarms",
-        "cost",
-        "milli/event",
-        "compact",
-        "dropped",
-        "ret. peak",
-        "alloc"
+        "# retention: GC'd peak {} vs un-GC'd prefix {plain_retained} (roof {roof}); cost {first} -> {last} milliprobe/event (flat across kill+resume)",
+        stats.retained_peak
     );
-    for r in &rows {
-        println!(
-            "{:<13} {:>9} {:>9} {:>8} {:>11} {:>12} {:>8} {:>9} {:>10} {:>6}",
-            r.name,
-            r.events,
-            r.messages,
-            r.alarms,
-            r.check_cost,
-            r.cost_per_event_milli,
-            r.compactions,
-            r.dropped_events,
-            r.retained_peak,
-            r.heap_allocs
-        );
-    }
-    println!(
-        "# retention: GC'd peak {} vs un-GC'd prefix {} (roof {roof}); cost {} -> {} milliprobe/event (flat across kill+resume)",
-        stats.retained_peak, plain_retained, first.cost_per_event_milli, last.cost_per_event_milli
-    );
-
-    let doc = JsonObject::new()
-        .str("schema", slicing_observe::schema::BENCH_SOAK)
-        .str("binary", "table_soak")
-        .bool("quick", quick)
-        .u64("procs", procs as u64)
-        .u64("segments", segments)
-        .u64("events_per_segment", per_segment)
-        .u64("gc_lag", u64::from(gc_lag))
-        .u64("gc_every", gc_every)
-        .raw(
-            "entries",
-            &rows
-                .iter()
-                .fold(JsonArray::new(), |arr, r| arr.push_raw(&r.to_json()))
-                .finish(),
-        )
-        .finish();
-    std::fs::write(&out, format!("{doc}\n")).expect("write bench artifact");
-    eprintln!("# wrote {} rows to {out}", rows.len());
+    table.write(&out).expect("write bench artifact");
+    eprintln!("# wrote {out}");
 }

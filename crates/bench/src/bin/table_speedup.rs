@@ -1,8 +1,7 @@
 //! Detection-throughput table for the cut kernel: wall-clock per run and
 //! deterministic search-effort counters for every engine on fixed
-//! workloads. The repo's first perf artifact — `BENCH_detect.json`
-//! (schema `slicing.bench-detect/v1`) is the committed baseline CI gates
-//! against.
+//! workloads. The committed baseline is `BENCH_detect.json`, a
+//! `slicing.bench/v1` table.
 //!
 //! ```text
 //! cargo run --release -p slicing-bench --bin table_speedup -- \
@@ -11,99 +10,69 @@
 //!
 //! Two measurements per entry:
 //!
-//! - **wall_us_per_run** — mean wall-clock over `--reps` repetitions with
-//!   no recorder installed. Machine-dependent; reported, never gated.
-//! - **cuts / probes / hits / inserts / heap_allocs** — exact functions of
-//!   the workload (visited-set effort counters and spilled-cut
-//!   allocations), identical on every machine. CI fails when these regress
-//!   more than 25% against the committed baseline.
+//! - **wall_us_per_run** — mean wall-clock over `reps` repetitions with
+//!   no recorder installed. Machine-dependent; an `info` column, never
+//!   compared.
+//! - **cuts / probes / hits / inserts / heap_allocs / row_joins /
+//!   peak_live_cuts / layers** — exact functions of the workload
+//!   (visited-set effort, spilled-cut allocations, slicer J-table work,
+//!   the live-cut high-water mark and the lattice layers walked),
+//!   identical on every machine. `gated` columns: `bench-diff` fails when
+//!   one drifts more than 25% from the committed baseline.
 //!
 //! `--quick` only lowers `--reps`: the workloads (and therefore every
-//! deterministic counter) stay identical to the committed full run.
+//! deterministic counter) stay identical to the committed full run. The
+//! binary asserts two bars itself: on the exhaustive grid sweep the live
+//! set stays within 10% of the cuts explored, and warm slicing reps never
+//! touch the cut heap.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use slicing_bench::{measure_slicing, Workload};
+use slicing_bench::Workload;
 use slicing_computation::test_fixtures::{grid, hypercube};
 use slicing_computation::{cut_heap_allocs, ProcSet};
-use slicing_detect::{detect_bfs, detect_dfs, Limits};
-use slicing_observe::json::{JsonArray, JsonObject};
+use slicing_detect::{detect_bfs, detect_dfs, detect_with_slicing, Detection, Engine, Limits};
+use slicing_observe::diff::{exact, gated, info, BenchTable, Field};
 use slicing_observe::{Level, MemoryRecorder};
 use slicing_predicates::FnPredicate;
 
-struct Entry {
-    name: String,
-    engine: &'static str,
-    reps: u32,
-    wall_us: f64,
-    detected: bool,
-    cuts: u64,
-    probes: u64,
-    hits: u64,
-    inserts: u64,
-    heap_allocs: u64,
-    /// J-table row joins in the kernelized slicer
-    /// (`slice.j_table.row_joins`); zero outside the slicing pipeline.
-    row_joins: u64,
-}
-
-impl Entry {
-    fn to_json(&self) -> String {
-        JsonObject::new()
-            .str("name", &self.name)
-            .str("engine", self.engine)
-            .u64("reps", u64::from(self.reps))
-            .f64("wall_us_per_run", self.wall_us)
-            .bool("detected", self.detected)
-            .u64("cuts_explored", self.cuts)
-            .u64("probes", self.probes)
-            .u64("hits", self.hits)
-            .u64("inserts", self.inserts)
-            .u64("heap_allocs", self.heap_allocs)
-            .u64("row_joins", self.row_joins)
-            .finish()
-    }
-}
-
 /// Runs `f` once under a trace recorder for the deterministic counters,
-/// then `reps` times bare for the wall clock.
-fn measure<F: FnMut() -> (bool, u64)>(
-    name: impl Into<String>,
-    engine: &'static str,
-    reps: u32,
-    mut f: F,
-) -> Entry {
+/// then `reps` times bare for the wall clock. `f` returns the verdict,
+/// cuts explored and peak live cuts.
+fn measure<F: FnMut() -> (bool, u64, u64)>(engine: Engine, reps: u32, mut f: F) -> Vec<Field> {
     let rec = Arc::new(MemoryRecorder::new(Level::Trace));
     let allocs_before = cut_heap_allocs();
-    let (detected, cuts) = {
+    let (detected, cuts, peak_live_cuts) = {
         let _guard = slicing_observe::scoped(rec.clone());
         f()
     };
     let heap_allocs = cut_heap_allocs() - allocs_before;
-    let probes = rec.counter_total("detect.visited.probes");
-    let hits = rec.counter_total("detect.visited.hits");
-    let inserts = rec.counter_total("detect.visited.inserts");
-    let row_joins = rec.counter_total("slice.j_table.row_joins");
 
     let start = Instant::now();
     for _ in 0..reps {
         std::hint::black_box(f());
     }
     let wall_us = start.elapsed().as_secs_f64() * 1e6 / f64::from(reps.max(1));
-    Entry {
-        name: name.into(),
-        engine,
-        reps,
-        wall_us,
-        detected,
-        cuts,
-        probes,
-        hits,
-        inserts,
-        heap_allocs,
-        row_joins,
-    }
+    vec![
+        exact("engine", engine.name()),
+        info("reps", reps),
+        info("wall_us_per_run", wall_us),
+        exact("detected", detected),
+        gated("cuts_explored", cuts),
+        gated("probes", rec.counter_total("detect.visited.probes")),
+        gated("hits", rec.counter_total("detect.visited.hits")),
+        gated("inserts", rec.counter_total("detect.visited.inserts")),
+        gated("heap_allocs", heap_allocs),
+        gated("row_joins", rec.counter_total("slice.j_table.row_joins")),
+        gated("peak_live_cuts", peak_live_cuts),
+        gated("layers", rec.counter_total("detect.bfs.layers")),
+    ]
+}
+
+/// The verdict, cuts explored and peak live cuts of one search.
+fn outcome(d: &Detection) -> (bool, u64, u64) {
+    (d.detected(), d.cuts_explored, d.max_stored_cuts)
 }
 
 fn main() {
@@ -125,30 +94,40 @@ fn main() {
     }
     let reps = reps.unwrap_or(if quick { 20 } else { 200 });
     let limits = Limits::none();
-    let mut entries: Vec<Entry> = Vec::new();
+    let mut table = BenchTable::new("table_speedup")
+        .param("quick", quick)
+        .param("grid", grid_size)
+        .param("reps", reps)
+        .param("seeds", seeds);
 
     // Exhaustive lattice sweeps: the never-predicate forces every engine
     // through all (grid+1)² cuts, making the visited set the hot path.
+    let grid_row = format!("bfs.grid{grid_size}");
     let comp = grid(grid_size, grid_size);
     let never = FnPredicate::new(ProcSet::all(2), "false", |_| false);
-    entries.push(measure(format!("bfs.grid{grid_size}"), "bfs", reps, || {
-        let d = detect_bfs(&comp, &comp, &never, &limits);
-        (d.detected(), d.cuts_explored)
-    }));
-    entries.push(measure(format!("dfs.grid{grid_size}"), "dfs", reps, || {
-        let d = detect_dfs(&comp, &comp, &never, &limits);
-        (d.detected(), d.cuts_explored)
-    }));
+    table.row(
+        &grid_row,
+        measure(Engine::Bfs, reps, || {
+            outcome(&detect_bfs(&comp, &comp, &never, &limits))
+        }),
+    );
+    table.row(
+        format!("dfs.grid{grid_size}"),
+        measure(Engine::Dfs, reps, || {
+            outcome(&detect_dfs(&comp, &comp, &never, &limits))
+        }),
+    );
 
     // Wide lattice layers: a 5-process hypercube's middle layers are
     // thousands of cuts wide, where the layer-local dedup store pays most.
     let cube = hypercube(5, 8);
     let never5 = FnPredicate::new(ProcSet::all(5), "false", |_| false);
-    let cube_reps = (reps / 4).max(1);
-    entries.push(measure("bfs.cube5x8", "bfs", cube_reps, || {
-        let d = detect_bfs(&cube, &cube, &never5, &limits);
-        (d.detected(), d.cuts_explored)
-    }));
+    table.row(
+        "bfs.cube5x8",
+        measure(Engine::Bfs, (reps / 4).max(1), || {
+            outcome(&detect_bfs(&cube, &cube, &never5, &limits))
+        }),
+    );
 
     // The paper's protocol workloads (Figures 2/3) through the slicing
     // pipeline: slice construction dominates, search explores few cuts.
@@ -159,28 +138,24 @@ fn main() {
                 w.inject_fault(&comp, seed)
             })
             .collect();
-        entries.push(measure(
+        let slice_all = || {
+            faulty
+                .iter()
+                .fold((false, 0, 0), |(det, cuts, peak), comp| {
+                    let s = detect_with_slicing(comp, &w.violation_spec(comp), &limits);
+                    let (d, c, p) = outcome(&s.search);
+                    (det | d, cuts + c, peak.max(p))
+                })
+        };
+        table.row(
             format!("slicing.{}", w.name()),
-            "slicing",
-            (reps / 20).max(1),
-            || {
-                let mut detected = false;
-                let mut cuts = 0;
-                for comp in &faulty {
-                    let s = measure_slicing(w, comp, &limits);
-                    detected |= s.detected;
-                    cuts += s.cuts;
-                }
-                (detected, cuts)
-            },
-        ));
+            measure(Engine::Slicing, (reps / 20).max(1), slice_all),
+        );
         // The warm-arena contract the slicer kernel rests on: once the
         // measurement loop above has warmed every pool, further slicing
         // reps must not touch the cut heap at all.
         let warm_allocs = cut_heap_allocs();
-        for comp in &faulty {
-            std::hint::black_box(measure_slicing(w, comp, &limits));
-        }
+        std::hint::black_box(slice_all());
         assert_eq!(
             cut_heap_allocs(),
             warm_allocs,
@@ -189,33 +164,21 @@ fn main() {
         );
     }
 
-    println!("# Detection throughput — grid {grid_size}×{grid_size}, {reps} reps, {seeds} protocol seeds");
-    println!(
-        "{:<32} {:>12} {:>10} {:>10} {:>10} {:>10} {:>6} {:>9}",
-        "entry", "wall µs/run", "cuts", "probes", "hits", "inserts", "alloc", "row_join"
+    // The two-layer live-set bar: on the exhaustive grid sweep the engine
+    // keeps at most 10% of the cuts it explores alive at once.
+    let peak = table.u64(&grid_row, "peak_live_cuts");
+    let explored = table.u64(&grid_row, "cuts_explored");
+    assert!(
+        peak * 10 <= explored,
+        "{grid_row}: peak live {peak} cuts exceeds 10% of the {explored} explored"
     );
-    for e in &entries {
-        println!(
-            "{:<32} {:>12.1} {:>10} {:>10} {:>10} {:>10} {:>6} {:>9}",
-            e.name, e.wall_us, e.cuts, e.probes, e.hits, e.inserts, e.heap_allocs, e.row_joins
-        );
-    }
 
-    let doc = JsonObject::new()
-        .str("schema", slicing_observe::schema::BENCH_DETECT)
-        .str("binary", "table_speedup")
-        .bool("quick", quick)
-        .u64("grid", u64::from(grid_size))
-        .u64("reps", u64::from(reps))
-        .u64("seeds", seeds)
-        .raw(
-            "entries",
-            &entries
-                .iter()
-                .fold(JsonArray::new(), |arr, e| arr.push_raw(&e.to_json()))
-                .finish(),
-        )
-        .finish();
-    std::fs::write(&out, format!("{doc}\n")).expect("write bench artifact");
-    eprintln!("# wrote {} entries to {out}", entries.len());
+    println!("# Detection throughput — grid {grid_size}×{grid_size}, {reps} reps, {seeds} protocol seeds");
+    print!("{}", table.render_text());
+    println!(
+        "# {grid_row}: peak live {peak} cuts = {:.1}% of the {explored} explored",
+        100.0 * peak as f64 / explored as f64
+    );
+    table.write(&out).expect("write bench artifact");
+    eprintln!("# wrote {out}");
 }

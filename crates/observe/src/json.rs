@@ -262,6 +262,64 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// Renders the value as JSON text. Integral numbers below 2⁵³ print
+    /// without a fraction, so counters round-trip as integers.
+    pub fn to_json(&self) -> String {
+        match self {
+            JsonValue::Null => "null".to_owned(),
+            JsonValue::Bool(b) => b.to_string(),
+            JsonValue::Number(n) if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 => {
+                (*n as i64).to_string()
+            }
+            JsonValue::Number(n) => number(*n),
+            JsonValue::String(s) => escape(s),
+            JsonValue::Array(items) => items
+                .iter()
+                .fold(JsonArray::new(), |arr, v| arr.push_raw(&v.to_json()))
+                .finish(),
+            JsonValue::Object(fields) => fields
+                .iter()
+                .fold(JsonObject::new(), |obj, (k, v)| obj.raw(k, &v.to_json()))
+                .finish(),
+        }
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(v: bool) -> Self {
+        JsonValue::Bool(v)
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(v: u64) -> Self {
+        JsonValue::Number(v as f64)
+    }
+}
+
+impl From<u32> for JsonValue {
+    fn from(v: u32) -> Self {
+        JsonValue::Number(f64::from(v))
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(v: f64) -> Self {
+        JsonValue::Number(v)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(v: &str) -> Self {
+        JsonValue::String(v.to_owned())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(v: String) -> Self {
+        JsonValue::String(v)
+    }
 }
 
 /// Why [`parse`] rejected a document.

@@ -2,7 +2,7 @@
 //!
 //! Every machine-readable document a binary in this workspace emits
 //! carries a `"schema"` field naming its shape and version (for example
-//! `"slicing.bench-detect/v1"`). This module owns those version strings —
+//! `"slicing.bench/v1"`). This module owns those version strings —
 //! bench binaries and the CLI reference the constants here instead of
 //! re-typing literals — and provides [`validate`], a structural check
 //! that the CI pipeline (and `slicing validate`) runs over emitted
@@ -21,17 +21,9 @@ pub const RUN_REPORT: &str = "slicing.run-report/v1";
 /// A set of runs from one binary: [`crate::RunReportSet`].
 pub const BENCH_REPORT: &str = "slicing.bench-report/v1";
 
-/// `table_speedup`'s kernel baseline (`BENCH_detect.json`).
-pub const BENCH_DETECT: &str = "slicing.bench-detect/v1";
-
-/// `table_memory`'s space baseline (`BENCH_memory.json`).
-pub const BENCH_MEMORY: &str = "slicing.bench-memory/v1";
-
-/// `table_online`'s soak baseline (`BENCH_online.json`).
-pub const BENCH_ONLINE: &str = "slicing.bench-online/v1";
-
-/// The CLI `monitor` subcommand's stream summary.
-pub const MONITOR_REPORT: &str = "slicing.monitor-report/v1";
+/// A bench table — every committed `BENCH_*.json` baseline
+/// ([`crate::diff::BenchTable`]).
+pub const BENCH: &str = "slicing.bench/v1";
 
 /// The recovery pipeline's outcome document.
 pub const RECOVERY_REPORT: &str = "slicing.recovery-report/v1";
@@ -45,17 +37,8 @@ pub const METRICS: &str = "slicing.metrics/v1";
 /// The verdict document `slicing bench-diff` emits.
 pub const BENCH_DIFF: &str = "slicing.bench-diff/v1";
 
-/// `table_soak`'s long-run baseline (`BENCH_soak.json`).
-pub const BENCH_SOAK: &str = "slicing.bench-soak/v1";
-
-/// `table_protocols`' scenario-zoo baseline (`BENCH_protocols.json`).
-pub const BENCH_PROTOCOLS: &str = "slicing.bench-protocols/v1";
-
-/// The CLI `serve` subcommand's multi-tenant stream summary.
+/// The stream summary of `slicing serve` and `slicing monitor`.
 pub const SERVE_REPORT: &str = "slicing.serve-report/v1";
-
-/// `table_serve`'s tenant-sweep baseline (`BENCH_serve.json`).
-pub const BENCH_SERVE: &str = "slicing.bench-serve/v1";
 
 /// A hub checkpoint for mid-stream restart (`slicing serve` and
 /// `slicing monitor`, `--checkpoint` / `--resume`).
@@ -66,18 +49,12 @@ pub const SERVE_CHECKPOINT: &str = "slicing.serve-checkpoint/v1";
 pub const ALL: &[&str] = &[
     RUN_REPORT,
     BENCH_REPORT,
-    BENCH_DETECT,
-    BENCH_MEMORY,
-    BENCH_ONLINE,
-    MONITOR_REPORT,
+    BENCH,
     RECOVERY_REPORT,
     PROFILE,
     METRICS,
     BENCH_DIFF,
-    BENCH_SOAK,
-    BENCH_PROTOCOLS,
     SERVE_REPORT,
-    BENCH_SERVE,
     SERVE_CHECKPOINT,
 ];
 
@@ -93,16 +70,24 @@ impl std::fmt::Display for SchemaError {
 
 impl std::error::Error for SchemaError {}
 
-fn fail(msg: impl Into<String>) -> SchemaError {
+pub(crate) fn fail(msg: impl Into<String>) -> SchemaError {
     SchemaError(msg.into())
 }
 
-fn require<'a>(doc: &'a JsonValue, field: &str, at: &str) -> Result<&'a JsonValue, SchemaError> {
+pub(crate) fn require<'a>(
+    doc: &'a JsonValue,
+    field: &str,
+    at: &str,
+) -> Result<&'a JsonValue, SchemaError> {
     doc.get(field)
         .ok_or_else(|| fail(format!("{at}: missing field {field:?}")))
 }
 
-fn require_str<'a>(doc: &'a JsonValue, field: &str, at: &str) -> Result<&'a str, SchemaError> {
+pub(crate) fn require_str<'a>(
+    doc: &'a JsonValue,
+    field: &str,
+    at: &str,
+) -> Result<&'a str, SchemaError> {
     require(doc, field, at)?
         .as_str()
         .ok_or_else(|| fail(format!("{at}: field {field:?} must be a string")))
@@ -122,7 +107,7 @@ fn require_bool(doc: &JsonValue, field: &str, at: &str) -> Result<bool, SchemaEr
         .ok_or_else(|| fail(format!("{at}: field {field:?} must be a boolean")))
 }
 
-fn require_array<'a>(
+pub(crate) fn require_array<'a>(
     doc: &'a JsonValue,
     field: &str,
     at: &str,
@@ -157,18 +142,12 @@ pub fn validate(doc: &JsonValue) -> Result<&'static str, SchemaError> {
     match *known {
         RUN_REPORT => validate_run_report(doc, "run")?,
         BENCH_REPORT => validate_bench_report(doc)?,
-        BENCH_DETECT => validate_bench_detect(doc)?,
-        BENCH_MEMORY => validate_bench_memory(doc)?,
-        BENCH_ONLINE => validate_bench_online(doc)?,
-        MONITOR_REPORT => validate_monitor_report(doc)?,
+        BENCH => crate::diff::validate_table(doc)?,
         RECOVERY_REPORT => validate_recovery_report(doc)?,
         PROFILE => validate_profile(doc)?,
         METRICS => validate_metrics(doc)?,
         BENCH_DIFF => validate_bench_diff(doc)?,
-        BENCH_SOAK => validate_bench_soak(doc)?,
-        BENCH_PROTOCOLS => validate_bench_protocols(doc)?,
         SERVE_REPORT => validate_serve_report(doc)?,
-        BENCH_SERVE => validate_bench_serve(doc)?,
         SERVE_CHECKPOINT => validate_serve_checkpoint(doc)?,
         _ => unreachable!("ALL and the match arms list the same schemas"),
     }
@@ -205,86 +184,6 @@ fn validate_bench_report(doc: &JsonValue) -> Result<(), SchemaError> {
     for (i, run) in require_array(doc, "runs", "document")?.iter().enumerate() {
         validate_run_report(run, &format!("runs[{i}]"))?;
     }
-    Ok(())
-}
-
-/// Checks a bench table document: `binary` plus an `entries` array whose
-/// rows each carry `name` and every field in `bools`/`nums`.
-fn validate_bench_table(doc: &JsonValue, bools: &[&str], nums: &[&str]) -> Result<(), SchemaError> {
-    require_str(doc, "binary", "document")?;
-    for (i, entry) in require_array(doc, "entries", "document")?
-        .iter()
-        .enumerate()
-    {
-        let eat = format!("entries[{i}]");
-        require_str(entry, "name", &eat)?;
-        for field in bools {
-            require_bool(entry, field, &eat)?;
-        }
-        for field in nums {
-            require_u64(entry, field, &eat)?;
-        }
-    }
-    Ok(())
-}
-
-fn validate_bench_detect(doc: &JsonValue) -> Result<(), SchemaError> {
-    validate_bench_table(
-        doc,
-        &["detected"],
-        &[
-            "cuts_explored",
-            "probes",
-            "hits",
-            "inserts",
-            "heap_allocs",
-            "row_joins",
-        ],
-    )
-}
-
-fn validate_bench_memory(doc: &JsonValue) -> Result<(), SchemaError> {
-    validate_bench_table(
-        doc,
-        &["detected"],
-        &[
-            "witness_size",
-            "cuts_explored",
-            "peak_live_cuts",
-            "visited_inserts",
-            "layers",
-            "heap_allocs",
-        ],
-    )
-}
-
-fn validate_bench_online(doc: &JsonValue) -> Result<(), SchemaError> {
-    validate_bench_table(
-        doc,
-        &[],
-        &[
-            "events",
-            "checks",
-            "check_cost",
-            "cost_per_event_milli",
-            "heap_allocs",
-        ],
-    )
-}
-
-fn validate_monitor_report(doc: &JsonValue) -> Result<(), SchemaError> {
-    for field in [
-        "events",
-        "messages",
-        "checks",
-        "alarms",
-        "check_cost",
-        "delta_cuts",
-        "peak_candidates",
-    ] {
-        require_u64(doc, field, "document")?;
-    }
-    require_array(doc, "alarm_cuts", "document")?;
     Ok(())
 }
 
@@ -338,41 +237,6 @@ fn validate_metrics(doc: &JsonValue) -> Result<(), SchemaError> {
     Ok(())
 }
 
-fn validate_bench_soak(doc: &JsonValue) -> Result<(), SchemaError> {
-    validate_bench_table(
-        doc,
-        &[],
-        &[
-            "events",
-            "messages",
-            "checks",
-            "alarms",
-            "check_cost",
-            "delta_cuts",
-            "compactions",
-            "dropped_events",
-            "retained_peak",
-            "heap_allocs",
-        ],
-    )
-}
-
-fn validate_bench_protocols(doc: &JsonValue) -> Result<(), SchemaError> {
-    validate_bench_table(
-        doc,
-        &["detected"],
-        &[
-            "witness_size",
-            "cuts_explored",
-            "probes",
-            "hits",
-            "inserts",
-            "heap_allocs",
-            "row_joins",
-        ],
-    )
-}
-
 fn validate_serve_report(doc: &JsonValue) -> Result<(), SchemaError> {
     for field in [
         "tenants",
@@ -400,26 +264,6 @@ fn validate_serve_report(doc: &JsonValue) -> Result<(), SchemaError> {
         require_array(alarm, "cut", &aat)?;
     }
     Ok(())
-}
-
-fn validate_bench_serve(doc: &JsonValue) -> Result<(), SchemaError> {
-    validate_bench_table(
-        doc,
-        &[],
-        &[
-            "tenants",
-            "groups",
-            "slots",
-            "events",
-            "messages",
-            "alarms",
-            "check_cost",
-            "clause_evals",
-            "delta_cuts",
-            "cost_per_event_milli",
-            "heap_allocs",
-        ],
-    )
 }
 
 fn validate_serve_checkpoint(doc: &JsonValue) -> Result<(), SchemaError> {
@@ -494,7 +338,7 @@ fn validate_serve_checkpoint(doc: &JsonValue) -> Result<(), SchemaError> {
 }
 
 fn validate_bench_diff(doc: &JsonValue) -> Result<(), SchemaError> {
-    require_str(doc, "bench_schema", "document")?;
+    require_str(doc, "binary", "document")?;
     require_bool(doc, "pass", "document")?;
     require(doc, "threshold", "document")?
         .as_f64()
@@ -566,25 +410,19 @@ mod tests {
 
     #[test]
     fn committed_bench_shapes_validate() {
-        let detect = "{\"schema\":\"slicing.bench-detect/v1\",\"binary\":\"table_speedup\",\
-                      \"entries\":[{\"name\":\"bfs.grid40\",\"engine\":\"bfs\",\"detected\":false,\
-                      \"cuts_explored\":1681,\"probes\":5644,\"hits\":1600,\"inserts\":1681,\
-                      \"heap_allocs\":0,\"row_joins\":0}]}";
-        assert_eq!(validate(&parse(detect).unwrap()).unwrap(), BENCH_DETECT);
-        let online = "{\"schema\":\"slicing.bench-online/v1\",\"binary\":\"table_online\",\
-                      \"entries\":[{\"name\":\"segment1\",\"events\":2000,\"checks\":2000,\
-                      \"check_cost\":11900,\"cost_per_event_milli\":5950,\"heap_allocs\":0}]}";
-        assert_eq!(validate(&parse(online).unwrap()).unwrap(), BENCH_ONLINE);
-        let protocols = "{\"schema\":\"slicing.bench-protocols/v1\",\
-                         \"binary\":\"table_protocols\",\
-                         \"entries\":[{\"name\":\"slicing.leader-election.s0\",\
-                         \"detected\":true,\"witness_size\":5,\"cuts_explored\":1,\
-                         \"probes\":1,\"hits\":0,\"inserts\":1,\"heap_allocs\":0,\
-                         \"row_joins\":34}]}";
-        assert_eq!(
-            validate(&parse(protocols).unwrap()).unwrap(),
-            BENCH_PROTOCOLS
-        );
+        let detect = "{\"schema\":\"slicing.bench/v1\",\"binary\":\"table_speedup\",\
+                      \"params\":{\"quick\":false,\"grid\":40},\
+                      \"columns\":{\"engine\":\"exact\",\"wall_us_per_run\":\"info\",\
+                      \"detected\":\"exact\",\"cuts_explored\":\"gated\"},\
+                      \"entries\":[{\"name\":\"bfs.grid40\",\"engine\":\"bfs\",\
+                      \"wall_us_per_run\":110.2,\"detected\":false,\"cuts_explored\":1681}]}";
+        assert_eq!(validate(&parse(detect).unwrap()).unwrap(), BENCH);
+        // A table with no rows still declares its (empty) shape.
+        let empty = "{\"schema\":\"slicing.bench/v1\",\"binary\":\"table_serve\",\
+                     \"params\":{},\"columns\":{},\"entries\":[]}";
+        assert_eq!(validate(&parse(empty).unwrap()).unwrap(), BENCH);
+        let undeclared = detect.replace("\"columns\"", "\"cols\"");
+        assert!(validate(&parse(&undeclared).unwrap()).is_err());
     }
 
     #[test]

@@ -67,8 +67,8 @@ layers of cuts alive, so `--max-live-cuts` bounds it by the widest layer.
 prints leveled span/counter traces to stderr. --report writes the detect
 outcome as one `slicing.run-report/v1` JSON object to <path> (`-` for
 stdout); on `recover` it writes the `slicing.recovery-report/v1` outcome,
-on `monitor` the `slicing.monitor-report/v1` stream summary, and on
-`bench-diff` the `slicing.bench-diff/v1` verdict document.
+on `monitor` and `serve` the `slicing.serve-report/v1` stream summary, and
+on `bench-diff` the `slicing.bench-diff/v1` verdict document.
 `recover` simulates a protocol run, injects the chosen fault, and drives
 the full detect → recovery line → rollback → replay loop. `monitor`
 replays the trace through the online monitoring hub with one tenant
@@ -106,10 +106,12 @@ one `slicing.profile/v1` document: the merged span tree with wall time
 and per-span counter attribution (per-span counters sum to the flat
 totals). `--folded` prints folded-stack text for flamegraph tooling
 instead; `--out` writes the JSON document to a file in either mode.
-`bench-diff` compares two bench JSON documents of the same schema
-(deterministic counters only — wall-clock fields are never gated) and
-exits nonzero when any gated counter drifts more than T (default 0.25)
-or any exact field changes. `validate` parses each file (JSON or JSONL)
+`bench-diff` compares a fresh `slicing.bench/v1` table against a
+baseline with the column kinds the baseline declares: `exact` columns must
+match, `gated` counters may drift at most T (default 0.25), `info`
+columns (wall-clock) are never compared. It exits nonzero on any failed
+check, and on a fresh table from another binary, with other columns or
+other row names. `validate` parses each file (JSON or JSONL)
 and checks every document against the known `slicing.*/v1` schemas.
 
 <trace> is a file path or `-` for stdin; predicates use the expression
@@ -1333,6 +1335,49 @@ impl OnlineRun {
         }
         Ok(())
     }
+
+    /// Writes the `slicing.serve-report/v1` stream summary to `path`:
+    /// the hub's roster shape and work counters plus every alarm, per
+    /// tenant, in emission order.
+    fn report(&self, hub: &MonitorHub, path: &str) -> Result<(), String> {
+        use slicing_observe::json::{JsonArray, JsonObject};
+        let log = self
+            .alarm_log
+            .iter()
+            .fold(JsonArray::new(), |arr, (tenant, events, cut)| {
+                let cut_arr = cut
+                    .counts()
+                    .iter()
+                    .fold(JsonArray::new(), |a, c| a.push_raw(&c.to_string()))
+                    .finish();
+                arr.push_raw(
+                    &JsonObject::new()
+                        .str("tenant", tenant)
+                        .u64("events", *events)
+                        .raw("cut", &cut_arr)
+                        .finish(),
+                )
+            })
+            .finish();
+        let stats = hub.stats();
+        let json = JsonObject::new()
+            .str("schema", slicing_observe::schema::SERVE_REPORT)
+            .u64("tenants", hub.tenant_count() as u64)
+            .u64("groups", hub.group_count() as u64)
+            .u64("slots", hub.slot_count() as u64)
+            .u64("events", stats.events)
+            .u64("messages", stats.messages)
+            .u64("checks", stats.checks)
+            .u64("alarms", stats.alarms)
+            .u64("check_cost", stats.check_cost)
+            .u64("clause_evals", stats.clause_evals)
+            .u64("delta_cuts", stats.delta_cuts)
+            .u64("peak_candidates", stats.peak_candidates)
+            .u64("dropped", stats.fanout_dropped)
+            .raw("alarm_log", &log)
+            .finish();
+        write_report(path, &json)
+    }
 }
 
 /// `slicing monitor`: replay one conjunctive predicate over a recorded
@@ -1420,26 +1465,7 @@ fn monitor_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
         stats.peak_candidates
     );
     if let Some(path) = report {
-        let json = slicing_observe::json::JsonObject::new()
-            .str("schema", slicing_observe::schema::MONITOR_REPORT)
-            .u64("events", stats.events)
-            .u64("messages", stats.messages)
-            .u64("checks", stats.checks)
-            .u64("alarms", stats.alarms)
-            .u64("check_cost", stats.check_cost)
-            .u64("delta_cuts", stats.delta_cuts)
-            .u64("peak_candidates", stats.peak_candidates)
-            .raw(
-                "alarm_cuts",
-                &run.alarm_log
-                    .iter()
-                    .fold(slicing_observe::json::JsonArray::new(), |arr, (_, _, c)| {
-                        arr.push_str(&c.to_string())
-                    })
-                    .finish(),
-            )
-            .finish();
-        write_report(path, &json)?;
+        run.report(&hub, path)?;
     }
     Ok(())
 }
@@ -1739,46 +1765,7 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
         stats.check_cost, stats.clause_evals, stats.checks, stats.peak_candidates
     );
     if let Some(path) = report {
-        let log = run
-            .alarm_log
-            .iter()
-            .fold(
-                slicing_observe::json::JsonArray::new(),
-                |arr, (tenant, events, cut)| {
-                    let cut_arr = cut
-                        .counts()
-                        .iter()
-                        .fold(slicing_observe::json::JsonArray::new(), |a, c| {
-                            a.push_raw(&c.to_string())
-                        })
-                        .finish();
-                    arr.push_raw(
-                        &slicing_observe::json::JsonObject::new()
-                            .str("tenant", tenant)
-                            .u64("events", *events)
-                            .raw("cut", &cut_arr)
-                            .finish(),
-                    )
-                },
-            )
-            .finish();
-        let json = slicing_observe::json::JsonObject::new()
-            .str("schema", slicing_observe::schema::SERVE_REPORT)
-            .u64("tenants", h.tenant_count() as u64)
-            .u64("groups", h.group_count() as u64)
-            .u64("slots", h.slot_count() as u64)
-            .u64("events", stats.events)
-            .u64("messages", stats.messages)
-            .u64("checks", stats.checks)
-            .u64("alarms", stats.alarms)
-            .u64("check_cost", stats.check_cost)
-            .u64("clause_evals", stats.clause_evals)
-            .u64("delta_cuts", stats.delta_cuts)
-            .u64("peak_candidates", stats.peak_candidates)
-            .u64("dropped", stats.fanout_dropped)
-            .raw("alarm_log", &log)
-            .finish();
-        write_report(path, &json)?;
+        run.report(h, path)?;
     }
     Ok(())
 }

@@ -371,6 +371,14 @@ fn profile_folded_emits_span_paths() {
     std::fs::remove_file(&trace_path).ok();
 }
 
+/// The four committed bench tables.
+const COMMITTED_TABLES: [&str; 4] = [
+    concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_detect.json"),
+    concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_protocols.json"),
+    concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_soak.json"),
+    concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_serve.json"),
+];
+
 #[test]
 fn bench_diff_accepts_a_baseline_against_itself() {
     let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_detect.json");
@@ -383,24 +391,27 @@ fn bench_diff_accepts_a_baseline_against_itself() {
     assert!(stdout(&out).contains("bench-diff OK"), "{}", stdout(&out));
 }
 
+/// A one-row `table_speedup` table with `cuts` explored.
+fn detect_table(cuts: u64) -> String {
+    format!(
+        r#"{{"schema":"slicing.bench/v1","binary":"table_speedup","params":{{}},"columns":{{"detected":"exact","wall_us_per_run":"info","cuts_explored":"gated","heap_allocs":"gated"}},"entries":[{{"name":"bfs.grid40","detected":false,"wall_us_per_run":{cuts}.5,"cuts_explored":{cuts},"heap_allocs":0}}]}}"#
+    )
+}
+
 #[test]
 fn bench_diff_flags_drift_past_threshold() {
     let old = tmp_path("diff-old.json");
     let new = tmp_path("diff-new.json");
-    std::fs::write(
-        &old,
-        r#"{"schema":"slicing.bench-detect/v1","binary":"table_speedup","entries":[{"name":"bfs.grid40","detected":false,"cuts_explored":1000,"probes":4000,"hits":900,"inserts":1000,"heap_allocs":0,"seq_layers":0,"row_joins":0}]}"#,
-    )
-    .unwrap();
-    std::fs::write(
-        &new,
-        r#"{"schema":"slicing.bench-detect/v1","binary":"table_speedup","entries":[{"name":"bfs.grid40","detected":false,"cuts_explored":2000,"probes":4000,"hits":900,"inserts":1000,"heap_allocs":0,"seq_layers":0,"row_joins":0}]}"#,
-    )
-    .unwrap();
+    std::fs::write(&old, detect_table(1000)).unwrap();
+    std::fs::write(&new, detect_table(2000)).unwrap();
     let out = slicing(&["bench-diff", old.to_str().unwrap(), new.to_str().unwrap()]);
     assert!(!out.status.success(), "100% drift must fail the gate");
     let text = stdout(&out);
     assert!(text.contains("cuts_explored"), "{text}");
+    assert!(
+        !text.contains("wall_us_per_run"),
+        "info columns never gate: {text}"
+    );
 
     // A generous threshold lets the same pair pass.
     let out = slicing(&[
@@ -423,42 +434,70 @@ fn bench_diff_flags_drift_past_threshold() {
 fn bench_diff_rejects_mismatched_schemas() {
     let old = tmp_path("diff-mismatch-old.json");
     let new = tmp_path("diff-mismatch-new.json");
-    std::fs::write(
-        &old,
-        r#"{"schema":"slicing.bench-detect/v1","binary":"table_speedup","entries":[{"name":"a","detected":false,"cuts_explored":1,"probes":1,"hits":0,"inserts":1,"heap_allocs":0}]}"#,
-    )
-    .unwrap();
-    std::fs::write(
-        &new,
-        r#"{"schema":"slicing.bench-online/v1","binary":"table_online","entries":[{"name":"a","events":1,"checks":1,"check_cost":1,"cost_per_event_milli":1,"delta_cuts":0,"alarms":0,"messages":0,"heap_allocs":0,"peak_candidates":0}]}"#,
-    )
-    .unwrap();
-    let out = slicing(&["bench-diff", old.to_str().unwrap(), new.to_str().unwrap()]);
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("schema"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    std::fs::write(&old, detect_table(1)).unwrap();
+    let stderr_of = |fresh: &str| {
+        std::fs::write(&new, fresh).unwrap();
+        let out = slicing(&["bench-diff", old.to_str().unwrap(), new.to_str().unwrap()]);
+        assert!(!out.status.success(), "{fresh}");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let run_report = r#"{"schema":"slicing.run-report/v1","workload":"w","engine":"bfs","phases":[],"counters":[]}"#;
+    let err = stderr_of(run_report);
+    assert!(err.contains("schema"), "{err}");
+    let err = stderr_of(&detect_table(1).replace("table_speedup", "table_serve"));
+    assert!(err.contains("binary differs"), "{err}");
     std::fs::remove_file(&old).ok();
     std::fs::remove_file(&new).ok();
 }
 
 #[test]
+fn bench_diff_rejects_repeated_row_names() {
+    // Two rows named alike would collapse into one comparison; the table
+    // format rejects them outright, for `validate` and `bench-diff` alike.
+    let row = r#"{"name":"bfs.grid40","detected":false,"wall_us_per_run":1.5,"cuts_explored":1,"heap_allocs":0}"#;
+    let twice = detect_table(1).replace(row, &format!("{row},{row}"));
+    assert_ne!(twice, detect_table(1));
+    let path = tmp_path("diff-repeated.json");
+    std::fs::write(&path, &twice).unwrap();
+    let p = path.to_str().unwrap();
+    for args in [vec!["validate", p], vec!["bench-diff", p, p]] {
+        let out = slicing(&args);
+        assert!(!out.status.success(), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("repeated row name \"bfs.grid40\""),
+            "{args:?}: {err}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn validate_accepts_committed_artifacts_and_rejects_junk() {
-    let out = slicing(&[
-        "validate",
-        concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_detect.json"),
-        concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_online.json"),
-    ]);
+    let mut args = vec!["validate"];
+    args.extend(COMMITTED_TABLES);
+    let out = slicing(&args);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let text = stdout(&out);
-    assert!(text.contains("slicing.bench-detect/v1"), "{text}");
-    assert!(text.contains("slicing.bench-online/v1"), "{text}");
+    assert_eq!(
+        text.matches("1 document(s) ok (slicing.bench/v1)").count(),
+        COMMITTED_TABLES.len(),
+        "{text}"
+    );
+    // Each committed table is a valid baseline for itself.
+    for table in COMMITTED_TABLES {
+        let out = slicing(&["bench-diff", table, table]);
+        assert!(
+            out.status.success() && stdout(&out).contains("bench-diff OK"),
+            "{table}: {}{}",
+            stdout(&out),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 
     let bad = tmp_path("validate-bad.json");
     std::fs::write(&bad, r#"{"no_schema_here":true}"#).unwrap();
@@ -636,6 +675,20 @@ fn monitor_checkpoint_resume_converges_to_the_unbroken_run() {
             .collect::<Vec<_>>()
     };
     assert_eq!(tail(&stdout(&unbroken)), tail(&text));
+    // The report is the serve report of the one tenant, `monitor`.
+    let line = text
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .unwrap_or_else(|| panic!("no JSON report line in:\n{text}"));
+    let doc = slicing_observe::json::parse(line).unwrap();
+    assert_eq!(
+        slicing_observe::schema::validate(&doc).unwrap(),
+        slicing_observe::schema::SERVE_REPORT
+    );
+    assert_eq!(
+        doc.get("alarm_log").unwrap().to_json(),
+        r#"[{"tenant":"monitor","events":7,"cut":[1,2,2]}]"#
+    );
 
     // GC flags on resume are rejected: the checkpoint owns that config.
     let out = slicing_with_stdin(
