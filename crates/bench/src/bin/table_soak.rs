@@ -32,7 +32,9 @@
 //! The kill happens at the exact stream midpoint: the monitor is
 //! checkpointed to a real file with [`write_hub_checkpoint`], dropped,
 //! loaded back with [`load_checkpoint`], and resumed with
-//! [`resume_monitor`].
+//! [`resume_monitor`]. The file's size is the midpoint segment's exact
+//! `checkpoint_bytes` column, so the diff against the baseline also pins
+//! the checkpoint wire format.
 //! Because restarts renumber event ids densely, the workload addresses
 //! events by `(process, position)` — the coordinates that survive — and
 //! translates them through [`OnlineMonitor::event_at`] at delivery time.
@@ -56,9 +58,17 @@ const LATENESS_WINDOW: usize = 32;
 /// fires every this-many steps, guaranteeing alarms throughout the soak.
 const BURST_PERIOD: u64 = 4096;
 
-/// One soak row: the work between two stats snapshots. Stream shape
-/// and verdicts are `exact` columns; the work counters are `gated`.
-fn soak_row(cur: &HubStats, prev: &HubStats, retained_peak: u64, heap_allocs: u64) -> Vec<Field> {
+/// One soak row: the work between two stats snapshots. Stream shape,
+/// verdicts and the size of the checkpoint written during the segment (0
+/// when none was) are `exact` columns, so a change to the checkpoint wire
+/// format fails the diff; the work counters are `gated`.
+fn soak_row(
+    cur: &HubStats,
+    prev: &HubStats,
+    retained_peak: u64,
+    heap_allocs: u64,
+    checkpoint_bytes: u64,
+) -> Vec<Field> {
     let events = cur.events - prev.events;
     let check_cost = cur.check_cost - prev.check_cost;
     vec![
@@ -73,6 +83,7 @@ fn soak_row(cur: &HubStats, prev: &HubStats, retained_peak: u64, heap_allocs: u6
         gated("dropped_events", cur.dropped_events - prev.dropped_events),
         gated("retained_peak", retained_peak),
         gated("heap_allocs", heap_allocs),
+        exact("checkpoint_bytes", checkpoint_bytes),
     ]
 }
 
@@ -184,10 +195,12 @@ fn fresh(procs: usize, gc: Option<GcConfig>) -> OnlineMonitor {
 }
 
 /// Kills the monitor at the midpoint: checkpoint to a real file, drop,
-/// load, restore, re-register the clauses. Returns the resumed monitor.
-fn kill_and_resume(m: OnlineMonitor, procs: usize) -> OnlineMonitor {
+/// load, restore, re-register the clauses. Returns the resumed monitor
+/// and the size of the checkpoint file.
+fn kill_and_resume(m: OnlineMonitor, procs: usize) -> (OnlineMonitor, u64) {
     let path = std::env::temp_dir().join(format!("slicing-soak-{}.ckpt", std::process::id()));
     write_hub_checkpoint(&path, m.hub(), 0, 1).expect("write midpoint checkpoint");
+    let bytes = std::fs::metadata(&path).expect("checkpoint written").len();
     let before = m.stats();
     let clauses: Vec<LocalPredicate> = (0..procs)
         .map(|i| {
@@ -204,7 +217,7 @@ fn kill_and_resume(m: OnlineMonitor, procs: usize) -> OnlineMonitor {
         "restore changed the monitor's counters"
     );
     std::fs::remove_file(&path).expect("remove checkpoint");
-    resumed
+    (resumed, bytes)
 }
 
 fn main() {
@@ -270,6 +283,7 @@ fn main() {
             &HubStats::default(),
             plain_retained,
             cut_heap_allocs() - plain_allocs,
+            0,
         ),
     );
     drop(plain);
@@ -284,8 +298,9 @@ fn main() {
         for _ in 0..per_segment {
             load.step(&mut m);
         }
+        let mut checkpoint_bytes = 0;
         if seg == segments / 2 {
-            m = kill_and_resume(m, procs);
+            (m, checkpoint_bytes) = kill_and_resume(m, procs);
         }
         let cur = m.stats();
         table.row(
@@ -295,6 +310,7 @@ fn main() {
                 &prev,
                 cur.retained_peak,
                 cut_heap_allocs() - allocs_before,
+                checkpoint_bytes,
             ),
         );
         prev = cur;

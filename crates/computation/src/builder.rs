@@ -14,11 +14,13 @@
 //! suffix as a standalone [`Computation`] whose initial events are the
 //! summary events.
 
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
 use crate::computation::{Computation, ProcessVars, VarRef};
 use crate::cut::Cut;
+use crate::cutset::CutBuildHasher;
 use crate::event::{EventId, Message};
 use crate::process::{ProcSet, ProcessId};
 use crate::value::Value;
@@ -205,6 +207,9 @@ pub struct ComputationBuilder {
     /// Per process: the retained events, positions `base[p]..len(p)`.
     per_process: Vec<Vec<EventId>>,
     messages: Vec<Message>,
+    /// The same pairs as `messages`, hashed, so the duplicate check on
+    /// delivery is O(1) instead of a scan of the history.
+    message_set: HashSet<Message, CutBuildHasher>,
     vars: Vec<ProcessVars>,
     /// Per event id (offset by `id_base`): an optional label.
     labels: Vec<Option<String>>,
@@ -240,6 +245,7 @@ impl ComputationBuilder {
             pos_of: Vec::new(),
             per_process: vec![Vec::new(); num_processes],
             messages: Vec::new(),
+            message_set: HashSet::default(),
             vars: (0..num_processes).map(|_| ProcessVars::default()).collect(),
             labels: Vec::new(),
             base: vec![0; num_processes],
@@ -550,7 +556,7 @@ impl ComputationBuilder {
             });
         }
         let message = Message { send, recv };
-        if self.messages.contains(&message) {
+        if !self.message_set.insert(message) {
             return Err(BuildError::DuplicateMessage { message });
         }
         self.messages.push(message);
@@ -613,15 +619,21 @@ impl ComputationBuilder {
             let proc_of = &self.proc_of;
             let base = &self.base;
             let id_base = self.id_base as usize;
+            let message_set = &mut self.message_set;
             self.messages.retain(|m| {
                 let live = |e: EventId| {
                     let i = e.as_usize() - id_base;
                     pos_of[i] > base[proc_of[i].as_usize()]
                 };
-                live(m.send) && live(m.recv)
+                let keep = live(m.send) && live(m.recv);
+                if !keep {
+                    message_set.remove(m);
+                }
+                keep
             });
         }
         maybe_shrink(&mut self.messages);
+        self.message_set.shrink_to(2 * self.messages.len() + 64);
         // Advance the id horizon to the smallest retained id: everything
         // below it belongs to some process's dropped prefix. (Dropped ids
         // above the horizon keep their 8-byte metadata entries — bounded by
@@ -706,7 +718,8 @@ impl ComputationBuilder {
             proc_of: Vec::with_capacity(event_procs.len()),
             pos_of: Vec::with_capacity(event_procs.len()),
             per_process: vec![Vec::new(); num_processes],
-            messages: Vec::new(),
+            messages: Vec::with_capacity(messages.len()),
+            message_set: HashSet::with_capacity_and_hasher(messages.len(), CutBuildHasher),
             vars,
             labels: Vec::with_capacity(event_procs.len()),
             base: base.to_vec(),
@@ -785,7 +798,7 @@ impl ComputationBuilder {
             .iter()
             .map(|evs| evs.iter().map(|&e| remap(e)).collect())
             .collect();
-        let messages = self
+        let messages: Vec<Message> = self
             .messages
             .iter()
             .map(|m| Message {
@@ -793,12 +806,14 @@ impl ComputationBuilder {
                 recv: remap(m.recv),
             })
             .collect();
+        let message_set = messages.iter().copied().collect();
         ComputationBuilder {
             num_processes: self.num_processes,
             proc_of,
             pos_of,
             per_process,
             messages,
+            message_set,
             vars: self.vars,
             labels,
             base: vec![0; self.num_processes],
@@ -991,6 +1006,20 @@ mod tests {
             b.message(s, r),
             Err(BuildError::DuplicateMessage { .. })
         ));
+
+        // A compaction that keeps both endpoints keeps the pair known.
+        let (mut b, _) = sample();
+        let (s, r) = (b.event_at(b.process(0), 4), b.event_at(b.process(1), 3));
+        b.compact(&[2, 1]);
+        assert!(b.is_retained(s) && b.is_retained(r));
+        assert!(matches!(
+            b.message(s, r),
+            Err(BuildError::DuplicateMessage { .. })
+        ));
+        // The survivors still accept fresh pairs.
+        let late = b.append_event(b.process(1));
+        b.message(s, late).unwrap();
+        assert_eq!(b.messages().len(), 2);
     }
 
     #[test]
@@ -1237,5 +1266,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, BuildError::InvalidState { .. }), "{err}");
+        // The same message twice.
+        let err = ComputationBuilder::restore(
+            2,
+            &[0, 0],
+            &[0, 1, 0, 1],
+            vec![vec![], vec![]],
+            vec![vec![vec![]; 2], vec![vec![]; 2]],
+            &[(2, 3), (2, 3)],
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, BuildError::InvalidState { detail } if detail.contains("duplicate")),
+            "{err}"
+        );
     }
 }

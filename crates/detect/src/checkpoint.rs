@@ -4,13 +4,19 @@
 //! and `slicing monitor` (a hub with one tenant) both write it.
 //!
 //! A checkpoint is *state-only*: clause closures cannot be serialized, so
-//! after [`decode`] the caller rebuilds the hub with
+//! after [`decode_str`] the caller rebuilds the hub with
 //! [`MonitorHub::from_state`] and re-registers every tenant's predicate
 //! via [`MonitorHub::restore_tenant`] (the tenant sources are in the
 //! document precisely so the CLI can re-parse them). The document also
-//! carries the metrics-stream sequence cursor so a resumed
+//! carries the metrics-stream cursor so a resumed
 //! [`MetricsSnapshotter`](slicing_observe::MetricsSnapshotter) continues
 //! `slicing.metrics/v1` deltas monotonically instead of restarting at 0.
+//!
+//! Both directions are one pass. [`encode`] writes the document straight
+//! into one pre-sized `String`; [`decode_str`] reads it with
+//! [`JsonReader`] straight into a [`HubState`], without a [`JsonValue`]
+//! tree. Keys may come in any order, unknown keys are skipped, and a
+//! repeated key is rejected by name.
 //!
 //! Integers are stored as JSON numbers; like every schema in this
 //! workspace they round-trip exactly up to the IEEE-754 integer range
@@ -19,13 +25,14 @@
 //!
 //! The wire layout is registered in the observe schema registry as
 //! [`slicing_observe::schema::SERVE_CHECKPOINT`] and structurally checked
-//! by `slicing validate`; [`decode`] performs the deeper semantic checks
-//! (arities, value tags) and [`MonitorHub::from_state`] the full
-//! consistency ones.
+//! by `slicing validate`. [`decode_str`] rejects every document that
+//! registry check rejects, plus the deeper semantic faults (arities,
+//! value tags); [`MonitorHub::from_state`] runs the full consistency
+//! checks.
 
 use slicing_computation::{BuildError, ProcSet, ProcessId, Value};
 use slicing_core::SlicerState;
-use slicing_observe::json::{JsonArray, JsonObject, JsonValue};
+use slicing_observe::json::{escape_into, JsonKind, JsonParseError, JsonReader, JsonValue};
 use slicing_observe::schema;
 
 use crate::multiplex::{GcConfig, GroupState, HubState, HubStats, SlotState, TenantState};
@@ -40,90 +47,791 @@ const RETIRED_MONITOR_CHECKPOINT: &str = "slicing.checkpoint/v1";
 /// Serializes a hub state plus the metrics-stream cursor as a
 /// `slicing.serve-checkpoint/v1` document (one line of JSON).
 pub fn encode(state: &HubState, metrics_seq: u64) -> String {
-    let mut values = JsonArray::new();
-    for row in &state.values {
-        let mut arr = JsonArray::new();
-        for value in row {
-            arr = arr.push_raw(&value_json(value));
+    let s = &state.slicer;
+    let mut out = String::with_capacity(encoded_size_hint(state));
+    let o = &mut out;
+    o.push_str("{\"schema\":");
+    escape_into(o, schema::SERVE_CHECKPOINT);
+    o.push_str(",\"processes\":");
+    push_u64(o, s.num_processes as u64);
+    o.push_str(",\"metrics_seq\":");
+    push_u64(o, metrics_seq);
+    o.push_str(",\"base\":");
+    push_ints(o, &s.base);
+    o.push_str(",\"events\":[");
+    for (i, ((&p, &holds), clock)) in s
+        .event_procs
+        .iter()
+        .zip(&s.holds)
+        .zip(&s.clocks)
+        .enumerate()
+    {
+        comma(o, i);
+        o.push_str("{\"p\":");
+        push_u64(o, u64::from(p));
+        o.push_str(",\"holds\":");
+        push_bool(o, holds);
+        o.push_str(",\"clock\":");
+        push_ints(o, clock);
+        o.push('}');
+    }
+    o.push_str("],\"vars\":[");
+    for (i, names) in s.var_names.iter().enumerate() {
+        comma(o, i);
+        o.push('[');
+        for (j, name) in names.iter().enumerate() {
+            comma(o, j);
+            escape_into(o, name);
         }
-        values = values.push_raw(&arr.finish());
+        o.push(']');
     }
-    let mut clauses = JsonArray::new();
-    for (p, label) in &state.clauses {
-        clauses = clauses.push_raw(
-            &JsonObject::new()
-                .u64("p", u64::from(*p))
-                .str("label", label)
-                .finish(),
-        );
+    o.push_str("],\"snapshots\":[");
+    for (i, rows) in s.snapshots.iter().enumerate() {
+        comma(o, i);
+        o.push('[');
+        for (j, row) in rows.iter().enumerate() {
+            comma(o, j);
+            push_values(o, row);
+        }
+        o.push(']');
     }
-    let mut slots = JsonArray::new();
-    for slot in &state.slots {
-        slots = slots.push_raw(
-            &JsonObject::new()
-                .u64("p", u64::from(slot.process))
-                .raw("clauses", &scalar_array(&slot.clauses))
-                .u64("start", slot.start)
-                .raw("candidates", &scalar_array(&slot.candidates))
-                .finish(),
-        );
+    o.push_str("],\"messages\":");
+    push_pairs(o, &s.messages);
+    o.push_str(",\"settled_edges\":");
+    push_pairs(o, &s.settled_edges);
+    o.push_str(",\"clock_revision\":");
+    push_u64(o, s.clock_revision);
+    o.push_str(",\"values\":[");
+    for (i, row) in state.values.iter().enumerate() {
+        comma(o, i);
+        push_values(o, row);
     }
-    let mut groups = JsonArray::new();
-    for group in &state.groups {
-        groups = groups.push_raw(
-            &JsonObject::new()
-                .str("source", &group.source)
-                .raw("slots", &scalar_array(&group.slots))
-                .raw("fronts", &scalar_array(&group.fronts))
-                .raw("dirty", &scalar_array(&group.dirty))
-                .bool("dirty_any", group.dirty_any)
-                .u64("seen_revision", group.seen_revision)
-                .raw("current_alarm", &opt_cut_json(&group.current_alarm))
-                .raw("last_alarm", &opt_cut_json(&group.last_alarm))
-                .u64("check_cost", group.check_cost)
-                .u64("alarms", group.alarms)
-                .finish(),
-        );
+    o.push_str("],\"clauses\":[");
+    for (i, (p, label)) in state.clauses.iter().enumerate() {
+        comma(o, i);
+        o.push_str("{\"p\":");
+        push_u64(o, u64::from(*p));
+        o.push_str(",\"label\":");
+        escape_into(o, label);
+        o.push('}');
     }
-    let mut tenants = JsonArray::new();
-    for tenant in &state.tenants {
-        tenants = tenants.push_raw(
-            &JsonObject::new()
-                .str("id", &tenant.id)
-                .u64("group", u64::from(tenant.group))
-                .str("source", &tenant.source)
-                .finish(),
-        );
+    o.push_str("],\"slots\":[");
+    for (i, slot) in state.slots.iter().enumerate() {
+        comma(o, i);
+        o.push_str("{\"p\":");
+        push_u64(o, u64::from(slot.process));
+        o.push_str(",\"clauses\":");
+        push_ints(o, &slot.clauses);
+        o.push_str(",\"start\":");
+        push_u64(o, slot.start);
+        o.push_str(",\"candidates\":");
+        push_ints(o, &slot.candidates);
+        o.push('}');
     }
-    let obj = JsonObject::new()
-        .str("schema", schema::SERVE_CHECKPOINT)
-        .u64("processes", state.slicer.num_processes as u64)
-        .u64("metrics_seq", metrics_seq);
-    slicer_fields(obj, &state.slicer)
-        .raw("values", &values.finish())
-        .raw("clauses", &clauses.finish())
-        .raw("slots", &slots.finish())
-        .raw("groups", &groups.finish())
-        .raw("tenants", &tenants.finish())
-        .raw("stats", &stats_json(&state.stats))
-        .raw("gc", &gc_json(&state.gc))
-        .u64("since_gc", state.since_gc)
-        .finish()
+    o.push_str("],\"groups\":[");
+    for (i, group) in state.groups.iter().enumerate() {
+        comma(o, i);
+        o.push_str("{\"source\":");
+        escape_into(o, &group.source);
+        o.push_str(",\"slots\":");
+        push_ints(o, &group.slots);
+        o.push_str(",\"fronts\":");
+        push_ints(o, &group.fronts);
+        o.push_str(",\"dirty\":[");
+        for (j, &dirty) in group.dirty.iter().enumerate() {
+            comma(o, j);
+            push_bool(o, dirty);
+        }
+        o.push_str("],\"dirty_any\":");
+        push_bool(o, group.dirty_any);
+        o.push_str(",\"seen_revision\":");
+        push_u64(o, group.seen_revision);
+        o.push_str(",\"current_alarm\":");
+        push_opt_cut(o, &group.current_alarm);
+        o.push_str(",\"last_alarm\":");
+        push_opt_cut(o, &group.last_alarm);
+        o.push_str(",\"check_cost\":");
+        push_u64(o, group.check_cost);
+        o.push_str(",\"alarms\":");
+        push_u64(o, group.alarms);
+        o.push('}');
+    }
+    o.push_str("],\"tenants\":[");
+    for (i, tenant) in state.tenants.iter().enumerate() {
+        comma(o, i);
+        o.push_str("{\"id\":");
+        escape_into(o, &tenant.id);
+        o.push_str(",\"group\":");
+        push_u64(o, u64::from(tenant.group));
+        o.push_str(",\"source\":");
+        escape_into(o, &tenant.source);
+        o.push('}');
+    }
+    o.push_str("],\"stats\":{");
+    for (i, (key, value)) in STATS_FIELDS
+        .iter()
+        .zip(stats_values(&state.stats))
+        .enumerate()
+    {
+        comma(o, i);
+        o.push('"');
+        o.push_str(key);
+        o.push_str("\":");
+        push_u64(o, value);
+    }
+    o.push_str("},\"gc\":");
+    match &state.gc {
+        None => o.push_str("null"),
+        Some(cfg) => {
+            o.push_str("{\"lag\":");
+            push_u64(o, u64::from(cfg.lag));
+            o.push_str(",\"every\":");
+            push_u64(o, cfg.every);
+            o.push('}');
+        }
+    }
+    o.push_str(",\"since_gc\":");
+    push_u64(o, state.since_gc);
+    o.push('}');
+    out
 }
 
-/// Decodes a parsed `slicing.serve-checkpoint/v1` document back into the
-/// hub state and the metrics-stream cursor it was taken at.
+/// About the encoded size of `state`, so [`encode`] writes into one
+/// allocation: generous per-item widths for the bulk (events, snapshot
+/// values, pairs, candidates), exact lengths for the strings.
+fn encoded_size_hint(state: &HubState) -> usize {
+    let s = &state.slicer;
+    let values: usize = s.snapshots.iter().flatten().map(Vec::len).sum::<usize>()
+        + state.values.iter().map(Vec::len).sum::<usize>();
+    let strings: usize = s.var_names.iter().flatten().map(String::len).sum::<usize>()
+        + state.clauses.iter().map(|(_, l)| l.len()).sum::<usize>()
+        + state.groups.iter().map(|g| g.source.len()).sum::<usize>()
+        + state
+            .tenants
+            .iter()
+            .map(|t| t.id.len() + t.source.len())
+            .sum::<usize>();
+    let candidates: usize = state.slots.iter().map(|s| s.candidates.len()).sum();
+    1024 + s.event_procs.len() * (34 + 7 * s.num_processes)
+        + values * 22
+        + (s.messages.len() + s.settled_edges.len()) * 16
+        + candidates * 7
+        + 2 * strings
+        + state.groups.len() * (256 + 16 * s.num_processes)
+        + (state.clauses.len() + state.slots.len() + state.tenants.len()) * 64
+}
+
+/// The wire names of the [`HubStats`] counters, in wire order.
+const STATS_FIELDS: [&str; 13] = [
+    "events",
+    "messages",
+    "checks",
+    "alarms",
+    "check_cost",
+    "clause_evals",
+    "delta_cuts",
+    "peak_candidates",
+    "compactions",
+    "dropped_events",
+    "retained_peak",
+    "fanout_sent",
+    "fanout_dropped",
+];
+
+/// The [`HubStats`] counters in [`STATS_FIELDS`] order.
+fn stats_values(s: &HubStats) -> [u64; 13] {
+    [
+        s.events,
+        s.messages,
+        s.checks,
+        s.alarms,
+        s.check_cost,
+        s.clause_evals,
+        s.delta_cuts,
+        s.peak_candidates,
+        s.compactions,
+        s.dropped_events,
+        s.retained_peak,
+        s.fanout_sent,
+        s.fanout_dropped,
+    ]
+}
+
+fn comma(out: &mut String, index: usize) {
+    if index > 0 {
+        out.push(',');
+    }
+}
+
+/// Appends `v` in decimal (what `to_string` writes, without allocating).
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
+}
+
+fn push_bool(out: &mut String, v: bool) {
+    out.push_str(if v { "true" } else { "false" });
+}
+
+fn push_ints<T: Copy + Into<u64>>(out: &mut String, values: &[T]) {
+    out.push('[');
+    for (i, &v) in values.iter().enumerate() {
+        comma(out, i);
+        push_u64(out, v.into());
+    }
+    out.push(']');
+}
+
+fn push_pairs(out: &mut String, pairs: &[(u32, u32)]) {
+    out.push('[');
+    for (i, &(a, b)) in pairs.iter().enumerate() {
+        comma(out, i);
+        out.push('[');
+        push_u64(out, u64::from(a));
+        out.push(',');
+        push_u64(out, u64::from(b));
+        out.push(']');
+    }
+    out.push(']');
+}
+
+fn push_opt_cut(out: &mut String, cut: &Option<Vec<u32>>) {
+    match cut {
+        None => out.push_str("null"),
+        Some(counts) => push_ints(out, counts),
+    }
+}
+
+/// Appends a row of tagged values: `[{"t":"int","v":3},...]`.
+fn push_values(out: &mut String, row: &[Value]) {
+    out.push('[');
+    for (i, value) in row.iter().enumerate() {
+        comma(out, i);
+        match *value {
+            Value::Int(v) => {
+                out.push_str("{\"t\":\"int\",\"v\":");
+                if v < 0 {
+                    out.push('-');
+                }
+                push_u64(out, v.unsigned_abs());
+            }
+            Value::Bool(v) => {
+                out.push_str("{\"t\":\"bool\",\"v\":");
+                push_bool(out, v);
+            }
+            Value::Pid(p) => {
+                out.push_str("{\"t\":\"pid\",\"v\":");
+                push_u64(out, p.as_usize() as u64);
+            }
+        }
+        out.push('}');
+    }
+    out.push(']');
+}
+
+/// Decodes `slicing.serve-checkpoint/v1` text back into the hub state and
+/// the metrics-stream cursor it was taken at, in one pass.
 ///
 /// # Errors
 ///
-/// Returns [`BuildError::InvalidState`] when the document is not a
-/// well-formed checkpoint; the deeper consistency checks (candidate
+/// Returns [`BuildError::InvalidState`] when the text is not valid JSON,
+/// when `slicing validate` would reject it, when a key repeats, or when
+/// the document is otherwise not a well-formed checkpoint (arities,
+/// value tags, ranges). The deeper consistency checks (candidate
 /// ordering, cursor bounds) run when the result is fed to
 /// [`MonitorHub::from_state`].
-pub fn decode(doc: &JsonValue) -> Result<(HubState, u64), BuildError> {
-    let tag = field(doc, "schema")?
-        .as_str()
-        .ok_or_else(|| bad("field \"schema\" must be a string"))?;
+pub fn decode_str(text: &str) -> Result<(HubState, u64), BuildError> {
+    let mut r = Reader {
+        json: JsonReader::new(text),
+        processes: None,
+        max_pid: None,
+    };
+    let doc = r.document()?;
+    r.json.finish().map_err(syntax)?;
+    doc.finish(r.max_pid)
+}
+
+/// The `events` field as [`SlicerState`] stores it: per retained event,
+/// its process, its holds flag and its clock.
+type EventColumns = (Vec<u32>, Vec<bool>, Vec<Vec<u32>>);
+
+/// The top-level fields of a checkpoint, as read so far.
+#[derive(Default)]
+struct Document {
+    schema: Option<()>,
+    processes: Option<usize>,
+    metrics_seq: Option<u64>,
+    base: Option<Vec<u32>>,
+    events: Option<EventColumns>,
+    vars: Option<Vec<Vec<String>>>,
+    snapshots: Option<Vec<Vec<Vec<Value>>>>,
+    messages: Option<Vec<(u32, u32)>>,
+    settled_edges: Option<Vec<(u32, u32)>>,
+    clock_revision: Option<u64>,
+    values: Option<Vec<Vec<Value>>>,
+    clauses: Option<Vec<(u32, String)>>,
+    slots: Option<Vec<SlotState>>,
+    groups: Option<Vec<GroupState>>,
+    tenants: Option<Vec<TenantState>>,
+    stats: Option<HubStats>,
+    gc: Option<Option<GcConfig>>,
+    since_gc: Option<u64>,
+}
+
+impl Document {
+    /// Checks that every field arrived and that the per-process fields
+    /// agree with `processes`, then assembles the state.
+    fn finish(self, max_pid: Option<u64>) -> Result<(HubState, u64), BuildError> {
+        need(self.schema, "schema")?;
+        let n = need(self.processes, "processes")?;
+        let base = need(self.base, "base")?;
+        let (event_procs, holds, clocks) = need(self.events, "events")?;
+        let var_names = need(self.vars, "vars")?;
+        let snapshots = need(self.snapshots, "snapshots")?;
+        let values = need(self.values, "values")?;
+        for (field, len) in [
+            ("base", base.len()),
+            ("vars", var_names.len()),
+            ("snapshots", snapshots.len()),
+            ("values", values.len()),
+        ] {
+            if len != n {
+                return Err(bad(format!(
+                    "field {field:?} must have one entry per process"
+                )));
+            }
+        }
+        if let Some((i, clock)) = clocks.iter().enumerate().find(|(_, c)| c.len() != n) {
+            return Err(bad(format!(
+                "events[{i}]: clock has arity {}, expected {n}",
+                clock.len()
+            )));
+        }
+        if max_pid.is_some_and(|p| p >= n as u64) {
+            return Err(bad("pid snapshot value must name a valid process"));
+        }
+        let state = HubState {
+            slicer: SlicerState {
+                num_processes: n,
+                base,
+                event_procs,
+                holds,
+                clocks,
+                var_names,
+                snapshots,
+                messages: need(self.messages, "messages")?,
+                settled_edges: need(self.settled_edges, "settled_edges")?,
+                clock_revision: need(self.clock_revision, "clock_revision")?,
+            },
+            values,
+            clauses: need(self.clauses, "clauses")?,
+            slots: need(self.slots, "slots")?,
+            groups: need(self.groups, "groups")?,
+            tenants: need(self.tenants, "tenants")?,
+            stats: need(self.stats, "stats")?,
+            gc: need(self.gc, "gc")?,
+            since_gc: need(self.since_gc, "since_gc")?,
+        };
+        Ok((state, need(self.metrics_seq, "metrics_seq")?))
+    }
+}
+
+/// The checkpoint decoder: a [`JsonReader`] plus what later checks need.
+struct Reader<'a> {
+    json: JsonReader<'a>,
+    /// `processes`, once read: sizes the clock buffers.
+    processes: Option<usize>,
+    /// The largest pid value read, checked against `processes` at the end.
+    max_pid: Option<u64>,
+}
+
+impl<'a> Reader<'a> {
+    fn document(&mut self) -> Result<Document, BuildError> {
+        let mut d = Document::default();
+        self.object("checkpoint", |r, key| {
+            match key {
+                "schema" => {
+                    let tag = r.string("schema")?;
+                    check_schema(&tag)?;
+                    set(&mut d.schema, key, ())?;
+                }
+                "processes" => {
+                    let n = r.u64("processes")?;
+                    if n == 0 || n > ProcSet::MAX_PROCESSES as u64 {
+                        return Err(bad(format!(
+                            "\"processes\" must be in 1..={}",
+                            ProcSet::MAX_PROCESSES
+                        )));
+                    }
+                    r.processes = Some(n as usize);
+                    set(&mut d.processes, key, n as usize)?;
+                }
+                "metrics_seq" => set(&mut d.metrics_seq, key, r.u64(key)?)?,
+                "base" => set(&mut d.base, key, r.ints(key)?)?,
+                "events" => set(&mut d.events, key, r.events()?)?,
+                "vars" => {
+                    let names = |r: &mut Self| r.list("vars entry", |r| r.string("variable name"));
+                    set(&mut d.vars, key, r.list(key, names)?)?;
+                }
+                "snapshots" => {
+                    let rows = |r: &mut Self| r.list("snapshots entry", Self::values);
+                    set(&mut d.snapshots, key, r.list(key, rows)?)?;
+                }
+                "messages" => set(&mut d.messages, key, r.pairs(key)?)?,
+                "settled_edges" => set(&mut d.settled_edges, key, r.pairs(key)?)?,
+                "clock_revision" => set(&mut d.clock_revision, key, r.u64(key)?)?,
+                "values" => set(&mut d.values, key, r.list(key, Self::values)?)?,
+                "clauses" => set(&mut d.clauses, key, r.clauses()?)?,
+                "slots" => set(&mut d.slots, key, r.slots()?)?,
+                "groups" => set(&mut d.groups, key, r.groups()?)?,
+                "tenants" => set(&mut d.tenants, key, r.tenants()?)?,
+                "stats" => set(&mut d.stats, key, r.stats()?)?,
+                "gc" => set(&mut d.gc, key, r.gc()?)?,
+                "since_gc" => set(&mut d.since_gc, key, r.u64(key)?)?,
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
+        Ok(d)
+    }
+
+    fn events(&mut self) -> Result<EventColumns, BuildError> {
+        let (mut procs, mut holds, mut clocks) = (Vec::new(), Vec::new(), Vec::new());
+        self.array("events", |r| {
+            let (mut p, mut h, mut clock) = (None, None, None);
+            r.object("event", |r, key| {
+                match key {
+                    "p" => set(&mut p, key, r.int("event \"p\"")?)?,
+                    "holds" => set(&mut h, key, r.bool("event \"holds\"")?)?,
+                    "clock" => set(&mut clock, key, r.ints("event \"clock\"")?)?,
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            })?;
+            procs.push(need(p, "p")?);
+            holds.push(need(h, "holds")?);
+            clocks.push(need(clock, "clock")?);
+            Ok(())
+        })?;
+        Ok((procs, holds, clocks))
+    }
+
+    /// A row of tagged values, `[{"t":..,"v":..},...]`.
+    fn values(&mut self) -> Result<Vec<Value>, BuildError> {
+        self.list("value row", |r| {
+            let (mut tag, mut v) = (None, None);
+            r.object("snapshot value", |r, key| {
+                match key {
+                    "t" => {
+                        r.expect(JsonKind::String, "snapshot value tag", "a string")?;
+                        set(&mut tag, key, r.json.string().map_err(syntax)?)?;
+                    }
+                    "v" => set(&mut v, key, r.json.value().map_err(syntax)?)?,
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            })?;
+            let tag =
+                tag.ok_or_else(|| bad("snapshot values must be {\"t\": ..., \"v\": ...} objects"))?;
+            let v = v.ok_or_else(|| bad("snapshot value is missing \"v\""))?;
+            r.value(&tag, &v)
+        })
+    }
+
+    /// The value a `{"t": tag, "v": v}` object holds.
+    fn value(&mut self, tag: &str, v: &JsonValue) -> Result<Value, BuildError> {
+        match tag {
+            "int" => {
+                let f = v
+                    .as_f64()
+                    .ok_or_else(|| bad("int snapshot value must be a number"))?;
+                if f.fract() != 0.0 || f.abs() > 9_007_199_254_740_992.0 {
+                    return Err(bad("int snapshot value must be an integer within 2^53"));
+                }
+                Ok(Value::Int(f as i64))
+            }
+            "bool" => v
+                .as_bool()
+                .map(Value::Bool)
+                .ok_or_else(|| bad("bool snapshot value must be a bool")),
+            "pid" => {
+                let idx = v
+                    .as_u64()
+                    .filter(|&p| p < ProcSet::MAX_PROCESSES as u64)
+                    .ok_or_else(|| bad("pid snapshot value must name a valid process"))?;
+                self.max_pid = self.max_pid.max(Some(idx));
+                Ok(Value::Pid(ProcessId::new(idx as usize)))
+            }
+            other => Err(bad(format!("unknown snapshot value tag {other:?}"))),
+        }
+    }
+
+    fn clauses(&mut self) -> Result<Vec<(u32, String)>, BuildError> {
+        self.list("clauses", |r| {
+            let (mut p, mut label) = (None, None);
+            r.object("clause", |r, key| {
+                match key {
+                    "p" => set(&mut p, key, r.int("clause \"p\"")?)?,
+                    "label" => set(&mut label, key, r.string("clause \"label\"")?)?,
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            })?;
+            Ok((need(p, "p")?, need(label, "label")?))
+        })
+    }
+
+    fn slots(&mut self) -> Result<Vec<SlotState>, BuildError> {
+        self.list("slots", |r| {
+            let (mut p, mut clauses, mut start, mut candidates) = (None, None, None, None);
+            r.object("slot", |r, key| {
+                match key {
+                    "p" => set(&mut p, key, r.int("slot \"p\"")?)?,
+                    "clauses" => set(&mut clauses, key, r.ints("slot clauses")?)?,
+                    "start" => set(&mut start, key, r.u64("slot \"start\"")?)?,
+                    "candidates" => set(&mut candidates, key, r.ints("slot candidates")?)?,
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            })?;
+            Ok(SlotState {
+                process: need(p, "p")?,
+                clauses: need(clauses, "clauses")?,
+                start: need(start, "start")?,
+                candidates: need(candidates, "candidates")?,
+            })
+        })
+    }
+
+    fn groups(&mut self) -> Result<Vec<GroupState>, BuildError> {
+        self.list("groups", |r| {
+            let mut source = None;
+            let (mut slots, mut fronts, mut dirty, mut dirty_any) = (None, None, None, None);
+            let (mut seen_revision, mut check_cost, mut alarms) = (None, None, None);
+            let (mut current_alarm, mut last_alarm) = (None, None);
+            r.object("group", |r, key| {
+                match key {
+                    "source" => set(&mut source, key, r.string("group \"source\"")?)?,
+                    "slots" => set(&mut slots, key, r.ints("group slots")?)?,
+                    "fronts" => set(&mut fronts, key, r.ints("group fronts")?)?,
+                    "dirty" => set(&mut dirty, key, r.list(key, |r| r.bool("group dirty"))?)?,
+                    "dirty_any" => set(&mut dirty_any, key, r.bool("group \"dirty_any\"")?)?,
+                    "seen_revision" => set(&mut seen_revision, key, r.u64(key)?)?,
+                    "current_alarm" => set(&mut current_alarm, key, r.opt_cut(key)?)?,
+                    "last_alarm" => set(&mut last_alarm, key, r.opt_cut(key)?)?,
+                    "check_cost" => set(&mut check_cost, key, r.u64(key)?)?,
+                    "alarms" => set(&mut alarms, key, r.u64(key)?)?,
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            })?;
+            Ok(GroupState {
+                source: need(source, "source")?,
+                slots: need(slots, "slots")?,
+                fronts: need(fronts, "fronts")?,
+                dirty: need(dirty, "dirty")?,
+                dirty_any: need(dirty_any, "dirty_any")?,
+                seen_revision: need(seen_revision, "seen_revision")?,
+                current_alarm: need(current_alarm, "current_alarm")?,
+                last_alarm: need(last_alarm, "last_alarm")?,
+                check_cost: need(check_cost, "check_cost")?,
+                alarms: need(alarms, "alarms")?,
+            })
+        })
+    }
+
+    fn tenants(&mut self) -> Result<Vec<TenantState>, BuildError> {
+        self.list("tenants", |r| {
+            let (mut id, mut group, mut source) = (None, None, None);
+            r.object("tenant", |r, key| {
+                match key {
+                    "id" => set(&mut id, key, r.string("tenant \"id\"")?)?,
+                    "group" => set(&mut group, key, r.int("tenant \"group\"")?)?,
+                    "source" => set(&mut source, key, r.string("tenant \"source\"")?)?,
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            })?;
+            Ok(TenantState {
+                id: need(id, "id")?,
+                group: need(group, "group")?,
+                source: need(source, "source")?,
+            })
+        })
+    }
+
+    fn stats(&mut self) -> Result<HubStats, BuildError> {
+        let mut read = [None; 13];
+        self.object("stats", |r, key| {
+            let Some(i) = STATS_FIELDS.iter().position(|name| *name == key) else {
+                return Ok(false);
+            };
+            set(&mut read[i], key, r.u64(key)?)?;
+            Ok(true)
+        })?;
+        let mut v = [0; 13];
+        for (i, name) in STATS_FIELDS.iter().enumerate() {
+            v[i] = need(read[i], name)?;
+        }
+        Ok(HubStats {
+            events: v[0],
+            messages: v[1],
+            checks: v[2],
+            alarms: v[3],
+            check_cost: v[4],
+            clause_evals: v[5],
+            delta_cuts: v[6],
+            peak_candidates: v[7],
+            compactions: v[8],
+            dropped_events: v[9],
+            retained_peak: v[10],
+            fanout_sent: v[11],
+            fanout_dropped: v[12],
+        })
+    }
+
+    /// `null`, or `{"lag":..,"every":..}` with a positive cadence.
+    fn gc(&mut self) -> Result<Option<GcConfig>, BuildError> {
+        if self.json.null().map_err(syntax)? {
+            return Ok(None);
+        }
+        let (mut lag, mut every) = (None, None);
+        self.object("gc", |r, key| {
+            match key {
+                "lag" => set(&mut lag, key, r.int("gc \"lag\"")?)?,
+                "every" => set(&mut every, key, r.u64("gc \"every\"")?)?,
+                _ => return Ok(false),
+            }
+            Ok(true)
+        })?;
+        let every = need(every, "every")?;
+        if every == 0 {
+            return Err(bad("gc.every must be positive"));
+        }
+        Ok(Some(GcConfig {
+            lag: need(lag, "lag")?,
+            every,
+        }))
+    }
+
+    fn opt_cut(&mut self, what: &str) -> Result<Option<Vec<u32>>, BuildError> {
+        if self.json.null().map_err(syntax)? {
+            return Ok(None);
+        }
+        self.ints(what).map(Some)
+    }
+
+    fn pairs(&mut self, what: &str) -> Result<Vec<(u32, u32)>, BuildError> {
+        self.list(what, |r| match r.ints(what)?[..] {
+            [send, recv] => Ok((send, recv)),
+            _ => Err(bad(format!("{what}: entries must be [send, recv] pairs"))),
+        })
+    }
+
+    /// An array of integers; sized for one per process, the length of
+    /// the bulk of them (the clocks).
+    fn ints<T: TryFrom<u64>>(&mut self, what: &str) -> Result<Vec<T>, BuildError> {
+        let mut v = Vec::with_capacity(self.processes.unwrap_or(0));
+        self.array(what, |r| {
+            v.push(r.int(what)?);
+            Ok(())
+        })?;
+        Ok(v)
+    }
+
+    /// Reads an array, calling `item` to read each element.
+    fn list<T>(
+        &mut self,
+        what: &str,
+        mut item: impl FnMut(&mut Self) -> Result<T, BuildError>,
+    ) -> Result<Vec<T>, BuildError> {
+        let mut items = Vec::new();
+        self.array(what, |r| {
+            items.push(item(r)?);
+            Ok(())
+        })?;
+        Ok(items)
+    }
+
+    /// Reads an object, handing each key to `field`, which reads the
+    /// value and returns `true`, or returns `false` to have it read and
+    /// dropped.
+    fn object(
+        &mut self,
+        what: &str,
+        mut field: impl FnMut(&mut Self, &str) -> Result<bool, BuildError>,
+    ) -> Result<(), BuildError> {
+        self.expect(JsonKind::Object, what, "an object")?;
+        self.json.begin_object().map_err(syntax)?;
+        while let Some(key) = self.json.next_key().map_err(syntax)? {
+            if !field(self, &key)? {
+                self.json.value().map_err(syntax)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Walks an array, calling `item` to read each element.
+    fn array(
+        &mut self,
+        what: &str,
+        mut item: impl FnMut(&mut Self) -> Result<(), BuildError>,
+    ) -> Result<(), BuildError> {
+        self.expect(JsonKind::Array, what, "an array")?;
+        self.json.begin_array().map_err(syntax)?;
+        while self.json.next_item().map_err(syntax)? {
+            item(self)?;
+        }
+        Ok(())
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64, BuildError> {
+        self.expect(JsonKind::Number, what, "a non-negative integer")?;
+        self.json
+            .u64()
+            .map_err(syntax)?
+            .ok_or_else(|| bad(format!("{what:?} must be a non-negative integer")))
+    }
+
+    fn int<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, BuildError> {
+        let v = self.u64(what)?;
+        T::try_from(v).map_err(|_| bad(format!("{what:?} is out of range")))
+    }
+
+    fn bool(&mut self, what: &str) -> Result<bool, BuildError> {
+        self.expect(JsonKind::Bool, what, "a bool")?;
+        self.json.bool().map_err(syntax)
+    }
+
+    fn string(&mut self, what: &str) -> Result<String, BuildError> {
+        self.expect(JsonKind::String, what, "a string")?;
+        Ok(self.json.string().map_err(syntax)?.into_owned())
+    }
+
+    /// Fails with a typed error unless the next value is of `kind`.
+    fn expect(&mut self, kind: JsonKind, what: &str, expected: &str) -> Result<(), BuildError> {
+        if self.json.peek().map_err(syntax)? == kind {
+            Ok(())
+        } else {
+            Err(bad(format!(
+                "{what:?} must be {expected} (byte {})",
+                self.json.offset()
+            )))
+        }
+    }
+}
+
+/// Accepts only the current schema tag, naming the retired one.
+fn check_schema(tag: &str) -> Result<(), BuildError> {
     if tag == RETIRED_MONITOR_CHECKPOINT {
         return Err(bad(format!(
             "{tag} is the retired single-monitor checkpoint format, which this \
@@ -136,305 +844,23 @@ pub fn decode(doc: &JsonValue) -> Result<(HubState, u64), BuildError> {
             schema::SERVE_CHECKPOINT
         )));
     }
-    let num_processes = get_u64(doc, "processes")? as usize;
-    if num_processes == 0 || num_processes > ProcSet::MAX_PROCESSES {
-        return Err(bad(format!(
-            "\"processes\" must be in 1..={}",
-            ProcSet::MAX_PROCESSES
-        )));
-    }
-    let metrics_seq = get_u64(doc, "metrics_seq")?;
-    let slicer = slicer_from_doc(doc, num_processes)?;
-
-    let mut values = Vec::with_capacity(num_processes);
-    for (p, row) in get_array(doc, "values")?.iter().enumerate() {
-        let row = row
-            .as_array()
-            .ok_or_else(|| bad(format!("values[{p}] must be an array")))?;
-        let mut mirror = Vec::with_capacity(row.len());
-        for value in row {
-            mirror.push(value_from(value, num_processes)?);
-        }
-        values.push(mirror);
-    }
-
-    let mut clauses = Vec::new();
-    for (i, clause) in get_array(doc, "clauses")?.iter().enumerate() {
-        let p = get_u32(clause, "p").map_err(|_| bad(format!("clauses[{i}]: bad \"p\"")))?;
-        let label = field(clause, "label")?
-            .as_str()
-            .ok_or_else(|| bad(format!("clauses[{i}]: \"label\" must be a string")))?;
-        clauses.push((p, label.to_owned()));
-    }
-
-    let mut slots = Vec::new();
-    for (i, slot) in get_array(doc, "slots")?.iter().enumerate() {
-        slots.push(SlotState {
-            process: get_u32(slot, "p").map_err(|_| bad(format!("slots[{i}]: bad \"p\"")))?,
-            clauses: u32_vec(field(slot, "clauses")?, "slot clauses")?,
-            start: get_u64(slot, "start")?,
-            candidates: u32_vec(field(slot, "candidates")?, "slot candidates")?,
-        });
-    }
-
-    let mut groups = Vec::new();
-    for (i, group) in get_array(doc, "groups")?.iter().enumerate() {
-        let at = format!("groups[{i}]");
-        groups.push(GroupState {
-            source: field(group, "source")?
-                .as_str()
-                .ok_or_else(|| bad(format!("{at}: \"source\" must be a string")))?
-                .to_owned(),
-            slots: u32_vec(field(group, "slots")?, "group slots")?,
-            fronts: u64_vec(field(group, "fronts")?, "group fronts")?,
-            dirty: bool_vec(field(group, "dirty")?, "group dirty")?,
-            dirty_any: field(group, "dirty_any")?
-                .as_bool()
-                .ok_or_else(|| bad(format!("{at}: \"dirty_any\" must be a bool")))?,
-            seen_revision: get_u64(group, "seen_revision")?,
-            current_alarm: opt_cut_from(field(group, "current_alarm")?, "current_alarm")?,
-            last_alarm: opt_cut_from(field(group, "last_alarm")?, "last_alarm")?,
-            check_cost: get_u64(group, "check_cost")?,
-            alarms: get_u64(group, "alarms")?,
-        });
-    }
-
-    let mut tenants = Vec::new();
-    for (i, tenant) in get_array(doc, "tenants")?.iter().enumerate() {
-        let at = format!("tenants[{i}]");
-        tenants.push(TenantState {
-            id: field(tenant, "id")?
-                .as_str()
-                .ok_or_else(|| bad(format!("{at}: \"id\" must be a string")))?
-                .to_owned(),
-            group: get_u32(tenant, "group")?,
-            source: field(tenant, "source")?
-                .as_str()
-                .ok_or_else(|| bad(format!("{at}: \"source\" must be a string")))?
-                .to_owned(),
-        });
-    }
-
-    let stats = stats_from(field(doc, "stats")?)?;
-    let gc = gc_from(field(doc, "gc")?)?;
-    let since_gc = get_u64(doc, "since_gc")?;
-
-    let state = HubState {
-        slicer,
-        values,
-        clauses,
-        slots,
-        groups,
-        tenants,
-        stats,
-        gc,
-        since_gc,
-    };
-    Ok((state, metrics_seq))
+    Ok(())
 }
 
-/// Parses checkpoint text and decodes it; see [`decode`].
-///
-/// # Errors
-///
-/// Returns [`BuildError::InvalidState`] on malformed JSON or any
-/// [`decode`] failure.
-pub fn decode_str(text: &str) -> Result<(HubState, u64), BuildError> {
-    let doc = slicing_observe::json::parse(text)
-        .map_err(|e| bad(format!("checkpoint is not valid JSON: {e}")))?;
-    decode(&doc)
+/// Stores a field's value, rejecting a key the object already had.
+fn set<T>(slot: &mut Option<T>, key: &str, value: T) -> Result<(), BuildError> {
+    if slot.replace(value).is_some() {
+        return Err(bad(format!("checkpoint repeats field {key:?}")));
+    }
+    Ok(())
 }
 
-fn u64_vec(value: &JsonValue, what: &str) -> Result<Vec<u64>, BuildError> {
-    value
-        .as_array()
-        .ok_or_else(|| bad(format!("{what} must be an array")))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| bad(format!("{what}: entries must be u64 integers")))
-        })
-        .collect()
+fn need<T>(slot: Option<T>, key: &str) -> Result<T, BuildError> {
+    slot.ok_or_else(|| bad(format!("checkpoint is missing field {key:?}")))
 }
 
-fn stats_json(stats: &HubStats) -> String {
-    JsonObject::new()
-        .u64("events", stats.events)
-        .u64("messages", stats.messages)
-        .u64("checks", stats.checks)
-        .u64("alarms", stats.alarms)
-        .u64("check_cost", stats.check_cost)
-        .u64("clause_evals", stats.clause_evals)
-        .u64("delta_cuts", stats.delta_cuts)
-        .u64("peak_candidates", stats.peak_candidates)
-        .u64("compactions", stats.compactions)
-        .u64("dropped_events", stats.dropped_events)
-        .u64("retained_peak", stats.retained_peak)
-        .u64("fanout_sent", stats.fanout_sent)
-        .u64("fanout_dropped", stats.fanout_dropped)
-        .finish()
-}
-
-fn stats_from(doc: &JsonValue) -> Result<HubStats, BuildError> {
-    Ok(HubStats {
-        events: get_u64(doc, "events")?,
-        messages: get_u64(doc, "messages")?,
-        checks: get_u64(doc, "checks")?,
-        alarms: get_u64(doc, "alarms")?,
-        check_cost: get_u64(doc, "check_cost")?,
-        clause_evals: get_u64(doc, "clause_evals")?,
-        delta_cuts: get_u64(doc, "delta_cuts")?,
-        peak_candidates: get_u64(doc, "peak_candidates")?,
-        compactions: get_u64(doc, "compactions")?,
-        dropped_events: get_u64(doc, "dropped_events")?,
-        retained_peak: get_u64(doc, "retained_peak")?,
-        fanout_sent: get_u64(doc, "fanout_sent")?,
-        fanout_dropped: get_u64(doc, "fanout_dropped")?,
-    })
-}
-
-/// Appends the flat [`SlicerState`] fields (`base` through
-/// `clock_revision`).
-fn slicer_fields(obj: JsonObject, s: &SlicerState) -> JsonObject {
-    let mut events = JsonArray::new();
-    for ((&p, &holds), clock) in s.event_procs.iter().zip(&s.holds).zip(&s.clocks) {
-        events = events.push_raw(
-            &JsonObject::new()
-                .u64("p", u64::from(p))
-                .bool("holds", holds)
-                .raw("clock", &scalar_array(clock))
-                .finish(),
-        );
-    }
-    let mut vars = JsonArray::new();
-    for names in &s.var_names {
-        let mut row = JsonArray::new();
-        for name in names {
-            row = row.push_str(name);
-        }
-        vars = vars.push_raw(&row.finish());
-    }
-    let mut snapshots = JsonArray::new();
-    for per_process in &s.snapshots {
-        let mut rows = JsonArray::new();
-        for row in per_process {
-            let mut values = JsonArray::new();
-            for value in row {
-                values = values.push_raw(&value_json(value));
-            }
-            rows = rows.push_raw(&values.finish());
-        }
-        snapshots = snapshots.push_raw(&rows.finish());
-    }
-    obj.raw("base", &scalar_array(&s.base))
-        .raw("events", &events.finish())
-        .raw("vars", &vars.finish())
-        .raw("snapshots", &snapshots.finish())
-        .raw("messages", &pair_array(&s.messages))
-        .raw("settled_edges", &pair_array(&s.settled_edges))
-        .u64("clock_revision", s.clock_revision)
-}
-
-/// Decodes the flat [`SlicerState`] fields written by [`slicer_fields`].
-fn slicer_from_doc(doc: &JsonValue, num_processes: usize) -> Result<SlicerState, BuildError> {
-    let base = u32_vec(field(doc, "base")?, "base")?;
-
-    let events = get_array(doc, "events")?;
-    let mut event_procs = Vec::with_capacity(events.len());
-    let mut holds = Vec::with_capacity(events.len());
-    let mut clocks = Vec::with_capacity(events.len());
-    for (i, ev) in events.iter().enumerate() {
-        event_procs.push(get_u32(ev, "p").map_err(|_| bad(format!("events[{i}]: bad \"p\"")))?);
-        holds.push(
-            field(ev, "holds")?
-                .as_bool()
-                .ok_or_else(|| bad(format!("events[{i}]: \"holds\" must be a bool")))?,
-        );
-        let clock = u32_vec(field(ev, "clock")?, "clock")?;
-        if clock.len() != num_processes {
-            return Err(bad(format!(
-                "events[{i}]: clock has arity {}, expected {num_processes}",
-                clock.len()
-            )));
-        }
-        clocks.push(clock);
-    }
-
-    let mut var_names = Vec::with_capacity(num_processes);
-    for (p, row) in get_array(doc, "vars")?.iter().enumerate() {
-        let row = row
-            .as_array()
-            .ok_or_else(|| bad(format!("vars[{p}] must be an array of names")))?;
-        let mut names = Vec::with_capacity(row.len());
-        for name in row {
-            names.push(
-                name.as_str()
-                    .ok_or_else(|| bad(format!("vars[{p}]: names must be strings")))?
-                    .to_owned(),
-            );
-        }
-        var_names.push(names);
-    }
-
-    let mut snapshots = Vec::with_capacity(num_processes);
-    for (p, rows) in get_array(doc, "snapshots")?.iter().enumerate() {
-        let rows = rows
-            .as_array()
-            .ok_or_else(|| bad(format!("snapshots[{p}] must be an array of rows")))?;
-        let mut per_process = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            let row = row
-                .as_array()
-                .ok_or_else(|| bad(format!("snapshots[{p}][{i}] must be an array")))?;
-            let mut values = Vec::with_capacity(row.len());
-            for value in row {
-                values.push(value_from(value, num_processes)?);
-            }
-            per_process.push(values);
-        }
-        snapshots.push(per_process);
-    }
-
-    Ok(SlicerState {
-        num_processes,
-        base,
-        event_procs,
-        holds,
-        clocks,
-        var_names,
-        snapshots,
-        messages: pair_vec(field(doc, "messages")?, "messages")?,
-        settled_edges: pair_vec(field(doc, "settled_edges")?, "settled_edges")?,
-        clock_revision: get_u64(doc, "clock_revision")?,
-    })
-}
-
-/// Renders an optional [`GcConfig`] as `null` or `{"lag":..,"every":..}`.
-fn gc_json(gc: &Option<GcConfig>) -> String {
-    match gc {
-        None => "null".to_owned(),
-        Some(cfg) => JsonObject::new()
-            .u64("lag", u64::from(cfg.lag))
-            .u64("every", cfg.every)
-            .finish(),
-    }
-}
-
-/// Decodes what [`gc_json`] wrote, rejecting a zero cadence.
-fn gc_from(value: &JsonValue) -> Result<Option<GcConfig>, BuildError> {
-    match value {
-        JsonValue::Null => Ok(None),
-        cfg => {
-            let every = get_u64(cfg, "every")?;
-            if every == 0 {
-                return Err(bad("gc.every must be positive"));
-            }
-            Ok(Some(GcConfig {
-                lag: get_u32(cfg, "lag")?,
-                every,
-            }))
-        }
-    }
+fn syntax(e: JsonParseError) -> BuildError {
+    bad(format!("checkpoint is not valid JSON: {e}"))
 }
 
 fn bad(detail: impl Into<String>) -> BuildError {
@@ -443,153 +869,12 @@ fn bad(detail: impl Into<String>) -> BuildError {
     }
 }
 
-/// A JSON array of numbers or bools, each rendered by `to_string`.
-fn scalar_array<T: ToString>(values: &[T]) -> String {
-    let mut arr = JsonArray::new();
-    for v in values {
-        arr = arr.push_raw(&v.to_string());
-    }
-    arr.finish()
-}
-
-fn pair_array(pairs: &[(u32, u32)]) -> String {
-    let mut arr = JsonArray::new();
-    for &(a, b) in pairs {
-        arr = arr.push_raw(&format!("[{a},{b}]"));
-    }
-    arr.finish()
-}
-
-fn opt_cut_json(cut: &Option<Vec<u32>>) -> String {
-    match cut {
-        None => "null".to_owned(),
-        Some(counts) => scalar_array(counts),
-    }
-}
-
-fn value_json(value: &Value) -> String {
-    match value {
-        Value::Int(v) => JsonObject::new().str("t", "int").i64("v", *v).finish(),
-        Value::Bool(v) => JsonObject::new().str("t", "bool").bool("v", *v).finish(),
-        Value::Pid(p) => JsonObject::new()
-            .str("t", "pid")
-            .u64("v", p.as_usize() as u64)
-            .finish(),
-    }
-}
-
-fn field<'a>(doc: &'a JsonValue, name: &str) -> Result<&'a JsonValue, BuildError> {
-    doc.get(name)
-        .ok_or_else(|| bad(format!("checkpoint is missing field {name:?}")))
-}
-
-fn get_u64(doc: &JsonValue, name: &str) -> Result<u64, BuildError> {
-    field(doc, name)?
-        .as_u64()
-        .ok_or_else(|| bad(format!("field {name:?} must be a non-negative integer")))
-}
-
-fn get_u32(doc: &JsonValue, name: &str) -> Result<u32, BuildError> {
-    let v = get_u64(doc, name)?;
-    u32::try_from(v).map_err(|_| bad(format!("field {name:?} exceeds u32 range")))
-}
-
-fn get_array<'a>(doc: &'a JsonValue, name: &str) -> Result<&'a [JsonValue], BuildError> {
-    field(doc, name)?
-        .as_array()
-        .ok_or_else(|| bad(format!("field {name:?} must be an array")))
-}
-
-fn as_u32(value: &JsonValue, what: &str) -> Result<u32, BuildError> {
-    value
-        .as_u64()
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or_else(|| bad(format!("{what}: entries must be u32 integers")))
-}
-
-fn u32_vec(value: &JsonValue, what: &str) -> Result<Vec<u32>, BuildError> {
-    value
-        .as_array()
-        .ok_or_else(|| bad(format!("{what} must be an array")))?
-        .iter()
-        .map(|v| as_u32(v, what))
-        .collect()
-}
-
-fn bool_vec(value: &JsonValue, what: &str) -> Result<Vec<bool>, BuildError> {
-    value
-        .as_array()
-        .ok_or_else(|| bad(format!("{what} must be an array")))?
-        .iter()
-        .map(|v| {
-            v.as_bool()
-                .ok_or_else(|| bad(format!("{what}: entries must be bools")))
-        })
-        .collect()
-}
-
-fn pair_vec(value: &JsonValue, what: &str) -> Result<Vec<(u32, u32)>, BuildError> {
-    value
-        .as_array()
-        .ok_or_else(|| bad(format!("{what} must be an array")))?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| bad(format!("{what}: entries must be [send, recv] pairs")))?;
-            Ok((as_u32(&pair[0], what)?, as_u32(&pair[1], what)?))
-        })
-        .collect()
-}
-
-fn opt_cut_from(value: &JsonValue, what: &str) -> Result<Option<Vec<u32>>, BuildError> {
-    match value {
-        JsonValue::Null => Ok(None),
-        v => u32_vec(v, what).map(Some),
-    }
-}
-
-fn value_from(value: &JsonValue, num_processes: usize) -> Result<Value, BuildError> {
-    let tag = value
-        .get("t")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| bad("snapshot values must be {\"t\": ..., \"v\": ...} objects"))?;
-    let v = value
-        .get("v")
-        .ok_or_else(|| bad("snapshot value is missing \"v\""))?;
-    match tag {
-        "int" => {
-            let f = v
-                .as_f64()
-                .ok_or_else(|| bad("int snapshot value must be a number"))?;
-            if f.fract() != 0.0 || f.abs() > 9_007_199_254_740_992.0 {
-                return Err(bad("int snapshot value must be an integer within 2^53"));
-            }
-            Ok(Value::Int(f as i64))
-        }
-        "bool" => v
-            .as_bool()
-            .map(Value::Bool)
-            .ok_or_else(|| bad("bool snapshot value must be a bool")),
-        "pid" => {
-            let idx = v
-                .as_u64()
-                .map(|v| v as usize)
-                .filter(|&v| v < num_processes)
-                .ok_or_else(|| bad("pid snapshot value must name a valid process"))?;
-            Ok(Value::Pid(ProcessId::new(idx)))
-        }
-        other => Err(bad(format!("unknown snapshot value tag {other:?}"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::monitor::OnlineMonitor;
     use crate::multiplex::MonitorHub;
-    use slicing_predicates::LocalPredicate;
+    use slicing_predicates::{Conjunctive, LocalPredicate};
 
     /// A monitor mid-run, i.e. the one-tenant hub `slicing monitor`
     /// checkpoints: two processes, a watched clause each, a cross-process
@@ -702,5 +987,117 @@ mod tests {
         assert!(decode_str("not json").is_err());
         assert!(decode_str("[1,2,3]").is_err());
         assert!(decode_str("{}").is_err());
+    }
+
+    /// A hub covering every kind of field the wire format holds: int
+    /// (negative too), bool and pid values; tenant ids, sources and
+    /// clause labels that need escaping; one alarmed group and one that
+    /// never alarmed; and GC on or off.
+    fn golden_hub(gc: bool) -> MonitorHub {
+        let mut hub = MonitorHub::new(3);
+        if gc {
+            hub = hub.with_gc(GcConfig { lag: 1, every: 4 });
+        }
+        let x = hub.declare_var(0, "x", Value::Int(0)).unwrap();
+        let up = hub.declare_var(1, "up", Value::Bool(true)).unwrap();
+        let leader = hub
+            .declare_var(2, "leader", Value::Pid(ProcessId::new(1)))
+            .unwrap();
+        let hot = || LocalPredicate::int(x, "x > 1 \"hot\"", |v| v > 1);
+        let cold = LocalPredicate::int(x, "x < -9 \\ λ", |v| v < -9);
+        let elected = LocalPredicate::new(vec![leader], "leader\n== p0", |v| {
+            v[0] == Value::Pid(ProcessId::new(0))
+        });
+        let hot_pred = Conjunctive::new(vec![hot(), elected]);
+        hub.add_tenant(
+            "ops \"a\"\\\nλ",
+            &hot_pred,
+            "x@0 > 1 \"hot\" && leader@2 == p0",
+        )
+        .unwrap();
+        hub.add_tenant("b", &Conjunctive::new(vec![cold]), "x@0 < -9 \\ λ")
+            .unwrap();
+        let a1 = hub.observe(0, &[(x, Value::Int(-3))]).unwrap();
+        let b1 = hub.observe(1, &[(up, Value::Bool(false))]).unwrap();
+        hub.message(a1, b1).unwrap();
+        let a2 = hub.observe(0, &[(x, Value::Int(7))]).unwrap();
+        let c1 = hub
+            .observe(2, &[(leader, Value::Pid(ProcessId::new(0)))])
+            .unwrap();
+        hub.message(a2, c1).unwrap();
+        assert_eq!(hub.check_all().len(), 1, "only the hot tenant alarms");
+        hub.observe(1, &[(up, Value::Bool(true))]).unwrap();
+        hub
+    }
+
+    /// The wire format, pinned: these literals are what the encoder wrote
+    /// before it became one pass, and every later encoder must write them
+    /// byte for byte.
+    const GOLDEN_GC: &str = concat!(
+        r#"{"schema":"slicing.serve-checkpoint/v1","processes":3,"metrics_seq":11"#,
+        r#","base":[0,0,0],"events":[{"p":0,"holds":true,"clock":[1,1,1]},{"p":1"#,
+        r#","holds":true,"clock":[1,1,1]},{"p":2,"holds":true,"clock":[1,1,1]},{"p":0"#,
+        r#","holds":true,"clock":[2,1,1]},{"p":1,"holds":true,"clock":[2,2,1]},{"p":0"#,
+        r#","holds":true,"clock":[3,1,1]},{"p":2,"holds":true,"clock":[3,1,2]},{"p":1"#,
+        r#","holds":true,"clock":[2,3,1]}],"vars":[["x"],["up"],["leader"]]"#,
+        r#","snapshots":[[[{"t":"int","v":0}],[{"t":"int","v":-3}],[{"t":"int","v":7}]]"#,
+        r#",[[{"t":"bool","v":true}],[{"t":"bool","v":false}],[{"t":"bool","v":true}]]"#,
+        r#",[[{"t":"pid","v":1}],[{"t":"pid","v":0}]]],"messages":[[3,4],[5,6]]"#,
+        r#","settled_edges":[],"clock_revision":2,"values":[[{"t":"int","v":7}]"#,
+        r#",[{"t":"bool","v":true}],[{"t":"pid","v":0}]],"clauses":[{"p":0"#,
+        r#","label":"x > 1 \"hot\""},{"p":2,"label":"leader\n== p0"},{"p":0"#,
+        r#","label":"x < -9 \\ λ"}],"slots":[{"p":0,"clauses":[0],"start":0"#,
+        r#","candidates":[2]},{"p":2,"clauses":[1],"start":0,"candidates":[1]},{"p":0"#,
+        r#","clauses":[2],"start":0,"candidates":[]}]"#,
+        r#","groups":[{"source":"x@0 > 1 \"hot\" && leader@2 == p0","slots":[0,1]"#,
+        r#","fronts":[0,0],"dirty":[false,true,false],"dirty_any":false,"seen_revision":2"#,
+        r#","current_alarm":[3,1,2],"last_alarm":[3,1,2],"check_cost":5,"alarms":1}"#,
+        r#",{"source":"x@0 < -9 \\ λ","slots":[2],"fronts":[0],"dirty":[false,false"#,
+        r#",false],"dirty_any":false,"seen_revision":2,"current_alarm":null"#,
+        r#","last_alarm":null,"check_cost":0,"alarms":0}],"tenants":[{"id":"b","group":1"#,
+        r#","source":"x@0 < -9 \\ λ"},{"id":"ops \"a\"\\\nλ","group":0"#,
+        r#","source":"x@0 > 1 \"hot\" && leader@2 == p0"}],"stats":{"events":5"#,
+        r#","messages":2,"checks":1,"alarms":1,"check_cost":5,"clause_evals":8"#,
+        r#","delta_cuts":2,"peak_candidates":2,"compactions":0,"dropped_events":0"#,
+        r#","retained_peak":7,"fanout_sent":0,"fanout_dropped":0},"gc":{"lag":1"#,
+        r#","every":4},"since_gc":1}"#,
+    );
+
+    const GOLDEN_NO_GC: &str = concat!(
+        r#"{"schema":"slicing.serve-checkpoint/v1","processes":3,"metrics_seq":11"#,
+        r#","base":[0,0,0],"events":[{"p":0,"holds":true,"clock":[1,1,1]},{"p":1"#,
+        r#","holds":true,"clock":[1,1,1]},{"p":2,"holds":true,"clock":[1,1,1]},{"p":0"#,
+        r#","holds":true,"clock":[2,1,1]},{"p":1,"holds":true,"clock":[2,2,1]},{"p":0"#,
+        r#","holds":true,"clock":[3,1,1]},{"p":2,"holds":true,"clock":[3,1,2]},{"p":1"#,
+        r#","holds":true,"clock":[2,3,1]}],"vars":[["x"],["up"],["leader"]]"#,
+        r#","snapshots":[[[{"t":"int","v":0}],[{"t":"int","v":-3}],[{"t":"int","v":7}]]"#,
+        r#",[[{"t":"bool","v":true}],[{"t":"bool","v":false}],[{"t":"bool","v":true}]]"#,
+        r#",[[{"t":"pid","v":1}],[{"t":"pid","v":0}]]],"messages":[[3,4],[5,6]]"#,
+        r#","settled_edges":[],"clock_revision":2,"values":[[{"t":"int","v":7}]"#,
+        r#",[{"t":"bool","v":true}],[{"t":"pid","v":0}]],"clauses":[{"p":0"#,
+        r#","label":"x > 1 \"hot\""},{"p":2,"label":"leader\n== p0"},{"p":0"#,
+        r#","label":"x < -9 \\ λ"}],"slots":[{"p":0,"clauses":[0],"start":0"#,
+        r#","candidates":[2]},{"p":2,"clauses":[1],"start":0,"candidates":[1]},{"p":0"#,
+        r#","clauses":[2],"start":0,"candidates":[]}]"#,
+        r#","groups":[{"source":"x@0 > 1 \"hot\" && leader@2 == p0","slots":[0,1]"#,
+        r#","fronts":[0,0],"dirty":[false,true,false],"dirty_any":false,"seen_revision":2"#,
+        r#","current_alarm":[3,1,2],"last_alarm":[3,1,2],"check_cost":5,"alarms":1}"#,
+        r#",{"source":"x@0 < -9 \\ λ","slots":[2],"fronts":[0],"dirty":[false,false"#,
+        r#",false],"dirty_any":false,"seen_revision":2,"current_alarm":null"#,
+        r#","last_alarm":null,"check_cost":0,"alarms":0}],"tenants":[{"id":"b","group":1"#,
+        r#","source":"x@0 < -9 \\ λ"},{"id":"ops \"a\"\\\nλ","group":0"#,
+        r#","source":"x@0 > 1 \"hot\" && leader@2 == p0"}],"stats":{"events":5"#,
+        r#","messages":2,"checks":1,"alarms":1,"check_cost":5,"clause_evals":8"#,
+        r#","delta_cuts":2,"peak_candidates":2,"compactions":0,"dropped_events":0"#,
+        r#","retained_peak":0,"fanout_sent":0,"fanout_dropped":0},"gc":null,"since_gc":0}"#,
+    );
+
+    #[test]
+    fn encoding_is_pinned_by_golden_documents() {
+        for (gc, golden) in [(true, GOLDEN_GC), (false, GOLDEN_NO_GC)] {
+            let state = golden_hub(gc).export_state();
+            assert_eq!(encode(&state, 11), golden, "gc = {gc}");
+            assert_eq!(decode_str(golden).unwrap(), (state, 11), "gc = {gc}");
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! re-exports it, and its tests pin the multi-tenant documents
 //! `slicing serve` writes.
 
-pub use crate::checkpoint::{decode, decode_str, encode};
+pub use crate::checkpoint::{decode_str, encode};
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,9 @@
 //! messages at the checkpoint, and process counts crossing the
 //! inline→spilled cut boundary — serialize, decode, and restore to a
 //! monitor with identical state and stats, whose continuation is
-//! step-for-step indistinguishable from the uninterrupted original.
+//! step-for-step indistinguishable from the uninterrupted original. The
+//! generic JSON parser reads every document back to the same text, so the
+//! one-pass encoder writes nothing but canonical JSON.
 
 use proptest::prelude::*;
 
@@ -120,6 +122,7 @@ proptest! {
         // flight (`pending`), the hard case for restore.
         let state = original.export_state();
         let text = encode(&state, 42);
+        prop_assert_eq!(&slicing_observe::json::parse(&text).unwrap().to_json(), &text);
         let (decoded, seq) = decode_str(&text).unwrap();
         prop_assert_eq!(seq, 42);
         prop_assert_eq!(&decoded, &state, "codec round-trip changed the state");

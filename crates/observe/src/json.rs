@@ -1,8 +1,11 @@
-//! Hand-rolled JSON: string escaping, tiny object/array builders, and a
-//! minimal recursive-descent parser. The workspace keeps its dependency
-//! closure at zero external crates, so this module is the single place
-//! JSON text is produced or consumed — sinks, report types, the schema
-//! validator, and the `bench-diff` tool all build on it.
+//! Hand-rolled JSON: string escaping, tiny object/array builders, a pull
+//! reader ([`JsonReader`]) and the tree parser built on it ([`parse`]).
+//! The workspace keeps its dependency closure at zero external crates, so
+//! this module is the single place JSON text is produced or consumed —
+//! sinks, report types, the schema validator, the `bench-diff` tool and
+//! the checkpoint codec all build on it.
+
+use std::borrow::Cow;
 
 /// Appends `s` to `out` as a JSON string literal, including the
 /// surrounding quotes.
@@ -343,33 +346,217 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
-/// Maximum container nesting [`parse`] accepts; the workspace's own
-/// documents nest four levels deep, so this bounds stack use on garbage
-/// input without ever rejecting a real report.
+/// Maximum container nesting [`parse`] and [`JsonReader`] accept; the
+/// workspace's own documents nest four levels deep, so this bounds stack
+/// use on garbage input without ever rejecting a real report.
 const MAX_DEPTH: usize = 128;
 
 /// Parses one JSON document. Trailing whitespace is allowed; trailing
 /// content is an error.
 pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing content after document"));
-    }
+    let mut reader = JsonReader::new(text);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The kind of the next value a [`JsonReader`] will read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonKind {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    String,
+    /// An array.
+    Array,
+    /// An object.
+    Object,
 }
 
-impl Parser<'_> {
+/// A pull reader over one JSON document: the single lexer behind
+/// [`parse`], for decoders that read a known layout straight into their
+/// own types instead of building a [`JsonValue`] tree first.
+///
+/// Containers are walked with [`begin_object`](JsonReader::begin_object)
+/// and [`next_key`](JsonReader::next_key), or
+/// [`begin_array`](JsonReader::begin_array) and
+/// [`next_item`](JsonReader::next_item); each key or item is followed by
+/// exactly one value read (a typed read, or [`value`](JsonReader::value)).
+/// It accepts exactly the documents [`parse`] accepts and reports the same
+/// errors at the same offsets.
+///
+/// # Errors
+///
+/// Every read returns a [`JsonParseError`] at the offending offset when
+/// the input is malformed there, nests too deep, or holds another kind of
+/// value than the read asks for.
+#[derive(Debug)]
+pub struct JsonReader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Containers currently open.
+    depth: usize,
+    /// The innermost open container has produced no key or item yet.
+    first: bool,
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader positioned before the document's first value.
+    pub fn new(text: &'a str) -> Self {
+        JsonReader {
+            text,
+            pos: 0,
+            depth: 0,
+            first: false,
+        }
+    }
+
+    /// The byte offset the reader has reached.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// Checks that only whitespace follows the document.
+    pub fn finish(&mut self) -> Result<(), JsonParseError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing content after document"))
+        }
+    }
+
+    /// The kind of the next value, without consuming it.
+    pub fn peek(&mut self) -> Result<JsonKind, JsonParseError> {
+        self.skip_ws();
+        if self.depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        match self.byte() {
+            Some(b'{') => Ok(JsonKind::Object),
+            Some(b'[') => Ok(JsonKind::Array),
+            Some(b'"') => Ok(JsonKind::String),
+            Some(b't' | b'f') => Ok(JsonKind::Bool),
+            Some(b'n') => Ok(JsonKind::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(JsonKind::Number),
+            _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
+    /// Opens an object; read its fields with [`next_key`](Self::next_key).
+    pub fn begin_object(&mut self) -> Result<(), JsonParseError> {
+        self.peek()?;
+        self.open(b'{')
+    }
+
+    /// The next key of the innermost open object, positioned before its
+    /// value, or `None` once the object is closed.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonParseError> {
+        if !self.next_entry(b'}', "expected ',' or '}'")? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.string_body()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Opens an array; read its items with [`next_item`](Self::next_item).
+    pub fn begin_array(&mut self) -> Result<(), JsonParseError> {
+        self.peek()?;
+        self.open(b'[')
+    }
+
+    /// Whether the innermost open array has another item, positioned
+    /// before it; `false` once the array is closed.
+    pub fn next_item(&mut self) -> Result<bool, JsonParseError> {
+        self.next_entry(b']', "expected ',' or ']'")
+    }
+
+    /// Reads a string, borrowing it from the input when it has no escapes.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonParseError> {
+        self.peek()?;
+        self.string_body()
+    }
+
+    /// Reads a number.
+    fn number(&mut self) -> Result<f64, JsonParseError> {
+        let token = self.number_token()?;
+        match plain_digits(token) {
+            // Up to 15 digits, every integer is exact in an f64.
+            Some((negative, v)) if token.len() <= 15 => {
+                let v = v as f64;
+                Ok(if negative { -v } else { v })
+            }
+            _ => token.parse().map_err(|_| self.err("invalid number")),
+        }
+    }
+
+    /// Reads a number and returns it as an unsigned integer when it is
+    /// one (the rule of [`JsonValue::as_u64`]; integers written as plain
+    /// digits convert exactly), `None` otherwise.
+    pub fn u64(&mut self) -> Result<Option<u64>, JsonParseError> {
+        let token = self.number_token()?;
+        if let Some((false, v)) = plain_digits(token) {
+            return Ok(Some(v));
+        }
+        let n: f64 = token.parse().map_err(|_| self.err("invalid number"))?;
+        Ok(JsonValue::Number(n).as_u64())
+    }
+
+    /// Reads `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, JsonParseError> {
+        match self.peek()? {
+            JsonKind::Bool if self.byte() == Some(b't') => self.literal("true").map(|()| true),
+            JsonKind::Bool => self.literal("false").map(|()| false),
+            _ => Err(self.err("expected a boolean")),
+        }
+    }
+
+    /// Consumes a `null` if one comes next; `false` leaves the reader
+    /// where it was.
+    pub fn null(&mut self) -> Result<bool, JsonParseError> {
+        if self.peek()? == JsonKind::Null {
+            self.literal("null")?;
+            return Ok(true);
+        }
+        Ok(false)
+    }
+
+    /// Reads the next value into a [`JsonValue`] tree.
+    pub fn value(&mut self) -> Result<JsonValue, JsonParseError> {
+        Ok(match self.peek()? {
+            JsonKind::Object => {
+                self.begin_object()?;
+                let mut fields = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    fields.push((key.into_owned(), self.value()?));
+                }
+                JsonValue::Object(fields)
+            }
+            JsonKind::Array => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                JsonValue::Array(items)
+            }
+            JsonKind::String => JsonValue::String(self.string()?.into_owned()),
+            JsonKind::Number => JsonValue::Number(self.number()?),
+            JsonKind::Bool => JsonValue::Bool(self.bool()?),
+            JsonKind::Null => {
+                self.null()?;
+                JsonValue::Null
+            }
+        })
+    }
+
     fn err(&self, message: &str) -> JsonParseError {
         JsonParseError {
             offset: self.pos,
@@ -377,18 +564,18 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), JsonParseError> {
-        if self.peek() == Some(byte) {
+        if self.byte() == Some(byte) {
             self.pos += 1;
             Ok(())
         } else {
@@ -396,95 +583,69 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str) -> Result<(), JsonParseError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(&format!("expected {word}")))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
+    fn open(&mut self, byte: u8) -> Result<(), JsonParseError> {
+        self.expect(byte)?;
+        self.depth += 1;
+        self.first = true;
+        Ok(())
     }
 
-    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
+    /// Steps to the next entry of the innermost open container, or closes
+    /// it at `close`.
+    fn next_entry(&mut self, close: u8, missing: &str) -> Result<bool, JsonParseError> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
+        let first = std::mem::replace(&mut self.first, false);
+        match self.byte() {
+            Some(c) if c == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
             }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(self.err(missing)),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonParseError> {
+    fn string_body(&mut self) -> Result<Cow<'a, str>, JsonParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        // Fast path: no escapes, so the string is a slice of the input.
+        while let Some(&c) = bytes.get(self.pos) {
+            match c {
+                b'"' => {
+                    self.pos += 1;
+                    return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+                }
+                b'\\' => break,
+                c if c < 0x20 => return Err(self.err("control byte in string")),
+                _ => self.pos += 1,
+            }
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
-            match self.peek() {
+            match self.byte() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
+                    match self.byte() {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'/') => out.push('/'),
@@ -498,7 +659,7 @@ impl Parser<'_> {
                             let hi = self.hex4()?;
                             let c = if (0xD800..0xDC00).contains(&hi) {
                                 // Surrogate pair: require \uXXXX for the low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
+                                if bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
                                     let code =
@@ -519,18 +680,13 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control byte in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries
-                    // are valid).
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
+                    // Copy the run up to the next quote, escape or control
+                    // byte (the input is &str, so boundaries are valid).
+                    let run = self.pos;
+                    while matches!(self.byte(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
                     }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                    self.pos = end;
+                    out.push_str(&self.text[run..self.pos]);
                 }
             }
         }
@@ -538,7 +694,8 @@ impl Parser<'_> {
 
     fn hex4(&mut self) -> Result<u32, JsonParseError> {
         let slice = self
-            .bytes
+            .text
+            .as_bytes()
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
         let text = std::str::from_utf8(slice).map_err(|_| self.err("invalid \\u escape"))?;
@@ -547,34 +704,54 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonParseError> {
+    /// Scans a number's text: an optional sign, digits, an optional
+    /// fraction and an optional exponent.
+    fn number_token(&mut self) -> Result<&'a str, JsonParseError> {
+        if self.peek()? != JsonKind::Number {
+            return Err(self.err("expected a number"));
+        }
+        let bytes = self.text.as_bytes();
+        let digits = |pos: &mut usize| {
+            while matches!(bytes.get(*pos), Some(c) if c.is_ascii_digit()) {
+                *pos += 1;
+            }
+        };
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if bytes[self.pos] == b'-' {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        digits(&mut self.pos);
+        if self.byte() == Some(b'.') {
             self.pos += 1;
+            digits(&mut self.pos);
         }
-        if self.peek() == Some(b'.') {
+        if matches!(self.byte(), Some(b'e' | b'E')) {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            if matches!(self.byte(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
+            digits(&mut self.pos);
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| self.err("invalid number"))
+        Ok(&self.text[start..self.pos])
     }
+}
+
+/// The sign and value of a number token written as an optional `-` and
+/// plain decimal digits that fit a `u64`; `None` for any other token.
+fn plain_digits(token: &str) -> Option<(bool, u64)> {
+    let (negative, digits) = match token.strip_prefix('-') {
+        Some(rest) => (true, rest),
+        None => (false, token),
+    };
+    if digits.is_empty() || !digits.bytes().all(|c| c.is_ascii_digit()) {
+        return None;
+    }
+    digits
+        .bytes()
+        .try_fold(0u64, |acc, c| {
+            acc.checked_mul(10)?.checked_add(u64::from(c - b'0'))
+        })
+        .map(|v| (negative, v))
 }
 
 #[cfg(test)]
@@ -698,6 +875,53 @@ mod tests {
         }
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn reader_walks_a_layout_without_a_tree() {
+        let text =
+            r#" {"n": 7, "tags": ["a", "b\"c"], "skip": {"x": [1, {}]}, "ok": false, "z": null} "#;
+        let mut r = JsonReader::new(text);
+        r.begin_object().unwrap();
+        let mut seen = Vec::new();
+        while let Some(key) = r.next_key().unwrap() {
+            match &*key {
+                "n" => assert_eq!(r.u64().unwrap(), Some(7)),
+                "tags" => {
+                    r.begin_array().unwrap();
+                    let mut tags = Vec::new();
+                    while r.next_item().unwrap() {
+                        tags.push(r.string().unwrap());
+                    }
+                    assert!(matches!(tags[0], Cow::Borrowed("a")));
+                    assert_eq!(tags[1], "b\"c");
+                }
+                "ok" => assert!(!r.bool().unwrap()),
+                "z" => assert!(r.null().unwrap()),
+                _ => drop(r.value().unwrap()),
+            }
+            seen.push(key.into_owned());
+        }
+        r.finish().unwrap();
+        assert_eq!(seen, ["n", "tags", "skip", "ok", "z"]);
+    }
+
+    #[test]
+    fn reader_integers_follow_as_u64() {
+        let read = |text: &str| JsonReader::new(text).u64().unwrap();
+        assert_eq!(read("42"), Some(42));
+        assert_eq!(read("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(read("2.0"), Some(2));
+        assert_eq!(read("1e3"), Some(1000));
+        assert_eq!(read("-1"), None);
+        assert_eq!(read("0.5"), None);
+        assert!(JsonReader::new("\"7\"").u64().is_err());
+        assert!(JsonReader::new("7").bool().is_err());
+        assert!(!JsonReader::new("7").null().unwrap());
+        assert_eq!(
+            JsonReader::new("-0").number().unwrap().to_bits(),
+            (-0.0f64).to_bits()
+        );
     }
 
     #[test]

@@ -10,19 +10,19 @@
 //!   [`rotate_and_write`] — to a `.tmp` sibling first, then renamed over
 //!   the target — so a crash mid-write leaves the previous checkpoint
 //!   intact rather than a truncated JSON document;
-//! - [`load_hub_checkpoint`] reads a file back, decodes it, and
-//!   revalidates it against the observe schema registry;
+//! - [`load_hub_checkpoint`] reads a file back and decodes it in one
+//!   pass, rejecting everything the observe schema registry rejects;
 //! - [`resume_monitor`] rebuilds a live monitor from the loaded state and
 //!   re-registers the caller's watch clauses (closures cannot be
 //!   serialized; the clause set is cross-validated against the
 //!   checkpointed one).
 
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use slicing_computation::BuildError;
-use slicing_detect::checkpoint::{decode, encode};
+use slicing_detect::checkpoint::{decode_str, encode};
 use slicing_detect::{HubState, MonitorHub, OnlineMonitor};
 use slicing_predicates::LocalPredicate;
 
@@ -101,17 +101,20 @@ pub fn rotate_and_write(path: &Path, text: &str, keep: usize) -> io::Result<()> 
         generation += 1;
     }
     let tmp = path.with_extension("tmp");
-    fs::write(&tmp, format!("{text}\n"))?;
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(text.as_bytes())?;
+    file.write_all(b"\n")?;
+    drop(file);
     fs::rename(&tmp, path)
 }
 
 /// Loads and decodes a `slicing.serve-checkpoint/v1` file written by
-/// [`write_hub_checkpoint`], parsing it once: the codec's semantic checks
-/// run first (so a retired format gets its own message), then the schema
-/// registry's structural ones (the validation `slicing validate`
-/// applies). The caller rebuilds the hub with [`MonitorHub::from_state`]
-/// and re-registers every tenant predicate via
-/// [`MonitorHub::restore_tenant`] using the sources in the state.
+/// [`write_hub_checkpoint`] in one pass ([`decode_str`]), which rejects
+/// everything the schema registry's validation (what `slicing validate`
+/// applies) rejects and names a retired format. The caller rebuilds the
+/// hub with [`MonitorHub::from_state`] and re-registers every tenant
+/// predicate via [`MonitorHub::restore_tenant`] using the sources in the
+/// state.
 ///
 /// # Errors
 ///
@@ -120,13 +123,12 @@ pub fn rotate_and_write(path: &Path, text: &str, keep: usize) -> io::Result<()> 
 /// [`BuildError::InvalidState`] detail.
 pub fn load_hub_checkpoint(path: &Path) -> io::Result<(HubState, u64)> {
     let text = fs::read_to_string(path)?;
-    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let doc = slicing_observe::json::parse(text.trim())
-        .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
-    let decoded = decode(&doc).map_err(|e| invalid(format!("{}: {e}", path.display())))?;
-    slicing_observe::schema::validate(&doc)
-        .map_err(|e| invalid(format!("{}: {e}", path.display())))?;
-    Ok(decoded)
+    decode_str(text.trim()).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: {e}", path.display()),
+        )
+    })
 }
 
 /// Rebuilds a live monitor from a loaded checkpoint state and re-registers

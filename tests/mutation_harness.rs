@@ -1,8 +1,10 @@
 //! Mutation harness over every untrusted input format: seeded truncate,
 //! bit-flip and splice mutations of trace lines, predicate text,
 //! checkpoint JSON and `slicing serve` roster directives must come back
-//! as a parse or a typed error — never a panic. Deterministic: every
-//! mutation is a pure function of its seed.
+//! as a parse or a typed error — never a panic. The checkpoint decoder
+//! must also reject every document the schema registry rejects, accept
+//! any key order and unknown keys, and name a repeated key.
+//! Deterministic: every mutation is a pure function of its seed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Command, Stdio};
@@ -13,6 +15,8 @@ use computation_slicing::detect::{checkpoint, GcConfig, MonitorHub};
 use computation_slicing::predicates::expr::parse_predicate;
 use computation_slicing::recovery::load_hub_checkpoint;
 use computation_slicing::{BuildError, Conjunctive, LocalPredicate, Value};
+use slicing_observe::json::{self, JsonValue};
+use slicing_observe::schema;
 
 struct XorShift(u64);
 
@@ -164,6 +168,23 @@ fn checkpoint_text() -> String {
     checkpoint::encode(&hub.export_state(), 5)
 }
 
+/// Whether `json::parse` + `schema::validate` accept `text`.
+fn registry_accepts(text: &str) -> bool {
+    json::parse(text).is_ok_and(|doc| schema::validate(&doc).is_ok())
+}
+
+/// Holds when `checkpoint::decode_str` rejects `text` with a typed error
+/// whenever the schema registry rejects it.
+fn decoder_covers_registry(text: &str) -> Result<(), String> {
+    match checkpoint::decode_str(text) {
+        Ok(_) if !registry_accepts(text) => {
+            Err("decode_str accepted a document the registry rejects".into())
+        }
+        Ok(_) | Err(BuildError::InvalidState { .. }) => Ok(()),
+        Err(e) => Err(format!("decode_str failed with {e:?}")),
+    }
+}
+
 #[test]
 fn mutated_checkpoints_load_or_fail_typed() {
     let text = checkpoint_text();
@@ -174,6 +195,7 @@ fn mutated_checkpoints_load_or_fail_typed() {
     let (state, _) = load_hub_checkpoint(&path).unwrap();
     MonitorHub::from_state(&state).unwrap();
     fuzz(4, 2000, &corpus, |bytes| {
+        decoder_covers_registry(&String::from_utf8_lossy(bytes))?;
         std::fs::write(&path, bytes).map_err(|e| e.to_string())?;
         match load_hub_checkpoint(&path) {
             Ok((state, _)) => match MonitorHub::from_state(&state) {
@@ -186,6 +208,126 @@ fn mutated_checkpoints_load_or_fail_typed() {
         }
     });
     std::fs::remove_file(&path).ok();
+}
+
+/// An object's fields, in document order.
+type Fields = Vec<(String, JsonValue)>;
+
+/// Applies `edit` to the `target`-th object of `value` in pre-order,
+/// counting objects through `seen`.
+fn edit_object(
+    value: &mut JsonValue,
+    target: usize,
+    seen: &mut usize,
+    edit: &mut dyn FnMut(&mut Fields),
+) {
+    match value {
+        JsonValue::Object(fields) => {
+            if *seen == target {
+                edit(fields);
+            }
+            *seen += 1;
+            for (_, v) in fields.iter_mut() {
+                edit_object(v, target, seen, edit);
+            }
+        }
+        JsonValue::Array(items) => {
+            for v in items {
+                edit_object(v, target, seen, edit);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The checkpoint with `edit` applied to its `target`-th object.
+fn edited(doc: &JsonValue, target: usize, edit: &mut dyn FnMut(&mut Fields)) -> String {
+    let mut doc = doc.clone();
+    edit_object(&mut doc, target, &mut 0, edit);
+    doc.to_json()
+}
+
+fn object_count(doc: &JsonValue) -> usize {
+    let mut count = 0;
+    edit_object(&mut doc.clone(), usize::MAX, &mut count, &mut |_| {});
+    count
+}
+
+#[test]
+fn checkpoint_fields_are_order_free_and_checked_by_name() {
+    let text = checkpoint_text();
+    let doc = json::parse(&text).unwrap();
+    let expected = checkpoint::decode_str(&text).unwrap();
+    let objects = object_count(&doc);
+    assert!(objects > 20, "only {objects} objects");
+
+    // Every object at once: keys in a seeded order, plus unknown keys
+    // (one holding a nested value), still decodes to the same state.
+    // Editing the last objects first keeps each earlier object's
+    // pre-order index unchanged.
+    let mut rng = XorShift(6);
+    let mut shuffled = doc.clone();
+    for target in (0..objects).rev() {
+        let mut seen = 0;
+        let order: Vec<u64> = (0..32).map(|_| rng.next()).collect();
+        edit_object(&mut shuffled, target, &mut seen, &mut |fields| {
+            let mut keyed: Vec<_> = fields.drain(..).zip(order.iter().cycle()).collect();
+            keyed.sort_by_key(|(_, k)| **k);
+            fields.extend(keyed.into_iter().map(|(f, _)| f));
+            fields.insert(fields.len() / 2, ("zz_unknown".into(), JsonValue::Null));
+            fields.push((
+                "extra".into(),
+                json::parse(r#"{"t":[1,"x",{"v":null}],"schema":"other"}"#).unwrap(),
+            ));
+        });
+    }
+    let text2 = shuffled.to_json();
+    assert_ne!(text2, text);
+    assert_eq!(checkpoint::decode_str(&text2).unwrap(), expected);
+
+    // Per object and key: a repeated key is rejected by name, and
+    // dropping the key or changing its value's type is rejected whenever
+    // the registry rejects it.
+    let swaps = [
+        JsonValue::Null,
+        JsonValue::Number(-1.0),
+        JsonValue::Number(0.5),
+        JsonValue::String("x".into()),
+        JsonValue::Array(Vec::new()),
+        JsonValue::Object(Vec::new()),
+    ];
+    let (mut cases, mut registry_rejected) = (0, 0);
+    for target in 0..objects {
+        let mut keys = Vec::new();
+        edit_object(&mut doc.clone(), target, &mut 0, &mut |fields| {
+            keys.extend(fields.iter().map(|(k, _)| k.clone()));
+        });
+        for (i, key) in keys.iter().enumerate() {
+            let repeated = edited(&doc, target, &mut |f| f.push(f[i].clone()));
+            match checkpoint::decode_str(&repeated) {
+                Err(BuildError::InvalidState { detail })
+                    if detail.contains(&format!("{key:?}")) => {}
+                other => panic!("repeated {key:?} in object {target}: {other:?}"),
+            }
+            let mut texts = vec![edited(&doc, target, &mut |f| {
+                f.remove(i);
+            })];
+            for swap in &swaps {
+                texts.push(edited(&doc, target, &mut |f| f[i].1 = swap.clone()));
+            }
+            for t in texts {
+                cases += 1;
+                registry_rejected += usize::from(!registry_accepts(&t));
+                if let Err(why) = decoder_covers_registry(&t) {
+                    panic!("object {target}, key {key:?}: {why}: {t}");
+                }
+            }
+        }
+    }
+    assert!(
+        0 < registry_rejected && registry_rejected < cases,
+        "{registry_rejected} of {cases} edits rejected by the registry"
+    );
 }
 
 #[test]
