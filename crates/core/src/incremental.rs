@@ -63,7 +63,8 @@ pub struct SlicerState {
     pub messages: Vec<(u32, u32)>,
     /// Settled constraint edges, as (successor, false-event) index pairs.
     pub settled_edges: Vec<(u32, u32)>,
-    /// The late-message re-timing revision counter.
+    /// Messages that grew an already-assigned clock
+    /// ([`OnlineSlicer::clock_revision`]).
     pub clock_revision: u64,
 }
 
@@ -122,9 +123,13 @@ pub struct OnlineSlicer {
     holds: Vec<bool>,
     /// Per event: message edges out of it, for clock propagation.
     msgs_out: Vec<Vec<EventId>>,
-    /// Bumped whenever a late message changes an already-assigned clock;
-    /// consumers cache it to know when cached consistency facts expire.
+    /// Bumped whenever a message grows an already-assigned clock: the
+    /// count of re-timing messages.
     clock_revision: u64,
+    /// The `(process, position)` of every event whose clock the last
+    /// [`message`](Self::message) grew, in the order the worklist grew
+    /// them; cleared at the start of each call.
+    retimed: Vec<(usize, u32)>,
     /// Mirrors the builder's id horizon: `clocks`/`holds`/`msgs_out` are
     /// indexed by `id - id_base`; slots below were reclaimed by
     /// [`compact`](Self::compact).
@@ -181,6 +186,7 @@ impl OnlineSlicer {
             holds: Vec::new(),
             msgs_out: Vec::new(),
             clock_revision: 0,
+            retimed: Vec::new(),
             id_base: 0,
             worklist: Vec::new(),
             succ_scratch: Vec::new(),
@@ -456,8 +462,9 @@ impl OnlineSlicer {
     /// fails on a history this method accepted. Messages that arrive late
     /// (after their endpoints gained successors) trigger a monotone
     /// worklist repair of downstream clocks;
-    /// [`clock_revision`](OnlineSlicer::clock_revision) is bumped when any
-    /// clock actually changed.
+    /// [`retimed`](OnlineSlicer::retimed) then lists every event whose
+    /// clock grew, and [`clock_revision`](OnlineSlicer::clock_revision) is
+    /// bumped when any did.
     ///
     /// # Errors
     ///
@@ -465,6 +472,7 @@ impl OnlineSlicer {
     /// builder's own validations (self messages, duplicates, initial
     /// events).
     pub fn message(&mut self, send: EventId, recv: EventId) -> Result<(), BuildError> {
+        self.retimed.clear();
         // Endpoints below the id horizon have no slot: let the builder
         // report the typed compaction error before any clock is touched.
         let (ss, rs) = (
@@ -495,7 +503,8 @@ impl OnlineSlicer {
     }
 
     /// Folds the new `send → recv` edge into downstream clocks: a monotone
-    /// worklist pass that touches only events whose clock actually grows.
+    /// worklist pass that touches only events whose clock actually grows,
+    /// recording each of them in `retimed`.
     fn propagate(&mut self, send: EventId, recv: EventId) {
         let (ss, rs) = (self.slot(send), self.slot(recv));
         if self.clocks[ss].leq(&self.clocks[rs]) {
@@ -504,6 +513,7 @@ impl OnlineSlicer {
         self.clock_revision += 1;
         let src = self.clocks[ss].clone();
         self.clocks[rs].join_assign(&src);
+        self.retime(recv);
         self.worklist.clear();
         self.worklist.push(recv);
         // Every event this walk can reach lies strictly above the
@@ -525,10 +535,16 @@ impl OnlineSlicer {
                 if !self.clocks[es].leq(&self.clocks[sl]) {
                     let src = self.clocks[es].clone();
                     self.clocks[sl].join_assign(&src);
+                    self.retime(s);
                     self.worklist.push(s);
                 }
             }
         }
+    }
+
+    fn retime(&mut self, e: EventId) {
+        let p = self.builder.process_of(e).as_usize();
+        self.retimed.push((p, self.builder.position_of(e)));
     }
 
     /// The number of processes.
@@ -572,11 +588,22 @@ impl OnlineSlicer {
         &self.clocks[self.slot(e)]
     }
 
-    /// Bumped whenever a late message changed an already-assigned clock.
-    /// Consumers caching consistency facts derived from clocks must
-    /// invalidate them when this moves.
+    /// How many accepted messages grew an already-assigned clock: a count
+    /// of re-timing messages, carried across checkpoints. Which clocks a
+    /// message grew is [`retimed`](OnlineSlicer::retimed).
     pub fn clock_revision(&self) -> u64 {
         self.clock_revision
+    }
+
+    /// The `(process, position)` of every event whose clock the last
+    /// [`message`](OnlineSlicer::message) call grew: the receive first,
+    /// then each event in the order the repair grew it (an event grown
+    /// along two paths is listed twice). Empty after a message the order
+    /// already implied, or a rejected one. Consumers caching consistency
+    /// facts about an event re-check exactly these: clocks only grow, so
+    /// facts about every other event still hold.
+    pub fn retimed(&self) -> &[(usize, u32)] {
+        &self.retimed
     }
 
     /// Whether the conjuncts of `e`'s process hold at `e`.
@@ -856,6 +883,7 @@ impl OnlineSlicer {
             holds: state.holds.clone(),
             msgs_out,
             clock_revision: state.clock_revision,
+            retimed: Vec::new(),
             id_base: 0,
             worklist: Vec::new(),
             succ_scratch: Vec::new(),
@@ -1144,6 +1172,41 @@ mod tests {
             s.clock_revision() > 0,
             "late messages must bump the revision"
         );
+    }
+
+    /// `retimed` names exactly the events whose clock a message grew,
+    /// the receive first.
+    #[test]
+    fn retimed_lists_exactly_the_grown_clocks() {
+        let mut s = OnlineSlicer::new(3);
+        let mut events = Vec::new();
+        for _ in 0..4 {
+            for p in 0..3 {
+                events.push(s.observe(p, &[]).unwrap());
+            }
+        }
+        // events[i] is position i / 3 + 1 of process i % 3.
+        let at = |i: usize| (i % 3, (i / 3 + 1) as u32);
+        // A late message into p1's second event, one the order already
+        // implies, and a cyclic one.
+        for (send, recv, accepted) in [(0, 4, true), (0, 7, true), (4, 0, false)] {
+            let before: Vec<Cut> = events.iter().map(|&e| s.clock(e).clone()).collect();
+            assert_eq!(s.message(events[send], events[recv]).is_ok(), accepted);
+            let mut grown: Vec<(usize, u32)> = (0..events.len())
+                .filter(|&i| *s.clock(events[i]) != before[i])
+                .map(at)
+                .collect();
+            let mut listed = s.retimed().to_vec();
+            if !grown.is_empty() {
+                assert_eq!(listed[0], at(recv), "{send} -> {recv}");
+            }
+            listed.sort_unstable();
+            listed.dedup();
+            grown.sort_unstable();
+            assert_eq!(listed, grown, "{send} -> {recv}");
+        }
+        // Only the first message re-timed anything: p1's positions 2..=4.
+        assert_eq!(s.clock_revision(), 1);
     }
 
     #[test]

@@ -24,11 +24,17 @@
 //! the hub's deterministic counters.
 //!
 //! The wire layout is registered in the observe schema registry as
-//! [`slicing_observe::schema::SERVE_CHECKPOINT`] and structurally checked
-//! by `slicing validate`. [`decode_str`] rejects every document that
-//! registry check rejects, plus the deeper semantic faults (arities,
-//! value tags); [`MonitorHub::from_state`] runs the full consistency
-//! checks.
+//! [`slicing_observe::schema::SERVE_CHECKPOINT`], whose check is
+//! structural. [`decode_str`] rejects every document that registry check
+//! rejects, plus the deeper semantic faults (arities, value tags);
+//! [`MonitorHub::from_state`] runs the full consistency checks. `slicing
+//! validate` runs all three, so it accepts exactly the checkpoints
+//! `--resume` can load.
+//!
+//! Documents written before settling became event-driven carry a
+//! `seen_revision` per group. The decoder reads it and drops it, after
+//! marking every head dirty in a group that had not settled since the
+//! last re-timing message, as the old hub would have done first.
 
 use slicing_computation::{BuildError, ProcSet, ProcessId, Value};
 use slicing_core::SlicerState;
@@ -144,8 +150,6 @@ pub fn encode(state: &HubState, metrics_seq: u64) -> String {
         }
         o.push_str("],\"dirty_any\":");
         push_bool(o, group.dirty_any);
-        o.push_str(",\"seen_revision\":");
-        push_u64(o, group.seen_revision);
         o.push_str(",\"current_alarm\":");
         push_opt_cut(o, &group.current_alarm);
         o.push_str(",\"last_alarm\":");
@@ -344,7 +348,7 @@ fn push_values(out: &mut String, row: &[Value]) {
 /// # Errors
 ///
 /// Returns [`BuildError::InvalidState`] when the text is not valid JSON,
-/// when `slicing validate` would reject it, when a key repeats, or when
+/// when the schema registry would reject it, when a key repeats, or when
 /// the document is otherwise not a well-formed checkpoint (arities,
 /// value tags, ranges). The deeper consistency checks (candidate
 /// ordering, cursor bounds) run when the result is fed to
@@ -380,7 +384,7 @@ struct Document {
     values: Option<Vec<Vec<Value>>>,
     clauses: Option<Vec<(u32, String)>>,
     slots: Option<Vec<SlotState>>,
-    groups: Option<Vec<GroupState>>,
+    groups: Option<Vec<(GroupState, Option<u64>)>>,
     tenants: Option<Vec<TenantState>>,
     stats: Option<HubStats>,
     gc: Option<Option<GcConfig>>,
@@ -419,6 +423,18 @@ impl Document {
         if max_pid.is_some_and(|p| p >= n as u64) {
             return Err(bad("pid snapshot value must name a valid process"));
         }
+        let clock_revision = need(self.clock_revision, "clock_revision")?;
+        let mut groups = Vec::new();
+        for (mut group, seen_revision) in need(self.groups, "groups")? {
+            // Older encoders wrote the clock revision each group last
+            // settled at, and the old hub re-checked every head of a group
+            // that was behind. Mark them now, since the field is gone.
+            if seen_revision.is_some_and(|r| r != clock_revision) {
+                group.dirty.fill(true);
+                group.dirty_any = true;
+            }
+            groups.push(group);
+        }
         let state = HubState {
             slicer: SlicerState {
                 num_processes: n,
@@ -430,12 +446,12 @@ impl Document {
                 snapshots,
                 messages: need(self.messages, "messages")?,
                 settled_edges: need(self.settled_edges, "settled_edges")?,
-                clock_revision: need(self.clock_revision, "clock_revision")?,
+                clock_revision,
             },
             values,
             clauses: need(self.clauses, "clauses")?,
             slots: need(self.slots, "slots")?,
-            groups: need(self.groups, "groups")?,
+            groups,
             tenants: need(self.tenants, "tenants")?,
             stats: need(self.stats, "stats")?,
             gc: need(self.gc, "gc")?,
@@ -612,7 +628,8 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn groups(&mut self) -> Result<Vec<GroupState>, BuildError> {
+    /// The groups, each with the `seen_revision` older encoders wrote.
+    fn groups(&mut self) -> Result<Vec<(GroupState, Option<u64>)>, BuildError> {
         self.list("groups", |r| {
             let mut source = None;
             let (mut slots, mut fronts, mut dirty, mut dirty_any) = (None, None, None, None);
@@ -634,18 +651,18 @@ impl<'a> Reader<'a> {
                 }
                 Ok(true)
             })?;
-            Ok(GroupState {
+            let group = GroupState {
                 source: need(source, "source")?,
                 slots: need(slots, "slots")?,
                 fronts: need(fronts, "fronts")?,
                 dirty: need(dirty, "dirty")?,
                 dirty_any: need(dirty_any, "dirty_any")?,
-                seen_revision: need(seen_revision, "seen_revision")?,
                 current_alarm: need(current_alarm, "current_alarm")?,
                 last_alarm: need(last_alarm, "last_alarm")?,
                 check_cost: need(check_cost, "check_cost")?,
                 alarms: need(alarms, "alarms")?,
-            })
+            };
+            Ok((group, seen_revision))
         })
     }
 
@@ -1030,10 +1047,73 @@ mod tests {
         hub
     }
 
-    /// The wire format, pinned: these literals are what the encoder wrote
-    /// before it became one pass, and every later encoder must write them
-    /// byte for byte.
+    /// The wire format, pinned: every encoder must write these literals
+    /// byte for byte. They are the documents the first one-pass encoder
+    /// wrote, minus each group's `seen_revision`, which the encoder no
+    /// longer writes.
     const GOLDEN_GC: &str = concat!(
+        r#"{"schema":"slicing.serve-checkpoint/v1","processes":3,"metrics_seq":11"#,
+        r#","base":[0,0,0],"events":[{"p":0,"holds":true,"clock":[1,1,1]},{"p":1"#,
+        r#","holds":true,"clock":[1,1,1]},{"p":2,"holds":true,"clock":[1,1,1]},{"p":0"#,
+        r#","holds":true,"clock":[2,1,1]},{"p":1,"holds":true,"clock":[2,2,1]},{"p":0"#,
+        r#","holds":true,"clock":[3,1,1]},{"p":2,"holds":true,"clock":[3,1,2]},{"p":1"#,
+        r#","holds":true,"clock":[2,3,1]}],"vars":[["x"],["up"],["leader"]]"#,
+        r#","snapshots":[[[{"t":"int","v":0}],[{"t":"int","v":-3}],[{"t":"int","v":7}]]"#,
+        r#",[[{"t":"bool","v":true}],[{"t":"bool","v":false}],[{"t":"bool","v":true}]]"#,
+        r#",[[{"t":"pid","v":1}],[{"t":"pid","v":0}]]],"messages":[[3,4],[5,6]]"#,
+        r#","settled_edges":[],"clock_revision":2,"values":[[{"t":"int","v":7}]"#,
+        r#",[{"t":"bool","v":true}],[{"t":"pid","v":0}]],"clauses":[{"p":0"#,
+        r#","label":"x > 1 \"hot\""},{"p":2,"label":"leader\n== p0"},{"p":0"#,
+        r#","label":"x < -9 \\ λ"}],"slots":[{"p":0,"clauses":[0],"start":0"#,
+        r#","candidates":[2]},{"p":2,"clauses":[1],"start":0,"candidates":[1]},{"p":0"#,
+        r#","clauses":[2],"start":0,"candidates":[]}]"#,
+        r#","groups":[{"source":"x@0 > 1 \"hot\" && leader@2 == p0","slots":[0,1]"#,
+        r#","fronts":[0,0],"dirty":[false,true,false],"dirty_any":false"#,
+        r#","current_alarm":[3,1,2],"last_alarm":[3,1,2],"check_cost":5,"alarms":1}"#,
+        r#",{"source":"x@0 < -9 \\ λ","slots":[2],"fronts":[0],"dirty":[false,false"#,
+        r#",false],"dirty_any":false,"current_alarm":null"#,
+        r#","last_alarm":null,"check_cost":0,"alarms":0}],"tenants":[{"id":"b","group":1"#,
+        r#","source":"x@0 < -9 \\ λ"},{"id":"ops \"a\"\\\nλ","group":0"#,
+        r#","source":"x@0 > 1 \"hot\" && leader@2 == p0"}],"stats":{"events":5"#,
+        r#","messages":2,"checks":1,"alarms":1,"check_cost":5,"clause_evals":8"#,
+        r#","delta_cuts":2,"peak_candidates":2,"compactions":0,"dropped_events":0"#,
+        r#","retained_peak":7,"fanout_sent":0,"fanout_dropped":0},"gc":{"lag":1"#,
+        r#","every":4},"since_gc":1}"#,
+    );
+
+    const GOLDEN_NO_GC: &str = concat!(
+        r#"{"schema":"slicing.serve-checkpoint/v1","processes":3,"metrics_seq":11"#,
+        r#","base":[0,0,0],"events":[{"p":0,"holds":true,"clock":[1,1,1]},{"p":1"#,
+        r#","holds":true,"clock":[1,1,1]},{"p":2,"holds":true,"clock":[1,1,1]},{"p":0"#,
+        r#","holds":true,"clock":[2,1,1]},{"p":1,"holds":true,"clock":[2,2,1]},{"p":0"#,
+        r#","holds":true,"clock":[3,1,1]},{"p":2,"holds":true,"clock":[3,1,2]},{"p":1"#,
+        r#","holds":true,"clock":[2,3,1]}],"vars":[["x"],["up"],["leader"]]"#,
+        r#","snapshots":[[[{"t":"int","v":0}],[{"t":"int","v":-3}],[{"t":"int","v":7}]]"#,
+        r#",[[{"t":"bool","v":true}],[{"t":"bool","v":false}],[{"t":"bool","v":true}]]"#,
+        r#",[[{"t":"pid","v":1}],[{"t":"pid","v":0}]]],"messages":[[3,4],[5,6]]"#,
+        r#","settled_edges":[],"clock_revision":2,"values":[[{"t":"int","v":7}]"#,
+        r#",[{"t":"bool","v":true}],[{"t":"pid","v":0}]],"clauses":[{"p":0"#,
+        r#","label":"x > 1 \"hot\""},{"p":2,"label":"leader\n== p0"},{"p":0"#,
+        r#","label":"x < -9 \\ λ"}],"slots":[{"p":0,"clauses":[0],"start":0"#,
+        r#","candidates":[2]},{"p":2,"clauses":[1],"start":0,"candidates":[1]},{"p":0"#,
+        r#","clauses":[2],"start":0,"candidates":[]}]"#,
+        r#","groups":[{"source":"x@0 > 1 \"hot\" && leader@2 == p0","slots":[0,1]"#,
+        r#","fronts":[0,0],"dirty":[false,true,false],"dirty_any":false"#,
+        r#","current_alarm":[3,1,2],"last_alarm":[3,1,2],"check_cost":5,"alarms":1}"#,
+        r#",{"source":"x@0 < -9 \\ λ","slots":[2],"fronts":[0],"dirty":[false,false"#,
+        r#",false],"dirty_any":false,"current_alarm":null"#,
+        r#","last_alarm":null,"check_cost":0,"alarms":0}],"tenants":[{"id":"b","group":1"#,
+        r#","source":"x@0 < -9 \\ λ"},{"id":"ops \"a\"\\\nλ","group":0"#,
+        r#","source":"x@0 > 1 \"hot\" && leader@2 == p0"}],"stats":{"events":5"#,
+        r#","messages":2,"checks":1,"alarms":1,"check_cost":5,"clause_evals":8"#,
+        r#","delta_cuts":2,"peak_candidates":2,"compactions":0,"dropped_events":0"#,
+        r#","retained_peak":0,"fanout_sent":0,"fanout_dropped":0},"gc":null,"since_gc":0}"#,
+    );
+
+    /// What the encoders before event-driven settling wrote for the same
+    /// hubs: each group also carried the clock revision it last settled
+    /// at. The decoder still reads them.
+    const LEGACY_GC: &str = concat!(
         r#"{"schema":"slicing.serve-checkpoint/v1","processes":3,"metrics_seq":11"#,
         r#","base":[0,0,0],"events":[{"p":0,"holds":true,"clock":[1,1,1]},{"p":1"#,
         r#","holds":true,"clock":[1,1,1]},{"p":2,"holds":true,"clock":[1,1,1]},{"p":0"#,
@@ -1063,7 +1143,7 @@ mod tests {
         r#","every":4},"since_gc":1}"#,
     );
 
-    const GOLDEN_NO_GC: &str = concat!(
+    const LEGACY_NO_GC: &str = concat!(
         r#"{"schema":"slicing.serve-checkpoint/v1","processes":3,"metrics_seq":11"#,
         r#","base":[0,0,0],"events":[{"p":0,"holds":true,"clock":[1,1,1]},{"p":1"#,
         r#","holds":true,"clock":[1,1,1]},{"p":2,"holds":true,"clock":[1,1,1]},{"p":0"#,
@@ -1098,6 +1178,32 @@ mod tests {
             let state = golden_hub(gc).export_state();
             assert_eq!(encode(&state, 11), golden, "gc = {gc}");
             assert_eq!(decode_str(golden).unwrap(), (state, 11), "gc = {gc}");
+        }
+    }
+
+    /// Checkpoints written before `seen_revision` was dropped still
+    /// resume: the field is read and dropped, so they decode to the same
+    /// state as the current documents.
+    #[test]
+    fn legacy_documents_decode_to_the_current_state() {
+        for (legacy, golden) in [(LEGACY_GC, GOLDEN_GC), (LEGACY_NO_GC, GOLDEN_NO_GC)] {
+            assert_eq!(decode_str(legacy).unwrap(), decode_str(golden).unwrap());
+        }
+        // A group that had not settled since the last re-timing message
+        // comes back with every head dirty, as the old hub would have
+        // re-checked it.
+        let stale = LEGACY_GC.replacen("\"seen_revision\":2", "\"seen_revision\":1", 1);
+        let (state, _) = decode_str(&stale).unwrap();
+        assert_eq!(state.groups[0].dirty, vec![true; 3]);
+        assert!(state.groups[0].dirty_any);
+        assert_eq!(state.groups[1], decode_str(GOLDEN_GC).unwrap().0.groups[1]);
+        // The legacy field is still type-checked and may not repeat.
+        for bad in [
+            "\"seen_revision\":\"2\"",
+            "\"seen_revision\":2,\"seen_revision\":2",
+        ] {
+            let doc = LEGACY_GC.replacen("\"seen_revision\":2", bad, 1);
+            assert!(decode_str(&doc).is_err(), "{bad}");
         }
     }
 }

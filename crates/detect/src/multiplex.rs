@@ -20,11 +20,14 @@
 //!   tenants watching the same per-process conjunct bundle share storage;
 //! - each **group** (distinct predicate) runs the Garg–Waldecker
 //!   candidate-elimination settle over its slots' streams with a private
-//!   cursor per slot: checks re-examine only heads that changed since the
-//!   last check (plus everything, once, after a late message re-times the
-//!   history), and each candidate is eliminated at most once ever, so the
+//!   cursor per slot. Settling is event-driven: a group is queued for the
+//!   next check only when one of its cursor heads moves or a late message
+//!   grows the clock of one of its heads
+//!   ([`OnlineSlicer::retimed`]), and the settle re-examines only those
+//!   heads. Each candidate is eliminated at most once ever, so the
 //!   per-event check cost is amortized `O(1)` — independent of the
-//!   history length — and the steady state allocates no cut storage;
+//!   history length and of the groups nothing touched — and the steady
+//!   state allocates no cut storage;
 //! - **tenants** map onto groups; N tenants watching the same predicate
 //!   cost one group. Alarms fan out over bounded channels that drop
 //!   laggards rather than ever blocking ingestion.
@@ -200,13 +203,14 @@ struct Group {
     slot_of: Vec<Option<u32>>,
     /// Per process: absolute cursor into the slot's candidate stream.
     fronts: Vec<u64>,
-    /// Per process: whether the head changed since the last settle.
+    /// Per process: whether the head has yet to be checked against every
+    /// other head — it moved, or a late message grew its clock, since it
+    /// last was.
     dirty: Vec<bool>,
-    /// Whether any head changed since the last settle.
+    /// Whether the group needs a settle: some head moved or was re-timed
+    /// since the last one. Exactly the active groups with this set are in
+    /// the hub's queue.
     dirty_any: bool,
-    /// The slicer's clock revision at the last settle; a bump means late
-    /// messages re-timed history and cached consistency facts expired.
-    seen_revision: u64,
     /// The settled verdict: the least satisfying cut so far, if any.
     current_alarm: Option<Cut>,
     /// The last reported alarm; each distinct alarm is reported once.
@@ -216,6 +220,15 @@ struct Group {
     tenants: Vec<String>,
     subscribers: Vec<(String, SyncSender<Arc<HubAlarm>>)>,
     active: bool,
+}
+
+impl Group {
+    /// Marks the head on `process` as needing a check. Returns `true` when
+    /// the group was clean, i.e. when the caller must queue it.
+    fn touch(&mut self, process: usize) -> bool {
+        self.dirty[process] = true;
+        !std::mem::replace(&mut self.dirty_any, true)
+    }
 }
 
 struct TenantInfo {
@@ -240,6 +253,10 @@ pub struct MonitorHub {
     slots_by_proc: Vec<Vec<u32>>,
     groups: Vec<Group>,
     group_index: HashMap<GraftKey, u32>,
+    /// Groups the next [`check_all`](MonitorHub::check_all) must visit:
+    /// each group is pushed when it turns dirty, so a clean check is
+    /// `O(1)` however many groups there are.
+    queued: Vec<u32>,
     tenants: HashMap<String, TenantInfo>,
     alarm_scratch: Cut,
     values_scratch: Vec<Value>,
@@ -274,12 +291,12 @@ pub struct GroupState {
     pub slots: Vec<u32>,
     /// Absolute cursor per slot, aligned with `slots`.
     pub fronts: Vec<u64>,
-    /// Per process: head changed since the last settle.
+    /// Per process: the head has yet to be compared with every other
+    /// head.
     pub dirty: Vec<bool>,
-    /// Any head changed since the last settle.
+    /// The group awaits a settle: a head moved or was re-timed since the
+    /// last one.
     pub dirty_any: bool,
-    /// Slicer clock revision at the last settle.
-    pub seen_revision: u64,
     /// Settled verdict, absolute counts.
     pub current_alarm: Option<Vec<u32>>,
     /// Last reported alarm, for dedup.
@@ -348,6 +365,7 @@ impl MonitorHub {
             slots_by_proc: vec![Vec::new(); num_processes],
             groups: Vec::new(),
             group_index: HashMap::new(),
+            queued: Vec::new(),
             tenants: HashMap::new(),
             alarm_scratch: Cut::bottom(num_processes),
             values_scratch: Vec::new(),
@@ -677,7 +695,6 @@ impl MonitorHub {
             fronts,
             dirty: vec![true; n],
             dirty_any: true,
-            seen_revision: self.slicer.clock_revision(),
             current_alarm: None,
             last_alarm: None,
             check_cost: 0,
@@ -687,6 +704,7 @@ impl MonitorHub {
             active: true,
         });
         self.group_index.insert(key, g);
+        self.queued.push(g);
         Ok(g)
     }
 
@@ -849,11 +867,10 @@ impl MonitorHub {
                 let g = self.slots[sid as usize].refs[r];
                 r += 1;
                 let group = &mut self.groups[g as usize];
-                if group.fronts[process] == total_before {
-                    // The group's head on this process changed: the
-                    // settled verdict may be stale.
-                    group.dirty[process] = true;
-                    group.dirty_any = true;
+                // The group's stream on this process was exhausted, so
+                // the new candidate is its head: the verdict may be stale.
+                if group.fronts[process] == total_before && group.touch(process) {
+                    self.queued.push(g);
                 }
             }
             self.slots[sid as usize].candidates.push_back(pos);
@@ -875,7 +892,10 @@ impl MonitorHub {
         Ok(e)
     }
 
-    /// Records a message between two observed events.
+    /// Records a message between two observed events. A message that
+    /// grows the clock of a group's cursor head marks that head dirty;
+    /// no other cached fact can expire, because clocks only grow and so
+    /// every elimination stays valid.
     ///
     /// # Errors
     ///
@@ -884,6 +904,21 @@ impl MonitorHub {
         self.slicer.message(send, recv)?;
         self.stats.messages += 1;
         slicing_observe::counter("serve.messages", 1);
+        for &(p, pos) in self.slicer.retimed() {
+            for &sid in &self.slots_by_proc[p] {
+                let slot = &self.slots[sid as usize];
+                let Ok(i) = slot.candidates.binary_search(&pos) else {
+                    continue; // not a candidate, so nobody's head
+                };
+                let at = slot.start + i as u64;
+                for &g in &slot.refs {
+                    let group = &mut self.groups[g as usize];
+                    if group.fronts[p] == at && group.touch(p) {
+                        self.queued.push(g);
+                    }
+                }
+            }
+        }
         Ok(())
     }
 
@@ -935,39 +970,32 @@ impl MonitorHub {
         }
     }
 
-    /// Checks every dirty group and returns the newly settled alarms, one
-    /// report per alarming group. Each report's alarm is also fanned out
-    /// to the group's subscriber channels (laggards drop, never block).
-    /// Per group: cached `O(1)` when clean, Garg–Waldecker candidate
-    /// elimination when dirty, each distinct alarm reported once.
+    /// Settles every group queued since the last check, in group order,
+    /// and returns the newly settled alarms, one report per alarming
+    /// group. Each report's alarm is also fanned out to the group's
+    /// subscriber channels (laggards drop, never block). A group is queued
+    /// when a cursor head moves (a candidate reaches an exhausted stream,
+    /// registration, acknowledgement) or a late message grows a head's
+    /// clock; groups nothing touched cost nothing, so a check with an
+    /// empty queue is `O(1)`. Each distinct alarm is reported once.
     ///
     /// `possibly: fault` over a growing history is monotone under new
     /// events, so a group's earliest witness is stable until a late
-    /// message re-times the history.
+    /// message re-times one of its heads.
     pub fn check_all(&mut self) -> Vec<AlarmReport> {
         let _span = slicing_observe::span("serve.check");
         self.stats.checks += 1;
-        let revision = self.slicer.clock_revision();
         let mut reports = Vec::new();
-        for g in 0..self.groups.len() {
+        // A group is queued once per turn from clean to dirty, so the
+        // queue holds no repeats.
+        let mut queued = std::mem::take(&mut self.queued);
+        queued.sort_unstable();
+        for &g in &queued {
+            let g = g as usize;
             if !self.groups[g].active {
-                continue;
+                continue; // retired while queued
             }
-            if self.groups[g].seen_revision != revision {
-                // Late messages re-timed history: cached consistency facts
-                // are void for every group.
-                let group = &mut self.groups[g];
-                group.seen_revision = revision;
-                for d in &mut group.dirty {
-                    *d = true;
-                }
-                group.dirty_any = true;
-            }
-            let work = if self.groups[g].dirty_any {
-                self.settle_group(g)
-            } else {
-                0
-            };
+            let work = self.settle_group(g);
             self.groups[g].check_cost += work;
             self.stats.check_cost += work;
             if work > 0 {
@@ -1006,6 +1034,10 @@ impl MonitorHub {
                 });
             }
         }
+        // Settling never queues, so the queue is empty here: keep its
+        // allocation.
+        queued.clear();
+        self.queued = queued;
         reports
     }
 
@@ -1031,11 +1063,20 @@ impl MonitorHub {
                 if let Some(sid) = self.groups[g].slot_of[p] {
                     if self.groups[g].fronts[p] >= self.slots[sid as usize].total() {
                         // Some conjunct has no viable candidate: no
-                        // satisfying cut exists yet.
-                        let group = &mut self.groups[g];
-                        for d in &mut group.dirty {
-                            *d = false;
+                        // satisfying cut exists yet. The dirty heads were
+                        // not all compared with each other, so they keep
+                        // their flags. Only processes without a head drop
+                        // theirs: the candidate that gives one a head
+                        // dirties it.
+                        for q in 0..n {
+                            let headless = self.groups[g].slot_of[q].is_none_or(|sid| {
+                                self.groups[g].fronts[q] >= self.slots[sid as usize].total()
+                            });
+                            if headless {
+                                self.groups[g].dirty[q] = false;
+                            }
                         }
+                        let group = &mut self.groups[g];
                         group.dirty_any = false;
                         group.current_alarm = None;
                         return work;
@@ -1114,15 +1155,17 @@ impl MonitorHub {
         if !g.active || g.current_alarm.is_none() {
             return false;
         }
-        let n = g.slot_of.len();
-        for p in 0..n {
+        let mut queue = false;
+        for p in 0..g.slot_of.len() {
             if g.slot_of[p].is_some() {
                 g.fronts[p] += 1;
-                g.dirty[p] = true;
+                queue |= g.touch(p);
             }
         }
         g.current_alarm = None;
-        g.dirty_any = true;
+        if queue {
+            self.queued.push(group);
+        }
         slicing_observe::counter("serve.alarms_acknowledged", 1);
         true
     }
@@ -1180,7 +1223,6 @@ impl MonitorHub {
                 fronts,
                 dirty: group.dirty.clone(),
                 dirty_any: group.dirty_any,
-                seen_revision: group.seen_revision,
                 current_alarm: group.current_alarm.as_ref().map(|c| c.counts().to_vec()),
                 last_alarm: group.last_alarm.as_ref().map(|c| c.counts().to_vec()),
                 check_cost: group.check_cost,
@@ -1240,6 +1282,7 @@ impl MonitorHub {
             slots_by_proc: vec![Vec::new(); n],
             groups: Vec::new(),
             group_index: HashMap::new(),
+            queued: Vec::new(),
             tenants: HashMap::new(),
             alarm_scratch: Cut::bottom(n),
             values_scratch: Vec::new(),
@@ -1366,6 +1409,9 @@ impl MonitorHub {
             }
             let key = GraftKey::from_parts(parts);
             hub.group_index.insert(key.clone(), i as u32);
+            if group.dirty_any {
+                hub.queued.push(i as u32);
+            }
             hub.groups.push(Group {
                 key,
                 source: group.source.clone(),
@@ -1373,7 +1419,6 @@ impl MonitorHub {
                 fronts,
                 dirty: group.dirty.clone(),
                 dirty_any: group.dirty_any,
-                seen_revision: group.seen_revision,
                 current_alarm: group.current_alarm.as_ref().map(|c| Cut::from_counts(c)),
                 last_alarm: group.last_alarm.as_ref().map(|c| Cut::from_counts(c)),
                 check_cost: group.check_cost,
@@ -1823,6 +1868,92 @@ mod tests {
         assert_eq!(hollow.unrestored_clauses(), vec!["x@0 > 0@0".to_string()]);
         let err = hollow.observe(0, &[(a, Value::Int(1))]);
         assert!(matches!(err, Err(BuildError::InvalidState { .. })));
+    }
+
+    /// A hub over `n` processes with one `x` per process and one tenant
+    /// per entry of `watch`, named by its index, watching `x@p > 0` on
+    /// each listed process.
+    fn threshold_hub(n: usize, watch: &[&[usize]]) -> (MonitorHub, Vec<VarRef>, Vec<Conjunctive>) {
+        let mut hub = MonitorHub::new(n);
+        let vars: Vec<VarRef> = (0..n)
+            .map(|p| hub.declare_var(p, "x", Value::Int(0)).unwrap())
+            .collect();
+        let mut preds = Vec::new();
+        for (t, procs) in watch.iter().enumerate() {
+            let pred = Conjunctive::new(
+                procs
+                    .iter()
+                    .map(|&p| LocalPredicate::int(vars[p], format!("x@{p} > 0"), |v| v > 0))
+                    .collect(),
+            );
+            hub.add_tenant(&t.to_string(), &pred, "p").unwrap();
+            preds.push(pred);
+        }
+        (hub, vars, preds)
+    }
+
+    fn offline(hub: &MonitorHub, pred: &Conjunctive) -> Option<Cut> {
+        let spec = slicing_core::PredicateSpec::conjunctive(pred.clone());
+        crate::detect_with_slicing(&hub.history().unwrap(), &spec, &crate::Limits::none())
+            .search
+            .found
+    }
+
+    /// A settle that finds one stream empty must not forget which heads
+    /// it has yet to compare. Here process 2's only candidate lies below
+    /// process 0's, so the predicate holds nowhere; forgetting raised
+    /// ⟨2, 4, 3⟩ once process 1 got a fresh candidate.
+    #[test]
+    fn an_empty_stream_keeps_the_unchecked_heads_dirty() {
+        let (mut hub, vars, preds) = threshold_hub(3, &[&[0, 1, 2]]);
+        let obs = |hub: &mut MonitorHub, p: usize, v: i64| {
+            hub.observe(p, &[(vars[p], Value::Int(v))]).unwrap()
+        };
+        let mut ev = Vec::new();
+        for (p, v) in [(2, 1), (2, 0), (1, 1), (1, 0)] {
+            ev.push(obs(&mut hub, p, v));
+            assert!(hub.check_all().is_empty());
+        }
+        let head0 = obs(&mut hub, 0, 1);
+        // Process 2's and process 1's candidates both precede it.
+        hub.message(ev[1], head0).unwrap();
+        hub.message(ev[3], head0).unwrap();
+        assert!(hub.check_all().is_empty());
+        obs(&mut hub, 1, 1);
+        assert!(hub.check_all().is_empty(), "false alarm");
+        assert_eq!(offline(&hub, &preds[0]), None);
+    }
+
+    /// Messages invalidate per head: only a group whose cursor head had
+    /// its clock grown is settled again.
+    #[test]
+    fn messages_resettle_only_groups_whose_head_clock_grew() {
+        let (mut hub, vars, preds) = threshold_hub(4, &[&[0, 1], &[2, 3]]);
+        let mut at = Vec::new();
+        for (p, v) in [(0, 1), (1, 1), (2, 1), (3, 1), (1, 0), (3, 0)] {
+            at.push(hub.observe(p, &[(vars[p], Value::Int(v))]).unwrap());
+        }
+        assert_eq!(hub.check_all().len(), 2);
+        let costs = |hub: &MonitorHub| [0, 1].map(|g| hub.group_check_cost(g).unwrap());
+        let settled = costs(&hub);
+        // On time into process 3's newest event, which no cursor points at.
+        hub.message(at[2], at[5]).unwrap();
+        assert!(hub.check_all().is_empty());
+        assert_eq!(costs(&hub), settled, "no head moved");
+        // Late into group 0's head on process 1: group 0 alone re-settles,
+        // and its alarm moves to the new least cut.
+        hub.message(at[2], at[1]).unwrap();
+        let reports = hub.check_all();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].group, 0);
+        assert_eq!(
+            Some(&reports[0].alarm.cut),
+            offline(&hub, &preds[0]).as_ref()
+        );
+        let now = costs(&hub);
+        assert!(now[0] > settled[0]);
+        assert_eq!(now[1], settled[1], "group 1's heads kept their clocks");
+        assert_eq!(hub.group_alarm(1), offline(&hub, &preds[1]).as_ref());
     }
 
     #[test]

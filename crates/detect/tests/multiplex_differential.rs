@@ -69,18 +69,19 @@ enum Step {
     Msg { from: usize, to: usize },
 }
 
-/// The shared deterministic stream: events on random processes, a
-/// cross-process message every few steps (index pairs into the event
-/// log), so GC frontiers and causal joins are exercised. With `late`,
-/// every few steps also delivers a message between two *older* events,
-/// re-timing history the hub has already settled.
-fn build_stream(seed: u64, steps: usize, late: bool) -> Vec<Step> {
+/// The shared deterministic stream over `procs` processes: events on
+/// random processes with values in `0..6`, a cross-process message every
+/// few steps (index pairs into the event log), so GC frontiers and causal
+/// joins are exercised. With `late`, every few steps also delivers a
+/// message between two *older* events, re-timing history the hub has
+/// already settled.
+fn build_stream(procs: usize, seed: u64, steps: usize, late: bool) -> Vec<Step> {
     let mut rng = XorShift(seed);
     let mut stream = Vec::with_capacity(steps);
     let mut event_procs: Vec<usize> = Vec::new();
     let mut sent = HashSet::new();
     for s in 0..steps {
-        let process = rng.below(PROCS as u64) as usize;
+        let process = rng.below(procs as u64) as usize;
         stream.push(Step::Event {
             process,
             value: rng.below(6) as i64,
@@ -196,26 +197,33 @@ fn run_monitor(tenant: usize, stream: &[Step]) -> MonitorRun {
     }
 }
 
-/// The tentpole differential: at every check of a stream with late
-/// messages, each of 24 tenants multiplexed on one hub agrees with offline
-/// slice-then-search on the hub's history snapshot. A fresh alarm must be
-/// the offline least satisfying cut; silence means the offline verdict is
-/// still the tenant's last alarm — or was retracted by a late message
-/// (message additions remove consistent cuts, so `possibly` is not
-/// monotone under them). A *different* satisfying cut must be reported.
-#[test]
-fn hub_alarms_match_offline_slice_then_search() {
-    const TENANTS: usize = 24;
-    let stream = build_stream(0x5eed_cafe, 240, true);
-    let (mut hub, vars, preds) = tenant_hub(TENANTS);
+/// Replays `stream` through `hub`, whose tenant `t{i}` watches
+/// `preds[i]`, observing each value minus `shift`, and checks every
+/// tenant against offline slice-then-search on the hub's history snapshot
+/// after every step. A fresh alarm must be the offline least satisfying
+/// cut; silence means the offline verdict is still the tenant's last
+/// alarm — or was retracted by a late message (message additions remove
+/// consistent cuts, so `possibly` is not monotone under them). A
+/// *different* satisfying cut must be reported. Returns the alarms
+/// checked and the late messages delivered; `run` names the run in
+/// failures.
+fn check_against_offline(
+    run: &str,
+    mut hub: MonitorHub,
+    vars: &[VarRef],
+    preds: Vec<Conjunctive>,
+    stream: &[Step],
+    shift: i64,
+) -> (usize, usize) {
     let specs: Vec<PredicateSpec> = preds.into_iter().map(PredicateSpec::conjunctive).collect();
-    let mut last: Vec<Option<Cut>> = vec![None; TENANTS];
+    let tenants = specs.len();
+    let mut last: Vec<Option<Cut>> = vec![None; tenants];
     let (mut event_ids, mut alarms, mut late) = (Vec::new(), 0, 0);
     for (step, s) in stream.iter().enumerate() {
         match s {
             Step::Event { process, value } => {
                 let e = hub
-                    .observe(*process, &[(vars[*process], Value::Int(*value))])
+                    .observe(*process, &[(vars[*process], Value::Int(value - shift))])
                     .unwrap();
                 event_ids.push(e);
             }
@@ -223,36 +231,106 @@ fn hub_alarms_match_offline_slice_then_search() {
                 late += usize::from(*to + 1 < event_ids.len());
                 match hub.message(event_ids[*from], event_ids[*to]) {
                     Ok(()) | Err(BuildError::DuplicateMessage { .. }) => {}
-                    Err(e) => panic!("step {step}: forward message rejected: {e}"),
+                    Err(e) => panic!("{run}, step {step}: forward message rejected: {e}"),
                 }
             }
         }
-        let mut fresh: Vec<Option<Cut>> = vec![None; TENANTS];
+        let mut fresh: Vec<Option<Cut>> = vec![None; tenants];
         for report in hub.check_all() {
             for id in &report.tenants {
                 fresh[id[1..].parse::<usize>().unwrap()] = Some(report.alarm.cut.clone());
             }
         }
         let history = hub.history().unwrap();
-        for i in 0..TENANTS {
+        for i in 0..tenants {
             let offline = detect_with_slicing(&history, &specs[i], &Limits::none())
                 .search
                 .found;
             match fresh[i].take() {
                 Some(cut) => {
-                    assert_eq!(Some(&cut), offline.as_ref(), "t{i}, step {step}");
+                    assert_eq!(Some(&cut), offline.as_ref(), "{run}: t{i}, step {step}");
                     last[i] = Some(cut);
                     alarms += 1;
                 }
                 None => assert!(
                     offline.is_none() || offline == last[i],
-                    "t{i}, step {step}: offline verdict moved to {offline:?} without an alarm"
+                    "{run}: t{i}, step {step}: offline verdict moved to {offline:?} \
+                     without an alarm"
                 ),
             }
         }
     }
+    (alarms, late)
+}
+
+/// The main differential: at every check of a stream with late
+/// messages, each of 24 two-clause tenants multiplexed on one hub agrees
+/// with offline slice-then-search.
+#[test]
+fn hub_alarms_match_offline_slice_then_search() {
+    const TENANTS: usize = 24;
+    let stream = build_stream(PROCS, 0x5eed_cafe, 240, true);
+    let (hub, vars, preds) = tenant_hub(TENANTS);
+    let (alarms, late) = check_against_offline("pairs", hub, &vars, preds, &stream, 0);
     assert!(alarms > TENANTS, "only {alarms} alarms: harness too weak");
     assert!(late > 10, "only {late} late messages: harness too weak");
+}
+
+/// A hub of `procs` processes whose tenants watch `x@p > 0` on 3, 4 and
+/// 6 processes each: per width, one tenant from process 0 and one from
+/// the last process, spread evenly over the roster.
+fn wide_hub(procs: usize) -> (MonitorHub, Vec<VarRef>, Vec<Conjunctive>) {
+    let mut hub = MonitorHub::new(procs);
+    let vars: Vec<VarRef> = (0..procs)
+        .map(|p| hub.declare_var(p, "x", Value::Int(0)).unwrap())
+        .collect();
+    let mut preds = Vec::new();
+    for width in [3, 4, 6] {
+        for first in [0, procs - 1] {
+            let watched: Vec<usize> = (0..width)
+                .map(|j| (first + j * procs / width) % procs)
+                .collect();
+            let clauses = watched
+                .iter()
+                .map(|&p| LocalPredicate::int(vars[p], format!("x@{p} > 0"), |x| x > 0))
+                .collect();
+            let source = watched
+                .iter()
+                .map(|p| format!("x@{p} > 0"))
+                .collect::<Vec<_>>()
+                .join(" && ");
+            let pred = Conjunctive::new(clauses);
+            hub.add_tenant(&format!("t{}", preds.len()), &pred, &source)
+                .unwrap();
+            preds.push(pred);
+        }
+    }
+    (hub, vars, preds)
+}
+
+/// Wide predicates pass the same check, with and without late messages:
+/// tenants over 3, 4 and 6 processes, whose clauses hold about one event
+/// in three (stream values shifted down by 3). The candidate-elimination
+/// settle compares every pair of heads, so three or more watched
+/// processes exercise orders of elimination that pairs cannot. The
+/// 17-process runs cross the 16 processes a cut stores inline.
+#[test]
+fn wide_tenants_match_offline_slice_then_search() {
+    let (mut alarms, mut late) = (0, 0);
+    for (procs, seeds, steps) in [(6, 0..8, 150), (17, 0..1, 300)] {
+        for seed in seeds {
+            for with_late in [false, true] {
+                let stream = build_stream(procs, 0x5eed_cafe + seed, steps, with_late);
+                let (hub, vars, preds) = wide_hub(procs);
+                let run = format!("{procs} procs, seed {seed}, late {with_late}");
+                let (a, l) = check_against_offline(&run, hub, &vars, preds, &stream, 3);
+                alarms += a;
+                late += l;
+            }
+        }
+    }
+    assert!(alarms > 100, "only {alarms} alarms: harness too weak");
+    assert!(late > 100, "only {late} late messages: harness too weak");
 }
 
 /// The sharing claim, as a strict inequality on deterministic counters:
@@ -262,7 +340,7 @@ fn hub_alarms_match_offline_slice_then_search() {
 #[test]
 fn multiplexed_work_is_strictly_below_the_independent_sum() {
     const TENANTS: usize = 24;
-    let stream = build_stream(0x5eed_cafe, 400, false);
+    let stream = build_stream(PROCS, 0x5eed_cafe, 400, false);
     let hub = run_hub(TENANTS, &stream);
     let mut independent_total = 0u64;
     let mut shared_settles = 0u64;

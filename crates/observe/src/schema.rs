@@ -296,7 +296,6 @@ fn validate_serve_checkpoint(doc: &JsonValue) -> Result<(), SchemaError> {
         let gat = format!("groups[{i}]");
         require_str(group, "source", &gat)?;
         require_bool(group, "dirty_any", &gat)?;
-        require_u64(group, "seen_revision", &gat)?;
         require_u64(group, "check_cost", &gat)?;
         require_u64(group, "alarms", &gat)?;
         for field in ["slots", "fronts", "dirty"] {

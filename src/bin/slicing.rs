@@ -112,10 +112,28 @@ match, `gated` counters may drift at most T (default 0.25), `info`
 columns (wall-clock) are never compared. It exits nonzero on any failed
 check, and on a fresh table from another binary, with other columns or
 other row names. `validate` parses each file (JSON or JSONL)
-and checks every document against the known `slicing.*/v1` schemas.
+and checks every document against the known `slicing.*/v1` schemas; a
+`slicing.serve-checkpoint/v1` document must also pass the decoder and
+consistency checks `--resume` runs.
 
 <trace> is a file path or `-` for stdin; predicates use the expression
 language, e.g. \"x1@0 > 1 && x3@2 <= 3\"."
+}
+
+/// Checks a parsed document against the schema registry. A hub
+/// checkpoint must also decode and rebuild a hub, so `validate` accepts
+/// exactly the checkpoints `--resume` can load.
+fn validate_document(
+    doc: &slicing_observe::json::JsonValue,
+    text: &str,
+) -> Result<&'static str, String> {
+    let name = slicing_observe::schema::validate(doc).map_err(|e| e.to_string())?;
+    if name == slicing_observe::schema::SERVE_CHECKPOINT {
+        let (state, _) =
+            computation_slicing::detect::checkpoint::decode_str(text).map_err(|e| e.to_string())?;
+        MonitorHub::from_state(&state).map_err(|e| e.to_string())?;
+    }
+    Ok(name)
 }
 
 /// Parses a strictly positive integer flag value; zero and garbage both
@@ -536,7 +554,7 @@ fn run() -> Result<(), String> {
                 let mut file_problems = 0u64;
                 for (line, doc_text) in &docs {
                     match slicing_observe::json::parse(doc_text) {
-                        Ok(doc) => match slicing_observe::schema::validate(&doc) {
+                        Ok(doc) => match validate_document(&doc, doc_text) {
                             Ok(name) => schemas.push(name),
                             Err(e) => {
                                 eprintln!("{path}:{line}: {e}");

@@ -506,6 +506,84 @@ fn validate_accepts_committed_artifacts_and_rejects_junk() {
     std::fs::remove_file(&bad).ok();
 }
 
+/// `validate` accepts a hub checkpoint only if `--resume` could load it:
+/// a document the registry's structural rule passes but the decoder
+/// refuses (an unknown value tag, a repeated key) fails validation.
+#[test]
+fn validate_rejects_checkpoints_resume_refuses() {
+    let ckpt = tmp_path("validate.ckpt");
+    let path = ckpt.to_str().unwrap();
+    let out = slicing_with_stdin(
+        &[
+            "monitor",
+            "-",
+            "x1@0 > 1 && x3@2 <= 3",
+            "--checkpoint",
+            path,
+        ],
+        &figure1_trace(),
+    );
+    assert!(out.status.success());
+    let out = slicing(&["validate", path]);
+    assert!(
+        stdout(&out).contains("1 document(s) ok (slicing.serve-checkpoint/v1)"),
+        "{}{}",
+        stdout(&out),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&ckpt).unwrap();
+    for (from, to, why) in [
+        (
+            "\"t\":\"int\"",
+            "\"t\":\"float\"",
+            "unknown snapshot value tag \"float\"",
+        ),
+        (
+            "\"since_gc\":",
+            "\"since_gc\":0,\"since_gc\":",
+            "checkpoint repeats field \"since_gc\"",
+        ),
+    ] {
+        let tampered = text.replacen(from, to, 1);
+        assert_ne!(tampered, text);
+        std::fs::write(&ckpt, &tampered).unwrap();
+        let out = slicing(&["validate", path]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{to}: {}", stdout(&out));
+        assert!(err.contains(why), "{to}: {err}");
+        let resume = slicing_with_stdin(
+            &["monitor", "-", "x1@0 > 1 && x3@2 <= 3", "--resume", path],
+            &figure1_trace(),
+        );
+        assert!(!resume.status.success(), "{to}: resume must refuse it too");
+    }
+    std::fs::remove_file(&ckpt).ok();
+}
+
+/// A three-process predicate whose only candidate on process 2 is
+/// causally below the only one on process 0 holds nowhere. The monitor
+/// once raised ⟨2, 4, 3⟩ here: a settle that found one stream empty
+/// forgot which heads it had not yet compared.
+#[test]
+fn monitor_raises_no_alarm_where_detect_finds_none() {
+    let trace = "# computation-slicing trace v1\nprocs 3\nvar 0 x 0\nvar 1 x 0\n\
+                 var 2 x 0\nevent 2 x=1\nevent 2 x=0\nevent 1 x=1\nevent 1 x=0\n\
+                 event 0 x=1\nevent 1 x=1\nmsg 2 2 0 1\nmsg 1 2 0 1\n";
+    let pred = "x@0 > 0 && x@1 > 0 && x@2 > 0";
+    let out = slicing_with_stdin(&["monitor", "-", pred], trace);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    assert!(!text.lines().any(|l| l.starts_with("alarm")), "{text}");
+    assert!(text.contains("0 distinct alarm cut(s)"), "{text}");
+    let out = slicing_with_stdin(&["detect", "-", pred, "--engine", "bfs"], trace);
+    assert!(out.status.success());
+    assert!(
+        stdout(&out).contains("predicate does not hold anywhere"),
+        "{}",
+        stdout(&out)
+    );
+}
+
 #[test]
 fn monitor_metrics_stream_is_valid_jsonl() {
     let trace = figure1_trace();
