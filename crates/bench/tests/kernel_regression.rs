@@ -152,7 +152,8 @@ fn protocol_slicing_pipeline_matches_the_old_kernel() {
 fn protocol_workload_counters_are_pinned() {
     // The scenario-zoo workloads through the same slicing pipeline:
     // detection verdict, cuts explored, J-row joins, and the visited-set
-    // probe/hit/insert counters are exact functions of the fixed seed.
+    // probe/hit/insert counters are exact functions of the fixed seed, and
+    // each spec builds one J table.
     //
     // (workload, seed, cuts, row_joins, probes, hits, inserts)
     let table = [
@@ -160,13 +161,13 @@ fn protocol_workload_counters_are_pinned() {
             Workload::LeaderElection,
             2u64,
             1u64,
-            34u64,
+            21u64,
             1u64,
             0u64,
             1u64,
         ),
-        (Workload::CrdtReplication, 0, 1, 1418, 1, 0, 1),
-        (Workload::WorkQueue, 0, 1, 194, 1, 0, 1),
+        (Workload::CrdtReplication, 0, 1, 17, 1, 0, 1),
+        (Workload::WorkQueue, 0, 1, 24, 1, 0, 1),
     ];
     for (w, seed, cuts, row_joins, probes, hits, inserts) in table {
         let comp = w.simulate(4, 8, seed);
@@ -187,6 +188,11 @@ fn protocol_workload_counters_are_pinned() {
             rec.counter_total("detect.visited.inserts"),
         );
         assert_eq!(got, (cuts, row_joins, probes, hits, inserts), "{tag}");
+        assert_eq!(
+            rec.counter_total("slice.j_table.builds"),
+            1,
+            "{tag}: J tables"
+        );
     }
 }
 
@@ -197,13 +203,15 @@ fn slicer_kernel_counters_are_pinned() {
     // builds, and graft edge merges are exact functions of the input.
     // Drift means the slicing algorithm changed, not just its speed — and
     // the cut heap must stay untouched end to end (the warm-arena / inline
-    // contract the 3× slicing win rests on).
+    // contract the 3× slicing win rests on). Grafts read only their
+    // children's edges or rows, so each spec builds one J table, at its
+    // root.
     //
     // (workload, seed, row_joins, builds, edges_merged)
     let table = [
-        (Workload::PrimarySecondary, 3u64, 2287u64, 61u64, 332u64),
-        (Workload::PrimarySecondary, 8, 1512, 61, 29),
-        (Workload::DatabasePartitioning, 5, 261, 12, 74),
+        (Workload::PrimarySecondary, 3u64, 47u64, 1u64, 332u64),
+        (Workload::PrimarySecondary, 8, 34, 1, 29),
+        (Workload::DatabasePartitioning, 5, 14, 1, 74),
     ];
     for (w, seed, row_joins, builds, merged) in table {
         let comp = w.simulate(5, 10, seed);

@@ -9,13 +9,13 @@ use slicing_predicates::{
     Conjunctive, KLocalPredicate, LinearPredicate, PostLinearPredicate, Predicate, RegularPredicate,
 };
 
-use crate::conjunctive::slice_conjunctive;
-use crate::coregular::slice_co_regular;
-use crate::graft::{graft_and_all, graft_or_all};
-use crate::klocal::slice_klocal;
-use crate::linear::{slice_linear, slice_regular};
-use crate::postlinear::slice_postlinear;
-use crate::slice::Slice;
+use crate::conjunctive::{meet_conjunctive_rows, push_conjunctive_edges};
+use crate::coregular::meet_co_regular_rows;
+use crate::graft::{push_conjunction_edges, push_disjunction_edges, LeastCuts};
+use crate::klocal::meet_klocal_rows;
+use crate::linear::{meet_linear_rows, push_linear_edges};
+use crate::postlinear::push_postlinear_edges;
+use crate::slice::{Edge, Slice};
 
 /// A predicate built from sliceable leaves with `∧` and `∨` — the class
 /// for which Section 5 computes an approximate slice in polynomial time:
@@ -112,8 +112,30 @@ impl PredicateSpec {
     }
 
     /// Computes the (possibly approximate) slice for the whole tree.
+    ///
+    /// Each node hands its parent only what the parent's graft reads:
+    ///
+    /// - under an `And` (and at the root), a node gives its constraint
+    ///   edges, and the `And` concatenates them;
+    /// - under an `Or`, a node gives its least-cut rows `J(e)`, and the
+    ///   `Or` meets them event by event, then encodes the meet as edges.
+    ///
+    /// Leaves compute their rows directly: a conjunctive leaf advances a
+    /// false frontier over its truth table, a regular or linear leaf keeps
+    /// the rows of its §4.3 walk, and co-regular and k-local leaves meet
+    /// their violation or clause rows. So the only J table (Tarjan plus J
+    /// propagation) is the root's, besides one per `And` or post-linear
+    /// leaf under an `Or`, which has no rows without it. The edges, every
+    /// `J(e)` and the bottom are those of slicing each child and grafting
+    /// the slices.
     pub fn slice<'a>(&self, comp: &'a Computation) -> Slice<'a> {
-        let _span = slicing_observe::span(match self {
+        let mut edges = Vec::new();
+        self.push_edges(comp, &mut edges);
+        Slice::new(comp, edges)
+    }
+
+    fn span(&self) -> slicing_observe::Span {
+        slicing_observe::span(match self {
             PredicateSpec::Conjunctive(_) => "slice.spec.conjunctive",
             PredicateSpec::Regular(_) => "slice.spec.regular",
             PredicateSpec::CoRegular(_) => "slice.spec.co_regular",
@@ -122,22 +144,58 @@ impl PredicateSpec {
             PredicateSpec::KLocal(_) => "slice.spec.klocal",
             PredicateSpec::And(_) => "slice.spec.and",
             PredicateSpec::Or(_) => "slice.spec.or",
-        });
+        })
+    }
+
+    /// Appends the constraint edges of this node's slice to `out`.
+    fn push_edges(&self, comp: &Computation, out: &mut Vec<Edge>) {
+        let _span = self.span();
+        let all = ProcSet::all;
+        let n = comp.num_processes();
         match self {
-            PredicateSpec::Conjunctive(p) => slice_conjunctive(comp, p),
-            PredicateSpec::Regular(p) => slice_regular(comp, p.as_ref()),
-            PredicateSpec::CoRegular(p) => slice_co_regular(comp, p.as_ref()),
-            PredicateSpec::Linear(p) => slice_linear(comp, p.as_ref()),
-            PredicateSpec::PostLinear(p) => slice_postlinear(comp, p.as_ref()),
-            PredicateSpec::KLocal(p) => slice_klocal(comp, p),
+            PredicateSpec::Conjunctive(p) => push_conjunctive_edges(comp, p, out),
+            PredicateSpec::Regular(p) => push_linear_edges(comp, p.as_ref(), all(n), out),
+            PredicateSpec::Linear(p) => push_linear_edges(comp, p.as_ref(), all(n), out),
+            PredicateSpec::PostLinear(p) => push_postlinear_edges(comp, p.as_ref(), out),
+            PredicateSpec::CoRegular(p) => push_disjunction_edges(comp, out, |rows| {
+                meet_co_regular_rows(comp, p.as_ref(), rows)
+            }),
+            PredicateSpec::KLocal(p) => {
+                push_disjunction_edges(comp, out, |rows| meet_klocal_rows(comp, p, rows))
+            }
             PredicateSpec::And(children) => {
                 assert!(!children.is_empty(), "And() of nothing; use Slice::full");
-                let parts: Vec<Slice<'a>> = children.iter().map(|c| c.slice(comp)).collect();
-                graft_and_all(&parts)
+                push_conjunction_edges(out, |out| {
+                    for c in children {
+                        c.push_edges(comp, out);
+                    }
+                });
             }
             PredicateSpec::Or(children) => {
-                let parts: Vec<Slice<'a>> = children.iter().map(|c| c.slice(comp)).collect();
-                graft_or_all(comp, &parts)
+                push_disjunction_edges(comp, out, |rows| meet_disjuncts(comp, children, rows))
+            }
+        }
+    }
+
+    /// Meets the least-cut rows of this node's slice into `rows`.
+    fn meet_rows(&self, comp: &Computation, rows: &mut LeastCuts) {
+        let _span = self.span();
+        match self {
+            PredicateSpec::Conjunctive(p) => meet_conjunctive_rows(comp, p, rows),
+            PredicateSpec::Regular(p) => meet_linear_rows(comp, p.as_ref(), rows),
+            PredicateSpec::Linear(p) => meet_linear_rows(comp, p.as_ref(), rows),
+            PredicateSpec::CoRegular(p) => {
+                meet_co_regular_rows(comp, p.as_ref(), rows);
+            }
+            PredicateSpec::KLocal(p) => {
+                meet_klocal_rows(comp, p, rows);
+            }
+            PredicateSpec::Or(children) => {
+                meet_disjuncts(comp, children, rows);
+            }
+            // No rows without a J table: materialize the slice once.
+            PredicateSpec::And(_) | PredicateSpec::PostLinear(_) => {
+                rows.meet_slice(&self.slice(comp));
             }
         }
     }
@@ -207,6 +265,16 @@ impl PredicateSpec {
                 .fold(ProcSet::empty(), ProcSet::union),
         }
     }
+}
+
+/// Meets every disjunct's rows into `rows`; returns the disjunct count.
+fn meet_disjuncts(comp: &Computation, children: &[PredicateSpec], rows: &mut LeastCuts) -> usize {
+    let _span = slicing_observe::span("slice.graft_or");
+    for c in children {
+        c.meet_rows(comp, rows);
+    }
+    slicing_observe::counter("slice.graft.disjuncts", children.len() as u64);
+    children.len()
 }
 
 impl fmt::Debug for PredicateSpec {
@@ -369,6 +437,109 @@ mod tests {
         let cut = Cut::bottom(comp.num_processes());
         let st = GlobalState::new(&comp, &cut);
         assert!(!spec.eval(&st));
+    }
+
+    /// Each leaf's rows, computed without a J table, equal the J table of
+    /// its materialized slice; the co-regular reference grafts one
+    /// materialized slice per violated constraint, as the complement was
+    /// first built.
+    #[test]
+    fn leaf_rows_match_their_slices_j_tables() {
+        use crate::graft::graft_or_all;
+        use crate::slice::Node;
+        use crate::{slice_conjunctive, slice_klocal, slice_linear};
+        use slicing_predicates::{KLocalPredicate, MonotoneDominates, RegularPredicate};
+
+        fn per_violation<'a, P: RegularPredicate>(comp: &'a Computation, pred: &P) -> Slice<'a> {
+            let anchor = Node::Event(comp.event_at(comp.process(0), 0));
+            let violations: Vec<Slice<'a>> = slice_linear(comp, pred)
+                .edges()
+                .iter()
+                .filter_map(|&edge| match edge {
+                    (Node::Top, Node::Event(f)) => {
+                        Some(Slice::new(comp, vec![(Node::Event(f), anchor)]))
+                    }
+                    (Node::Event(u), Node::Event(v)) if !comp.causally_within(u, v) => {
+                        Some(Slice::new(
+                            comp,
+                            vec![(Node::Event(v), anchor), (Node::Top, Node::Event(u))],
+                        ))
+                    }
+                    _ => None,
+                })
+                .collect();
+            graft_or_all(comp, &violations)
+        }
+        fn rows(comp: &Computation, fill: impl FnOnce(&mut LeastCuts)) -> LeastCuts {
+            let mut rows = LeastCuts::none(comp);
+            fill(&mut rows);
+            rows
+        }
+
+        for (n, events) in [(3usize, 4u32), (4, 3), (17, 1)] {
+            let cfg = RandomConfig {
+                processes: n,
+                events_per_process: events,
+                value_range: 3,
+                send_percent: 50,
+                recv_percent: 50,
+            };
+            for seed in 0..15 {
+                let comp = random_computation(seed, &cfg);
+                let x = |i: usize| comp.var(comp.process(i), "x").unwrap();
+                let conj = Conjunctive::new(vec![
+                    LocalPredicate::int(x(0), "x != 1", |v| v != 1),
+                    LocalPredicate::int(x(2), "x >= 1", |v| v >= 1),
+                ]);
+                let dominates = MonotoneDominates::new(x(0), x(1));
+                let klocal = KLocalPredicate::new(vec![x(0), x(1)], "x0 != x1", |v| v[0] != v[1]);
+                let cases = [
+                    (
+                        "conjunctive",
+                        rows(&comp, |r| meet_conjunctive_rows(&comp, &conj, r)),
+                        slice_conjunctive(&comp, &conj),
+                    ),
+                    (
+                        "linear",
+                        rows(&comp, |r| meet_linear_rows(&comp, &conj, r)),
+                        slice_linear(&comp, &conj),
+                    ),
+                    (
+                        "co-regular conjunction",
+                        rows(&comp, |r| {
+                            meet_co_regular_rows(&comp, &conj, r);
+                        }),
+                        per_violation(&comp, &conj),
+                    ),
+                    (
+                        "co-regular dominates",
+                        rows(&comp, |r| {
+                            meet_co_regular_rows(&comp, &dominates, r);
+                        }),
+                        per_violation(&comp, &dominates),
+                    ),
+                    (
+                        "k-local",
+                        rows(&comp, |r| {
+                            meet_klocal_rows(&comp, &klocal, r);
+                        }),
+                        slice_klocal(&comp, &klocal),
+                    ),
+                ];
+                for (kind, rows, slice) in &cases {
+                    for e in comp.events() {
+                        assert_eq!(
+                            rows.row(e),
+                            slice.least_cut(e).map(Cut::counts),
+                            "{kind}, {n} processes, seed {seed}: J({e})"
+                        );
+                    }
+                }
+                // The co-regular slicer encodes exactly the per-violation graft.
+                let want = per_violation(&comp, &conj);
+                assert_eq!(crate::slice_co_regular(&comp, &conj).edges(), want.edges());
+            }
+        }
     }
 
     #[test]

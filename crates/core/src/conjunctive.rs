@@ -1,8 +1,9 @@
 //! Optimal `O(|E|)` slicing for conjunctive predicates.
 
-use slicing_computation::Computation;
+use slicing_computation::{Computation, ProcessId};
 use slicing_predicates::Conjunctive;
 
+use crate::graft::LeastCuts;
 use crate::slice::{Edge, Node, Slice};
 
 /// Computes the (lean) slice of `comp` with respect to a conjunctive
@@ -22,8 +23,14 @@ use crate::slice::{Edge, Node, Slice};
 /// satisfying cuts (conjunctive predicates are regular) — this is the
 /// optimal algorithm the paper's Section 4.2 invokes for each DNF clause.
 pub fn slice_conjunctive<'a>(comp: &'a Computation, pred: &Conjunctive) -> Slice<'a> {
+    let mut edges = Vec::new();
+    push_conjunctive_edges(comp, pred, &mut edges);
+    Slice::new(comp, edges)
+}
+
+/// Appends the constraint edges of the conjunctive slice to `out`.
+pub(crate) fn push_conjunctive_edges(comp: &Computation, pred: &Conjunctive, out: &mut Vec<Edge>) {
     let _span = slicing_observe::span("slice.conjunctive");
-    let mut edges: Vec<Edge> = Vec::new();
     for p in comp.processes() {
         // Skip processes hosting no conjunct entirely.
         if pred.clauses_on(p).next().is_none() {
@@ -36,13 +43,91 @@ pub fn slice_conjunctive<'a>(comp: &'a Computation, pred: &Conjunctive) -> Slice
             }
             let e = comp.event_at(p, pos);
             if pos + 1 < len {
-                edges.push((Node::Event(comp.event_at(p, pos + 1)), Node::Event(e)));
+                out.push((Node::Event(comp.event_at(p, pos + 1)), Node::Event(e)));
             } else {
-                edges.push((Node::Top, Node::Event(e)));
+                out.push((Node::Top, Node::Event(e)));
             }
         }
     }
-    Slice::new(comp, edges)
+}
+
+/// Meets the least-cut rows of the conjunctive slice into `rows`, without
+/// building its constraint graph.
+///
+/// `J(e)` is the least consistent cut containing `e` whose frontier on
+/// every constrained process satisfies that process's conjuncts. Starting
+/// from the least cut containing `e`, a false frontier event pushes its
+/// process to the next true event (joining that event's causal past) until
+/// no false frontier remains; a process with no true event left means no
+/// slice cut contains `e`. `J` is monotone along a process, so each event
+/// resumes from the previous event's row.
+pub(crate) fn meet_conjunctive_rows(comp: &Computation, pred: &Conjunctive, rows: &mut LeastCuts) {
+    let _span = slicing_observe::span("slice.conjunctive");
+    // Per constrained process, the first position at or after each
+    // position whose event satisfies the process's conjuncts (`len` when
+    // none does) — the truth table the edges above are read from.
+    let next_true: Vec<(ProcessId, Vec<u32>)> = comp
+        .processes()
+        .filter(|&p| pred.clauses_on(p).next().is_some())
+        .map(|p| {
+            let len = comp.len(p);
+            let mut next = vec![len; len as usize];
+            let mut t = len;
+            for pos in (0..len).rev() {
+                if pred.holds_at(comp, p, pos) {
+                    t = pos;
+                }
+                next[pos as usize] = t;
+            }
+            (p, next)
+        })
+        .collect();
+    let mut cur = vec![1u32; comp.num_processes()];
+    for p in comp.processes() {
+        cur.fill(1);
+        for pos in 0..comp.len(p) {
+            let e = comp.event_at(p, pos);
+            join_counts(&mut cur, comp.min_cut(e).counts());
+            if !advance_to_true_frontier(comp, &next_true, &mut cur) {
+                // No slice cut holds this event, nor any later one.
+                break;
+            }
+            rows.meet_row(e, &cur);
+        }
+    }
+}
+
+/// Advances `cur` until every constrained process's frontier is true;
+/// `false` when some process runs out of true events.
+fn advance_to_true_frontier(
+    comp: &Computation,
+    next_true: &[(ProcessId, Vec<u32>)],
+    cur: &mut [u32],
+) -> bool {
+    loop {
+        let mut moved = false;
+        for (q, next) in next_true {
+            let frontier = cur[q.as_usize()] - 1;
+            let t = next[frontier as usize];
+            if t == frontier {
+                continue;
+            }
+            if t == comp.len(*q) {
+                return false;
+            }
+            join_counts(cur, comp.min_cut(comp.event_at(*q, t)).counts());
+            moved = true;
+        }
+        if !moved {
+            return true;
+        }
+    }
+}
+
+fn join_counts(cur: &mut [u32], other: &[u32]) {
+    for (c, &o) in cur.iter_mut().zip(other) {
+        *c = (*c).max(o);
+    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Slicing co-regular predicates: complements of regular predicates.
 
-use slicing_computation::{Computation, EventId};
+use slicing_computation::{Computation, EventId, ProcSet};
 use slicing_predicates::RegularPredicate;
 
-use crate::graft::graft_or_fold;
-use crate::linear::slice_linear;
-use crate::slice::{Node, Slice};
+use crate::graft::{push_disjunction_edges, LeastCuts};
+use crate::linear::push_linear_edges;
+use crate::slice::{Edge, Node, Slice};
 
 /// Computes the slice of `comp` with respect to `¬b` for a regular
 /// predicate `b`, in `O(n²|E|²)` time (the co-regular algorithm the paper
@@ -23,13 +23,18 @@ use crate::slice::{Node, Slice};
 ///
 /// The slice of `¬b` is the disjunction graft of these `O(n|E|)` violation
 /// slices. Edges `u → v` with `u` happened-before `v` can never be
-/// violated by a consistent cut and are skipped.
+/// violated by a consistent cut and are skipped. Only the constraint edges
+/// of `S_b` are read, so no J table is built for it, and each violation
+/// slice's rows are written straight into the graft's meet.
 pub fn slice_co_regular<'a, P: RegularPredicate + ?Sized>(
     comp: &'a Computation,
     pred: &P,
 ) -> Slice<'a> {
-    let base = slice_linear(comp, pred);
-    slice_complement_of(comp, &base)
+    let mut edges = Vec::new();
+    push_disjunction_edges(comp, &mut edges, |rows| {
+        meet_co_regular_rows(comp, pred, rows)
+    });
+    Slice::new(comp, edges)
 }
 
 /// Computes the slice whose cuts form the smallest sublattice containing
@@ -39,33 +44,62 @@ pub fn slice_co_regular<'a, P: RegularPredicate + ?Sized>(
 /// see [`slice_co_regular`]. Useful directly for `definitely`-modality
 /// detection, which searches the complement of a slice.
 pub fn slice_complement_of<'a>(comp: &'a Computation, slice: &Slice<'a>) -> Slice<'a> {
-    let _span = slicing_observe::span("slice.co_regular");
-    let anchor = Node::Event(comp.event_at(comp.process(0), 0));
-    let mut violations: Vec<Slice<'a>> = Vec::new();
+    let mut edges = Vec::new();
+    push_disjunction_edges(comp, &mut edges, |rows| {
+        meet_violation_rows(comp, slice.edges(), rows)
+    });
+    Slice::new(comp, edges)
+}
 
-    for &(u, v) in slice.edges() {
-        match (u, v) {
-            (Node::Top, Node::Event(f)) => {
-                // Cuts containing the forbidden event f.
-                violations.push(Slice::new(comp, vec![(Node::Event(f), anchor)]));
+/// Meets the rows of every violation slice of `b`'s lean slice into
+/// `rows`; returns the number of violation slices.
+pub(crate) fn meet_co_regular_rows<P: RegularPredicate + ?Sized>(
+    comp: &Computation,
+    pred: &P,
+    rows: &mut LeastCuts,
+) -> usize {
+    let mut base = Vec::new();
+    push_linear_edges(comp, pred, ProcSet::all(comp.num_processes()), &mut base);
+    meet_violation_rows(comp, &base, rows)
+}
+
+/// Meets the rows of the violation slice of each of `edges` into `rows`
+/// and returns how many there were.
+///
+/// A violation slice holds the cuts that contain a required event `r` and
+/// not a forbidden one `u` (if any), so its least cut containing `e` is
+/// the least cut containing both `e` and `r`, and none when that cut
+/// already holds `u`.
+fn meet_violation_rows(comp: &Computation, edges: &[Edge], rows: &mut LeastCuts) -> usize {
+    let _span = slicing_observe::span("slice.co_regular");
+    let mut row = vec![0u32; comp.num_processes()];
+    let mut violations = 0usize;
+    for &(u, v) in edges {
+        let (required, forbidden) = match (u, v) {
+            // Cuts containing the forbidden event f.
+            (Node::Top, Node::Event(f)) => (f, None),
+            // Cuts with v ∈ C and u ∉ C: require v, forbid u.
+            (Node::Event(u), Node::Event(v)) if !implied_by_base(comp, u, v) => (v, Some(u)),
+            // Implied edges are never violated; edges into ⊤ are vacuous
+            // and ⊤ → ⊤ cannot occur.
+            _ => continue,
+        };
+        violations += 1;
+        let base = comp.min_cut(required).counts();
+        for e in comp.events() {
+            for ((r, &b), &m) in row.iter_mut().zip(base).zip(comp.min_cut(e).counts()) {
+                *r = b.max(m);
             }
-            (Node::Event(u), Node::Event(v)) => {
-                if implied_by_base(comp, u, v) {
-                    continue;
-                }
-                // Cuts with v ∈ C and u ∉ C: require v, forbid u.
-                violations.push(Slice::new(
-                    comp,
-                    vec![(Node::Event(v), anchor), (Node::Top, Node::Event(u))],
-                ));
+            let holds_forbidden =
+                forbidden.is_some_and(|u| row[comp.process_of(u).as_usize()] > comp.position_of(u));
+            if !holds_forbidden {
+                rows.meet_row(e, &row);
             }
-            // Edges into ⊤ are vacuous; ⊤ → ⊤ cannot occur.
-            _ => {}
         }
     }
-
-    slicing_observe::counter("slice.co_regular.violations", violations.len() as u64);
-    graft_or_fold(comp, violations.iter())
+    slicing_observe::counter("slice.co_regular.violations", violations as u64);
+    slicing_observe::counter("slice.graft.disjuncts", violations as u64);
+    violations
 }
 
 /// `true` if `u → v` already follows from the happened-before relation, so

@@ -3,7 +3,7 @@
 use slicing_computation::Computation;
 use slicing_predicates::RegularPredicate;
 
-use crate::linear::linear_constraint_edges;
+use crate::linear::push_linear_edges;
 use crate::slice::Slice;
 
 /// Computes the slice for a *decomposable regular predicate*: a conjunction
@@ -41,7 +41,7 @@ pub fn slice_decomposable<'a, P: RegularPredicate>(
     // (each computed on its clause's processes only) and build one slice.
     let mut edges = Vec::new();
     for c in clauses {
-        edges.extend(linear_constraint_edges(comp, c, c.support()));
+        push_linear_edges(comp, c, c.support(), &mut edges);
     }
     Slice::new(comp, edges)
 }

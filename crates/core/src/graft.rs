@@ -1,15 +1,134 @@
 //! Grafting: composing slices with respect to conjunction and disjunction
 //! (Section 3.4).
+//!
+//! Each graft reads one thing of its inputs. Conjunction reads their
+//! constraint edges and concatenates them; disjunction reads their
+//! least-cut rows `J(e)`, meets them event by event, and encodes the meet
+//! as edges. Neither needs an input's J table beyond that, so
+//! [`PredicateSpec::slice`](crate::PredicateSpec::slice) hands children's
+//! edges and rows straight to these folds and builds one J table, at the
+//! root.
 
-use slicing_computation::{Computation, Cut};
+use slicing_computation::{Computation, EventId, ProcessId};
 
-use crate::slice::{Edge, Node, Slice};
+use crate::slice::{empty_slice_edge, Edge, Node, Slice};
 
 fn assert_same_computation(a: &Slice<'_>, b: &Slice<'_>) {
     assert!(
         std::ptr::eq(a.computation(), b.computation()),
         "grafted slices must derive from the same computation"
     );
+}
+
+/// A least-cut table: for every event `e`, the counts of `J(e)`, the least
+/// slice cut containing `e`, or none when no slice cut contains `e`.
+///
+/// Rows are flat, `n` counts per event in event order. A real cut counts
+/// at least the initial event of every process, so a row whose first
+/// count is 0 stands for none. A fresh table is all none, the identity of
+/// [`meet_row`](LeastCuts::meet_row): meeting one slice's rows into it
+/// copies them, and meeting several folds their disjunction.
+pub(crate) struct LeastCuts {
+    n: usize,
+    counts: Vec<u32>,
+}
+
+impl LeastCuts {
+    /// The table of the empty slice: every row none.
+    pub(crate) fn none(comp: &Computation) -> Self {
+        let n = comp.num_processes();
+        LeastCuts {
+            n,
+            counts: vec![0; comp.num_events() * n],
+        }
+    }
+
+    /// `J(e)` as counts, or `None` when no slice cut contains `e`.
+    pub(crate) fn row(&self, e: EventId) -> Option<&[u32]> {
+        let row = &self.counts[e.as_usize() * self.n..][..self.n];
+        (row[0] != 0).then_some(row)
+    }
+
+    /// Meets one more disjunct's `J(e)` into the table.
+    pub(crate) fn meet_row(&mut self, e: EventId, row: &[u32]) {
+        let acc = &mut self.counts[e.as_usize() * self.n..][..self.n];
+        if acc[0] == 0 {
+            acc.copy_from_slice(row);
+        } else {
+            for (a, &r) in acc.iter_mut().zip(row) {
+                *a = (*a).min(r);
+            }
+        }
+    }
+
+    /// Meets every row of a materialized slice into the table.
+    pub(crate) fn meet_slice(&mut self, slice: &Slice<'_>) {
+        for e in slice.computation().events() {
+            if let Some(j) = slice.least_cut(e) {
+                self.meet_row(e, j.counts());
+            }
+        }
+    }
+
+    /// Appends the edges encoding the table, event by event in event
+    /// order (see [`push_row_edges`]).
+    pub(crate) fn push_edges(&self, comp: &Computation, out: &mut Vec<Edge>) {
+        for e in comp.events() {
+            push_row_edges(comp, e, self.row(e), comp.processes(), out);
+        }
+    }
+}
+
+/// Appends the edges encoding `e ∈ C ⇒ J(e) ⊆ C`: one edge from the
+/// frontier event of each of `procs` in `J(e)` (skipping initial events,
+/// which every cut holds, and `e` itself), or ⊤ → e when `J(e)` is none.
+pub(crate) fn push_row_edges(
+    comp: &Computation,
+    e: EventId,
+    row: Option<&[u32]>,
+    procs: impl IntoIterator<Item = ProcessId>,
+    out: &mut Vec<Edge>,
+) {
+    let Some(row) = row else {
+        out.push((Node::Top, Node::Event(e)));
+        return;
+    };
+    for q in procs {
+        let cnt = row[q.as_usize()];
+        if cnt <= 1 {
+            continue;
+        }
+        let f = comp.event_at(q, cnt - 1);
+        if f != e {
+            out.push((Node::Event(f), Node::Event(e)));
+        }
+    }
+}
+
+/// Appends the edges of a disjunction graft to `out`: `fold` meets every
+/// disjunct's rows into a fresh table and returns how many it met. The
+/// meet is encoded edge by edge in event order; the disjunction of zero
+/// slices is the empty slice.
+pub(crate) fn push_disjunction_edges(
+    comp: &Computation,
+    out: &mut Vec<Edge>,
+    fold: impl FnOnce(&mut LeastCuts) -> usize,
+) {
+    let mut rows = LeastCuts::none(comp);
+    if fold(&mut rows) == 0 {
+        out.push(empty_slice_edge(comp));
+    } else {
+        rows.push_edges(comp, out);
+    }
+}
+
+/// Appends the edges of a conjunction graft to `out`: `push_parts` appends
+/// every conjunct's constraint edges, and the concatenation is the graft.
+pub(crate) fn push_conjunction_edges(out: &mut Vec<Edge>, push_parts: impl FnOnce(&mut Vec<Edge>)) {
+    let _span = slicing_observe::span("slice.graft_and");
+    let start = out.len();
+    push_parts(out);
+    slicing_observe::counter("slice.graft.edges_merged", (out.len() - start) as u64);
 }
 
 /// Grafts two slices with respect to **conjunction**: the smallest slice
@@ -23,32 +142,33 @@ fn assert_same_computation(a: &Slice<'_>, b: &Slice<'_>) {
 ///
 /// Panics if the slices derive from different computations.
 pub fn graft_and<'a>(a: &Slice<'a>, b: &Slice<'a>) -> Slice<'a> {
-    let _span = slicing_observe::span("slice.graft_and");
     assert_same_computation(a, b);
-    let mut edges: Vec<Edge> = Vec::with_capacity(a.edges().len() + b.edges().len());
-    edges.extend_from_slice(a.edges());
-    edges.extend_from_slice(b.edges());
-    slicing_observe::counter("slice.graft.edges_merged", edges.len() as u64);
+    let mut edges = Vec::with_capacity(a.edges().len() + b.edges().len());
+    push_conjunction_edges(&mut edges, |out| {
+        out.extend_from_slice(a.edges());
+        out.extend_from_slice(b.edges());
+    });
     Slice::new(a.computation(), edges)
 }
 
-/// Grafts any number of slices with respect to conjunction.
+/// Grafts any number of slices with respect to conjunction. Only the
+/// inputs' constraint edges are read; the one J table built is the
+/// result's.
 ///
 /// # Panics
 ///
 /// Panics if `slices` is empty or the slices derive from different
 /// computations.
 pub fn graft_and_all<'a>(slices: &[Slice<'a>]) -> Slice<'a> {
-    let _span = slicing_observe::span("slice.graft_and");
     assert!(!slices.is_empty(), "graft_and_all needs at least one slice");
-    let comp = slices[0].computation();
     let mut edges = Vec::new();
-    for s in slices {
-        assert_same_computation(&slices[0], s);
-        edges.extend_from_slice(s.edges());
-    }
-    slicing_observe::counter("slice.graft.edges_merged", edges.len() as u64);
-    Slice::new(comp, edges)
+    push_conjunction_edges(&mut edges, |out| {
+        for s in slices {
+            assert_same_computation(&slices[0], s);
+            out.extend_from_slice(s.edges());
+        }
+    });
+    Slice::new(slices[0].computation(), edges)
 }
 
 /// Grafts two slices with respect to **disjunction**: the smallest slice
@@ -64,75 +184,44 @@ pub fn graft_and_all<'a>(slices: &[Slice<'a>]) -> Slice<'a> {
 /// Panics if the slices derive from different computations.
 pub fn graft_or<'a>(a: &Slice<'a>, b: &Slice<'a>) -> Slice<'a> {
     assert_same_computation(a, b);
-    graft_or_fold(a.computation(), [a, b].into_iter())
+    graft_or_fold(a.computation(), [a, b])
 }
 
 /// Grafts any number of slices with respect to disjunction, folding their
-/// least-cut tables without retaining the inputs (memory `O(n|E|)` however
-/// many slices stream through). The disjunction of zero slices is the
-/// empty slice.
+/// least-cut rows into one table (memory `O(n|E|)` however many slices
+/// are grafted). Only the inputs' rows `J(e)` are read; the meet is
+/// encoded as edges and the one J table built is the result's. The
+/// disjunction of zero slices is the empty slice.
+///
+/// # Panics
+///
+/// Panics if a slice derives from another computation than `comp`.
 pub fn graft_or_all<'a>(comp: &'a Computation, slices: &[Slice<'a>]) -> Slice<'a> {
-    graft_or_fold(comp, slices.iter())
+    graft_or_fold(comp, slices)
 }
 
-/// Core of disjunction grafting over an iterator of slices.
-pub(crate) fn graft_or_fold<'a, 'b>(
+fn graft_or_fold<'a, 'b>(
     comp: &'a Computation,
-    slices: impl Iterator<Item = &'b Slice<'a>>,
+    slices: impl IntoIterator<Item = &'b Slice<'a>>,
 ) -> Slice<'a>
 where
     'a: 'b,
 {
     let _span = slicing_observe::span("slice.graft_or");
-    let num_events = comp.num_events();
-    // Accumulated least cut per event across the disjuncts (None =
-    // contained in no disjunct so far).
-    let mut jvee: Vec<Option<Cut>> = vec![None; num_events];
-    let mut disjuncts = 0u64;
-    for s in slices {
-        assert!(
-            std::ptr::eq(s.computation(), comp),
-            "grafted slices must derive from the given computation"
-        );
-        disjuncts += 1;
-        for e in comp.events() {
-            if let Some(j) = s.least_cut(e) {
-                match &mut jvee[e.as_usize()] {
-                    Some(acc) => acc.meet_assign(j),
-                    slot @ None => *slot = Some(j.clone()),
-                }
-            }
+    let mut edges = Vec::new();
+    push_disjunction_edges(comp, &mut edges, |rows| {
+        let mut disjuncts = 0;
+        for s in slices {
+            assert!(
+                std::ptr::eq(s.computation(), comp),
+                "grafted slices must derive from the given computation"
+            );
+            rows.meet_slice(s);
+            disjuncts += 1;
         }
-    }
-    slicing_observe::counter("slice.graft.disjuncts", disjuncts);
-    if disjuncts == 0 {
-        return Slice::empty(comp);
-    }
-    slice_from_least_cuts(comp, &jvee)
-}
-
-/// Rebuilds a slice from a least-cut table: for every event `e` with
-/// `J(e) = Some(c)`, emit frontier edges encoding `e ∈ C ⇒ c ⊆ C`; events
-/// with `J(e) = None` are forbidden via ⊤ → e.
-pub(crate) fn slice_from_least_cuts<'a>(comp: &'a Computation, j: &[Option<Cut>]) -> Slice<'a> {
-    let mut edges: Vec<Edge> = Vec::new();
-    for e in comp.events() {
-        match &j[e.as_usize()] {
-            None => edges.push((Node::Top, Node::Event(e))),
-            Some(c) => {
-                for q in comp.processes() {
-                    let cnt = c.count(q);
-                    if cnt <= 1 {
-                        continue;
-                    }
-                    let f = comp.event_at(q, cnt - 1);
-                    if f != e {
-                        edges.push((Node::Event(f), Node::Event(e)));
-                    }
-                }
-            }
-        }
-    }
+        slicing_observe::counter("slice.graft.disjuncts", disjuncts as u64);
+        disjuncts
+    });
     Slice::new(comp, edges)
 }
 
@@ -209,6 +298,7 @@ mod tests {
     use slicing_computation::lattice::all_cuts;
     use slicing_computation::oracle::sublattice_closure;
     use slicing_computation::test_fixtures::{figure1, random_computation, RandomConfig};
+    use slicing_computation::Cut;
     use slicing_predicates::{Conjunctive, LocalPredicate};
     use std::collections::BTreeSet;
 

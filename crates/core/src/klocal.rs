@@ -3,8 +3,8 @@
 use slicing_computation::Computation;
 use slicing_predicates::KLocalPredicate;
 
-use crate::conjunctive::slice_conjunctive;
-use crate::graft::graft_or_fold;
+use crate::conjunctive::meet_conjunctive_rows;
+use crate::graft::{push_disjunction_edges, LeastCuts};
 use crate::slice::Slice;
 
 /// Computes the slice for a k-local predicate (constant `k`), which need
@@ -20,18 +20,27 @@ use crate::slice::Slice;
 /// satisfying cut (each clause's slice is lean, and disjunction grafting
 /// produces the smallest sublattice containing the union).
 pub fn slice_klocal<'a>(comp: &'a Computation, pred: &KLocalPredicate) -> Slice<'a> {
+    let mut edges = Vec::new();
+    push_disjunction_edges(comp, &mut edges, |rows| meet_klocal_rows(comp, pred, rows));
+    Slice::new(comp, edges)
+}
+
+/// Meets the rows of every DNF clause's conjunctive slice into `rows`
+/// (memory `O(n|E|)` whatever the clause count); returns the clause
+/// count.
+pub(crate) fn meet_klocal_rows(
+    comp: &Computation,
+    pred: &KLocalPredicate,
+    rows: &mut LeastCuts,
+) -> usize {
     let _span = slicing_observe::span("slice.klocal");
     let dnf = pred.to_dnf(comp);
     slicing_observe::counter("slice.klocal.clauses", dnf.len() as u64);
-    // Slicing clause-by-clause and folding keeps memory at O(n|E|)
-    // regardless of the clause count.
-    graft_or_fold(
-        comp,
-        dnf.iter()
-            .map(|clause| slice_conjunctive(comp, clause))
-            .collect::<Vec<_>>()
-            .iter(),
-    )
+    for clause in &dnf {
+        meet_conjunctive_rows(comp, clause, rows);
+    }
+    slicing_observe::counter("slice.graft.disjuncts", dnf.len() as u64);
+    dnf.len()
 }
 
 #[cfg(test)]

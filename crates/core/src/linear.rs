@@ -1,10 +1,11 @@
 //! Slicing linear (and regular) predicates via least-satisfying-cut
 //! computation — the paper's Section 4.3.
 
-use slicing_computation::{Computation, Cut, GlobalState, ProcSet, ProcessId};
+use slicing_computation::{Computation, Cut, EventId, GlobalState, ProcSet, ProcessId};
 use slicing_predicates::{LinearPredicate, RegularPredicate};
 
-use crate::slice::{Edge, Node, Slice};
+use crate::graft::{push_row_edges, LeastCuts};
+use crate::slice::{Edge, Slice};
 
 /// Computes the slice of `comp` with respect to a linear predicate in
 /// `O(n²|E|)` time (Section 4.3).
@@ -53,26 +54,60 @@ pub fn slice_linear_restricted<'a, P: LinearPredicate + ?Sized>(
     pred: &P,
     procs: ProcSet,
 ) -> Slice<'a> {
-    let _span = slicing_observe::span("slice.linear");
-    Slice::new(comp, linear_constraint_edges(comp, pred, procs))
+    let mut edges = Vec::new();
+    push_linear_edges(comp, pred, procs, &mut edges);
+    Slice::new(comp, edges)
 }
 
-/// The constraint edges [`slice_linear_restricted`] would install, without
-/// building the slice. The decomposable slicer concatenates these across
+/// Appends the constraint edges [`slice_linear_restricted`] would install
+/// to `out`, without building the slice: for each event of `procs`, in
+/// process order, the edges encoding `e ∈ C ⇒ J_b(e) ⊆ C` for the row
+/// the §4.3 walk finds. The decomposable slicer concatenates these across
 /// clauses and builds a single slice, so the per-clause cost stays
 /// proportional to the *projected* size (the whole point of §4.1).
-pub(crate) fn linear_constraint_edges<P: LinearPredicate + ?Sized>(
+pub(crate) fn push_linear_edges<P: LinearPredicate + ?Sized>(
     comp: &Computation,
     pred: &P,
     procs: ProcSet,
-) -> Vec<Edge> {
+    out: &mut Vec<Edge>,
+) {
+    let start = out.len();
+    linear_walk(comp, pred, procs, |e, row| {
+        push_row_edges(comp, e, row, procs.iter(), out);
+    });
+    slicing_observe::counter("slice.linear.edges", (out.len() - start) as u64);
+}
+
+/// Meets `J_b(e)` into `rows` for every event some satisfying cut
+/// contains: the rows the §4.3 walk finds, with no edge built.
+pub(crate) fn meet_linear_rows<P: LinearPredicate + ?Sized>(
+    comp: &Computation,
+    pred: &P,
+    rows: &mut LeastCuts,
+) {
+    linear_walk(comp, pred, ProcSet::all(comp.num_processes()), |e, row| {
+        if let Some(row) = row {
+            rows.meet_row(e, row);
+        }
+    });
+}
+
+/// The §4.3 walk: calls `visit` with `J_b(e)` for each event of `procs`, in
+/// process order, or with `None` when no satisfying cut contains `e`.
+/// Coordinates outside `procs` stay at 1.
+fn linear_walk<P: LinearPredicate + ?Sized>(
+    comp: &Computation,
+    pred: &P,
+    procs: ProcSet,
+    mut visit: impl FnMut(EventId, Option<&[u32]>),
+) {
+    let _span = slicing_observe::span("slice.linear");
     debug_assert!(
         pred.support().iter().all(|p| procs.contains(p)),
         "predicate reads processes outside the restriction"
     );
     let n = comp.num_processes();
     let proc_list: Vec<ProcessId> = procs.iter().collect();
-    let mut edges: Vec<Edge> = Vec::new();
     // Work accounting, emitted once at the end so the hot loop stays
     // allocation- and dispatch-free.
     let evals = std::cell::Cell::new(0u64);
@@ -115,34 +150,18 @@ pub(crate) fn linear_constraint_edges<P: LinearPredicate + ?Sized>(
         let mut dead = false;
         for pos in 0..comp.len(p) {
             let e = comp.event_at(p, pos);
-            if dead {
-                edges.push((Node::Top, Node::Event(e)));
-                continue;
+            if !dead {
+                join_masked(&mut current, comp.min_cut(e));
+                // Once the walk runs out of events, so does every later
+                // event of the process.
+                dead = !advance(&mut current);
             }
-            join_masked(&mut current, comp.min_cut(e));
-            if advance(&mut current) {
-                // Encode J_b(e) ⊆ C for any C containing e.
-                for &q in &proc_list {
-                    let c = current.count(q);
-                    if c <= 1 {
-                        continue; // initial events are in every cut
-                    }
-                    let f = comp.event_at(q, c - 1);
-                    if f != e {
-                        edges.push((Node::Event(f), Node::Event(e)));
-                    }
-                }
-            } else {
-                dead = true;
-                edges.push((Node::Top, Node::Event(e)));
-            }
+            visit(e, (!dead).then(|| current.counts()));
         }
     }
 
     slicing_observe::counter("slice.linear.evals", evals.get());
     slicing_observe::counter("slice.linear.advances", advances.get());
-    slicing_observe::counter("slice.linear.edges", edges.len() as u64);
-    edges
 }
 
 #[cfg(test)]

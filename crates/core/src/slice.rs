@@ -162,8 +162,7 @@ impl<'a> Slice<'a> {
     /// The empty slice: no non-trivial consistent cuts at all (the slice of
     /// an unsatisfiable predicate).
     pub fn empty(comp: &'a Computation) -> Self {
-        let init = comp.event_at(ProcessId::new(0), 0);
-        Slice::new(comp, vec![(Node::Top, Node::Event(init))])
+        Slice::new(comp, vec![empty_slice_edge(comp)])
     }
 
     /// The underlying computation.
@@ -372,6 +371,12 @@ impl CutSpace for Slice<'_> {
         });
         true
     }
+}
+
+/// The one constraint edge of [`Slice::empty`]: ⊤ → ⊥₀ forbids the initial
+/// meta-event, so no non-trivial cut survives.
+pub(crate) fn empty_slice_edge(comp: &Computation) -> Edge {
+    (Node::Top, Node::Event(comp.event_at(ProcessId::new(0), 0)))
 }
 
 /// Builds the full constraint digraph: nodes are events plus ⊤ (index

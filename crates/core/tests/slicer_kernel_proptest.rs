@@ -12,8 +12,13 @@ use slicing_computation::lattice::all_cuts;
 use slicing_computation::oracle::{expected_slice_cuts, sublattice_closure};
 use slicing_computation::test_fixtures::{random_computation, RandomConfig};
 use slicing_computation::{Computation, Cut, EventId};
-use slicing_core::{graft_and, graft_or, slice_conjunctive, slice_linear, Node, Slice};
-use slicing_predicates::{Conjunctive, LocalPredicate, Predicate};
+use slicing_core::{
+    graft_and, graft_and_all, graft_or, graft_or_all, slice_co_regular, slice_conjunctive,
+    slice_klocal, slice_linear, slice_postlinear, slice_regular, Node, PredicateSpec, Slice,
+};
+use slicing_predicates::{
+    AtMostInTransit, Conjunctive, KLocalPredicate, LocalPredicate, MonotoneDominates, Predicate,
+};
 
 /// Computations spanning the spill boundary: one event per process and a
 /// high message rate keep the lattice small enough for the exhaustive
@@ -158,5 +163,166 @@ proptest! {
             all_cuts(&graft_or(&a, &b)).into_iter().collect();
         let union: Vec<Cut> = cuts_a.iter().chain(&cuts_b).cloned().collect();
         prop_assert_eq!(or_cuts, sublattice_closure(&union), "graft_or vs closure");
+    }
+}
+
+/// A random spec tree: leaves name a kind, two processes and a threshold;
+/// `Or` may be empty, `And` never is (the empty `And` has no slice).
+#[derive(Debug, Clone)]
+enum Shape {
+    Leaf(u8, usize, usize, i64),
+    And(Vec<Shape>),
+    Or(Vec<Shape>),
+}
+
+fn shape() -> impl Strategy<Value = Shape> {
+    let leaf = (0u8..6, 0usize..17, 0usize..17, 0i64..3)
+        .prop_map(|(kind, a, b, t)| Shape::Leaf(kind, a, b, t));
+    leaf.prop_recursive(3, 16, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 1..4).prop_map(Shape::And),
+            prop::collection::vec(inner, 0..4).prop_map(Shape::Or),
+        ]
+    })
+}
+
+/// Builds the spec a [`Shape`] describes over `comp`: conjunctive,
+/// regular (a conjunction or a channel bound), co-regular, k-local and
+/// linear leaves on the named processes.
+fn build(comp: &Computation, shape: &Shape) -> PredicateSpec {
+    match shape {
+        Shape::And(children) => {
+            PredicateSpec::and(children.iter().map(|c| build(comp, c)).collect())
+        }
+        Shape::Or(children) => PredicateSpec::or(children.iter().map(|c| build(comp, c)).collect()),
+        &Shape::Leaf(kind, a, b, t) => {
+            let n = comp.num_processes();
+            // Two distinct processes (every computation here has two).
+            let b = if a % n == b % n { a + 1 } else { b };
+            let (pa, pb) = (comp.process(a % n), comp.process(b % n));
+            let (xa, xb) = (comp.var(pa, "x").unwrap(), comp.var(pb, "x").unwrap());
+            let conj = Conjunctive::new(vec![
+                LocalPredicate::int(xa, format!("x != {t}"), move |v| v != t),
+                LocalPredicate::int(xb, format!("x >= {t}"), move |v| v >= t),
+            ]);
+            match kind {
+                0 => PredicateSpec::conjunctive(conj),
+                1 => PredicateSpec::regular(conj),
+                2 => PredicateSpec::not_regular(conj),
+                3 => PredicateSpec::not_regular(MonotoneDominates::new(xa, xb)),
+                4 => PredicateSpec::klocal(KLocalPredicate::new(vec![xa, xb], "xa != xb", |v| {
+                    v[0] != v[1]
+                })),
+                _ => PredicateSpec::linear(AtMostInTransit::new(pa, pb, t as u32)),
+            }
+        }
+    }
+}
+
+/// The reference: slice every node with its public slicer and graft the
+/// children's slices.
+fn composed<'a>(comp: &'a Computation, spec: &PredicateSpec) -> Slice<'a> {
+    let parts = |children: &[PredicateSpec]| {
+        children
+            .iter()
+            .map(|c| composed(comp, c))
+            .collect::<Vec<_>>()
+    };
+    match spec {
+        PredicateSpec::Conjunctive(p) => slice_conjunctive(comp, p),
+        PredicateSpec::Regular(p) => slice_regular(comp, p.as_ref()),
+        PredicateSpec::CoRegular(p) => slice_co_regular(comp, p.as_ref()),
+        PredicateSpec::Linear(p) => slice_linear(comp, p.as_ref()),
+        PredicateSpec::PostLinear(p) => slice_postlinear(comp, p.as_ref()),
+        PredicateSpec::KLocal(p) => slice_klocal(comp, p),
+        PredicateSpec::And(children) => graft_and_all(&parts(children)),
+        PredicateSpec::Or(children) => graft_or_all(comp, &parts(children)),
+    }
+}
+
+/// Same edges in the same order, the same `J(e)` for every event, and the
+/// same bottom.
+fn assert_same_slice(tag: &str, comp: &Computation, got: &Slice<'_>, want: &Slice<'_>) {
+    assert_eq!(got.edges(), want.edges(), "{tag}: edges");
+    for e in comp.events() {
+        assert_eq!(got.least_cut(e), want.least_cut(e), "{tag}: J({e})");
+    }
+    assert_eq!(got.bottom_cut(), want.bottom_cut(), "{tag}: bottom");
+}
+
+/// Computations of a few processes with several events each, where
+/// grafted slices have room to differ from one another.
+fn narrow() -> impl Strategy<Value = Computation> {
+    (any::<u64>(), 2usize..=5, 2u32..=5).prop_map(|(seed, n, events)| {
+        let cfg = RandomConfig {
+            processes: n,
+            events_per_process: events,
+            send_percent: 40,
+            recv_percent: 40,
+            value_range: 3,
+        };
+        random_computation(seed, &cfg)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `PredicateSpec::slice` hands each graft only its children's edges
+    /// or rows and builds one J table; the slice must be the one grafting
+    /// the children's own slices gives.
+    #[test]
+    fn spec_trees_slice_as_grafted_children(comp in narrow(), shape in shape()) {
+        let spec = build(&comp, &shape);
+        assert_same_slice(&format!("{shape:?}"), &comp, &spec.slice(&comp), &composed(&comp, &spec));
+    }
+
+    /// The same at the 16-process spill width.
+    #[test]
+    fn wide_spec_trees_slice_as_grafted_children(comp in wide(), shape in shape()) {
+        let spec = build(&comp, &shape);
+        assert_same_slice(&format!("{shape:?}"), &comp, &spec.slice(&comp), &composed(&comp, &spec));
+    }
+}
+
+/// The shapes whose routing differs most from plain grafting — `Or` under
+/// `Or`, `And` under `Or`, the empty `Or` in both positions, and every
+/// leaf kind under an `Or` — on fixed seeds, so they run whatever the
+/// random trees draw.
+#[test]
+fn nested_disjunctions_slice_as_grafted_children() {
+    use Shape::{And, Leaf, Or};
+    let leaves = |a: usize| {
+        (0u8..6)
+            .map(move |k| Leaf(k, a, a + 1, 1))
+            .collect::<Vec<_>>()
+    };
+    let shapes = [
+        Or(vec![Or(leaves(0)), Leaf(0, 1, 2, 1)]),
+        Or(vec![
+            And(vec![Leaf(0, 0, 1, 1), Leaf(2, 1, 2, 0)]),
+            Leaf(4, 2, 0, 1),
+        ]),
+        Or(vec![Or(vec![]), Leaf(1, 0, 2, 1)]),
+        And(vec![Or(vec![]), Leaf(0, 0, 1, 1)]),
+        And(vec![Or(leaves(1)), Or(vec![And(leaves(2)), Or(leaves(0))])]),
+        Or(vec![]),
+    ];
+    for n in [3usize, 4, 16] {
+        for seed in 0..12u64 {
+            let cfg = RandomConfig {
+                processes: n,
+                events_per_process: if n > 8 { 1 } else { 4 },
+                send_percent: 50,
+                recv_percent: 50,
+                value_range: 3,
+            };
+            let comp = random_computation(seed, &cfg);
+            for shape in &shapes {
+                let spec = build(&comp, shape);
+                let tag = format!("n {n} seed {seed} {shape:?}");
+                assert_same_slice(&tag, &comp, &spec.slice(&comp), &composed(&comp, &spec));
+            }
+        }
     }
 }

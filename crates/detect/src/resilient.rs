@@ -19,7 +19,7 @@ use std::fmt;
 use std::str::FromStr;
 use std::time::Duration;
 
-use slicing_computation::{Computation, GlobalState, ProcSet};
+use slicing_computation::{Computation, Cut, GlobalState, ProcSet};
 use slicing_core::PredicateSpec;
 use slicing_observe::Level;
 use slicing_predicates::Predicate;
@@ -263,6 +263,11 @@ pub struct ResilientDetection {
     /// `true` when every enabled engine exhausted its budget; the
     /// `detection` verdict is then *inconclusive*, not a clean "absent".
     pub exhausted: bool,
+    /// The bottom of the slice of the spec, when the slicing engine gave
+    /// the verdict on a non-empty slice; `None` when another engine
+    /// answered. Lets a caller that needs the slice's bottom (the recovery
+    /// line) skip slicing the spec again.
+    pub slice_bottom: Option<Cut>,
 }
 
 impl ResilientDetection {
@@ -299,9 +304,16 @@ pub fn detect_resilient(
     let mut last: Option<(Engine, Detection)> = None;
     for (engine, limits) in chain {
         let Some(limits) = limits else { continue };
-        let detection = match (engine, config.hybrid_pom_budget) {
-            (Engine::Hybrid, Some(budget)) => hybrid(comp, spec, budget, limits),
-            _ => engine.detect(comp, &SpecPredicate(spec), spec, limits),
+        let (detection, slice_bottom) = match (engine, config.hybrid_pom_budget) {
+            (Engine::Slicing, _) => {
+                let sliced = detect_with_slicing(comp, spec, limits);
+                (sliced.search, sliced.slice_bottom)
+            }
+            (Engine::Hybrid, Some(budget)) => (hybrid(comp, spec, budget, limits), None),
+            _ => (
+                engine.detect(comp, &SpecPredicate(spec), spec, limits),
+                None,
+            ),
         };
         let aborted = detection.aborted;
         attempts.push((engine, aborted));
@@ -311,6 +323,7 @@ pub fn detect_resilient(
                 attempts,
                 detection,
                 exhausted: false,
+                slice_bottom,
             };
         }
         slicing_observe::counter("detect.resilient.fallback", 1);
@@ -330,6 +343,7 @@ pub fn detect_resilient(
         attempts,
         detection,
         exhausted: true,
+        slice_bottom: None,
     }
 }
 
@@ -434,6 +448,37 @@ mod tests {
         assert!(!r.detected());
         assert_eq!(r.attempts.len(), 4);
         assert!(r.attempts.iter().all(|&(_, reason)| reason.is_some()));
+    }
+
+    /// The slice bottom rides along only when slicing gave the verdict: it
+    /// is the bottom of the spec's slice then (none for an empty slice),
+    /// and none when a starved slicing attempt fell through.
+    #[test]
+    fn slice_bottom_is_carried_only_when_slicing_answers() {
+        let comp = figure1();
+        for spec in [
+            figure1_spec(&comp),
+            PredicateSpec::conjunctive(Conjunctive::new(vec![LocalPredicate::int(
+                comp.var(comp.process(0), "x1").unwrap(),
+                "x1 > 99",
+                |x| x > 99,
+            )])),
+        ] {
+            let r = detect_resilient(&comp, &spec, &ResilientConfig::default());
+            assert_eq!(r.engine, Engine::Slicing);
+            assert_eq!(r.slice_bottom.as_ref(), spec.slice(&comp).bottom_cut());
+        }
+
+        let (comp, spec) = starvable_input();
+        let config = ResilientConfig {
+            slicing: Some(Limits::new(None, Some(1))),
+            ..ResilientConfig::default()
+        };
+        let r = detect_resilient(&comp, &spec, &config);
+        assert!(r.attempts[0].0 == Engine::Slicing && r.attempts[0].1.is_some());
+        assert_ne!(r.engine, Engine::Slicing);
+        assert!(spec.slice(&comp).bottom_cut().is_some());
+        assert_eq!(r.slice_bottom, None);
     }
 
     #[test]

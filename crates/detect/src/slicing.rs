@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-use slicing_computation::Computation;
+use slicing_computation::{Computation, Cut};
 use slicing_core::{PredicateSpec, Slice};
 
 use crate::enumerate::detect_bfs;
@@ -16,6 +16,10 @@ pub struct SliceDetection {
     pub slicing_elapsed: Duration,
     /// Tracked bytes of the slice's tables and edges.
     pub slice_bytes: u64,
+    /// The slice's least cut, `None` when the slice is empty. Every cut
+    /// satisfying the predicate lies above it, which is all a recovery
+    /// line needs of the slice.
+    pub slice_bottom: Option<Cut>,
     /// Number of non-trivial consistent cuts the slice was *observed* to
     /// have during the search (`cuts_explored` of the residual search).
     pub search: Detection,
@@ -153,6 +157,7 @@ pub fn detect_on_slice(
     SliceDetection {
         slicing_elapsed,
         slice_bytes: slice.approx_bytes() as u64,
+        slice_bottom: slice.bottom_cut().cloned(),
         search,
     }
 }

@@ -114,7 +114,9 @@ pub fn max_consistent_cut_below(comp: &Computation, bound: &Cut) -> Cut {
 }
 
 /// Computes the recovery line of `comp` for the fault specification
-/// `spec` (see the module docs for the criterion).
+/// `spec` (see the module docs for the criterion): slices `spec`, then
+/// maximises over the slice's bottom as [`recover`](crate::recover) does
+/// with the bottom its detection already found.
 ///
 /// When the slice criterion cannot decide — the slice is approximate and
 /// its bottom is the lattice bottom — the exhaustive fallback
@@ -125,9 +127,20 @@ pub fn recovery_line(
     fallback_max_cuts: u64,
 ) -> RecoveryLine {
     let _span = slicing_observe::span("recover.line");
-    let top = comp.top_cut();
     let slice = spec.slice(comp);
-    let Some(w) = slice.bottom_cut() else {
+    line_from_slice_bottom(comp, spec, slice.bottom_cut(), fallback_max_cuts)
+}
+
+/// The recovery line given `w`, the bottom of `spec`'s slice on `comp`
+/// (`None` when the slice is empty).
+pub(crate) fn line_from_slice_bottom(
+    comp: &Computation,
+    spec: &PredicateSpec,
+    w: Option<&Cut>,
+    fallback_max_cuts: u64,
+) -> RecoveryLine {
+    let top = comp.top_cut();
+    let Some(w) = w else {
         // Sound even for approximate slices: empty over-approximation
         // means no satisfying cut at all.
         return RecoveryLine::Clean { top };

@@ -10,7 +10,7 @@ use slicing_observe::Level;
 use slicing_sim::fault::inject_plan;
 use slicing_sim::{resume, FaultPlan, Protocol, SimConfig};
 
-use crate::line::{recovery_line, LineMethod, RecoveryLine};
+use crate::line::{line_from_slice_bottom, recovery_line, LineMethod, RecoveryLine};
 
 /// Bounded-retry policy for the replay loop.
 #[derive(Debug, Clone)]
@@ -201,6 +201,9 @@ impl RecoveryOutcome {
 ///
 /// 1. **Detect** a global fault with the resilient engine chain.
 /// 2. **Locate** the recovery line (slice-based, exhaustive fallback).
+///    When the slicing engine gave the verdict, the line is read off the
+///    bottom of the slice it searched, so the fault spec is sliced once;
+///    when another engine answered, the spec is sliced here.
 /// 3. **Roll back** to the line and **replay** with a fresh protocol
 ///    instance from `make_protocol`, a fresh seed, and (on later
 ///    attempts) a more conservative scheduler.
@@ -238,7 +241,14 @@ where
     }
     outcome.witness = detection.detection.found.clone();
 
-    let line = match recovery_line(faulty, &spec, cfg.fallback_max_cuts) {
+    let line = match &detection.slice_bottom {
+        Some(w) => {
+            let _span = slicing_observe::span("recover.line");
+            line_from_slice_bottom(faulty, &spec, Some(w), cfg.fallback_max_cuts)
+        }
+        None => recovery_line(faulty, &spec, cfg.fallback_max_cuts),
+    };
+    let line = match line {
         RecoveryLine::Clean { top } => {
             // Detection found a witness, so a clean line can only mean the
             // two disagree — treat the stronger evidence (the witness) as
@@ -494,6 +504,43 @@ mod tests {
             );
             assert_eq!(a.seed, cfg.sim.seed + i as u64 + 1);
         }
+    }
+
+    /// The fault spec is sliced once per recovery: the line is read off
+    /// the slice detection searched, and each replay's verification slices
+    /// its own run once — one J table each, however many `And`/`Or` nodes
+    /// the spec has.
+    #[test]
+    fn one_fault_slice_per_recovery() {
+        use slicing_observe::{Level, MemoryRecorder};
+        use std::sync::Arc;
+
+        let mut retried = false;
+        for (faulty, plan, seed) in detectable_faulty_runs(3, 8) {
+            let mut cfg = ps_config(seed);
+            cfg.retry.max_attempts = 5;
+            cfg.retry.reinject_attempts = 1;
+            cfg.reinject = Some(plan);
+            let rec = Arc::new(MemoryRecorder::new(Level::Trace));
+            let outcome = {
+                let _guard = slicing_observe::scoped(rec.clone());
+                recover(
+                    || PrimarySecondary::new(3),
+                    primary_secondary::violation_spec,
+                    &faulty,
+                    &cfg,
+                )
+            };
+            assert_eq!(outcome.verdict, RecoveryVerdict::Recovered, "{outcome:?}");
+            assert_eq!(outcome.engine, Some(Engine::Slicing));
+            assert_eq!(
+                rec.counter_total("slice.j_table.builds"),
+                1 + outcome.attempts.len() as u64,
+                "seed {seed}: {outcome:?}"
+            );
+            retried |= outcome.attempts.len() > 1;
+        }
+        assert!(retried, "no scenario replayed more than once");
     }
 
     #[test]

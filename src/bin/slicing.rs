@@ -1476,11 +1476,8 @@ fn monitor_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
         stats.events, stats.messages, stats.alarms
     );
     println!(
-        "check work: {} probes over {} checks ({} milliprobe/event), peak {} queued candidates",
-        stats.check_cost,
-        stats.checks,
-        stats.check_cost * 1000 / stats.events.max(1),
-        stats.peak_candidates
+        "check work: {} probes + {} clause eval(s) over {} checks, peak {} queued candidates",
+        stats.check_cost, stats.clause_evals, stats.checks, stats.peak_candidates
     );
     if let Some(path) = report {
         run.report(&hub, path)?;

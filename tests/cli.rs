@@ -584,6 +584,22 @@ fn monitor_raises_no_alarm_where_detect_finds_none() {
     );
 }
 
+/// The summary counts check work as serve does — probes plus clause
+/// evaluations over checks — so a working monitor never reads 0 work.
+#[test]
+fn monitor_summary_counts_probes_and_clause_evals() {
+    let out = slicing_with_stdin(&["monitor", "-", "x1@0 > 1 && x3@2 <= 3"], &figure1_trace());
+    assert!(out.status.success());
+    let text = stdout(&out);
+    assert!(
+        text.contains(
+            "check work: 5 probes + 8 clause eval(s) over 9 checks, peak 4 queued candidates"
+        ),
+        "{text}"
+    );
+    assert!(!text.contains("milliprobe"), "{text}");
+}
+
 #[test]
 fn monitor_metrics_stream_is_valid_jsonl() {
     let trace = figure1_trace();
