@@ -11,14 +11,16 @@
 use std::sync::Arc;
 
 use slicing_bench::Workload;
+use slicing_computation::lattice::count_cuts;
 use slicing_computation::test_fixtures::{figure1, grid, random_computation, RandomConfig};
-use slicing_computation::{cut_heap_allocs, Computation, ProcSet};
+use slicing_computation::{cut_heap_allocs, Computation, Cut, ProcSet};
 use slicing_detect::{
     detect_bfs, detect_dfs, detect_pom, detect_reverse_search, detect_with_slicing, Limits,
 };
-use slicing_observe::{Level, MemoryRecorder};
+use slicing_observe::{Level, MemoryRecorder, OwnedEvent};
 use slicing_predicates::{expr::parse_predicate, FnPredicate};
-use slicing_sim::primary_secondary;
+use slicing_recover::{recovery_line, LineMethod, RecoverConfig, RecoveryLine};
+use slicing_sim::{inject_plan, primary_secondary, sample_fault_plan};
 
 /// (detected, witness size, cuts explored) for one engine run.
 type Row = (bool, Option<u64>, u64);
@@ -233,4 +235,41 @@ fn slicer_kernel_counters_are_pinned() {
         );
         assert_eq!(got, (row_joins, builds, merged), "{tag}");
     }
+}
+
+#[test]
+fn exhaustive_recovery_line_cuts_are_pinned() {
+    // A 4 × 12 primary–secondary run with a `corrupt` fault: its fault
+    // slice is approximate with the lattice bottom as its bottom, so the
+    // line comes from the walk of the safe cuts. The walk evaluates the
+    // safe cuts and the minimal fault cuts, never a cut above a fault, so
+    // `recover.line.cuts` is an exact function of the run and stays below
+    // the lattice's size. Wall-clock is not gated.
+    let w = Workload::PrimarySecondary;
+    let clean = w.simulate(4, 12, 0);
+    let plan = sample_fault_plan(&clean, "corrupt", 0).expect("seed 0 has a corrupt site");
+    let faulty = inject_plan(&clean, &plan).expect("the plan injects");
+    let spec = w.violation_spec(&faulty);
+    let rec = Arc::new(MemoryRecorder::new(Level::Trace));
+    let line = {
+        let _guard = slicing_observe::scoped(rec.clone());
+        recovery_line(&faulty, &spec, RecoverConfig::default().fallback_max_cuts)
+    };
+    assert_eq!(
+        line,
+        RecoveryLine::Line {
+            cut: Cut::from(vec![9, 2, 8, 8]),
+            method: LineMethod::Exhaustive,
+        }
+    );
+    let emitted = rec
+        .events()
+        .into_iter()
+        .filter(|e| matches!(e, OwnedEvent::Counter { name, .. } if name == "recover.line.cuts"))
+        .count();
+    assert_eq!(emitted, 1, "one recover.line.cuts per walk");
+    let evaluated = rec.counter_total("recover.line.cuts");
+    let lattice = count_cuts(&faulty, None).value();
+    assert_eq!((evaluated, lattice), (689, 3040));
+    assert!(evaluated < lattice);
 }

@@ -17,9 +17,12 @@
 //! cut). Maximising over the criterion needs only one candidate per
 //! process: the largest consistent cut that stays below `W` on that
 //! process.
+//!
+//! When `W` is the lattice bottom the criterion rejects every cut, and
+//! [`recovery_line_exhaustive`] walks the safe cuts themselves against
+//! the exact predicate, layer by layer, never above a fault.
 
-use slicing_computation::lattice::for_each_cut;
-use slicing_computation::{Computation, Cut, GlobalState};
+use slicing_computation::{Computation, Cut, CutSet, GlobalState, ProcessId};
 use slicing_core::PredicateSpec;
 
 /// How a [`RecoveryLine`] was established.
@@ -31,8 +34,11 @@ pub enum LineMethod {
     /// for lean slices, conservative (possibly smaller than the true
     /// maximum) for approximate ones.
     SliceBottom,
-    /// Exhaustive lattice search against the exact predicate; always
-    /// exact, exponential in the worst case.
+    /// Level-order walk of the safe cuts against the exact predicate
+    /// ([`recovery_line_exhaustive`]): always exact, and the first cut of
+    /// maximum size in `for_each_cut` order. It evaluates every safe cut
+    /// and the minimal fault cuts, up to the fallback's cut budget, and
+    /// holds two layers of cuts at a time; exponential in the worst case.
     Exhaustive,
 }
 
@@ -67,9 +73,9 @@ pub enum RecoveryLine {
     /// it: there is no safe cut except the trivial empty cut, i.e. the
     /// system must restart from scratch.
     Unrecoverable,
-    /// The slice criterion was inconclusive (approximate slice with a
-    /// bottom at the lattice bottom) and the exhaustive fallback exceeded
-    /// its cut budget.
+    /// The slice criterion was inconclusive (a slice bottom at the
+    /// lattice bottom) and the exhaustive fallback would have evaluated
+    /// more cuts than its budget.
     Undetermined,
 }
 
@@ -118,9 +124,10 @@ pub fn max_consistent_cut_below(comp: &Computation, bound: &Cut) -> Cut {
 /// maximises over the slice's bottom as [`recover`](crate::recover) does
 /// with the bottom its detection already found.
 ///
-/// When the slice criterion cannot decide — the slice is approximate and
-/// its bottom is the lattice bottom — the exhaustive fallback
-/// [`recovery_line_exhaustive`] runs under `fallback_max_cuts`.
+/// When the slice's bottom is the lattice bottom the criterion cannot
+/// decide, and the exhaustive fallback [`recovery_line_exhaustive`] runs
+/// under `fallback_max_cuts` (a bottom that is a fault itself is its
+/// first evaluation).
 pub fn recovery_line(
     comp: &Computation,
     spec: &PredicateSpec,
@@ -145,14 +152,10 @@ pub(crate) fn line_from_slice_bottom(
         // means no satisfying cut at all.
         return RecoveryLine::Clean { top };
     };
-    let bottom = Cut::bottom(comp.num_processes());
-    if *w == bottom {
-        // ¬(W ≤ C) rejects every cut. For a lean slice W itself is a
-        // fault cut, so nothing is safe; otherwise the slice is
-        // approximate and only the exact lattice search can answer.
-        if spec.eval(&GlobalState::new(comp, &bottom)) {
-            return RecoveryLine::Unrecoverable;
-        }
+    if *w == Cut::bottom(comp.num_processes()) {
+        // ¬(W ≤ C) rejects every cut, so only the exact walk can answer.
+        // For a lean slice W itself is a fault cut: the walk's first
+        // evaluation, at the bottom, finds the run unrecoverable.
         return recovery_line_exhaustive(comp, spec, fallback_max_cuts);
     }
     // One candidate per process p with W_p ≥ 2: the largest consistent cut
@@ -180,67 +183,175 @@ pub(crate) fn line_from_slice_bottom(
     }
 }
 
-/// Exact recovery line by explicit lattice enumeration: collects the
-/// minimal fault cuts, then takes the largest cut dominating none of
-/// them. Exponential in the worst case; `max_cuts` bounds the enumeration
-/// and exceeding it yields [`RecoveryLine::Undetermined`] (and bumps the
-/// `recover.fallback_exhausted` counter).
+/// Exact recovery line by a level-order walk of the *safe ideal*: the
+/// down-set of cuts with no fault cut at or below them.
+///
+/// Layer `k + 1`'s candidates are the one-event advances of layer `k`'s
+/// safe cuts, each counted once per safe cut that reaches it. A cut is
+/// safe iff every cut one event below it is safe and it is no fault
+/// itself, so the spec is evaluated only at candidates reached from each
+/// of their consistent lower covers: the walk evaluates the safe cuts and
+/// the minimal fault cuts, never an unsafe cut above those, and holds two
+/// layers at a time. It stops at the first layer with no safe cut and
+/// returns the first safe cut of the layer before, which is the first
+/// cut of maximum size in [`for_each_cut`] order: [`RecoveryLine::Clean`]
+/// when that cut is the top, [`RecoveryLine::Unrecoverable`] when the
+/// bottom is a fault. Exponential in the worst case: `max_cuts` bounds
+/// the cuts evaluated, and the walk answers
+/// [`RecoveryLine::Undetermined`] (bumping `recover.fallback_exhausted`)
+/// rather than evaluate one more. Every call adds the cuts it evaluated
+/// to the `recover.line.cuts` counter.
+///
+/// [`for_each_cut`]: slicing_computation::lattice::for_each_cut
 pub fn recovery_line_exhaustive(
     comp: &Computation,
     spec: &PredicateSpec,
     max_cuts: u64,
 ) -> RecoveryLine {
     let _span = slicing_observe::span("recover.line_exhaustive");
-    let mut fault_min: Vec<Cut> = Vec::new();
-    let mut seen = 0u64;
-    let mut over_budget = false;
-    for_each_cut(comp, |cut| {
-        seen += 1;
-        if seen > max_cuts {
-            over_budget = true;
-            return false;
-        }
-        if spec.eval(&GlobalState::new(comp, cut)) && !fault_min.iter().any(|f| f.leq(cut)) {
-            fault_min.retain(|f| !cut.leq(f));
-            fault_min.push(cut.clone());
-        }
-        true
-    });
-    if over_budget {
+    let mut evaluated = 0u64;
+    let line = walk_safe_ideal(comp, spec, max_cuts, &mut evaluated);
+    slicing_observe::counter("recover.line.cuts", evaluated);
+    if line == RecoveryLine::Undetermined {
         slicing_observe::counter("recover.fallback_exhausted", 1);
-        return RecoveryLine::Undetermined;
     }
-    if fault_min.is_empty() {
-        return RecoveryLine::Clean {
-            top: comp.top_cut(),
-        };
-    }
-    let bottom = Cut::bottom(comp.num_processes());
-    if fault_min.iter().any(|f| f.leq(&bottom)) {
-        return RecoveryLine::Unrecoverable;
-    }
-    let mut best: Option<Cut> = None;
-    for_each_cut(comp, |cut| {
-        if !fault_min.iter().any(|f| f.leq(cut))
-            && best.as_ref().is_none_or(|b| cut.size() > b.size())
-        {
-            best = Some(cut.clone());
+    line
+}
+
+/// The walk behind [`recovery_line_exhaustive`]; counts the cuts it
+/// evaluates in `evaluated`.
+fn walk_safe_ideal(
+    comp: &Computation,
+    spec: &PredicateSpec,
+    max_cuts: u64,
+    evaluated: &mut u64,
+) -> RecoveryLine {
+    let n = comp.num_processes();
+    let mut state = Cut::bottom(n);
+    // `Some(true)` when the cut with these counts is a fault, `None` once
+    // the budget is spent.
+    let mut is_fault = |counts: &[u32]| {
+        if *evaluated == max_cuts {
+            return None;
         }
-        true
-    });
-    match best {
-        Some(cut) => RecoveryLine::Line {
+        *evaluated += 1;
+        state.copy_from_counts(counts);
+        Some(spec.eval(&GlobalState::new(comp, &state)))
+    };
+    // The layer walked and the one under construction, one arena each.
+    // `safe` holds the walked layer's safe cuts by arena index, in
+    // discovery order; `reached[j]` counts the safe cuts advancing to the
+    // candidate at index `j`.
+    let mut layer = CutSet::new(n);
+    let mut next = CutSet::new(n);
+    let (mut safe, mut next_safe) = (vec![0u32], Vec::new());
+    let mut reached: Vec<u32> = Vec::new();
+    let mut pinned = vec![false; n];
+    let mut succ = Cut::bottom(n);
+    layer.insert_indexed(&succ);
+    match is_fault(succ.counts()) {
+        None => return RecoveryLine::Undetermined,
+        Some(true) => return RecoveryLine::Unrecoverable,
+        Some(false) => {}
+    }
+    loop {
+        next.reset();
+        reached.clear();
+        for &i in &safe {
+            let counts = layer.counts_at(i);
+            succ.copy_from_counts(counts);
+            for (p, &c) in counts.iter().enumerate() {
+                if !enabled(comp, counts, p) {
+                    continue;
+                }
+                let p = ProcessId::new(p);
+                succ.set_count(p, c + 1);
+                if next.insert_indexed(&succ).is_some() {
+                    reached.push(1);
+                } else {
+                    // A refused insert that is no duplicate means the
+                    // arena is full: give up as over budget.
+                    let Some(j) = next.get_index(succ.counts()) else {
+                        return RecoveryLine::Undetermined;
+                    };
+                    reached[j as usize] += 1;
+                }
+                succ.set_count(p, c);
+            }
+        }
+        next_safe.clear();
+        for j in 0..next.len() as u32 {
+            let counts = next.counts_at(j);
+            if reached[j as usize] != lower_covers(comp, counts, &mut pinned) {
+                continue; // some cut one event below is unsafe
+            }
+            match is_fault(counts) {
+                None => return RecoveryLine::Undetermined,
+                Some(true) => {}
+                Some(false) => next_safe.push(j),
+            }
+        }
+        if next_safe.is_empty() {
+            break;
+        }
+        std::mem::swap(&mut layer, &mut next);
+        std::mem::swap(&mut safe, &mut next_safe);
+    }
+    let cut = Cut::from_counts(layer.counts_at(safe[0]));
+    if cut == comp.top_cut() {
+        RecoveryLine::Clean { top: cut }
+    } else {
+        RecoveryLine::Line {
             cut,
             method: LineMethod::Exhaustive,
-        },
-        None => RecoveryLine::Unrecoverable,
+        }
     }
+}
+
+/// Whether process `p`'s next event after the cut with `counts` exists
+/// and has its causal past inside the cut: [`Computation::can_advance`]
+/// read straight off the count slices.
+#[inline]
+fn enabled(comp: &Computation, counts: &[u32], p: usize) -> bool {
+    let pid = ProcessId::new(p);
+    counts[p] < comp.len(pid)
+        && comp
+            .min_cut(comp.event_at(pid, counts[p]))
+            .counts()
+            .iter()
+            .zip(counts)
+            .enumerate()
+            .all(|(q, (need, have))| q == p || need <= have)
+}
+
+/// The number of consistent cuts one event below the cut with `counts`:
+/// the processes past their initial event whose frontier event no other
+/// frontier event has in its causal past. `pinned` is scratch, one flag
+/// per process.
+#[inline]
+fn lower_covers(comp: &Computation, counts: &[u32], pinned: &mut [bool]) -> u32 {
+    pinned.fill(false);
+    for (q, &c) in counts.iter().enumerate() {
+        let clock = comp.min_cut(comp.event_at(ProcessId::new(q), c - 1));
+        for (p, (&at, &have)) in clock.counts().iter().zip(counts).enumerate() {
+            pinned[p] |= p != q && at == have;
+        }
+    }
+    counts
+        .iter()
+        .zip(pinned.iter())
+        .filter(|&(&c, &pin)| c > 1 && !pin)
+        .count() as u32
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use slicing_computation::lattice::{count_cuts, for_each_cut};
     use slicing_computation::test_fixtures::figure1;
+    use slicing_observe::{Level, MemoryRecorder};
     use slicing_predicates::{Conjunctive, LocalPredicate};
     use slicing_sim::fault::inject_primary_secondary_fault;
     use slicing_sim::primary_secondary::{self, PrimarySecondary};
@@ -368,20 +479,7 @@ mod tests {
     #[test]
     fn exhaustive_fallback_matches_oracle_and_respects_budget() {
         let comp = figure1();
-        let x1 = comp.var(comp.process(0), "x1").unwrap();
-        let x3 = comp.var(comp.process(2), "x3").unwrap();
-        let spec = PredicateSpec::and(vec![
-            PredicateSpec::conjunctive(Conjunctive::new(vec![LocalPredicate::int(
-                x1,
-                "x1 > 1",
-                |x| x > 1,
-            )])),
-            PredicateSpec::conjunctive(Conjunctive::new(vec![LocalPredicate::int(
-                x3,
-                "x3 <= 3",
-                |x| x <= 3,
-            )])),
-        ]);
+        let spec = figure1_and_spec(&comp);
         let exhaustive = recovery_line_exhaustive(&comp, &spec, 1_000_000);
         match &exhaustive {
             RecoveryLine::Line { cut, method } => {
@@ -395,6 +493,75 @@ mod tests {
             recovery_line_exhaustive(&comp, &spec, 2),
             RecoveryLine::Undetermined
         );
+    }
+
+    /// `recovery_line_exhaustive` under a recorder: the line and the
+    /// `recover.line.cuts` it counted.
+    fn walk(comp: &Computation, spec: &PredicateSpec, max_cuts: u64) -> (RecoveryLine, u64) {
+        let rec = Arc::new(MemoryRecorder::new(Level::Trace));
+        let line = {
+            let _guard = slicing_observe::scoped(rec.clone());
+            recovery_line_exhaustive(comp, spec, max_cuts)
+        };
+        (line, rec.counter_total("recover.line.cuts"))
+    }
+
+    /// Figure 1's `x1 > 1 ∧ x3 <= 3` as an `And` of two conjunctive
+    /// leaves, whose slice is approximate.
+    fn figure1_and_spec(comp: &Computation) -> PredicateSpec {
+        let x1 = comp.var(comp.process(0), "x1").unwrap();
+        let x3 = comp.var(comp.process(2), "x3").unwrap();
+        PredicateSpec::and(vec![
+            PredicateSpec::conjunctive(Conjunctive::new(vec![LocalPredicate::int(
+                x1,
+                "x1 > 1",
+                |x| x > 1,
+            )])),
+            PredicateSpec::conjunctive(Conjunctive::new(vec![LocalPredicate::int(
+                x3,
+                "x3 <= 3",
+                |x| x <= 3,
+            )])),
+        ])
+    }
+
+    #[test]
+    fn fault_free_walk_evaluates_every_cut() {
+        let comp = figure1();
+        let x1 = comp.var(comp.process(0), "x1").unwrap();
+        let never = PredicateSpec::conjunctive(Conjunctive::new(vec![LocalPredicate::int(
+            x1,
+            "x1 > 99",
+            |x| x > 99,
+        )]));
+        let (line, evaluated) = walk(&comp, &never, u64::MAX);
+        assert_eq!(
+            line,
+            RecoveryLine::Clean {
+                top: comp.top_cut()
+            }
+        );
+        assert_eq!(evaluated, count_cuts(&comp, None).value());
+    }
+
+    #[test]
+    fn walk_is_undetermined_exactly_below_its_evaluated_count() {
+        let comp = figure1();
+        let spec = figure1_and_spec(&comp);
+        let (line, evaluated) = walk(&comp, &spec, u64::MAX);
+        assert!(matches!(line, RecoveryLine::Line { .. }), "{line:?}");
+        // Safe cuts and minimal fault cuts only: nothing above a fault.
+        assert_eq!((evaluated, count_cuts(&comp, None).value()), (9, 28));
+        for budget in 0..=evaluated + 1 {
+            let (got, counted) = walk(&comp, &spec, budget);
+            if budget < evaluated {
+                assert_eq!(got, RecoveryLine::Undetermined, "budget {budget}");
+                assert_eq!(counted, budget, "an exhausted walk spends its budget");
+            } else {
+                assert_eq!(got, line, "budget {budget}");
+                assert_eq!(counted, evaluated, "budget {budget}");
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,13 @@ pub struct RecoverConfig {
     /// Budgets for the resilient detection chain (initial detection and
     /// per-attempt verification).
     pub detect: ResilientConfig,
-    /// Cut budget of the exhaustive recovery-line fallback.
+    /// Cut budget of the exhaustive recovery-line fallback
+    /// ([`recovery_line_exhaustive`](crate::recovery_line_exhaustive)):
+    /// the most cuts its walk may evaluate, which are the safe cuts and
+    /// the minimal fault cuts, not the cuts of the whole lattice. Past it
+    /// the line is undetermined. The walk holds two layers of cuts at a
+    /// time and returns the first safe cut of maximum size in
+    /// `for_each_cut` order.
     pub fallback_max_cuts: u64,
     /// The fault plan to re-inject during `retry.reinject_attempts`.
     pub reinject: Option<FaultPlan>,

@@ -5,18 +5,26 @@
 //!   is detected (and no fault is hallucinated);
 //! - the computed recovery line is consistent, fault-free in its causal
 //!   history, and never larger than the oracle's maximum safe cut — with
-//!   the exhaustive method exactly matching the oracle.
+//!   the exhaustive method exactly matching the oracle;
+//! - the exhaustive walk returns the very line (the same cut, not only
+//!   its size) of the two-pass lattice algorithm it replaced, also where
+//!   several safe cuts share the maximum size.
+
+mod two_pass;
 
 use proptest::prelude::*;
 
 use slicing_computation::lattice::for_each_cut;
+use slicing_computation::test_fixtures::{random_computation, RandomConfig};
 use slicing_computation::{Computation, Cut, GlobalState};
 use slicing_core::PredicateSpec;
 use slicing_detect::{detect_resilient, ResilientConfig};
+use slicing_predicates::{Conjunctive, LocalPredicate};
 use slicing_recover::{recovery_line, recovery_line_exhaustive, LineMethod, RecoveryLine};
 use slicing_sim::database::{self, DatabasePartitioning};
 use slicing_sim::primary_secondary::{self, PrimarySecondary};
 use slicing_sim::{inject_plan, run, sample_fault_plan, SimConfig};
+use two_pass::two_pass_line;
 
 const FAULT_KINDS: [&str; 6] = [
     "corrupt",
@@ -139,6 +147,7 @@ proptest! {
             continue;
         };
         let oracle_max = oracle_max_safe_size(&faulty, &spec);
+        let two_pass = two_pass_line(&faulty, &spec);
         match recovery_line(&faulty, &spec, 10_000_000) {
             RecoveryLine::Clean { top } => {
                 prop_assert!(!oracle_detects(&faulty, &spec));
@@ -151,6 +160,7 @@ proptest! {
                 prop_assert!(cut.size() <= max);
                 if method == LineMethod::Exhaustive {
                     prop_assert_eq!(cut.size(), max, "exhaustive line is exact");
+                    prop_assert_eq!(Some(&cut), two_pass.cut(), "the two-pass line");
                 }
             }
             RecoveryLine::Unrecoverable => {
@@ -160,8 +170,16 @@ proptest! {
                 prop_assert!(false, "budget is far above these lattices");
             }
         }
-        // The exhaustive method is always exactly the oracle.
-        match recovery_line_exhaustive(&faulty, &spec, 10_000_000) {
+        // The exhaustive method is always exactly the oracle, and returns
+        // the two-pass algorithm's line.
+        let exhaustive = recovery_line_exhaustive(&faulty, &spec, 10_000_000);
+        prop_assert_eq!(
+            &exhaustive,
+            &two_pass,
+            "seed {} protocol {} kind {}",
+            seed, protocol, FAULT_KINDS[kind]
+        );
+        match exhaustive {
             RecoveryLine::Line { cut, .. } => {
                 prop_assert!(is_safe(&faulty, &spec, &cut));
                 prop_assert_eq!(Some(cut.size()), oracle_max);
@@ -170,5 +188,36 @@ proptest! {
             RecoveryLine::Unrecoverable => prop_assert_eq!(oracle_max, None),
             RecoveryLine::Undetermined => prop_assert!(false, "budget not exceeded"),
         }
+    }
+
+    /// Ties: on random runs whose fault is either of two two-process
+    /// threshold clauses, several maximal safe cuts often share the
+    /// largest size (the simulated protocols above never showed one).
+    /// The walk returns the one the two passes return, the first in
+    /// `for_each_cut` order.
+    #[test]
+    fn exhaustive_line_breaks_ties_like_the_two_pass_line(
+        (seed, t) in (0u64..400, 1i64..3)
+    ) {
+        let cfg = RandomConfig {
+            processes: 3,
+            events_per_process: 4,
+            recv_percent: 30,
+            send_percent: 30,
+            value_range: 3,
+        };
+        let comp = random_computation(seed, &cfg);
+        let x: Vec<_> = comp.processes().map(|p| comp.var(p, "x").expect("x")).collect();
+        let at_least = |p: usize| LocalPredicate::int(x[p], "x >= t", move |v| v >= t);
+        let spec = PredicateSpec::or(vec![
+            PredicateSpec::conjunctive(Conjunctive::new(vec![at_least(0), at_least(1)])),
+            PredicateSpec::conjunctive(Conjunctive::new(vec![at_least(1), at_least(2)])),
+        ]);
+        prop_assert_eq!(
+            recovery_line_exhaustive(&comp, &spec, u64::MAX),
+            two_pass_line(&comp, &spec),
+            "seed {} t {}",
+            seed, t
+        );
     }
 }
