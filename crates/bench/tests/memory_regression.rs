@@ -5,15 +5,16 @@
 //! functions of the workload — any drift means the traversal order (and
 //! therefore the engine's semantics or its two-layer memory bound)
 //! changed, not just its speed. The grid and hypercube pins match the
-//! `bfs.*` rows of the committed `BENCH_detect.json`.
+//! `bfs.*` rows of the committed `BENCH_detect.json`, and the slice pin
+//! its `slicing.primary-secondary` peak.
 
 use std::sync::Arc;
 
 use slicing_bench::Workload;
 use slicing_computation::test_fixtures::{grid, hypercube};
 use slicing_computation::{cut_heap_allocs, Computation, ProcSet};
-use slicing_detect::testkit::reference_bfs;
-use slicing_detect::{detect_bfs, Limits};
+use slicing_detect::testkit::{reference_bfs, SpecPredicate};
+use slicing_detect::{detect_bfs, detect_with_slicing, Limits};
 use slicing_observe::{Level, MemoryRecorder};
 use slicing_predicates::{FnPredicate, Predicate};
 
@@ -88,4 +89,29 @@ fn protocol_counters_are_pinned() {
             w.name()
         );
     }
+}
+
+#[test]
+fn primary_secondary_slice_keeps_two_ranks_live() {
+    // BENCH_detect's slicing.primary-secondary peak: seed 3's approximate
+    // slice (7 processes, 12 events each, fault injected as table_speedup
+    // does) holds 187,488 cuts and no violation. Walked by meta-event
+    // rank its widest layer pair is 29,624 cuts, where a store of every
+    // cut seen peaks at 187,488; the walk is still the global-visited
+    // BFS's.
+    let w = Workload::PrimarySecondary;
+    let faulty = w.inject_fault(&w.simulate(7, 12, 3), 3);
+    let spec = w.violation_spec(&faulty);
+    let d = detect_with_slicing(&faulty, &spec, &Limits::none()).search;
+    assert!(d.completed(), "aborted under no limits: {:?}", d.aborted);
+    let reference = reference_bfs(&spec.slice(&faulty), &faulty, &SpecPredicate(&spec));
+    assert_eq!(d.found, reference.found, "witness vs reference");
+    assert_eq!(
+        d.cuts_explored, reference.cuts_explored,
+        "explored vs reference"
+    );
+    assert_eq!(
+        (d.detected(), d.cuts_explored, d.max_stored_cuts),
+        (false, 187_488, 29_624)
+    );
 }

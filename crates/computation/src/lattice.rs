@@ -14,10 +14,15 @@ use crate::process::ProcessId;
 /// either one unchanged — searching the slice instead of the computation is
 /// precisely the paper's optimization.
 ///
-/// Implementations must guarantee that the successor relation generates
-/// exactly the non-trivial consistent cuts reachable from
-/// [`bottom`](CutSpace::bottom), and that every successor strictly contains
-/// its predecessor (so traversals terminate).
+/// Implementations must guarantee that the successors of a cut are exactly
+/// its *upper covers* in the space: the cuts of the space that strictly
+/// contain it with no cut of the space strictly between. A computation's
+/// covers add one event; a slice's add one meta-event. Successors then
+/// reach every cut of the space from [`bottom`](CutSpace::bottom), and
+/// every space is *graded*: each cut has
+/// a rank (the length of every successor chain from the bottom to it), and
+/// every successor of a rank-`k` cut has rank `k + 1`. The level-order
+/// search relies on the grading to deduplicate within one layer.
 pub trait CutSpace {
     /// Number of processes spanned by the cuts.
     fn num_processes(&self) -> usize;
@@ -48,31 +53,14 @@ pub trait CutSpace {
         }
     }
 
-    /// Number of immediate successors of `cut`, without materializing any
-    /// of them.
-    ///
-    /// The count-only fast path: callers that need just the out-degree
-    /// (branching-factor stats, frontier sizing) should use this instead of
-    /// [`successors`](CutSpace::successors), which clones every successor
-    /// into a `Vec`. The default counts through
-    /// [`for_each_successor`](CutSpace::for_each_successor), which is
-    /// already clone-free for the kernelized spaces; implementors with a
-    /// cheaper census (a slice can count distinct J-targets directly) may
-    /// override it.
-    fn count_successors(&self, cut: &Cut) -> usize {
-        let mut n = 0usize;
-        self.for_each_successor(cut, &mut |_| n += 1);
-        n
-    }
-
-    /// Packed successor streaming: calls `f` with `(packed key, size)`
-    /// for every immediate successor of the cut whose counts are `counts`
-    /// and whose key under `packing` is `key`, in
+    /// Packed successor streaming: calls `f` with the packed key of every
+    /// immediate successor of the cut whose counts are `counts` and whose
+    /// key under `packing` is `key`, in
     /// [`for_each_successor`](CutSpace::for_each_successor) order, then
     /// returns `true`.
     ///
-    /// The all-packed hot path of the banded search: a space that keeps
-    /// its transition table in packed form (a slice's J-cuts) emits
+    /// The all-packed hot path of the level-order search: a space that
+    /// keeps its transition table in packed form (a slice's J-cuts) emits
     /// successors as whole-key joins without materializing a [`Cut`] per
     /// emission. The default returns `false` without emitting anything —
     /// "no accelerated path here" — and the caller falls back to
@@ -84,7 +72,7 @@ pub trait CutSpace {
         counts: &[u32],
         key: u64,
         packing: &CutPacking,
-        f: &mut dyn FnMut(u64, u32),
+        f: &mut dyn FnMut(u64),
     ) -> bool {
         let _ = (counts, key, packing, f);
         false
@@ -95,28 +83,6 @@ pub trait CutSpace {
     fn bytes_per_cut(&self) -> usize {
         // Vec header + one u32 per process.
         std::mem::size_of::<Cut>() + 4 * self.num_processes()
-    }
-
-    /// Unit-step successor enumeration: calls `f` with every process whose
-    /// single-event advance of `cut` stays in the space, in ascending
-    /// process order, and returns `true`.
-    ///
-    /// A space may support this only when it is *unit-step*: every
-    /// successor of every cut adds exactly one event, so the cut lattice is
-    /// layered by event count and each layer's successors all land in the
-    /// next layer. Spaces whose successors can add several events at once
-    /// (a slice advances by meta-events/J-closures) must return `false`
-    /// without calling `f` — the default. The level-order search asks this
-    /// of the bottom cut to choose its store: a unit-step space lets it
-    /// deduplicate within the layer under construction and forget every
-    /// older layer.
-    ///
-    /// Implementations must enumerate in the same process order
-    /// [`for_each_successor`](CutSpace::for_each_successor) uses, so that
-    /// `advance(cut, p)` over the enumeration reproduces the exact
-    /// successor stream.
-    fn for_each_advance(&self, _cut: &Cut, _f: &mut dyn FnMut(ProcessId)) -> bool {
-        false
     }
 }
 
@@ -150,25 +116,17 @@ impl CutSpace for Computation {
         }
     }
 
-    fn count_successors(&self, cut: &Cut) -> usize {
-        (0..Computation::num_processes(self))
-            .filter(|&i| self.can_advance(cut, ProcessId::new(i)))
-            .count()
-    }
-
     fn for_each_successor_packed(
         &self,
         counts: &[u32],
         key: u64,
         packing: &CutPacking,
-        f: &mut dyn FnMut(u64, u32),
+        f: &mut dyn FnMut(u64),
     ) -> bool {
-        // Unit-step advances are single-lane increments on the packed key:
-        // successor i is `key + (1 << i·lane_bits)`, and every successor
-        // has the predecessor's size plus one. The enabledness test is
-        // `can_advance` restated over the raw count slice.
+        // One-event advances are single-lane increments on the packed key:
+        // successor i is `key + (1 << i·lane_bits)`. The enabledness test
+        // is `can_advance` restated over the raw count slice.
         let lane_bits = packing.lane_bits();
-        let size = packing.size_of(key) + 1;
         for (i, &c) in counts.iter().enumerate() {
             let p = ProcessId::new(i);
             if c >= self.len(p) {
@@ -181,20 +139,7 @@ impl CutSpace for Computation {
                 .enumerate()
                 .all(|(q, (nd, have))| q == i || nd <= have);
             if enabled {
-                f(key + (1u64 << (i as u32 * lane_bits)), size);
-            }
-        }
-        true
-    }
-
-    fn for_each_advance(&self, cut: &Cut, f: &mut dyn FnMut(ProcessId)) -> bool {
-        // A computation's successors always add exactly one enabled event,
-        // so the space is unit-step; same process order as
-        // `for_each_successor`, without materializing any cut.
-        for i in 0..Computation::num_processes(self) {
-            let p = ProcessId::new(i);
-            if self.can_advance(cut, p) {
-                f(p);
+                f(key + (1u64 << (i as u32 * lane_bits)));
             }
         }
         true
@@ -224,67 +169,14 @@ impl CutCount {
     }
 }
 
-/// Breadth-first iterator over the consistent cuts of a [`CutSpace`],
-/// created by [`cuts`].
-///
-/// Yields each cut exactly once, in non-decreasing order of event count
-/// (BFS layers). Stores the visited set, so memory grows with the space —
-/// use [`for_each_cut`] with early exit, or the reverse-search engines in
-/// `slicing-detect`, when that matters.
-#[derive(Debug)]
-pub struct Cuts<'a, S: ?Sized> {
-    space: &'a S,
-    visited: CutSet,
-    queue: VecDeque<Cut>,
-    succ: Vec<Cut>,
-}
-
-impl<S: CutSpace + ?Sized> Iterator for Cuts<'_, S> {
-    type Item = Cut;
-
-    fn next(&mut self) -> Option<Cut> {
-        let cut = self.queue.pop_front()?;
-        self.succ.clear();
-        self.space.successors(&cut, &mut self.succ);
-        for next in self.succ.drain(..) {
-            if self.visited.insert(&next) {
-                self.queue.push_back(next);
-            }
-        }
-        Some(cut)
-    }
-}
-
-/// Iterates over every consistent cut of `space` in BFS order.
-///
-/// # Examples
-///
-/// ```
-/// use slicing_computation::lattice::cuts;
-/// use slicing_computation::test_fixtures::grid;
-///
-/// let comp = grid(1, 1);
-/// assert_eq!(cuts(&comp).count(), 4);
-/// let sizes: Vec<u64> = cuts(&comp).map(|c| c.size()).collect();
-/// assert_eq!(sizes, vec![2, 3, 3, 4]); // layered by event count
-/// ```
-pub fn cuts<S: CutSpace + ?Sized>(space: &S) -> Cuts<'_, S> {
-    let mut visited = CutSet::new(space.num_processes());
-    let mut queue = VecDeque::new();
-    if let Some(bottom) = space.bottom() {
-        visited.insert(&bottom);
-        queue.push_back(bottom);
-    }
-    Cuts {
-        space,
-        visited,
-        queue,
-        succ: Vec::new(),
-    }
-}
-
 /// Visits every consistent cut of `space` breadth-first, starting from the
 /// bottom cut, until `visit` returns `false` or the space is exhausted.
+/// Successors are upper covers ([`CutSpace`]), so cuts arrive in
+/// non-decreasing rank: event count on a computation, meta-event count on
+/// a slice.
+///
+/// Stores the visited set, so memory grows with the space; the
+/// level-order engine in `slicing-detect` keeps two layers instead.
 ///
 /// Returns the number of distinct cuts visited.
 pub fn for_each_cut<S: CutSpace + ?Sized>(space: &S, mut visit: impl FnMut(&Cut) -> bool) -> u64 {
@@ -413,56 +305,51 @@ mod tests {
     }
 
     #[test]
-    fn cuts_iterator_matches_for_each() {
+    fn for_each_cut_visits_cuts_in_rank_order() {
+        // A computation's rank is its event count: sizes never decrease.
         let c = grid(3, 2);
-        let via_iter: Vec<Cut> = cuts(&c).collect();
-        let mut via_visit = Vec::new();
+        let mut sizes = Vec::new();
         for_each_cut(&c, |cut| {
-            via_visit.push(cut.clone());
+            sizes.push(cut.size());
             true
         });
-        assert_eq!(via_iter, via_visit);
-        // Layered order: sizes never decrease.
-        for w in via_iter.windows(2) {
-            assert!(w[0].size() <= w[1].size());
-        }
-        // Standard iterator adapters work.
-        assert_eq!(cuts(&c).filter(|c| c.size() == 4).count(), 3);
-    }
-
-    #[test]
-    fn cuts_iterator_on_empty_space_is_empty() {
-        struct Empty;
-        impl CutSpace for Empty {
-            fn num_processes(&self) -> usize {
-                1
-            }
-            fn bottom(&self) -> Option<Cut> {
-                None
-            }
-            fn successors(&self, _: &Cut, _: &mut Vec<Cut>) {}
-        }
-        assert_eq!(cuts(&Empty).count(), 0);
+        assert_eq!(sizes.len(), 12);
+        assert!(sizes.windows(2).all(|w| w[0] <= w[1]), "{sizes:?}");
     }
 
     #[test]
     fn advance_enumeration_matches_successor_stream() {
-        // On a computation (unit-step), advancing each enumerated process
-        // by one event reproduces `for_each_successor` exactly — same
-        // cuts, same order.
+        // A computation's successors are its one-event advances (its upper
+        // covers) in ascending process order, unpacked and packed alike.
         let comp = crate::test_fixtures::figure1();
+        let maxima: Vec<u32> = comp.processes().map(|p| comp.len(p)).collect();
+        let packing = CutPacking::for_maxima(&maxima).unwrap();
         let mut checked = 0;
         for_each_cut(&comp, |cut| {
             let mut via_succ = Vec::new();
             comp.for_each_successor(cut, &mut |next| via_succ.push(next.clone()));
-            let mut via_advance = Vec::new();
-            let supported = comp.for_each_advance(cut, &mut |p| {
-                let mut next = cut.clone();
-                next.set_count(p, cut.count(p) + 1);
-                via_advance.push(next);
-            });
-            assert!(supported);
+            let via_advance: Vec<Cut> = comp
+                .processes()
+                .filter(|&p| comp.can_advance(cut, p))
+                .map(|p| {
+                    let mut next = cut.clone();
+                    next.set_count(p, cut.count(p) + 1);
+                    next
+                })
+                .collect();
             assert_eq!(via_succ, via_advance, "at {cut}");
+            let key = packing.pack(cut.counts());
+            let mut packed = Vec::new();
+            assert!(
+                comp.for_each_successor_packed(cut.counts(), key, &packing, &mut |k| {
+                    packed.push(k)
+                })
+            );
+            let want: Vec<u64> = via_advance
+                .iter()
+                .map(|c| packing.pack(c.counts()))
+                .collect();
+            assert_eq!(packed, want, "packed at {cut}");
             checked += 1;
             true
         });
@@ -470,7 +357,7 @@ mod tests {
     }
 
     #[test]
-    fn advance_enumeration_defaults_to_unsupported() {
+    fn packed_successors_default_to_unsupported() {
         struct Opaque;
         impl CutSpace for Opaque {
             fn num_processes(&self) -> usize {
@@ -481,8 +368,10 @@ mod tests {
             }
             fn successors(&self, _: &Cut, _: &mut Vec<Cut>) {}
         }
+        let packing = CutPacking::for_maxima(&[1]).unwrap();
         let mut called = false;
-        assert!(!Opaque.for_each_advance(&Cut::bottom(1), &mut |_| called = true));
+        let key = packing.pack(&[1]);
+        assert!(!Opaque.for_each_successor_packed(&[1], key, &packing, &mut |_| called = true));
         assert!(!called);
     }
 

@@ -71,8 +71,7 @@ pub use builder::{BuildError, ComputationBuilder};
 pub use computation::{Computation, VarRef};
 pub use cut::{cut_heap_allocs, Cut, CutPacking};
 pub use cutset::{
-    hash_counts, hash_packed, BandedCutSet, CutBuildHasher, CutHasher, CutMap64, CutSet,
-    CutSetStats, PackedBandedSet, PackedCutSet,
+    hash_counts, CutBuildHasher, CutHasher, CutMap64, CutSet, CutSetStats, PackedCutSet,
 };
 pub use event::{EventId, Message};
 pub use lattice::CutSpace;

@@ -76,9 +76,9 @@ proptest! {
 
     #[test]
     fn hash_is_representation_independent(counts in proptest::collection::vec(0u32..=200, 1..24)) {
-        // The sharded engines route cuts by `hash_counts` computed from a
-        // borrowed slice and by `CutHasher` state built incrementally; the
-        // two must agree or shards would disagree about membership.
+        // The pooled containers hash a cut's borrowed count slice, inline
+        // or spilled; the hash must not depend on the representation, or
+        // one set would file the same cut under two slots.
         let cut = Cut::from_counts(&counts);
         prop_assert_eq!(hash_counts(cut.as_ref()), hash_counts(&counts));
     }

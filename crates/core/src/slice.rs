@@ -60,6 +60,9 @@ struct JTables {
     cuts: Vec<Cut>,
     /// Per event: index into `cuts`, or [`NO_CUT`].
     ix: Vec<u32>,
+    /// Per J index: the number of events in its meta-event. `C ∨ J(e)` is
+    /// an upper cover of `C` exactly when it grows `C` by this many events.
+    meta_len: Vec<u32>,
     /// Successor lookup table, flattened per process: entry
     /// `next_j[proc_off[p] + (count - 1)]` is the J index of the next
     /// event of process `p` at cut count `count` (the event at position
@@ -88,9 +91,11 @@ struct JTables {
 /// `J(e)` containing `e` (or `None` if no slice cut contains `e`), by
 /// condensing the constraint graph (base happened-before edges + constraint
 /// edges + the initial-event cycle) and propagating join-irreducible
-/// contributions in topological order. Searching the slice then advances
-/// one process at a time and joins with `J(next event)` — each successor
-/// step is `O(n)`.
+/// contributions in topological order. Searching the slice then joins a
+/// cut with `J(e)` for the next event `e` of each process and keeps the
+/// joins that add exactly `e`'s meta-event — the upper covers, so the
+/// slice lattice is graded by meta-event count. Each successor step is
+/// `O(n)`.
 ///
 /// Construction runs on a warm per-thread workspace (flat edge list, CSR
 /// Tarjan via [`SccScratch`], one `u32` row per SCC): repeated slicing —
@@ -261,7 +266,10 @@ impl<'a> Slice<'a> {
         // Cut payloads are stored once per SCC; the per-event table holds
         // only 4-byte indices.
         self.edges.len() * std::mem::size_of::<Edge>()
-            + (self.tables.ix.len() + self.tables.next_j.len() + self.tables.proc_off.len())
+            + (self.tables.ix.len()
+                + self.tables.meta_len.len()
+                + self.tables.next_j.len()
+                + self.tables.proc_off.len())
                 * std::mem::size_of::<u32>()
             + self.tables.cuts.len() * cut_bytes
     }
@@ -320,24 +328,26 @@ impl CutSpace for Slice<'_> {
     }
 
     fn for_each_successor(&self, cut: &Cut, f: &mut dyn FnMut(&Cut)) {
-        let cuts = &self.tables.cuts;
+        let JTables { cuts, meta_len, .. } = &*self.tables;
         let counts = cut.counts();
         let mut succ = cut.clone();
         self.for_each_enabled_j(counts, |jx| {
-            // One fused pass writes max(cut, J) into the scratch (stack
-            // copies for inline-width cuts) and lends it out — no
-            // allocation, no per-successor clone.
-            succ.assign_join_counts(counts, cuts[jx as usize].counts());
-            f(&succ);
+            let j = cuts[jx as usize].counts();
+            // Admit the join only if it adds nothing but e's meta-event: a
+            // larger join skips a rank, and is reached through its covers.
+            let added: u32 = counts
+                .iter()
+                .zip(j)
+                .map(|(&c, &j)| j.saturating_sub(c))
+                .sum();
+            if added == meta_len[jx as usize] {
+                // One fused pass writes max(cut, J) into the scratch (stack
+                // copies for inline-width cuts) and lends it out — no
+                // allocation, no per-successor clone.
+                succ.assign_join_counts(counts, j);
+                f(&succ);
+            }
         });
-    }
-
-    fn count_successors(&self, cut: &Cut) -> usize {
-        // Census without materializing: distinct J indices are counted
-        // straight off the per-event table — no join, no hash, no clone.
-        let mut n = 0usize;
-        self.for_each_enabled_j(cut.counts(), |_| n += 1);
-        n
     }
 
     fn for_each_successor_packed(
@@ -345,7 +355,7 @@ impl CutSpace for Slice<'_> {
         counts: &[u32],
         key: u64,
         packing: &CutPacking,
-        f: &mut dyn FnMut(u64, u32),
+        f: &mut dyn FnMut(u64),
     ) -> bool {
         let pj = self.packed_j.get_or_init(|| PackedJ {
             lane_bits: packing.lane_bits(),
@@ -362,12 +372,16 @@ impl CutSpace for Slice<'_> {
             return false;
         }
         let rows = &pj.rows;
+        let meta_len = &self.tables.meta_len;
+        let size = packing.size_of(key);
         self.for_each_enabled_j(counts, |jx| {
             // The whole successor step stays in packed space: a SWAR join
             // of the parent key with the packed J row, and a one-multiply
-            // size for band selection. No per-lane loop, no Cut.
+            // size for the cover test. No per-lane loop, no Cut.
             let succ = packing.join(key, rows[jx as usize]);
-            f(succ, packing.size_of(succ));
+            if packing.size_of(succ) == size + meta_len[jx as usize] {
+                f(succ);
+            }
         });
         true
     }
@@ -558,6 +572,10 @@ fn compute_j_table(comp: &Computation, edges: &[Edge]) -> JTables {
         let ix: Vec<u32> = (0..num_events)
             .map(|e| dense[scc.comp_of(e as u32) as usize])
             .collect();
+        let mut meta_len = vec![0u32; cuts.len()];
+        for &jx in ix.iter().filter(|&&jx| jx != NO_CUT) {
+            meta_len[jx as usize] += 1;
+        }
         // The least slice cut is J(⊥₀) — all initial events share its SCC.
         let init = comp.event_at(ProcessId::new(0), 0);
         let bottom_ix = ix[init.as_usize()];
@@ -578,6 +596,7 @@ fn compute_j_table(comp: &Computation, edges: &[Edge]) -> JTables {
         JTables {
             cuts,
             ix,
+            meta_len,
             next_j,
             proc_off,
             bottom_ix,
@@ -778,16 +797,27 @@ mod tests {
     }
 
     #[test]
-    fn count_successors_matches_materialized_stream() {
-        let comp = figure1();
-        let e0 = comp.event_by_label("b").unwrap();
-        let e1 = comp.event_by_label("g").unwrap();
-        let slice = Slice::new(&comp, vec![(Node::Event(e0), Node::Event(e1))]);
-        for cut in all_cuts(&slice) {
-            let mut succ = Vec::new();
-            slice.successors(&cut, &mut succ);
-            assert_eq!(slice.count_successors(&cut), succ.len(), "cut {cut:?}");
-        }
+    fn successors_skip_joins_that_add_two_meta_events() {
+        // grid(1,1) with b requiring a: from the bottom, J(b) = ⟨2, 2⟩
+        // adds both a and b, so only the cover ⟨2, 1⟩ is a successor, in
+        // the unpacked and the packed stream alike.
+        let comp = grid(1, 1);
+        let a = comp.event_at(comp.process(0), 1);
+        let b = comp.event_at(comp.process(1), 1);
+        let slice = Slice::new(&comp, vec![(Node::Event(a), Node::Event(b))]);
+        let bottom = CutSpace::bottom(&slice).unwrap();
+        let mut succ = Vec::new();
+        slice.successors(&bottom, &mut succ);
+        assert_eq!(succ, vec![Cut::from(vec![2, 1])]);
+        let packing = CutPacking::for_maxima(&[2, 2]).unwrap();
+        let mut packed = Vec::new();
+        let key = packing.pack(bottom.counts());
+        assert!(
+            slice.for_each_successor_packed(bottom.counts(), key, &packing, &mut |k| {
+                packed.push(k)
+            })
+        );
+        assert_eq!(packed, vec![packing.pack(&[2, 1])]);
     }
 
     #[test]
@@ -809,7 +839,6 @@ mod tests {
         let mut succ = Vec::new();
         slice.successors(&bottom, &mut succ);
         assert_eq!(succ, vec![Cut::from(vec![2, 2])]);
-        assert_eq!(slice.count_successors(&bottom), 1);
     }
 
     #[test]

@@ -1,14 +1,17 @@
 //! Property tests pinning the `Slice` data structure's semantics against
 //! an independent brute-force definition: the cuts of a slice built from
 //! arbitrary constraint edges are exactly the consistent cuts that respect
-//! every edge, and the least-cut table matches the set-theoretic minimum.
+//! every edge, the least-cut table matches the set-theoretic minimum, and
+//! the successors of a cut are exactly its upper covers.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use slicing_computation::lattice::all_cuts;
 use slicing_computation::oracle::is_sublattice;
 use slicing_computation::test_fixtures::{random_computation, RandomConfig};
-use slicing_computation::{Computation, Cut, EventId};
+use slicing_computation::{Computation, Cut, CutPacking, CutSpace, EventId};
 use slicing_core::{Node, Slice};
 
 /// A computation plus random constraint edges (event→event, plus the
@@ -57,6 +60,28 @@ fn respects(comp: &Computation, edges: &[(Node, Node)], cut: &Cut) -> bool {
             Node::Event(u) => contains(u),
         }
     })
+}
+
+/// The upper covers of `c` among `cuts`: the cuts strictly above it with
+/// no cut of `cuts` strictly between. Scanning the cuts above `c` by size,
+/// a cut is a cover iff no cover found so far lies below it.
+fn upper_covers(cuts: &[Cut], c: &Cut) -> BTreeSet<Cut> {
+    let mut above: Vec<&Cut> = cuts.iter().filter(|d| c.lt(d)).collect();
+    above.sort_by_key(|d| d.size());
+    let mut covers: Vec<&Cut> = Vec::new();
+    for d in above {
+        if !covers.iter().any(|m| Cut::lt(m, d)) {
+            covers.push(d);
+        }
+    }
+    covers.into_iter().cloned().collect()
+}
+
+/// The events of `cut`.
+fn events_in(comp: &Computation, cut: &Cut) -> BTreeSet<EventId> {
+    comp.events()
+        .filter(|&e| cut.count(comp.process_of(e)) > comp.position_of(e))
+        .collect()
 }
 
 proptest! {
@@ -115,6 +140,41 @@ proptest! {
             all_cuts(&slice).into_iter().collect();
         for cut in all_cuts(&comp) {
             prop_assert_eq!(slice.contains_cut(&cut), members.contains(&cut), "{}", cut);
+        }
+    }
+
+    /// The unpacked and the packed successor streams yield exactly the
+    /// upper covers of every slice cut, and each cover adds one
+    /// meta-event: the slice lattice is graded by meta-event count.
+    #[test]
+    fn successors_are_exactly_the_upper_covers((comp, edges) in instances()) {
+        let slice = Slice::new(&comp, edges);
+        let cuts = all_cuts(&slice);
+        let metas: Vec<BTreeSet<EventId>> = slice
+            .meta_events()
+            .into_iter()
+            .map(|m| m.into_iter().collect())
+            .collect();
+        let maxima: Vec<u32> = comp.processes().map(|p| comp.len(p)).collect();
+        let packing = CutPacking::for_maxima(&maxima).expect("small computations pack");
+        for c in &cuts {
+            let mut succ = Vec::new();
+            slice.successors(c, &mut succ);
+            let got: BTreeSet<Cut> = succ.iter().cloned().collect();
+            prop_assert_eq!(got, upper_covers(&cuts, c), "successors of {}", c);
+            let mut packed = Vec::new();
+            let key = packing.pack(c.counts());
+            prop_assert!(slice.for_each_successor_packed(c.counts(), key, &packing, &mut |k| {
+                packed.push(k)
+            }));
+            let want: Vec<u64> = succ.iter().map(|d| packing.pack(d.counts())).collect();
+            prop_assert_eq!(packed, want, "packed successors of {}", c);
+            let below = events_in(&comp, c);
+            for d in &succ {
+                let added: BTreeSet<EventId> =
+                    events_in(&comp, d).difference(&below).copied().collect();
+                prop_assert!(metas.contains(&added), "{} -> {} adds {:?}", c, d, added);
+            }
         }
     }
 }

@@ -1,12 +1,14 @@
 //! Breadth-first (level-order) and depth-first predicate detection by
 //! explicit lattice enumeration (Cooper–Marzullo style), over any
-//! [`CutSpace`] — a computation or a slice.
+//! [`CutSpace`] — a computation or a slice. Every space is graded (its
+//! successors are upper covers), so the level-order engine walks it rank
+//! by rank and keeps two layers of cuts alive; the depth-first engine
+//! keeps every cut it visits.
 
 use std::time::Instant;
 
 use slicing_computation::{
-    BandedCutSet, Computation, Cut, CutPacking, CutSet, CutSetStats, CutSpace, GlobalState,
-    PackedBandedSet, PackedCutSet,
+    Computation, Cut, CutPacking, CutSet, CutSetStats, CutSpace, GlobalState, PackedCutSet,
 };
 use slicing_predicates::Predicate;
 
@@ -20,30 +22,24 @@ const GAUGE_SAMPLE_EVERY: u64 = 1024;
 /// Detects `possibly: pred` by level-order enumeration of the cuts of
 /// `space`, evaluating the predicate against `comp` (the computation the
 /// cuts refer to — for a slice, its underlying computation). The witness
-/// is the first satisfying cut in level order — one of minimum size.
+/// is the first satisfying cut in rank order: one with the fewest events
+/// on a computation, the fewest meta-events on a slice.
 ///
-/// The search scans one hop layer at a time, each layer in discovery
-/// order, and picks its deduplication store from what it can observe of
-/// the space:
-///
-/// - **Unit-step spaces** (a computation: every successor adds exactly one
-///   event). Every successor of a layer-`k` cut has `k + 1` events, so a
-///   duplicate can only be a cut already admitted into layer `k + 1`. The
-///   store is local to the layer under construction and is cleared once
-///   that layer has been scanned: the live cuts are two adjacent layers,
-///   O(widest layer), not the O(lattice) of a global visited set. A
-///   global-visited BFS meets the same successors in the same order and
-///   admits each cut from the same (its earliest) generator, so the
-///   verdict, the witness, `cuts_explored`, and the visited hits and
-///   inserts are exactly its; only `probes` follow the smaller tables.
-/// - **Other spaces** (a slice advances by meta-events, several events at
-///   once, so successors can skip layers). The store keeps every cut seen,
-///   banded by cut size, so each duplicate check stays inside the
-///   cache-resident band of the successor's size.
+/// The search scans one rank at a time, each layer in discovery order.
+/// Every successor is an upper cover ([`CutSpace`]), so every successor of
+/// a rank-`k` cut has rank `k + 1` and a duplicate can only be a cut
+/// already admitted into layer `k + 1`. The store is local to the layer
+/// under construction and is cleared once that layer has been scanned:
+/// the live cuts are two adjacent layers, O(widest layer), not the
+/// O(lattice) of a global visited set. A global-visited BFS meets the
+/// same successors in the same order and admits each cut from the same
+/// (its earliest) generator, so the verdict, the witness, `cuts_explored`,
+/// and the visited hits and inserts are exactly its; only `probes` follow
+/// the smaller tables.
 ///
 /// Keys are packed into a `u64` ([`CutPacking`]) whenever the
 /// computation's per-process counts fit 63 bits of lanes; wider or longer
-/// computations keep counts in [`CutSet`] arenas. All four stores explore
+/// computations keep counts in two [`CutSet`] arenas. Both stores explore
 /// identically — packing is a bijection.
 pub fn detect_bfs<S: CutSpace + ?Sized, P: Predicate + ?Sized>(
     space: &S,
@@ -56,7 +52,7 @@ pub fn detect_bfs<S: CutSpace + ?Sized, P: Predicate + ?Sized>(
 
 /// An alias of [`detect_bfs`], kept for callers of the former
 /// bounded-memory engine: `detect_bfs` itself now keeps only two lattice
-/// layers of live cuts on every computation.
+/// layers of live cuts on every space.
 pub fn detect_lean<S: CutSpace + ?Sized, P: Predicate + ?Sized>(
     space: &S,
     comp: &Computation,
@@ -84,7 +80,6 @@ pub(crate) fn detect_bfs_capped<S: CutSpace + ?Sized, P: Predicate + ?Sized>(
     let Some(bottom) = space.bottom() else {
         return Tracker::default().finish(None, Default::default(), None);
     };
-    let unit_step = space.for_each_advance(&bottom, &mut |_| {});
     let n = space.num_processes();
     let packing = if n == comp.num_processes() {
         let maxima: Vec<u32> = (0..n).map(|i| comp.len(comp.process(i))).collect();
@@ -92,38 +87,25 @@ pub(crate) fn detect_bfs_capped<S: CutSpace + ?Sized, P: Predicate + ?Sized>(
     } else {
         None
     };
-    match (packing, unit_step) {
-        (Some(packing), true) => {
-            let seen = PackedCutSet::new();
+    match packing {
+        Some(packing) => {
             let store = Packed {
                 packing: &packing,
-                seen,
+                seen: PackedCutSet::new(),
             };
             level_order(space, comp, pred, limits, max_entries, bottom, store)
         }
-        (Some(packing), false) => {
-            let seen = PackedBandedSet::new();
-            let store = Packed {
-                packing: &packing,
-                seen,
-            };
-            level_order(space, comp, pred, limits, max_entries, bottom, store)
-        }
-        (None, true) => {
+        None => {
             let store = Layers {
                 scan: CutSet::new(n),
                 next: CutSet::new(n),
             };
             level_order(space, comp, pred, limits, max_entries, bottom, store)
         }
-        (None, false) => {
-            let store = BandedCutSet::new(n);
-            level_order(space, comp, pred, limits, max_entries, bottom, store)
-        }
     }
 }
 
-/// The level-order sweep behind [`detect_bfs`], over one of the four
+/// The level-order sweep behind [`detect_bfs`], over one of the two
 /// stores. The engine holds the keys of the layer being scanned and of
 /// the one under construction; `store` resolves keys to cuts and decides
 /// which successors are new.
@@ -144,14 +126,10 @@ where
     let start = Instant::now();
     let mut tracker = Tracker::default();
     let entry_bytes = Tracker::hash_entry_bytes(space.num_processes());
-    // A layer-local store holds each live cut once. A global store also
-    // queues a copy of each key until its cut is scanned.
-    let queued_bytes = if T::LAYER_LOCAL { 0 } else { entry_bytes };
 
     let mut scan = vec![store.insert(&bottom).expect("empty store")];
     store.next_layer();
     tracker.store_cut(entry_bytes);
-    tracker.charge(queued_bytes);
     let mut next = Vec::new();
 
     let mut cut = bottom;
@@ -164,7 +142,6 @@ where
         slicing_observe::sample("detect.bfs.layer_width", scan.len() as u64);
         for &key in &scan {
             store.load(key, &mut cut);
-            tracker.release(queued_bytes);
             tracker.cuts_explored += 1;
             if tracker.cuts_explored.is_multiple_of(GAUGE_SAMPLE_EVERY) {
                 slicing_observe::gauge("detect.bfs.live_cuts", tracker.stored_cuts);
@@ -188,7 +165,6 @@ where
             store.expand(space, &cut, key, &mut next);
             for _ in admitted..next.len() {
                 tracker.store_cut(entry_bytes);
-                tracker.charge(queued_bytes);
             }
             if store.saturated() || tracker.stored_cuts > u64::from(max_entries) {
                 // A full store drops unseen successors: the sweep can no
@@ -198,13 +174,11 @@ where
                 break 'search;
             }
         }
-        if T::LAYER_LOCAL {
-            // The scanned layer dies here; only the one under construction
-            // stays live. This drop is what bounds the engine's memory.
-            let width = scan.len() as u64;
-            tracker.stored_cuts -= width;
-            tracker.release(entry_bytes * width);
-        }
+        // The scanned layer dies here; only the one under construction
+        // stays live. This drop is what bounds the engine's memory.
+        let width = scan.len() as u64;
+        tracker.stored_cuts -= width;
+        tracker.release(entry_bytes * width);
         std::mem::swap(&mut scan, &mut next);
         next.clear();
         store.next_layer();
@@ -214,13 +188,9 @@ where
     tracker.finish(found.then_some(cut), start.elapsed(), aborted)
 }
 
-/// Where [`level_order`] keeps the cuts it has seen, addressed by `u64`
-/// keys.
+/// Where [`level_order`] keeps the layer under construction, addressed by
+/// `u64` keys.
 trait Store {
-    /// `true` when the store holds only the layer under construction and
-    /// forgets it at [`next_layer`](Store::next_layer) (unit-step
-    /// spaces); `false` when it keeps every cut seen.
-    const LAYER_LOCAL: bool;
     /// Admits `cut`, returning its key if it was unseen.
     fn insert(&mut self, cut: &Cut) -> Option<u64>;
     /// Copies the cut behind `key` into `cut`.
@@ -228,7 +198,8 @@ trait Store {
     /// Pushes the key of every unseen successor of `cut` (whose key is
     /// `key`) onto `next`, in successor order.
     fn expand<S: CutSpace + ?Sized>(&mut self, space: &S, cut: &Cut, key: u64, next: &mut Vec<u64>);
-    /// The layer under construction becomes the one scanned next.
+    /// The layer under construction becomes the one scanned next, and the
+    /// store forgets it.
     fn next_layer(&mut self);
     /// `true` once an insert was refused at the entry ceiling.
     fn saturated(&self) -> bool;
@@ -236,60 +207,18 @@ trait Store {
     fn stats(&self) -> CutSetStats;
 }
 
-/// Cuts packed into their `u64` keys, deduplicated by `seen`: one table
-/// touch per successor, no arena access to confirm equality.
-struct Packed<'p, D> {
+/// Cuts packed into their `u64` keys, deduplicated by a table cleared
+/// (capacity kept) after every layer: one table touch per successor, no
+/// arena access to confirm equality.
+struct Packed<'p> {
     packing: &'p CutPacking,
-    seen: D,
+    seen: PackedCutSet,
 }
 
-/// A dedup table over packed keys.
-trait PackedSeen {
-    const LAYER_LOCAL: bool;
-    fn insert(&mut self, key: u64, size: u32) -> bool;
-    fn next_layer(&mut self);
-    fn saturated(&self) -> bool;
-    fn stats(&self) -> CutSetStats;
-}
-
-/// The layer-local table: cleared (capacity kept) after every layer.
-impl PackedSeen for PackedCutSet {
-    const LAYER_LOCAL: bool = true;
-    fn insert(&mut self, key: u64, _size: u32) -> bool {
-        PackedCutSet::insert(self, key)
-    }
-    fn next_layer(&mut self) {
-        self.clear();
-    }
-    fn saturated(&self) -> bool {
-        false
-    }
-    fn stats(&self) -> CutSetStats {
-        PackedCutSet::stats(self)
-    }
-}
-
-/// The global table, banded by cut size.
-impl PackedSeen for PackedBandedSet {
-    const LAYER_LOCAL: bool = false;
-    fn insert(&mut self, key: u64, size: u32) -> bool {
-        PackedBandedSet::insert(self, key, size as usize)
-    }
-    fn next_layer(&mut self) {}
-    fn saturated(&self) -> bool {
-        PackedBandedSet::saturated(self)
-    }
-    fn stats(&self) -> CutSetStats {
-        PackedBandedSet::stats(self)
-    }
-}
-
-impl<D: PackedSeen> Store for Packed<'_, D> {
-    const LAYER_LOCAL: bool = D::LAYER_LOCAL;
-
+impl Store for Packed<'_> {
     fn insert(&mut self, cut: &Cut) -> Option<u64> {
         let key = self.packing.pack(cut.counts());
-        self.seen.insert(key, cut.size() as u32).then_some(key)
+        self.seen.insert(key).then_some(key)
     }
 
     fn load(&self, key: u64, cut: &mut Cut) {
@@ -304,18 +233,17 @@ impl<D: PackedSeen> Store for Packed<'_, D> {
         next: &mut Vec<u64>,
     ) {
         let Packed { packing, seen } = self;
-        let streamed =
-            space.for_each_successor_packed(cut.counts(), key, packing, &mut |nk, size| {
-                if seen.insert(nk, size) {
-                    next.push(nk);
-                }
-            });
+        let streamed = space.for_each_successor_packed(cut.counts(), key, packing, &mut |nk| {
+            if seen.insert(nk) {
+                next.push(nk);
+            }
+        });
         if !streamed {
             // Space without a packed transition table: build each
             // successor as a cut and pack it here.
             space.for_each_successor(cut, &mut |succ| {
                 let nk = packing.pack(succ.counts());
-                if seen.insert(nk, succ.size() as u32) {
+                if seen.insert(nk) {
                     next.push(nk);
                 }
             });
@@ -323,11 +251,11 @@ impl<D: PackedSeen> Store for Packed<'_, D> {
     }
 
     fn next_layer(&mut self) {
-        self.seen.next_layer();
+        self.seen.clear();
     }
 
     fn saturated(&self) -> bool {
-        self.seen.saturated()
+        false
     }
 
     fn stats(&self) -> CutSetStats {
@@ -335,7 +263,7 @@ impl<D: PackedSeen> Store for Packed<'_, D> {
     }
 }
 
-/// Unpacked layer-local store: the layer being scanned and the one under
+/// Unpacked store: the layer being scanned and the one under
 /// construction, each in its own [`CutSet`] arena; keys are arena
 /// indices.
 struct Layers {
@@ -344,8 +272,6 @@ struct Layers {
 }
 
 impl Store for Layers {
-    const LAYER_LOCAL: bool = true;
-
     fn insert(&mut self, cut: &Cut) -> Option<u64> {
         self.next.insert_indexed(cut).map(u64::from)
     }
@@ -384,43 +310,6 @@ impl Store for Layers {
             hits: a.hits + b.hits,
             inserts: a.inserts + b.inserts,
         }
-    }
-}
-
-/// Unpacked global store: every cut seen, banded by size.
-impl Store for BandedCutSet {
-    const LAYER_LOCAL: bool = false;
-
-    fn insert(&mut self, cut: &Cut) -> Option<u64> {
-        self.insert_indexed(cut)
-    }
-
-    fn load(&self, key: u64, cut: &mut Cut) {
-        cut.copy_from_counts(self.counts_at(key));
-    }
-
-    fn expand<S: CutSpace + ?Sized>(
-        &mut self,
-        space: &S,
-        cut: &Cut,
-        _key: u64,
-        next: &mut Vec<u64>,
-    ) {
-        space.for_each_successor(cut, &mut |succ| {
-            if let Some(k) = self.insert_indexed(succ) {
-                next.push(k);
-            }
-        });
-    }
-
-    fn next_layer(&mut self) {}
-
-    fn saturated(&self) -> bool {
-        BandedCutSet::saturated(self)
-    }
-
-    fn stats(&self) -> CutSetStats {
-        BandedCutSet::stats(self)
     }
 }
 

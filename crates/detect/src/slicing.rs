@@ -140,9 +140,9 @@ pub fn detect_on_slice(
     let errors_before = slicing_predicates::eval_type_errors();
     let mut search = {
         let _span = slicing_observe::span("detect.search_phase");
-        // On a slice the level-order engine keeps a visited set banded by
-        // cut size: the residual search is probe-bound on big slices, and
-        // banding keeps each duplicate check in a cache-resident table.
+        // The residual search walks the slice by meta-event rank and keeps
+        // two adjacent layers live: the slice's widest layer pair, not the
+        // whole slice, bounds its memory.
         let pred = SpecPred {
             spec,
             failed_clause: std::sync::atomic::AtomicUsize::new(usize::MAX),

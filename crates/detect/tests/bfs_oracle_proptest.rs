@@ -3,24 +3,27 @@
 //! return exactly what the plain global-visited BFS of
 //! [`reference_bfs`] returns — the same verdict, the same witness cut, the
 //! same explored count, and the same visited hits and inserts — while
-//! keeping no more cuts alive than the reference stores.
+//! keeping no more cuts alive than the reference stores. On slices the
+//! witness must also have the fewest meta-events of all satisfying cuts.
 //!
-//! The corpus covers all four of the engine's stores: computations (a
-//! layer-local store) and slices (a global banded store), each with cuts
-//! packed into `u64` keys and with counts in arenas, on both sides of the
-//! 16-process inline→spill boundary of `Cut`.
+//! The corpus covers both of the engine's layer-local stores, cuts packed
+//! into `u64` keys and counts in arenas, on computations and on slices,
+//! on both sides of the 16-process inline→spill boundary of `Cut`.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use slicing_computation::lattice::all_cuts;
 use slicing_computation::test_fixtures::{random_computation, RandomConfig};
-use slicing_computation::{Computation, ComputationBuilder, CutPacking, CutSpace, ProcSet, Value};
-use slicing_core::slice_conjunctive;
+use slicing_computation::{
+    Computation, ComputationBuilder, Cut, CutPacking, CutSpace, GlobalState, ProcSet, Value,
+};
+use slicing_core::{slice_conjunctive, Slice};
 use slicing_detect::testkit::reference_bfs;
 use slicing_detect::{detect_bfs, Limits};
 use slicing_observe::{Level, MemoryRecorder};
-use slicing_predicates::{Conjunctive, FnPredicate, LocalPredicate};
+use slicing_predicates::{Conjunctive, FnPredicate, LocalPredicate, Predicate};
 
 /// Narrow-but-deep computations: few processes, several events each.
 fn narrow() -> impl Strategy<Value = Computation> {
@@ -99,12 +102,12 @@ fn packs(comp: &Computation) -> bool {
 }
 
 /// Runs `detect_bfs` over `space` and checks it against the reference
-/// BFS, field for field.
+/// BFS, field for field. Returns the witness.
 fn check_against_reference<S: CutSpace + ?Sized>(
     space: &S,
     comp: &Computation,
     pred: &FnPredicate,
-) {
+) -> Option<Cut> {
     let rec = Arc::new(MemoryRecorder::new(Level::Trace));
     let d = {
         let _guard = slicing_observe::scoped(rec.clone());
@@ -130,6 +133,27 @@ fn check_against_reference<S: CutSpace + ?Sized>(
         d.max_stored_cuts,
         reference.inserts
     );
+    d.found
+}
+
+/// Brute force: the witness found on `slice` has the smallest meta-event
+/// rank of all satisfying slice cuts, and there is none without one.
+fn check_witness_rank(
+    slice: &Slice<'_>,
+    comp: &Computation,
+    pred: &FnPredicate,
+    witness: Option<Cut>,
+) {
+    let contains = |cut: &Cut, e| cut.count(comp.process_of(e)) > comp.position_of(e);
+    // A slice cut holds each meta-event whole or not at all.
+    let metas = slice.meta_events();
+    let rank = |cut: &Cut| metas.iter().filter(|m| contains(cut, m[0])).count();
+    let min_rank = all_cuts(slice)
+        .iter()
+        .filter(|c| pred.eval(&GlobalState::new(comp, c)))
+        .map(rank)
+        .min();
+    prop_assert_eq!(witness.as_ref().map(rank), min_rank, "witness rank");
 }
 
 /// Checks the computation itself, then the slice of `x@0 >= 1` searched
@@ -140,7 +164,8 @@ fn check(comp: &Computation, target: i64) {
     let x0 = comp.var(comp.process(0), "x").unwrap();
     let clause = Conjunctive::new(vec![LocalPredicate::int(x0, "x >= 1", |v| v >= 1)]);
     let slice = slice_conjunctive(comp, &clause);
-    check_against_reference(&slice, comp, &pred);
+    let witness = check_against_reference(&slice, comp, &pred);
+    check_witness_rank(&slice, comp, &pred, witness);
 }
 
 proptest! {
