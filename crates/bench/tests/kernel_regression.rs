@@ -155,9 +155,12 @@ fn protocol_workload_counters_are_pinned() {
     // The scenario-zoo workloads through the same slicing pipeline:
     // detection verdict, cuts explored, J-row joins, and the visited-set
     // probe/hit/insert counters are exact functions of the fixed seed, and
-    // each spec builds one J table.
+    // each spec builds one J table. The co-regular bases' §4.3 walks cover
+    // only the two processes each `MonotoneDominates`/`BoundedDifference`
+    // reads, which the predicate evaluations pin.
     //
-    // (workload, seed, cuts, row_joins, probes, hits, inserts)
+    // (workload, seed, cuts, row_joins, probes, hits, inserts, linear
+    // evals, co-regular violations)
     let table = [
         (
             Workload::LeaderElection,
@@ -167,11 +170,13 @@ fn protocol_workload_counters_are_pinned() {
             1u64,
             0u64,
             1u64,
+            0u64,
+            0u64,
         ),
-        (Workload::CrdtReplication, 0, 1, 17, 1, 0, 1),
-        (Workload::WorkQueue, 0, 1, 24, 1, 0, 1),
+        (Workload::CrdtReplication, 0, 1, 17, 1, 0, 1, 336, 0),
+        (Workload::WorkQueue, 0, 1, 24, 1, 0, 1, 45, 0),
     ];
-    for (w, seed, cuts, row_joins, probes, hits, inserts) in table {
+    for (w, seed, cuts, row_joins, probes, hits, inserts, evals, violations) in table {
         let comp = w.simulate(4, 8, seed);
         let faulty = w.inject_fault(&comp, seed.wrapping_mul(1009));
         let spec = w.violation_spec(&faulty);
@@ -195,6 +200,11 @@ fn protocol_workload_counters_are_pinned() {
             1,
             "{tag}: J tables"
         );
+        let walks = (
+            rec.counter_total("slice.linear.evals"),
+            rec.counter_total("slice.co_regular.violations"),
+        );
+        assert_eq!(walks, (evals, violations), "{tag}: §4.3 walks");
     }
 }
 

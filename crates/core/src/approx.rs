@@ -13,7 +13,7 @@ use crate::conjunctive::{meet_conjunctive_rows, push_conjunctive_edges};
 use crate::coregular::meet_co_regular_rows;
 use crate::graft::{push_conjunction_edges, push_disjunction_edges, LeastCuts};
 use crate::klocal::meet_klocal_rows;
-use crate::linear::{meet_linear_rows, push_linear_edges};
+use crate::linear::{meet_linear_rows, push_linear_edges, push_regular_edges};
 use crate::postlinear::push_postlinear_edges;
 use crate::slice::{Edge, Slice};
 
@@ -128,6 +128,11 @@ impl PredicateSpec {
     /// leaf under an `Or`, which has no rows without it. The edges, every
     /// `J(e)` and the bottom are those of slicing each child and grafting
     /// the slices.
+    ///
+    /// A walk that yields edges covers only the processes its leaf reads
+    /// (see [`slice_regular`](crate::slice_regular) and
+    /// [`slice_linear`](crate::slice_linear)); a walk that yields rows
+    /// covers every process, since the `Or` reads every coordinate.
     pub fn slice<'a>(&self, comp: &'a Computation) -> Slice<'a> {
         let mut edges = Vec::new();
         self.push_edges(comp, &mut edges);
@@ -150,12 +155,10 @@ impl PredicateSpec {
     /// Appends the constraint edges of this node's slice to `out`.
     fn push_edges(&self, comp: &Computation, out: &mut Vec<Edge>) {
         let _span = self.span();
-        let all = ProcSet::all;
-        let n = comp.num_processes();
         match self {
             PredicateSpec::Conjunctive(p) => push_conjunctive_edges(comp, p, out),
-            PredicateSpec::Regular(p) => push_linear_edges(comp, p.as_ref(), all(n), out),
-            PredicateSpec::Linear(p) => push_linear_edges(comp, p.as_ref(), all(n), out),
+            PredicateSpec::Regular(p) => push_regular_edges(comp, p.as_ref(), out),
+            PredicateSpec::Linear(p) => push_linear_edges(comp, p.as_ref(), out),
             PredicateSpec::PostLinear(p) => push_postlinear_edges(comp, p.as_ref(), out),
             PredicateSpec::CoRegular(p) => push_disjunction_edges(comp, out, |rows| {
                 meet_co_regular_rows(comp, p.as_ref(), rows)

@@ -1,10 +1,10 @@
 //! Slicing co-regular predicates: complements of regular predicates.
 
-use slicing_computation::{Computation, EventId, ProcSet};
+use slicing_computation::{Computation, EventId};
 use slicing_predicates::RegularPredicate;
 
 use crate::graft::{push_disjunction_edges, LeastCuts};
-use crate::linear::push_linear_edges;
+use crate::linear::push_regular_edges;
 use crate::slice::{Edge, Node, Slice};
 
 /// Computes the slice of `comp` with respect to `¬b` for a regular
@@ -52,14 +52,19 @@ pub fn slice_complement_of<'a>(comp: &'a Computation, slice: &Slice<'a>) -> Slic
 }
 
 /// Meets the rows of every violation slice of `b`'s lean slice into
-/// `rows`; returns the number of violation slices.
+/// `rows`; returns the number of violation slices. The lean slice is the
+/// one walked on `b`'s support alone (see [`slice_regular`]): any edge set
+/// of it works, since a cut violates `b` exactly when it violates one of
+/// the edges.
+///
+/// [`slice_regular`]: crate::slice_regular
 pub(crate) fn meet_co_regular_rows<P: RegularPredicate + ?Sized>(
     comp: &Computation,
     pred: &P,
     rows: &mut LeastCuts,
 ) -> usize {
     let mut base = Vec::new();
-    push_linear_edges(comp, pred, ProcSet::all(comp.num_processes()), &mut base);
+    push_regular_edges(comp, pred, &mut base);
     meet_violation_rows(comp, &base, rows)
 }
 

@@ -3,22 +3,21 @@
 use slicing_computation::Computation;
 use slicing_predicates::RegularPredicate;
 
-use crate::linear::push_linear_edges;
+use crate::approx::PredicateSpec;
 use crate::slice::Slice;
 
 /// Computes the slice for a *decomposable regular predicate*: a conjunction
 /// of clauses, each itself regular but spanning only a few processes
 /// (Section 4.1).
 ///
-/// Instead of running the generic `O(n²|E|)` regular slicer on the whole
-/// predicate, each clause is sliced on the computation *projected* onto the
-/// clause's processes (without materializing the projection — see
-/// [`slice_linear_restricted`](crate::slice_linear_restricted)), and the
-/// per-clause constraint edges are combined
-/// with conjunction grafting. For clause span `k` and at most `s` clauses
-/// per process the total cost is `O((n + k²s)|E|)` — a factor of `n`
-/// faster on the paper's "counters approximately synchronized" example
-/// (`k = 2`, `s = n`).
+/// This is the `And` of the clauses as regular leaves. Each leaf's §4.3
+/// walk covers only its clause's processes, as if the computation were
+/// projected onto them (see [`slice_regular`](crate::slice_regular)), and
+/// the `And` grafts the clauses by concatenating their constraint edges.
+/// For clause span `k` and at most `s` clauses per process the total cost
+/// is `O((n + k²s)|E|)` — a factor of `n` faster on the paper's "counters
+/// approximately synchronized" example (`k = 2`, `s = n`) than slicing the
+/// conjunction as one predicate over every process.
 ///
 /// The result is exact (the conjunction of regular predicates is regular,
 /// and the grafted slice is its lean slice).
@@ -27,7 +26,7 @@ use crate::slice::Slice;
 ///
 /// Panics if `clauses` is empty (the slice of `true` is the full
 /// computation; use [`Slice::full`]).
-pub fn slice_decomposable<'a, P: RegularPredicate>(
+pub fn slice_decomposable<'a, P: RegularPredicate + Clone + 'static>(
     comp: &'a Computation,
     clauses: &[P],
 ) -> Slice<'a> {
@@ -35,15 +34,13 @@ pub fn slice_decomposable<'a, P: RegularPredicate>(
         !clauses.is_empty(),
         "slice_decomposable needs at least one clause; use Slice::full for `true`"
     );
-    let _span = slicing_observe::span("slice.decomposable");
-    slicing_observe::counter("slice.decomposable.clauses", clauses.len() as u64);
-    // Conjunction grafting is edge union, so collect every clause's edges
-    // (each computed on its clause's processes only) and build one slice.
-    let mut edges = Vec::new();
-    for c in clauses {
-        push_linear_edges(comp, c, c.support(), &mut edges);
-    }
-    Slice::new(comp, edges)
+    PredicateSpec::and(
+        clauses
+            .iter()
+            .map(|c| PredicateSpec::regular(c.clone()))
+            .collect(),
+    )
+    .slice(comp)
 }
 
 #[cfg(test)]

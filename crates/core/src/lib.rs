@@ -13,13 +13,16 @@
 //! | Predicate class | Function | Cost | Result |
 //! |---|---|---|---|
 //! | conjunctive | [`slice_conjunctive`] | `O(|E|)` | exact (lean) |
-//! | regular | [`slice_regular`] | `O(n²|E|)` | exact (lean) |
-//! | linear | [`slice_linear`] | `O(n²|E|)` | smallest sublattice |
+//! | regular | [`slice_regular`] | `O(k²|E|)` | exact (lean) |
+//! | linear | [`slice_linear`] | `O(nk|E|)` | smallest sublattice |
 //! | post-linear | [`slice_postlinear`] | `O(n²|E|)` | smallest sublattice |
 //! | decomposable regular | [`slice_decomposable`] | `O((n + k²s)|E|)` | exact (lean) |
 //! | k-local, constant k | [`slice_klocal`] | `O(n·m^(k-1)·|E|)` | smallest sublattice |
-//! | co-regular (`¬b`, `b` regular) | [`slice_co_regular`] | `O(n²|E|²)` | exact |
+//! | co-regular (`¬b`, `b` regular) | [`slice_co_regular`] | `O(nk|E|²)` | exact |
 //! | `∧`/`∨` combinations | [`PredicateSpec::slice`] | polynomial | approximate (sound) |
+//!
+//! `k` is the number of processes the predicate reads: the §4.3 walks
+//! that yield constraint edges work on those alone (Section 4.1).
 //!
 //! Slices compose with *grafting*: [`graft_and`] intersects two slices'
 //! cut sets, [`graft_or`] produces the smallest slice containing their
@@ -76,7 +79,7 @@ pub use decomposable::slice_decomposable;
 pub use graft::{graft_and, graft_and_all, graft_or, graft_or_all, GraftKey};
 pub use incremental::{CompactionStats, OnlineSlicer, SlicerState};
 pub use klocal::slice_klocal;
-pub use linear::{slice_linear, slice_linear_restricted, slice_regular};
+pub use linear::{slice_linear, slice_regular};
 pub use postlinear::slice_postlinear;
 pub use projection::Projection;
 pub use slice::{Edge, Node, Slice};

@@ -2,13 +2,13 @@
 //! computation — the paper's Section 4.3.
 
 use slicing_computation::{Computation, Cut, EventId, GlobalState, ProcSet, ProcessId};
-use slicing_predicates::{LinearPredicate, RegularPredicate};
+use slicing_predicates::{LinearPredicate, Predicate, RegularPredicate};
 
 use crate::graft::{push_row_edges, LeastCuts};
 use crate::slice::{Edge, Slice};
 
-/// Computes the slice of `comp` with respect to a linear predicate in
-/// `O(n²|E|)` time (Section 4.3).
+/// Computes the slice of `comp` with respect to a linear predicate that
+/// reads `k` processes in `O(nk|E|)` time (Section 4.3).
 ///
 /// For each event `e` the algorithm computes `J_b(e)`, the least consistent
 /// cut that contains `e` and satisfies `b`, by starting from the least
@@ -20,13 +20,23 @@ use crate::slice::{Edge, Slice};
 /// along process order, which caps the total advancing work.
 ///
 /// The slice graph then encodes `e ∈ C ⇒ J_b(e) ⊆ C` with one edge per
-/// (event, process) pair: `O(n|E|)` edges.
+/// (event, process read) pair: `O(k|E|)` edges.
+///
+/// The walk joins, advances and constrains only the processes `b` reads,
+/// its support `S`: a consistent cut containing `e` contains `J_b(e)`
+/// exactly when it contains the frontier events of `J_b(e)` on `S`. It
+/// still visits the events of every process, because the satisfying cuts
+/// of a linear predicate need not be closed under union: an event off `S`
+/// can lie above two satisfying cuts whose union violates `b`, and only
+/// its own edge then keeps it out of the slice.
 ///
 /// The resulting cut set is the smallest sublattice containing every
 /// satisfying cut. For predicates that are in fact *regular* the slice is
 /// lean (exactly the satisfying cuts) — see [`slice_regular`].
 pub fn slice_linear<'a, P: LinearPredicate + ?Sized>(comp: &'a Computation, pred: &P) -> Slice<'a> {
-    slice_linear_restricted(comp, pred, ProcSet::all(comp.num_processes()))
+    let mut edges = Vec::new();
+    push_linear_edges(comp, pred, &mut edges);
+    Slice::new(comp, edges)
 }
 
 /// Computes the slice of a regular predicate — same algorithm as
@@ -34,88 +44,110 @@ pub fn slice_linear<'a, P: LinearPredicate + ?Sized>(comp: &'a Computation, pred
 /// the result is **lean**: its non-trivial cuts are exactly the satisfying
 /// cuts. This is the `O(n²|E|)` algorithm of the earlier ICDCS'01 paper
 /// that Section 4.3 generalizes.
+///
+/// Regularity also lets the walk skip the events off the support `S`, as
+/// Section 4.1 slices on the projection onto `S`: such an event's least
+/// cut is `min_cut(e)` joined with `J_b` of its frontier events on `S`,
+/// which their own edges already force. The work is then proportional to
+/// the projected size, `O(|S| · (|E_S| + advances))`.
 pub fn slice_regular<'a, P: RegularPredicate + ?Sized>(
     comp: &'a Computation,
     pred: &P,
 ) -> Slice<'a> {
-    slice_linear(comp, pred)
-}
-
-/// Restricted variant of [`slice_linear`] used by the decomposable-regular
-/// slicer (Section 4.1): behaves as if the computation were *projected*
-/// onto `procs`, without materializing the projection.
-///
-/// Cuts are kept full-width, but only the coordinates in `procs` are
-/// advanced or constrained; the other coordinates stay at the bottom. The
-/// predicate must read only processes in `procs`. Work is proportional to
-/// the projected size: `O(k · (|E_P| + advances))` for `k = |procs|`.
-pub fn slice_linear_restricted<'a, P: LinearPredicate + ?Sized>(
-    comp: &'a Computation,
-    pred: &P,
-    procs: ProcSet,
-) -> Slice<'a> {
     let mut edges = Vec::new();
-    push_linear_edges(comp, pred, procs, &mut edges);
+    push_regular_edges(comp, pred, &mut edges);
     Slice::new(comp, edges)
 }
 
-/// Appends the constraint edges [`slice_linear_restricted`] would install
-/// to `out`, without building the slice: for each event of `procs`, in
-/// process order, the edges encoding `e ∈ C ⇒ J_b(e) ⊆ C` for the row
-/// the §4.3 walk finds. The decomposable slicer concatenates these across
-/// clauses and builds a single slice, so the per-clause cost stays
-/// proportional to the *projected* size (the whole point of §4.1).
+/// Appends the constraint edges of [`slice_linear`] to `out`.
 pub(crate) fn push_linear_edges<P: LinearPredicate + ?Sized>(
     comp: &Computation,
     pred: &P,
-    procs: ProcSet,
+    out: &mut Vec<Edge>,
+) {
+    push_walk_edges(comp, pred, ProcSet::all(comp.num_processes()), out);
+}
+
+/// Appends the constraint edges of [`slice_regular`] to `out`: those of
+/// the events on the predicate's support only.
+pub(crate) fn push_regular_edges<P: RegularPredicate + ?Sized>(
+    comp: &Computation,
+    pred: &P,
+    out: &mut Vec<Edge>,
+) {
+    push_walk_edges(comp, pred, scope(comp, pred), out);
+}
+
+/// Appends, for each event of `events` in process order, the edges from
+/// the support's frontier events in the row the §4.3 walk finds.
+fn push_walk_edges<P: LinearPredicate + ?Sized>(
+    comp: &Computation,
+    pred: &P,
+    events: ProcSet,
     out: &mut Vec<Edge>,
 ) {
     let start = out.len();
-    linear_walk(comp, pred, procs, |e, row| {
-        push_row_edges(comp, e, row, procs.iter(), out);
+    let coords = scope(comp, pred);
+    linear_walk(comp, pred, events, coords, |e, row| {
+        push_row_edges(comp, e, row, coords.iter(), out);
     });
     slicing_observe::counter("slice.linear.edges", (out.len() - start) as u64);
 }
 
 /// Meets `J_b(e)` into `rows` for every event some satisfying cut
-/// contains: the rows the §4.3 walk finds, with no edge built.
+/// contains: the rows the §4.3 walk finds, with no edge built. An `Or`
+/// reads every coordinate of every row, so this walk covers every process.
 pub(crate) fn meet_linear_rows<P: LinearPredicate + ?Sized>(
     comp: &Computation,
     pred: &P,
     rows: &mut LeastCuts,
 ) {
-    linear_walk(comp, pred, ProcSet::all(comp.num_processes()), |e, row| {
+    let all = ProcSet::all(comp.num_processes());
+    linear_walk(comp, pred, all, all, |e, row| {
         if let Some(row) = row {
             rows.meet_row(e, row);
         }
     });
 }
 
-/// The §4.3 walk: calls `visit` with `J_b(e)` for each event of `procs`, in
-/// process order, or with `None` when no satisfying cut contains `e`.
-/// Coordinates outside `procs` stay at 1.
+/// The processes an edge walk of `pred` works on: its support, or every
+/// process for a predicate that reads none (a constant, whose walk must
+/// still find out whether it holds).
+fn scope<P: Predicate + ?Sized>(comp: &Computation, pred: &P) -> ProcSet {
+    let support = pred.support();
+    if support.is_empty() {
+        ProcSet::all(comp.num_processes())
+    } else {
+        support
+    }
+}
+
+/// The §4.3 walk: calls `visit` with `J_b(e)` for each event of `events`,
+/// in process order, or with `None` when no satisfying cut contains `e`.
+/// Only the coordinates in `coords` are joined and advanced; the others
+/// stay at 1.
 fn linear_walk<P: LinearPredicate + ?Sized>(
     comp: &Computation,
     pred: &P,
-    procs: ProcSet,
+    events: ProcSet,
+    coords: ProcSet,
     mut visit: impl FnMut(EventId, Option<&[u32]>),
 ) {
     let _span = slicing_observe::span("slice.linear");
     debug_assert!(
-        pred.support().iter().all(|p| procs.contains(p)),
-        "predicate reads processes outside the restriction"
+        pred.support().iter().all(|p| coords.contains(p)),
+        "predicate reads processes outside the walk"
     );
     let n = comp.num_processes();
-    let proc_list: Vec<ProcessId> = procs.iter().collect();
+    let coord_list: Vec<ProcessId> = coords.iter().collect();
     // Work accounting, emitted once at the end so the hot loop stays
     // allocation- and dispatch-free.
     let evals = std::cell::Cell::new(0u64);
     let advances = std::cell::Cell::new(0u64);
 
-    // Joins a cut with the restriction of `other` to `procs`.
+    // Joins a cut with the restriction of `other` to `coords`.
     let join_masked = |cut: &mut Cut, other: &Cut| {
-        for &q in &proc_list {
+        for &q in &coord_list {
             if cut.count(q) < other.count(q) {
                 cut.set_count(q, other.count(q));
             }
@@ -132,7 +164,11 @@ fn linear_walk<P: LinearPredicate + ?Sized>(
                 return true;
             }
             let p = pred.forbidden_process(&st);
-            debug_assert!(procs.contains(p), "forbidden process outside restriction");
+            // A coordinate the walk never advances would loop forever.
+            assert!(
+                coords.contains(p),
+                "forbidden process {p} is off the predicate's support"
+            );
             if cut.count(p) >= comp.len(p) {
                 return false;
             }
@@ -144,7 +180,7 @@ fn linear_walk<P: LinearPredicate + ?Sized>(
         }
     };
 
-    for &p in &proc_list {
+    for p in events.iter() {
         // Resume point: J_b of the previous event on this process.
         let mut current = Cut::bottom(n);
         let mut dead = false;
@@ -167,11 +203,13 @@ fn linear_walk<P: LinearPredicate + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slice::Node;
     use slicing_computation::lattice::all_cuts;
     use slicing_computation::oracle::expected_slice_cuts;
     use slicing_computation::test_fixtures::{figure1, random_computation, RandomConfig};
+    use slicing_computation::{Value, VarRef};
     use slicing_predicates::{
-        AtLeastInTransit, AtMostInTransit, Conjunctive, LocalPredicate, PendingAtMost, Predicate,
+        AtLeastInTransit, AtMostInTransit, Conjunctive, LocalPredicate, PendingAtMost,
     };
     use std::collections::BTreeSet;
 
@@ -258,6 +296,95 @@ mod tests {
         }
     }
 
+    /// `x0 + x1 <= 1` over counters that only grow: linear (its satisfying
+    /// cuts are closed under intersection) but not regular.
+    #[derive(Debug)]
+    struct SumAtMostOne(VarRef, VarRef);
+
+    impl Predicate for SumAtMostOne {
+        fn support(&self) -> ProcSet {
+            let mut s = ProcSet::singleton(self.0.process());
+            s.insert(self.1.process());
+            s
+        }
+
+        fn eval(&self, st: &GlobalState<'_>) -> bool {
+            st.get(self.0).expect_int() + st.get(self.1).expect_int() <= 1
+        }
+    }
+
+    impl LinearPredicate for SumAtMostOne {
+        fn forbidden_process(&self, _: &GlobalState<'_>) -> ProcessId {
+            // No larger cut brings the sum back down: any process is
+            // forbidden.
+            self.0.process()
+        }
+    }
+
+    #[test]
+    fn linear_walk_keeps_the_events_off_the_support() {
+        // p0 and p1 each raise their counter to 1 and tell p2. p2's second
+        // receive lies above both raises, so no satisfying cut contains
+        // it, although the predicate never reads p2: only its own ⊤ edge
+        // keeps it out of the slice. A walk of p0 and p1 alone would let
+        // it in.
+        let mut b = slicing_computation::ComputationBuilder::new(3);
+        let x0 = b.declare_var(b.process(0), "x", Value::Int(0));
+        let x1 = b.declare_var(b.process(1), "x", Value::Int(0));
+        let raise0 = b.step(b.process(0), &[(x0, Value::Int(1))]);
+        let raise1 = b.step(b.process(1), &[(x1, Value::Int(1))]);
+        let first = b.append_event(b.process(2));
+        let second = b.append_event(b.process(2));
+        b.message(raise0, first).unwrap();
+        b.message(raise1, second).unwrap();
+        let comp = b.build().unwrap();
+        let pred = SumAtMostOne(x0, x1);
+        assert_slice_is_smallest_sublattice(&comp, &pred, "sum at most one");
+        let slice = slice_linear(&comp, &pred);
+        assert!(slice.least_cut(first).is_some());
+        assert_eq!(slice.least_cut(second), None);
+    }
+
+    /// A regular predicate that reads no process and never holds.
+    #[derive(Debug)]
+    struct Never;
+
+    impl Predicate for Never {
+        fn support(&self) -> ProcSet {
+            ProcSet::empty()
+        }
+
+        fn eval(&self, _: &GlobalState<'_>) -> bool {
+            false
+        }
+    }
+
+    impl LinearPredicate for Never {
+        fn forbidden_process(&self, st: &GlobalState<'_>) -> ProcessId {
+            st.computation().process(0)
+        }
+    }
+
+    impl slicing_predicates::PostLinearPredicate for Never {
+        fn retreat_process(&self, st: &GlobalState<'_>) -> ProcessId {
+            st.computation().process(0)
+        }
+    }
+
+    impl RegularPredicate for Never {}
+
+    #[test]
+    fn constant_predicates_are_walked_on_every_process() {
+        // An empty support leaves the walk nothing to scope to: it must
+        // still find that `false` holds nowhere and `true` everywhere.
+        let comp = figure1();
+        assert!(slice_regular(&comp, &Never).is_empty_slice());
+        assert_eq!(
+            all_cuts(&slice_regular(&comp, &Conjunctive::new(vec![]))).len(),
+            28
+        );
+    }
+
     #[test]
     fn unsatisfiable_predicate_gives_empty_slice() {
         let comp = figure1();
@@ -312,6 +439,20 @@ mod tests {
             let comp = random_computation(seed, &cfg);
             let p = AtMostInTransit::new(comp.process(0), comp.process(1), 0);
             assert_slice_is_smallest_sublattice(&comp, &p, &format!("seed {seed}"));
+            // The channel says nothing about p2, and the regular walk covers
+            // only the support: no edge touches p2, and the cuts are the same.
+            let p2 = comp.process(2);
+            let on_p2 = |n: Node| matches!(n, Node::Event(e) if comp.process_of(e) == p2);
+            let regular = slice_regular(&comp, &p);
+            assert!(
+                regular.edges().iter().all(|&(u, v)| !on_p2(u) && !on_p2(v)),
+                "seed {seed}"
+            );
+            assert_eq!(
+                all_cuts(&regular),
+                all_cuts(&slice_linear(&comp, &p)),
+                "seed {seed}"
+            );
         }
     }
 

@@ -10,14 +10,18 @@ use proptest::prelude::*;
 
 use slicing_computation::lattice::all_cuts;
 use slicing_computation::oracle::{expected_slice_cuts, sublattice_closure};
-use slicing_computation::test_fixtures::{random_computation, RandomConfig};
-use slicing_computation::{Computation, Cut, EventId};
+use slicing_computation::test_fixtures::{random_computation, RandomConfig, XorShift64};
+use slicing_computation::{
+    Computation, ComputationBuilder, Cut, EventId, GlobalState, ProcSet, ProcessId, Value, VarRef,
+};
 use slicing_core::{
     graft_and, graft_and_all, graft_or, graft_or_all, slice_co_regular, slice_conjunctive,
     slice_klocal, slice_linear, slice_postlinear, slice_regular, Node, PredicateSpec, Slice,
 };
 use slicing_predicates::{
-    AtMostInTransit, Conjunctive, KLocalPredicate, LocalPredicate, MonotoneDominates, Predicate,
+    AtLeastInTransit, AtMostInTransit, BoundedDifference, Conjunctive, KLocalPredicate,
+    LinearPredicate, LocalPredicate, MonotoneDominates, PostLinearPredicate, Predicate,
+    RegularPredicate,
 };
 
 /// Computations spanning the spill boundary: one event per process and a
@@ -323,6 +327,125 @@ fn nested_disjunctions_slice_as_grafted_children() {
                 let tag = format!("n {n} seed {seed} {shape:?}");
                 assert_same_slice(&tag, &comp, &spec.slice(&comp), &composed(&comp, &spec));
             }
+        }
+    }
+}
+
+/// Computations of 3–6 processes whose counter `c` only grows, so that
+/// `MonotoneDominates` and `BoundedDifference` are regular on them, with
+/// random messages between the processes.
+fn counters() -> impl Strategy<Value = Computation> {
+    (any::<u64>(), 3usize..=6, 2u32..=5).prop_map(|(seed, n, events)| {
+        let mut rng = XorShift64::new(seed);
+        let mut b = ComputationBuilder::new(n);
+        let vars: Vec<VarRef> = (0..n)
+            .map(|i| b.declare_var(b.process(i), "c", Value::Int(0)))
+            .collect();
+        let mut values = vec![0i64; n];
+        let mut sends: Vec<(EventId, usize)> = Vec::new();
+        for _ in 0..n as u32 * events {
+            let i = rng.index(n);
+            values[i] += rng.below(3) as i64;
+            let e = b.step(b.process(i), &[(vars[i], Value::Int(values[i]))]);
+            match sends.iter().position(|&(_, from)| from != i) {
+                // A message into the newest event closes no cycle.
+                Some(k) if rng.chance(1, 2) => {
+                    b.message(sends.remove(k).0, e).unwrap();
+                }
+                _ if rng.chance(2, 5) => sends.push((e, i)),
+                _ => {}
+            }
+        }
+        b.build().unwrap()
+    })
+}
+
+/// A regular predicate on the processes `a` and `b` of `comp` (taken
+/// modulo its width, and made distinct): a conjunction of local clauses,
+/// `MonotoneDominates`, `BoundedDifference`, or a channel bound.
+fn regular(comp: &Computation, kind: u8, a: usize, b: usize, t: i64) -> Box<dyn RegularPredicate> {
+    let n = comp.num_processes();
+    let (a, b) = (a % n, if a % n == b % n { (a + 1) % n } else { b % n });
+    let (pa, pb) = (comp.process(a), comp.process(b));
+    let (ca, cb) = (comp.var(pa, "c").unwrap(), comp.var(pb, "c").unwrap());
+    match kind {
+        0 => Box::new(Conjunctive::new(vec![
+            LocalPredicate::int(ca, format!("c >= {t}"), move |v| v >= t),
+            LocalPredicate::int(cb, format!("c <= {}", t + 2), move |v| v <= t + 2),
+        ])),
+        1 => Box::new(MonotoneDominates::new(ca, cb)),
+        2 => Box::new(BoundedDifference::new(ca, cb, t)),
+        3 => Box::new(AtMostInTransit::new(pa, pb, t as u32)),
+        _ => Box::new(AtLeastInTransit::new(pa, pb, t as u32)),
+    }
+}
+
+/// A predicate that claims to read every process, so every §4.3 walk
+/// over it covers all of them: the reference for the support-scoped walks.
+#[derive(Debug)]
+struct Unscoped<'p>(&'p dyn RegularPredicate, usize);
+
+impl Predicate for Unscoped<'_> {
+    fn support(&self) -> ProcSet {
+        ProcSet::all(self.1)
+    }
+
+    fn eval(&self, st: &GlobalState<'_>) -> bool {
+        self.0.eval(st)
+    }
+}
+
+impl LinearPredicate for Unscoped<'_> {
+    fn forbidden_process(&self, st: &GlobalState<'_>) -> ProcessId {
+        self.0.forbidden_process(st)
+    }
+}
+
+impl PostLinearPredicate for Unscoped<'_> {
+    fn retreat_process(&self, st: &GlobalState<'_>) -> ProcessId {
+        self.0.retreat_process(st)
+    }
+}
+
+impl RegularPredicate for Unscoped<'_> {}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The regular and linear walks on a predicate's support, and the
+    /// co-regular slice built on the supported base, give every event the
+    /// `J(e)` and the slice the bottom that the walks over every process
+    /// give. The regular walk installs edges between the support's events
+    /// only.
+    #[test]
+    fn support_scoped_walks_match_the_all_process_walks(
+        comp in counters(),
+        kind in 0u8..5,
+        a in 0usize..6,
+        b in 0usize..6,
+        t in 0i64..3,
+    ) {
+        let pred = regular(&comp, kind, a, b, t);
+        let all = Unscoped(pred.as_ref(), comp.num_processes());
+        let scoped = slice_regular(&comp, pred.as_ref());
+        let support = pred.support();
+        let on_support = |n: Node| match n {
+            Node::Event(e) => support.contains(comp.process_of(e)),
+            _ => true,
+        };
+        prop_assert!(
+            scoped.edges().iter().all(|&(u, v)| on_support(u) && on_support(v)),
+            "{:?}: edge off the support", pred
+        );
+        for (walk, got, want) in [
+            ("regular", scoped, slice_regular(&comp, &all)),
+            ("linear", slice_linear(&comp, pred.as_ref()), slice_linear(&comp, &all)),
+            ("co-regular", slice_co_regular(&comp, pred.as_ref()), slice_co_regular(&comp, &all)),
+        ] {
+            for e in comp.events() {
+                prop_assert_eq!(got.least_cut(e), want.least_cut(e), "{:?} {}: J({})", pred, walk, e);
+            }
+            prop_assert_eq!(got.bottom_cut(), want.bottom_cut(), "{:?} {}: bottom", pred, walk);
         }
     }
 }

@@ -84,7 +84,7 @@ pub use pom::detect_pom;
 pub use resilient::{
     detect_resilient, Engine, ParseEngineError, ResilientConfig, ResilientDetection, SpecPredicate,
 };
-pub use reverse_search::{detect_reverse_search, detect_reverse_search_slice};
+pub use reverse_search::detect_reverse_search;
 pub use slicing::{detect_on_slice, detect_with_slicing, SliceDetection};
 
 pub use slicing_computation::CutSpace;

@@ -118,179 +118,6 @@ pub fn detect_reverse_search<P: Predicate + ?Sized>(
     tracker.finish(None, start.elapsed(), None)
 }
 
-/// Detects `possibly: pred` over a **slice's** cut lattice in polynomial
-/// space — the paper's remark that "Alagar and Venkatesan's polynomial
-/// space algorithm … can also be used for searching the state-space of a
-/// slice", combining both reductions.
-///
-/// States are slice cuts; the spanning tree adds one *meta-event* at a
-/// time (meta-events are atomic in slice cuts), with the canonical parent
-/// removing the maximal meta-event whose first member event has the
-/// largest id.
-pub fn detect_reverse_search_slice<P: Predicate + ?Sized>(
-    slice: &slicing_core::Slice<'_>,
-    pred: &P,
-    limits: &Limits,
-) -> Detection {
-    let _span = slicing_observe::span("detect.reverse_slice");
-    let start = Instant::now();
-    let mut tracker = Tracker::default();
-    let comp = slice.computation();
-    let n = comp.num_processes();
-    let frame_bytes = (std::mem::size_of::<Cut>() + 4 * n + 8) as u64;
-
-    let Some(bottom) = slice.bottom_cut().cloned() else {
-        return tracker.finish(None, start.elapsed(), None);
-    };
-
-    // Meta-events in topological order; per meta: members, per-process
-    // span, and its least slice cut (down closure).
-    let metas = slice.meta_events();
-    struct Meta {
-        size: u32,
-        /// Per process: (min position, max position) of member events, if
-        /// any.
-        span: Vec<Option<(u32, u32)>>,
-        /// Least slice cut containing the meta.
-        closure: Cut,
-        key: slicing_computation::EventId,
-    }
-    let metas: Vec<Meta> = metas
-        .iter()
-        .map(|members| {
-            let mut span: Vec<Option<(u32, u32)>> = vec![None; n];
-            for &e in members {
-                let p = comp.process_of(e).as_usize();
-                let pos = comp.position_of(e);
-                span[p] = Some(match span[p] {
-                    None => (pos, pos),
-                    Some((lo, hi)) => (lo.min(pos), hi.max(pos)),
-                });
-            }
-            Meta {
-                size: members.len() as u32,
-                span,
-                closure: slice
-                    .least_cut(members[0])
-                    .expect("meta members appear in cuts")
-                    .clone(),
-                key: members[0],
-            }
-        })
-        // Metas inside the bottom cut are in every slice cut: neither
-        // addable nor removable.
-        .filter(|m| !m.closure.leq(&bottom))
-        .collect();
-
-    // A meta is addable to cut C iff joining its closure adds exactly its
-    // own events.
-    let addable = |cut: &Cut, m: &Meta| -> Option<Cut> {
-        // Quick reject: already included?
-        if m.closure.leq(cut) {
-            return None;
-        }
-        let joined = cut.join(&m.closure);
-        if joined.size() == cut.size() + u64::from(m.size) {
-            Some(joined)
-        } else {
-            None
-        }
-    };
-
-    // A meta is maximal in cut C iff its events sit at the top of their
-    // processes in C and no frontier event of C outside the meta requires
-    // it.
-    let is_maximal = |cut: &Cut, m: &Meta| -> bool {
-        if !m.closure.leq(cut) {
-            return false;
-        }
-        for p in comp.processes() {
-            if let Some((_, hi)) = m.span[p.as_usize()] {
-                if cut.count(p) != hi + 1 {
-                    return false;
-                }
-            }
-        }
-        // No other frontier reaches into the meta.
-        for q in comp.processes() {
-            let f = comp.frontier(cut, q);
-            let fp = comp.process_of(f).as_usize();
-            if m.span[fp].is_some_and(|(lo, _)| comp.position_of(f) >= lo) {
-                continue; // f is inside the meta itself
-            }
-            let jf = slice.least_cut(f).expect("frontier events appear in cuts");
-            for p in comp.processes() {
-                if let Some((lo, _)) = m.span[p.as_usize()] {
-                    if jf.count(p) > lo {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    };
-
-    let canonical_removal = |cut: &Cut| -> Option<usize> {
-        metas
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| is_maximal(cut, m))
-            .max_by_key(|(_, m)| m.key)
-            .map(|(i, _)| i)
-    };
-
-    let mut stack: Vec<(Cut, usize)> = vec![(bottom.clone(), 0)];
-    tracker.store_cut(frame_bytes);
-    tracker.cuts_explored += 1;
-    match pred.try_eval(&GlobalState::new(comp, &bottom)) {
-        Ok(true) => return tracker.finish(Some(bottom), start.elapsed(), None),
-        Ok(false) => {}
-        Err(_) => return tracker.finish(None, start.elapsed(), Some(AbortReason::PredicateError)),
-    }
-
-    while let Some((cut, next_i)) = stack.last_mut() {
-        let mut advanced = None;
-        #[allow(clippy::needless_range_loop)] // the index is the tree-edge identity
-        for i in *next_i..metas.len() {
-            let Some(child) = addable(cut, &metas[i]) else {
-                continue;
-            };
-            if canonical_removal(&child) == Some(i) {
-                *next_i = i + 1;
-                advanced = Some(child);
-                break;
-            }
-        }
-        match advanced {
-            Some(child) => {
-                tracker.cuts_explored += 1;
-                match pred.try_eval(&GlobalState::new(comp, &child)) {
-                    Ok(true) => return tracker.finish(Some(child), start.elapsed(), None),
-                    Ok(false) => {}
-                    Err(_) => {
-                        return tracker.finish(
-                            None,
-                            start.elapsed(),
-                            Some(AbortReason::PredicateError),
-                        )
-                    }
-                }
-                if let Some(reason) = tracker.over_limit(limits, start) {
-                    return tracker.finish(None, start.elapsed(), Some(reason));
-                }
-                stack.push((child, 0));
-                tracker.store_cut(frame_bytes);
-            }
-            None => {
-                slicing_observe::counter("detect.reverse.backtracks", 1);
-                stack.pop();
-                tracker.drop_cut(frame_bytes);
-            }
-        }
-    }
-    tracker.finish(None, start.elapsed(), None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,95 +211,5 @@ mod tests {
         let never = FnPredicate::new(ProcSet::all(2), "false", |_| false);
         let d = detect_reverse_search(&comp, &never, &Limits::cuts(10));
         assert!(!d.completed());
-    }
-
-    #[test]
-    fn slice_reverse_search_enumerates_exactly_the_slice_cuts() {
-        use slicing_core::{slice_conjunctive, Slice};
-        use slicing_predicates::{Conjunctive, LocalPredicate};
-
-        // Across random computations and predicates, the polynomial-space
-        // traversal of the slice visits exactly count_cuts(slice) cuts.
-        let cfg = RandomConfig {
-            processes: 3,
-            events_per_process: 4,
-            send_percent: 40,
-            recv_percent: 40,
-            value_range: 3,
-        };
-        for seed in 0..30 {
-            let comp = random_computation(seed, &cfg);
-            let clauses: Vec<LocalPredicate> = comp
-                .processes()
-                .map(|p| {
-                    let x = comp.var(p, "x").unwrap();
-                    let t = (seed % 3) as i64;
-                    LocalPredicate::int(x, format!("x != {t}"), move |v| v != t)
-                })
-                .collect();
-            let pred = Conjunctive::new(clauses);
-            let slice = slice_conjunctive(&comp, &pred);
-            let never = FnPredicate::new(ProcSet::all(3), "false", |_| false);
-            let d = detect_reverse_search_slice(&slice, &never, &Limits::none());
-            assert_eq!(
-                d.cuts_explored,
-                slice.count_cuts(None).value(),
-                "seed {seed}"
-            );
-            // The full slice degenerates to plain reverse search.
-            let full = Slice::full(&comp);
-            let d = detect_reverse_search_slice(&full, &never, &Limits::none());
-            assert_eq!(
-                d.cuts_explored,
-                count_cuts(&comp, None).value(),
-                "seed {seed} full"
-            );
-        }
-    }
-
-    #[test]
-    fn slice_reverse_search_detects_like_bfs() {
-        use slicing_core::slice_klocal;
-        use slicing_predicates::KLocalPredicate;
-
-        let cfg = RandomConfig {
-            processes: 3,
-            events_per_process: 3,
-            send_percent: 40,
-            recv_percent: 40,
-            value_range: 3,
-        };
-        for seed in 0..25 {
-            let comp = random_computation(seed, &cfg);
-            let x0 = comp.var(comp.process(0), "x").unwrap();
-            let x1 = comp.var(comp.process(1), "x").unwrap();
-            let kl = KLocalPredicate::new(vec![x0, x1], "x0 != x1", |v| v[0] != v[1]);
-            let slice = slice_klocal(&comp, &kl);
-            let rev = detect_reverse_search_slice(&slice, &kl, &Limits::none());
-            let bfs = crate::detect_bfs(&slice, &comp, &kl, &Limits::none());
-            assert_eq!(rev.detected(), bfs.detected(), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn slice_reverse_search_on_empty_slice() {
-        let comp = grid(2, 2);
-        let slice = slicing_core::Slice::empty(&comp);
-        let always = FnPredicate::new(ProcSet::all(2), "true", |_| true);
-        let d = detect_reverse_search_slice(&slice, &always, &Limits::none());
-        assert!(!d.detected());
-        assert_eq!(d.cuts_explored, 0);
-    }
-
-    #[test]
-    fn slice_reverse_search_memory_stays_small() {
-        use slicing_core::Slice;
-        let comp = grid(8, 8);
-        let slice = Slice::full(&comp);
-        let never = FnPredicate::new(ProcSet::all(2), "false", |_| false);
-        let rev = detect_reverse_search_slice(&slice, &never, &Limits::none());
-        let bfs = crate::detect_bfs(&slice, &comp, &never, &Limits::none());
-        assert_eq!(rev.cuts_explored, bfs.cuts_explored);
-        assert!(rev.peak_bytes < bfs.peak_bytes);
     }
 }

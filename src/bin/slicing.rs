@@ -24,9 +24,38 @@ use computation_slicing::sim::{self, Protocol};
 use computation_slicing::slicer::dot::{computation_to_dot, slice_to_dot};
 use computation_slicing::slicer::{compile_predicate, SliceStats};
 use computation_slicing::{
-    definitely, detect, detect_bfs, recover, Computation, GlobalState, Limits, PredicateSpec,
-    RecoverConfig, RecoveryVerdict, ResilientConfig,
+    definitely, detect, recover, Computation, GlobalState, Limits, PredicateSpec, RecoverConfig,
+    RecoveryVerdict, ResilientConfig,
 };
+
+/// Writes `args` to stdout. A closed pipe (`slicing cuts t | head -1`)
+/// ends the output: the process exits 0 with nothing on stderr. Stdout
+/// stays line-buffered, so `serve` and `monitor` still emit each line as
+/// they print it.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn usage() -> &'static str {
     "usage:
@@ -216,14 +245,14 @@ fn run() -> Result<(), String> {
     match command.as_str() {
         "fixture" => match args.get(1).map(String::as_str) {
             Some("figure1") => {
-                print!(
+                out!(
                     "{}",
                     computation_slicing::computation::trace::to_text(&test_fixtures::figure1())
                 );
                 Ok(())
             }
             Some("grid40") => {
-                print!(
+                out!(
                     "{}",
                     computation_slicing::computation::trace::to_text(&grid40_fixture())
                 );
@@ -240,11 +269,11 @@ fn run() -> Result<(), String> {
             let spec = compile_predicate(&comp, &pred);
             let slice = spec.slice(&comp);
             let stats = SliceStats::gather(&comp, &slice, Some(5_000_000));
-            println!("{stats}");
-            println!("meta-events:");
+            outln!("{stats}");
+            outln!("meta-events:");
             for (i, meta) in slice.meta_events().iter().enumerate() {
                 let names: Vec<String> = meta.iter().map(|&e| comp.describe_event(e)).collect();
-                println!("  M{i}: {{{}}}", names.join(", "));
+                outln!("  M{i}: {{{}}}", names.join(", "));
             }
             Ok(())
         }
@@ -283,7 +312,7 @@ fn run() -> Result<(), String> {
             let pred = parse_predicate(&comp, pred_src).map_err(|e| e.to_string())?;
             let spec = compile_predicate(&comp, &pred);
             let outcome = engine.detect(&comp, &pred, &spec, &limits);
-            println!("{engine}: {outcome}");
+            outln!("{engine}: {outcome}");
             if let Some(path) = &report {
                 // A real slicing.run-report/v1 document (the same shape
                 // the bench binaries emit), so `slicing validate` and
@@ -308,7 +337,7 @@ fn run() -> Result<(), String> {
                 }
                 let json = run.to_json();
                 if path == "-" {
-                    println!("{json}");
+                    outln!("{json}");
                 } else {
                     std::fs::write(path, format!("{json}\n"))
                         .map_err(|e| format!("writing {path}: {e}"))?;
@@ -316,7 +345,7 @@ fn run() -> Result<(), String> {
             }
             match &outcome.found {
                 Some(cut) => {
-                    println!("witness cut: {cut}");
+                    outln!("witness cut: {cut}");
                     let st = GlobalState::new(&comp, cut);
                     for p in comp.processes() {
                         let mut vals = Vec::new();
@@ -326,15 +355,15 @@ fn run() -> Result<(), String> {
                             })?;
                             vals.push(format!("{n}={value}"));
                         }
-                        println!(
+                        outln!(
                             "  {p} @ {}: {}",
                             comp.describe_event(st.frontier(p)),
                             vals.join(", ")
                         );
                     }
                 }
-                None if outcome.completed() => println!("predicate does not hold anywhere"),
-                None => println!("undecided: search hit a resource limit"),
+                None if outcome.completed() => outln!("predicate does not hold anywhere"),
+                None => outln!("undecided: search hit a resource limit"),
             }
             Ok(())
         }
@@ -402,22 +431,22 @@ fn run() -> Result<(), String> {
                 other => return Err(format!("unknown protocol {other:?} (try ps or db)")),
             };
 
-            println!("verdict: {}", outcome.verdict);
+            outln!("verdict: {}", outcome.verdict);
             if let Some(engine) = outcome.engine {
-                println!(
+                outln!(
                     "detected by: {engine} ({} engine fallback(s))",
                     outcome.engine_fallbacks
                 );
             }
             if let Some(witness) = &outcome.witness {
-                println!("witness cut: {witness}");
+                outln!("witness cut: {witness}");
             }
             if let Some(line) = &outcome.line {
                 let method = outcome.line_method.map_or("?", |m| m.name());
-                println!("recovery line: {line} (method {method})");
+                outln!("recovery line: {line} (method {method})");
             }
             for (i, a) in outcome.attempts.iter().enumerate() {
-                println!(
+                outln!(
                     "attempt {}: seed {} deliver-weight {}{}{}",
                     i + 1,
                     a.seed,
@@ -433,7 +462,7 @@ fn run() -> Result<(), String> {
             if let Some(path) = &report {
                 let json = outcome.to_json();
                 if path == "-" {
-                    println!("{json}");
+                    outln!("{json}");
                 } else {
                     std::fs::write(path, format!("{json}\n"))
                         .map_err(|e| format!("writing {path}: {e}"))?;
@@ -485,9 +514,9 @@ fn run() -> Result<(), String> {
                     .map_err(|e| format!("writing {path}: {e}"))?;
             }
             if folded {
-                print!("{}", profile.to_folded());
+                out!("{}", profile.to_folded());
             } else if out.is_none() {
-                println!("{json}");
+                outln!("{json}");
             }
             eprintln!("profiled: {outcome}");
             Ok(())
@@ -506,11 +535,11 @@ fn run() -> Result<(), String> {
             let baseline = load_json_doc(base_path)?;
             let current = load_json_doc(cur_path)?;
             let verdict = slicing_observe::diff::diff(&baseline, &current, threshold)?;
-            print!("{}", verdict.render_text());
+            out!("{}", verdict.render_text());
             if let Some(path) = &report {
                 let json = verdict.to_json();
                 if path == "-" {
-                    println!("{json}");
+                    outln!("{json}");
                 } else {
                     std::fs::write(path, format!("{json}\n"))
                         .map_err(|e| format!("writing {path}: {e}"))?;
@@ -571,7 +600,7 @@ fn run() -> Result<(), String> {
                 if file_problems == 0 {
                     schemas.sort_unstable();
                     schemas.dedup();
-                    println!(
+                    outln!(
                         "{path}: {} document(s) ok ({})",
                         docs.len(),
                         schemas.join(", ")
@@ -594,13 +623,16 @@ fn run() -> Result<(), String> {
             let pred = parse_predicate(&comp, pred_src).map_err(|e| e.to_string())?;
             let limits = Limits::none();
             let verdict = match mode.as_str() {
-                "possibly" => detect_bfs(&comp, &comp, &pred, &limits).detected(),
+                "possibly" => {
+                    let spec = compile_predicate(&comp, &pred);
+                    Engine::Bfs.detect(&comp, &pred, &spec, &limits).detected()
+                }
                 "definitely" => definitely(&comp, &pred, &limits),
                 "invariant" => detect::invariant(&comp, &pred, &limits),
                 "controllable" => detect::controllable(&comp, &pred, &limits),
                 other => return Err(format!("unknown mode {other}\n\n{}", usage())),
             };
-            println!("{mode}: {verdict}");
+            outln!("{mode}: {verdict}");
             Ok(())
         }
         "show" => {
@@ -620,7 +652,7 @@ fn run() -> Result<(), String> {
                 }
                 None => None,
             };
-            print!(
+            out!(
                 "{}",
                 computation_slicing::computation::render::render_space_time(&comp, cut.as_ref())
             );
@@ -637,12 +669,12 @@ fn run() -> Result<(), String> {
             let comp = load_trace(trace)?;
             let mut shown = 0u64;
             for_each_cut(&comp, |cut| {
-                println!("{cut}");
+                outln!("{cut}");
                 shown += 1;
                 shown < limit
             });
             let total = count_cuts(&comp, Some(5_000_000));
-            println!(
+            outln!(
                 "# shown {shown} of {}{}",
                 total.value(),
                 if total.is_exact() { "" } else { "+" }
@@ -657,14 +689,14 @@ fn run() -> Result<(), String> {
                     let pred = parse_predicate(&comp, pred_src).map_err(|e| e.to_string())?;
                     let spec = compile_predicate(&comp, &pred);
                     let slice = spec.slice(&comp);
-                    print!("{}", slice_to_dot(&slice));
+                    out!("{}", slice_to_dot(&slice));
                 }
-                None => print!("{}", computation_to_dot(&comp)),
+                None => out!("{}", computation_to_dot(&comp)),
             }
             Ok(())
         }
         "help" | "--help" | "-h" => {
-            println!("{}", usage());
+            outln!("{}", usage());
             Ok(())
         }
         other => Err(format!("unknown command {other:?}\n\n{}", usage())),
@@ -998,7 +1030,7 @@ impl MsgTracker {
 /// Writes a report document to `path` (stdout for `-`).
 fn write_report(path: &str, json: &str) -> Result<(), String> {
     if path == "-" {
-        println!("{json}");
+        outln!("{json}");
         Ok(())
     } else {
         std::fs::write(path, format!("{json}\n")).map_err(|e| format!("writing {path}: {e}"))
@@ -1183,7 +1215,7 @@ impl OnlineRun {
         }
         self.skip = state.stats.events;
         let hub = MonitorHub::from_state(&state).map_err(|e| format!("{path}: {e}"))?;
-        println!("resumed from {path}: {} events already consumed", self.skip);
+        outln!("resumed from {path}: {} events already consumed", self.skip);
         Ok(hub)
     }
 
@@ -1299,7 +1331,7 @@ impl OnlineRun {
     fn check(&mut self, hub: &mut MonitorHub) {
         for r in hub.check_all() {
             for tenant in &r.tenants {
-                println!(
+                outln!(
                     "{}",
                     (self.alarm_line)(tenant, r.alarm.events, &r.alarm.cut)
                 );
@@ -1471,13 +1503,18 @@ fn monitor_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
     run.finish(&mut hub)?;
 
     let stats = hub.stats();
-    println!(
+    outln!(
         "monitored {} events, {} messages: {} distinct alarm cut(s)",
-        stats.events, stats.messages, stats.alarms
+        stats.events,
+        stats.messages,
+        stats.alarms
     );
-    println!(
+    outln!(
         "check work: {} probes + {} clause eval(s) over {} checks, peak {} queued candidates",
-        stats.check_cost, stats.clause_evals, stats.checks, stats.peak_candidates
+        stats.check_cost,
+        stats.clause_evals,
+        stats.checks,
+        stats.peak_candidates
     );
     if let Some(path) = report {
         run.report(&hub, path)?;
@@ -1659,7 +1696,7 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
             {
                 Ok(_) => {
                     if !in_skip {
-                        println!("tenant {id} added after {} events", h.stats().events);
+                        outln!("tenant {id} added after {} events", h.stats().events);
                     }
                 }
                 // A malformed tenant must not take the stream down: every
@@ -1676,7 +1713,7 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
             let removed = h.remove_tenant(id);
             if run.observed >= run.skip {
                 if removed {
-                    println!("tenant {id} removed after {} events", h.stats().events);
+                    outln!("tenant {id} removed after {} events", h.stats().events);
                 } else {
                     eprintln!("warning: untenant {id} (line {lineno}): no such tenant");
                 }
@@ -1761,23 +1798,26 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
     run.finish(h)?;
 
     let stats = h.stats();
-    println!(
+    outln!(
         "served {} events, {} messages: {} alarm(s) across {} tenant(s)",
         stats.events,
         stats.messages,
         stats.alarms,
         h.tenant_count()
     );
-    println!(
+    outln!(
         "multiplexed {} tenant(s) onto {} group(s), {} slot(s), {} distinct clause(s)",
         h.tenant_count(),
         h.group_count(),
         h.slot_count(),
         h.clause_count()
     );
-    println!(
+    outln!(
         "check work: {} probes + {} clause eval(s) over {} checks, peak {} queued candidates",
-        stats.check_cost, stats.clause_evals, stats.checks, stats.peak_candidates
+        stats.check_cost,
+        stats.clause_evals,
+        stats.checks,
+        stats.peak_candidates
     );
     if let Some(path) = report {
         run.report(h, path)?;

@@ -102,6 +102,47 @@ fn modalities_answer() {
 }
 
 #[test]
+fn modality_possibly_answers_through_the_bfs_engine() {
+    for (trace, pred, expect) in [
+        (figure1_trace(), "x1@0 > 1 && x3@2 <= 3", "possibly: true"),
+        (grid40_trace(), "x@0 > 1000", "possibly: false"),
+    ] {
+        let out = slicing_with_stdin(&["modality", "-", pred, "--mode", "possibly"], &trace);
+        assert!(out.status.success(), "{pred}");
+        assert_eq!(stdout(&out).trim_end(), expect, "{pred}");
+    }
+}
+
+/// A reader that has gone away (`slicing cuts t | head -1`) ends the
+/// output: exit status 0 and no panic. The child's stdout is a pipe whose
+/// read end is already closed, so its first write fails every time.
+#[test]
+fn closed_stdout_ends_the_output_quietly() {
+    let trace = tmp_path("closed-stdout.trace");
+    std::fs::write(&trace, grid40_trace()).unwrap();
+    let trace = trace.to_str().unwrap();
+    for args in [
+        vec!["fixture", "grid40"],
+        vec!["cuts", trace, "--limit", "2000"],
+        vec!["stats", trace, "x@0 > 1 && x@1 <= 3"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_slicing"))
+            .args(&args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?} {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(trace);
+}
+
+#[test]
 fn show_renders_space_time() {
     let trace = figure1_trace();
     let out = slicing_with_stdin(&["show", "-"], &trace);
