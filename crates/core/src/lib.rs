@@ -28,11 +28,13 @@
 //! cut sets, [`graft_or`] produces the smallest slice containing their
 //! union (Section 3.4).
 //!
-//! [`OnlineSlicer`] maintains a conjunctive slice incrementally as events
-//! arrive — the paper's future-work direction. Each observation updates a
-//! least-cut clock in O(n); messages (including late, out-of-order ones)
-//! re-time only the affected part of history, and cyclic ones are
-//! rejected in O(1) with a typed error.
+//! [`OnlineSlicer`] stores a computation as its events arrive — the
+//! substrate of online detection, the paper's future-work direction. Each
+//! observation updates a least-cut clock in O(n); messages (including
+//! late, out-of-order ones) re-time only the affected part of history,
+//! and cyclic ones are rejected in O(1) with a typed error. The slice of
+//! the prefix is the offline slicers' on
+//! [`snapshot_computation`](OnlineSlicer::snapshot_computation).
 //!
 //! # Example: Figure 1
 //!

@@ -35,6 +35,9 @@
 //! `seen_revision` per group. The decoder reads it and drops it, after
 //! marking every head dirty in a group that had not settled since the
 //! last re-timing message, as the old hub would have done first.
+//! Documents written while the slicer still kept an online slice carry a
+//! `holds` flag per event and a `settled_edges` list, which the hub never
+//! read; the decoder skips both like any unknown key.
 
 use slicing_computation::{BuildError, ProcSet, ProcessId, Value};
 use slicing_core::SlicerState;
@@ -65,18 +68,10 @@ pub fn encode(state: &HubState, metrics_seq: u64) -> String {
     o.push_str(",\"base\":");
     push_ints(o, &s.base);
     o.push_str(",\"events\":[");
-    for (i, ((&p, &holds), clock)) in s
-        .event_procs
-        .iter()
-        .zip(&s.holds)
-        .zip(&s.clocks)
-        .enumerate()
-    {
+    for (i, (&p, clock)) in s.event_procs.iter().zip(&s.clocks).enumerate() {
         comma(o, i);
         o.push_str("{\"p\":");
         push_u64(o, u64::from(p));
-        o.push_str(",\"holds\":");
-        push_bool(o, holds);
         o.push_str(",\"clock\":");
         push_ints(o, clock);
         o.push('}');
@@ -103,8 +98,6 @@ pub fn encode(state: &HubState, metrics_seq: u64) -> String {
     }
     o.push_str("],\"messages\":");
     push_pairs(o, &s.messages);
-    o.push_str(",\"settled_edges\":");
-    push_pairs(o, &s.settled_edges);
     o.push_str(",\"clock_revision\":");
     push_u64(o, s.clock_revision);
     o.push_str(",\"values\":[");
@@ -216,9 +209,9 @@ fn encoded_size_hint(state: &HubState) -> usize {
             .map(|t| t.id.len() + t.source.len())
             .sum::<usize>();
     let candidates: usize = state.slots.iter().map(|s| s.candidates.len()).sum();
-    1024 + s.event_procs.len() * (34 + 7 * s.num_processes)
+    1024 + s.event_procs.len() * (21 + 7 * s.num_processes)
         + values * 22
-        + (s.messages.len() + s.settled_edges.len()) * 16
+        + s.messages.len() * 16
         + candidates * 7
         + 2 * strings
         + state.groups.len() * (256 + 16 * s.num_processes)
@@ -365,8 +358,8 @@ pub fn decode_str(text: &str) -> Result<(HubState, u64), BuildError> {
 }
 
 /// The `events` field as [`SlicerState`] stores it: per retained event,
-/// its process, its holds flag and its clock.
-type EventColumns = (Vec<u32>, Vec<bool>, Vec<Vec<u32>>);
+/// its process and its clock.
+type EventColumns = (Vec<u32>, Vec<Vec<u32>>);
 
 /// The top-level fields of a checkpoint, as read so far.
 #[derive(Default)]
@@ -379,7 +372,6 @@ struct Document {
     vars: Option<Vec<Vec<String>>>,
     snapshots: Option<Vec<Vec<Vec<Value>>>>,
     messages: Option<Vec<(u32, u32)>>,
-    settled_edges: Option<Vec<(u32, u32)>>,
     clock_revision: Option<u64>,
     values: Option<Vec<Vec<Value>>>,
     clauses: Option<Vec<(u32, String)>>,
@@ -398,7 +390,7 @@ impl Document {
         need(self.schema, "schema")?;
         let n = need(self.processes, "processes")?;
         let base = need(self.base, "base")?;
-        let (event_procs, holds, clocks) = need(self.events, "events")?;
+        let (event_procs, clocks) = need(self.events, "events")?;
         let var_names = need(self.vars, "vars")?;
         let snapshots = need(self.snapshots, "snapshots")?;
         let values = need(self.values, "values")?;
@@ -440,12 +432,10 @@ impl Document {
                 num_processes: n,
                 base,
                 event_procs,
-                holds,
                 clocks,
                 var_names,
                 snapshots,
                 messages: need(self.messages, "messages")?,
-                settled_edges: need(self.settled_edges, "settled_edges")?,
                 clock_revision,
             },
             values,
@@ -503,7 +493,6 @@ impl<'a> Reader<'a> {
                     set(&mut d.snapshots, key, r.list(key, rows)?)?;
                 }
                 "messages" => set(&mut d.messages, key, r.pairs(key)?)?,
-                "settled_edges" => set(&mut d.settled_edges, key, r.pairs(key)?)?,
                 "clock_revision" => set(&mut d.clock_revision, key, r.u64(key)?)?,
                 "values" => set(&mut d.values, key, r.list(key, Self::values)?)?,
                 "clauses" => set(&mut d.clauses, key, r.clauses()?)?,
@@ -521,24 +510,22 @@ impl<'a> Reader<'a> {
     }
 
     fn events(&mut self) -> Result<EventColumns, BuildError> {
-        let (mut procs, mut holds, mut clocks) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut procs, mut clocks) = (Vec::new(), Vec::new());
         self.array("events", |r| {
-            let (mut p, mut h, mut clock) = (None, None, None);
+            let (mut p, mut clock) = (None, None);
             r.object("event", |r, key| {
                 match key {
                     "p" => set(&mut p, key, r.int("event \"p\"")?)?,
-                    "holds" => set(&mut h, key, r.bool("event \"holds\"")?)?,
                     "clock" => set(&mut clock, key, r.ints("event \"clock\"")?)?,
                     _ => return Ok(false),
                 }
                 Ok(true)
             })?;
             procs.push(need(p, "p")?);
-            holds.push(need(h, "holds")?);
             clocks.push(need(clock, "clock")?);
             Ok(())
         })?;
-        Ok((procs, holds, clocks))
+        Ok((procs, clocks))
     }
 
     /// A row of tagged values, `[{"t":..,"v":..},...]`.
@@ -1048,10 +1035,70 @@ mod tests {
     }
 
     /// The wire format, pinned: every encoder must write these literals
-    /// byte for byte. They are the documents the first one-pass encoder
-    /// wrote, minus each group's `seen_revision`, which the encoder no
-    /// longer writes.
+    /// byte for byte.
     const GOLDEN_GC: &str = concat!(
+        r#"{"schema":"slicing.serve-checkpoint/v1","processes":3,"metrics_seq":11"#,
+        r#","base":[0,0,0],"events":[{"p":0,"clock":[1,1,1]},{"p":1,"clock":[1,1"#,
+        r#",1]},{"p":2,"clock":[1,1,1]},{"p":0,"clock":[2,1,1]},{"p":1,"clock":[2,2"#,
+        r#",1]},{"p":0,"clock":[3,1,1]},{"p":2,"clock":[3,1,2]},{"p":1,"clock":[2,3"#,
+        r#",1]}],"vars":[["x"],["up"],["leader"]],"snapshots":[[[{"t":"int","v":0}]"#,
+        r#",[{"t":"int","v":-3}],[{"t":"int","v":7}]],[[{"t":"bool","v":true}]"#,
+        r#",[{"t":"bool","v":false}],[{"t":"bool","v":true}]],[[{"t":"pid","v":1}]"#,
+        r#",[{"t":"pid","v":0}]]],"messages":[[3,4],[5,6]],"clock_revision":2"#,
+        r#","values":[[{"t":"int","v":7}],[{"t":"bool","v":true}],[{"t":"pid""#,
+        r#","v":0}]],"clauses":[{"p":0,"label":"x > 1 \"hot\""},{"p":2"#,
+        r#","label":"leader\n== p0"},{"p":0,"label":"x < -9 \\ λ"}],"slots":[{"p":0"#,
+        r#","clauses":[0],"start":0,"candidates":[2]},{"p":2,"clauses":[1]"#,
+        r#","start":0,"candidates":[1]},{"p":0,"clauses":[2],"start":0"#,
+        r#","candidates":[]}]"#,
+        r#","groups":[{"source":"x@0 > 1 \"hot\" && leader@2 == p0","slots":[0,1]"#,
+        r#","fronts":[0,0],"dirty":[false,false,false],"dirty_any":false"#,
+        r#","current_alarm":[3,1,2],"last_alarm":[3,1,2],"check_cost":5,"alarms":1}"#,
+        r#",{"source":"x@0 < -9 \\ λ","slots":[2],"fronts":[0],"dirty":[false,false"#,
+        r#",false],"dirty_any":false,"current_alarm":null,"last_alarm":null"#,
+        r#","check_cost":0,"alarms":0}],"tenants":[{"id":"b","group":1"#,
+        r#","source":"x@0 < -9 \\ λ"},{"id":"ops \"a\"\\\nλ","group":0"#,
+        r#","source":"x@0 > 1 \"hot\" && leader@2 == p0"}],"stats":{"events":5"#,
+        r#","messages":2,"checks":1,"alarms":1,"check_cost":5,"clause_evals":8"#,
+        r#","delta_cuts":2,"peak_candidates":2,"compactions":0,"dropped_events":0"#,
+        r#","retained_peak":7,"fanout_sent":0,"fanout_dropped":0},"gc":{"lag":1"#,
+        r#","every":4},"since_gc":1}"#,
+    );
+
+    const GOLDEN_NO_GC: &str = concat!(
+        r#"{"schema":"slicing.serve-checkpoint/v1","processes":3,"metrics_seq":11"#,
+        r#","base":[0,0,0],"events":[{"p":0,"clock":[1,1,1]},{"p":1,"clock":[1,1"#,
+        r#",1]},{"p":2,"clock":[1,1,1]},{"p":0,"clock":[2,1,1]},{"p":1,"clock":[2,2"#,
+        r#",1]},{"p":0,"clock":[3,1,1]},{"p":2,"clock":[3,1,2]},{"p":1,"clock":[2,3"#,
+        r#",1]}],"vars":[["x"],["up"],["leader"]],"snapshots":[[[{"t":"int","v":0}]"#,
+        r#",[{"t":"int","v":-3}],[{"t":"int","v":7}]],[[{"t":"bool","v":true}]"#,
+        r#",[{"t":"bool","v":false}],[{"t":"bool","v":true}]],[[{"t":"pid","v":1}]"#,
+        r#",[{"t":"pid","v":0}]]],"messages":[[3,4],[5,6]],"clock_revision":2"#,
+        r#","values":[[{"t":"int","v":7}],[{"t":"bool","v":true}],[{"t":"pid""#,
+        r#","v":0}]],"clauses":[{"p":0,"label":"x > 1 \"hot\""},{"p":2"#,
+        r#","label":"leader\n== p0"},{"p":0,"label":"x < -9 \\ λ"}],"slots":[{"p":0"#,
+        r#","clauses":[0],"start":0,"candidates":[2]},{"p":2,"clauses":[1]"#,
+        r#","start":0,"candidates":[1]},{"p":0,"clauses":[2],"start":0"#,
+        r#","candidates":[]}]"#,
+        r#","groups":[{"source":"x@0 > 1 \"hot\" && leader@2 == p0","slots":[0,1]"#,
+        r#","fronts":[0,0],"dirty":[false,false,false],"dirty_any":false"#,
+        r#","current_alarm":[3,1,2],"last_alarm":[3,1,2],"check_cost":5,"alarms":1}"#,
+        r#",{"source":"x@0 < -9 \\ λ","slots":[2],"fronts":[0],"dirty":[false,false"#,
+        r#",false],"dirty_any":false,"current_alarm":null,"last_alarm":null"#,
+        r#","check_cost":0,"alarms":0}],"tenants":[{"id":"b","group":1"#,
+        r#","source":"x@0 < -9 \\ λ"},{"id":"ops \"a\"\\\nλ","group":0"#,
+        r#","source":"x@0 > 1 \"hot\" && leader@2 == p0"}],"stats":{"events":5"#,
+        r#","messages":2,"checks":1,"alarms":1,"check_cost":5,"clause_evals":8"#,
+        r#","delta_cuts":2,"peak_candidates":2,"compactions":0,"dropped_events":0"#,
+        r#","retained_peak":0,"fanout_sent":0,"fanout_dropped":0},"gc":null"#,
+        r#","since_gc":0}"#,
+    );
+
+    /// What the encoders before the slicer lost its online slice wrote for
+    /// the same hubs: a `holds` flag on every event, an always-empty
+    /// `settled_edges` list, and a dirty flag on group 0's unwatched
+    /// process 1. The decoder still reads them.
+    const LEGACY_HOLDS_GC: &str = concat!(
         r#"{"schema":"slicing.serve-checkpoint/v1","processes":3,"metrics_seq":11"#,
         r#","base":[0,0,0],"events":[{"p":0,"holds":true,"clock":[1,1,1]},{"p":1"#,
         r#","holds":true,"clock":[1,1,1]},{"p":2,"holds":true,"clock":[1,1,1]},{"p":0"#,
@@ -1081,7 +1128,7 @@ mod tests {
         r#","every":4},"since_gc":1}"#,
     );
 
-    const GOLDEN_NO_GC: &str = concat!(
+    const LEGACY_HOLDS_NO_GC: &str = concat!(
         r#"{"schema":"slicing.serve-checkpoint/v1","processes":3,"metrics_seq":11"#,
         r#","base":[0,0,0],"events":[{"p":0,"holds":true,"clock":[1,1,1]},{"p":1"#,
         r#","holds":true,"clock":[1,1,1]},{"p":2,"holds":true,"clock":[1,1,1]},{"p":0"#,
@@ -1111,9 +1158,9 @@ mod tests {
     );
 
     /// What the encoders before event-driven settling wrote for the same
-    /// hubs: each group also carried the clock revision it last settled
-    /// at. The decoder still reads them.
-    const LEGACY_GC: &str = concat!(
+    /// hubs: the legacy fields above, and each group also carried the
+    /// clock revision it last settled at. The decoder still reads them.
+    const LEGACY_SEEN_REVISION_GC: &str = concat!(
         r#"{"schema":"slicing.serve-checkpoint/v1","processes":3,"metrics_seq":11"#,
         r#","base":[0,0,0],"events":[{"p":0,"holds":true,"clock":[1,1,1]},{"p":1"#,
         r#","holds":true,"clock":[1,1,1]},{"p":2,"holds":true,"clock":[1,1,1]},{"p":0"#,
@@ -1143,7 +1190,7 @@ mod tests {
         r#","every":4},"since_gc":1}"#,
     );
 
-    const LEGACY_NO_GC: &str = concat!(
+    const LEGACY_SEEN_REVISION_NO_GC: &str = concat!(
         r#"{"schema":"slicing.serve-checkpoint/v1","processes":3,"metrics_seq":11"#,
         r#","base":[0,0,0],"events":[{"p":0,"holds":true,"clock":[1,1,1]},{"p":1"#,
         r#","holds":true,"clock":[1,1,1]},{"p":2,"holds":true,"clock":[1,1,1]},{"p":0"#,
@@ -1181,28 +1228,38 @@ mod tests {
         }
     }
 
-    /// Checkpoints written before `seen_revision` was dropped still
-    /// resume: the field is read and dropped, so they decode to the same
-    /// state as the current documents.
+    /// Checkpoints written by older encoders still resume: their dropped
+    /// fields are read and discarded, so they restore to the hub the
+    /// current documents hold.
     #[test]
     fn legacy_documents_decode_to_the_current_state() {
-        for (legacy, golden) in [(LEGACY_GC, GOLDEN_GC), (LEGACY_NO_GC, GOLDEN_NO_GC)] {
-            assert_eq!(decode_str(legacy).unwrap(), decode_str(golden).unwrap());
+        for (gc, legacy) in [
+            (true, LEGACY_HOLDS_GC),
+            (false, LEGACY_HOLDS_NO_GC),
+            (true, LEGACY_SEEN_REVISION_GC),
+            (false, LEGACY_SEEN_REVISION_NO_GC),
+        ] {
+            let (state, metrics_seq) = decode_str(legacy).unwrap();
+            assert_eq!(metrics_seq, 11);
+            let resumed = MonitorHub::from_state(&state).unwrap().export_state();
+            assert_eq!(resumed, golden_hub(gc).export_state(), "gc = {gc}");
         }
         // A group that had not settled since the last re-timing message
-        // comes back with every head dirty, as the old hub would have
-        // re-checked it.
-        let stale = LEGACY_GC.replacen("\"seen_revision\":2", "\"seen_revision\":1", 1);
+        // comes back with every watched head dirty, as the old hub would
+        // have re-checked it.
+        let stale =
+            LEGACY_SEEN_REVISION_GC.replacen("\"seen_revision\":2", "\"seen_revision\":1", 1);
         let (state, _) = decode_str(&stale).unwrap();
-        assert_eq!(state.groups[0].dirty, vec![true; 3]);
-        assert!(state.groups[0].dirty_any);
-        assert_eq!(state.groups[1], decode_str(GOLDEN_GC).unwrap().0.groups[1]);
+        let resumed = MonitorHub::from_state(&state).unwrap().export_state();
+        assert_eq!(resumed.groups[0].dirty, [true, false, true]);
+        assert!(resumed.groups[0].dirty_any);
+        assert_eq!(resumed.groups[1], golden_hub(true).export_state().groups[1]);
         // The legacy field is still type-checked and may not repeat.
         for bad in [
             "\"seen_revision\":\"2\"",
             "\"seen_revision\":2,\"seen_revision\":2",
         ] {
-            let doc = LEGACY_GC.replacen("\"seen_revision\":2", bad, 1);
+            let doc = LEGACY_SEEN_REVISION_GC.replacen("\"seen_revision\":2", bad, 1);
             assert!(decode_str(&doc).is_err(), "{bad}");
         }
     }

@@ -11,8 +11,8 @@
 //! conjunction's slice is the edge-union of its conjuncts' slices, keyed
 //! by [`GraftKey`]):
 //!
-//! - **one** watch-free [`OnlineSlicer`] keeps vector clocks, messages,
-//!   and the stability-GC machinery for every tenant;
+//! - **one** [`OnlineSlicer`] keeps vector clocks, messages, and the
+//!   stability-GC machinery for every tenant;
 //! - each **distinct clause** (process + label) is evaluated once per
 //!   event, however many tenants reference it;
 //! - clauses of one predicate on one process form a **slot** — a shared,
@@ -205,7 +205,7 @@ struct Group {
     fronts: Vec<u64>,
     /// Per process: whether the head has yet to be checked against every
     /// other head — it moved, or a late message grew its clock, since it
-    /// last was.
+    /// last was. Always `false` where the group watches nothing.
     dirty: Vec<bool>,
     /// Whether the group needs a settle: some head moved or was re-timed
     /// since the last one. Exactly the active groups with this set are in
@@ -292,7 +292,7 @@ pub struct GroupState {
     /// Absolute cursor per slot, aligned with `slots`.
     pub fronts: Vec<u64>,
     /// Per process: the head has yet to be compared with every other
-    /// head.
+    /// head (`false` where the group watches nothing).
     pub dirty: Vec<bool>,
     /// The group awaits a settle: a head moved or was re-timed since the
     /// last one.
@@ -688,12 +688,14 @@ impl MonitorHub {
                 slot.total()
             };
         }
+        // Only watched processes have a head to check.
+        let dirty = slot_of.iter().map(Option::is_some).collect();
         self.groups.push(Group {
             key: key.clone(),
             source: source.to_owned(),
             slot_of,
             fronts,
-            dirty: vec![true; n],
+            dirty,
             dirty_any: true,
             current_alarm: None,
             last_alarm: None,
@@ -1412,12 +1414,20 @@ impl MonitorHub {
             if group.dirty_any {
                 hub.queued.push(i as u32);
             }
+            // Unwatched processes have no head: drop the flags older hubs
+            // left set there.
+            let dirty = group
+                .dirty
+                .iter()
+                .zip(&slot_of)
+                .map(|(&d, sid)| d && sid.is_some())
+                .collect();
             hub.groups.push(Group {
                 key,
                 source: group.source.clone(),
                 slot_of,
                 fronts,
-                dirty: group.dirty.clone(),
+                dirty,
                 dirty_any: group.dirty_any,
                 current_alarm: group.current_alarm.as_ref().map(|c| Cut::from_counts(c)),
                 last_alarm: group.last_alarm.as_ref().map(|c| Cut::from_counts(c)),
@@ -1783,6 +1793,89 @@ mod tests {
             }
         }
         assert_eq!(hub.stats(), restored.stats());
+    }
+
+    /// Only a process a group watches can carry its dirty flag: the flags
+    /// stay clear elsewhere through observations, late messages, checks,
+    /// acknowledgements, GC, export and restore, and a restore drops the
+    /// ones older checkpoints set.
+    #[test]
+    fn unwatched_processes_never_carry_a_dirty_flag() {
+        let mut hub = MonitorHub::new(3).with_gc(GcConfig { lag: 2, every: 4 });
+        let vars: Vec<VarRef> = (0..3)
+            .map(|p| hub.declare_var(p, "x", Value::Int(0)).unwrap())
+            .collect();
+        let both = || {
+            Conjunctive::new(vec![
+                LocalPredicate::int(vars[0], "x@0 > 1", |v| v > 1),
+                LocalPredicate::int(vars[1], "x@1 > 1", |v| v > 1),
+            ])
+        };
+        let one = || Conjunctive::new(vec![LocalPredicate::int(vars[2], "x@2 > 2", |v| v > 2)]);
+        let register = |hub: &mut MonitorHub| {
+            hub.add_tenant("both", &both(), "x@0 > 1 && x@1 > 1")
+                .unwrap();
+            hub.add_tenant("one", &one(), "x@2 > 2").unwrap();
+        };
+        let restore = |state: &HubState| {
+            let mut hub = MonitorHub::from_state(state).unwrap();
+            hub.restore_tenant("both", &both()).unwrap();
+            hub.restore_tenant("one", &one()).unwrap();
+            hub
+        };
+        let unwatched_clean = |state: &HubState, at: &str| {
+            for (g, group) in state.groups.iter().enumerate() {
+                for (p, &dirty) in group.dirty.iter().enumerate() {
+                    let watched = group
+                        .slots
+                        .iter()
+                        .any(|&sid| state.slots[sid as usize].process as usize == p);
+                    assert!(watched || !dirty, "{at}: group {g} dirty on unwatched {p}");
+                }
+            }
+        };
+        register(&mut hub);
+        unwatched_clean(&hub.export_state(), "registration");
+        let mut rng = XorShift(5);
+        let mut events: Vec<Vec<EventId>> = vec![Vec::new(); 3];
+        for step in 0..80 {
+            let p = rng.below(3) as usize;
+            let v = Value::Int(rng.below(4) as i64);
+            events[p].push(hub.observe(p, &[(vars[p], v)]).unwrap());
+            unwatched_clean(&hub.export_state(), &format!("observe {step}"));
+            // A late message into an older event of another process;
+            // compacted or cyclic ones are rejected and change nothing.
+            let q = (p + 1 + rng.below(2) as usize) % 3;
+            if !events[q].is_empty() {
+                let recv = events[q][rng.below(events[q].len() as u64) as usize];
+                let send = *events[p].last().unwrap();
+                let _ = hub.message(send, recv);
+                unwatched_clean(&hub.export_state(), &format!("message {step}"));
+            }
+            for report in hub.check_all() {
+                if rng.below(2) == 0 {
+                    hub.acknowledge(report.group);
+                }
+            }
+            let state = hub.export_state();
+            unwatched_clean(&state, &format!("check {step}"));
+            if step % 20 == 19 {
+                hub = restore(&state);
+                assert_eq!(hub.export_state(), state, "step {step}");
+            }
+        }
+        assert!(hub.stats().compactions > 0, "GC must have run");
+        // Checkpoints of older hubs set every flag; a restore keeps only
+        // the watched ones.
+        let mut state = hub.export_state();
+        for group in &mut state.groups {
+            group.dirty.fill(true);
+            group.dirty_any = true;
+        }
+        let restored = restore(&state).export_state();
+        unwatched_clean(&restored, "legacy restore");
+        assert_eq!(restored.groups[0].dirty, [true, true, false]);
+        assert_eq!(restored.groups[1].dirty, [false, false, true]);
     }
 
     #[test]

@@ -87,9 +87,9 @@ fn downgrade_on_eval_errors(search: &mut Detection, errors_before: u64) {
     }
 }
 
-/// Variant of [`detect_with_slicing`] for a precomputed slice (e.g. from
-/// an [`OnlineSlicer`](slicing_core::OnlineSlicer) snapshot). The given
-/// `slicing_elapsed` is carried into the result.
+/// Variant of [`detect_with_slicing`] for a precomputed slice (e.g. one
+/// built on an [`OnlineSlicer`](slicing_core::OnlineSlicer) snapshot). The
+/// given `slicing_elapsed` is carried into the result.
 pub fn detect_on_slice(
     comp: &Computation,
     slice: &Slice<'_>,

@@ -282,7 +282,7 @@ fn validate_serve_checkpoint(doc: &JsonValue) -> Result<(), SchemaError> {
             )));
         }
     }
-    for field in ["events", "messages", "settled_edges", "clauses"] {
+    for field in ["events", "messages", "clauses"] {
         require_array(doc, field, "document")?;
     }
     for (i, slot) in require_array(doc, "slots", "document")?.iter().enumerate() {

@@ -1,6 +1,7 @@
 //! The introduction's "no process has the token" predicate on a token
-//! ring, including the incremental (online) slicer from the paper's
-//! future-work section.
+//! ring, offline and then online: events are observed one at a time into
+//! an `OnlineSlicer`, and each snapshot of the prefix is sliced with the
+//! offline conjunctive slicer.
 //!
 //! ```text
 //! cargo run --example token_ring
@@ -9,7 +10,22 @@
 use computation_slicing::computation::lattice::count_cuts;
 use computation_slicing::sim::token_ring::{no_token_spec, TokenRing};
 use computation_slicing::sim::{run, SimConfig};
-use computation_slicing::{detect_with_slicing, Limits, OnlineSlicer, SliceStats, Value};
+use computation_slicing::{
+    detect_with_slicing, slice_conjunctive, Computation, Conjunctive, Limits, LocalPredicate,
+    OnlineSlicer, Slice, SliceStats, Value,
+};
+
+/// The slice of "no process has the token" on a snapshot of the prefix.
+fn no_token_slice(comp: &Computation) -> Slice<'_> {
+    let clauses = comp
+        .processes()
+        .map(|p| {
+            let has_token = comp.var(p, "has_token").expect("declared on every process");
+            LocalPredicate::equals(has_token, Value::Bool(false))
+        })
+        .collect();
+    slice_conjunctive(comp, &Conjunctive::new(clauses))
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Offline: simulate, slice, detect.
@@ -38,25 +54,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => println!("the token never left a process"),
     }
 
-    // Online: observe events one at a time and keep the slice current.
+    // Online: observe events one at a time and slice each snapshot.
     println!("\nonline monitoring of a 2-process hand-off:");
     let mut online = OnlineSlicer::new(2);
     let t0 = online.declare_var(0, "has_token", Value::Bool(true))?;
     let t1 = online.declare_var(1, "has_token", Value::Bool(false))?;
-    online.watch_bool(t0, "!has_token_0", |v| !v)?;
-    online.watch_bool(t1, "!has_token_1", |v| !v)?;
 
     let send = online.observe(0, &[(t0, Value::Bool(false))])?;
     let snapshot = online.snapshot_computation()?;
     println!(
         "  after the send: slice has {} cut(s)",
-        online.slice_of(&snapshot).count_cuts(None).value()
+        no_token_slice(&snapshot).count_cuts(None).value()
     );
 
     let recv = online.observe(1, &[(t1, Value::Bool(true))])?;
     online.message(send, recv)?;
     let snapshot = online.snapshot_computation()?;
-    let slice = online.slice_of(&snapshot);
+    let slice = no_token_slice(&snapshot);
     println!(
         "  after the receive: slice has {} cut(s)",
         slice.count_cuts(None).value()

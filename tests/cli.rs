@@ -1059,6 +1059,70 @@ fn serve_checkpoints_rotate_and_resume_converges() {
     std::fs::remove_file(&gen1).ok();
 }
 
+/// A serve checkpoint carries no online-slice state, and one in the
+/// older layout (a `holds` flag on every event, an empty `settled_edges`
+/// list) still validates and resumes to the unbroken run's alarms.
+#[test]
+fn serve_resumes_from_a_checkpoint_with_the_older_slice_fields() {
+    let trace = figure1_trace();
+    let prefix: String = trace.lines().take(9).map(|l| format!("{l}\n")).collect();
+    let ckpt = tmp_path("current.ckpt");
+    let older = tmp_path("older.ckpt");
+    let (ckpt_s, older_s) = (ckpt.to_str().unwrap(), older.to_str().unwrap());
+    let tenants = [
+        "--tenant",
+        "a=x1@0 > 1 && x3@2 <= 3",
+        "--tenant",
+        "c=x1@0 > 1",
+    ];
+    let run = |extra: &[&str], stdin: &str| {
+        let mut args = vec!["serve"];
+        args.extend_from_slice(&tenants);
+        args.extend_from_slice(extra);
+        let out = slicing_with_stdin(&args, stdin);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout(&out)
+    };
+    let unbroken = run(&[], &trace);
+    run(&["--checkpoint", ckpt_s], &prefix);
+
+    let text = std::fs::read_to_string(&ckpt).unwrap();
+    assert!(!text.contains("\"holds\""), "{text}");
+    assert!(!text.contains("\"settled_edges\""), "{text}");
+    let older_text = text
+        .replace(",\"clock\":", ",\"holds\":true,\"clock\":")
+        .replace(
+            ",\"clock_revision\":",
+            ",\"settled_edges\":[],\"clock_revision\":",
+        );
+    assert!(older_text.contains("\"holds\":true") && older_text.contains("\"settled_edges\":[]"));
+    std::fs::write(&older, older_text).unwrap();
+    let out = slicing(&["validate", older_s]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let resumed = run(&["--resume", older_s], &trace);
+    assert!(resumed.contains("resumed from"), "{resumed}");
+    let tail = |s: &str| {
+        s.lines()
+            .skip_while(|l| !l.starts_with("alarm tenant=a"))
+            .map(str::to_owned)
+            .collect::<Vec<_>>()
+    };
+    assert!(!tail(&unbroken).is_empty(), "{unbroken}");
+    assert_eq!(tail(&unbroken), tail(&resumed));
+
+    std::fs::remove_file(&ckpt).ok();
+    std::fs::remove_file(&older).ok();
+}
+
 #[test]
 fn monitor_checkpoint_keep_rotates_generations() {
     let trace = figure1_trace();
