@@ -34,7 +34,9 @@ use std::time::Instant;
 use slicing_bench::Workload;
 use slicing_computation::test_fixtures::{grid, hypercube};
 use slicing_computation::{cut_heap_allocs, ProcSet};
-use slicing_detect::{detect_bfs, detect_dfs, detect_with_slicing, Detection, Engine, Limits};
+use slicing_detect::{
+    detect_bfs, detect_dfs, detect_pom, detect_with_slicing, Detection, Engine, Limits,
+};
 use slicing_observe::diff::{exact, gated, info, BenchTable, Field};
 use slicing_observe::{Level, MemoryRecorder};
 use slicing_predicates::FnPredicate;
@@ -119,6 +121,15 @@ fn main() {
             outcome(&detect_dfs(&comp, &comp, &never, &limits))
         }),
     );
+    // The partial-order baseline on the same sweep: a predicate reading
+    // every process leaves nothing to prune, so its cost per cut is the
+    // bookkeeping of its relations and its visited map.
+    table.row(
+        format!("pom.grid{grid_size}"),
+        measure(Engine::Pom, reps, || {
+            outcome(&detect_pom(&comp, &never, &limits))
+        }),
+    );
 
     // Wide lattice layers: a 5-process hypercube's middle layers are
     // thousands of cuts wide, where the layer-local dedup store pays most.
@@ -128,6 +139,12 @@ fn main() {
         "bfs.cube5x8",
         measure(Engine::Bfs, (reps / 4).max(1), || {
             outcome(&detect_bfs(&cube, &cube, &never5, &limits))
+        }),
+    );
+    table.row(
+        "pom.cube5x8",
+        measure(Engine::Pom, (reps / 4).max(1), || {
+            outcome(&detect_pom(&cube, &never5, &limits))
         }),
     );
 

@@ -209,6 +209,76 @@ fn protocol_workload_counters_are_pinned() {
 }
 
 #[test]
+fn pom_memory_inputs_are_pinned() {
+    // The partial-order baseline's charged bytes and stored states are
+    // the POM side of Figures 2/3 and of §5.1's out-of-memory rate, and
+    // they drive the hybrid's switch to slicing. Values captured from the
+    // engine of pairwise dependence scans over whole cuts; the bitmask
+    // relations over packed states must reproduce them, with the visited
+    // hits/inserts and both pruning counters (the probes follow the
+    // table, so they are not pinned).
+    let ps = Workload::PrimarySecondary;
+    let db = Workload::DatabasePartitioning;
+    let injected = |w: Workload, seed: u64| {
+        let faulty = w.inject_fault(&w.simulate(5, 10, seed), seed);
+        let pred = w.violation_pred(&faulty);
+        (faulty, pred)
+    };
+    let partial = || {
+        let cfg = RandomConfig {
+            processes: 5,
+            events_per_process: 4,
+            value_range: 3,
+            send_percent: 40,
+            recv_percent: 40,
+        };
+        let comp = random_computation(3, &cfg);
+        let x0 = comp.var(comp.process(0), "x").unwrap();
+        let x3 = comp.var(comp.process(3), "x").unwrap();
+        let support: ProcSet = [comp.process(0), comp.process(3)].into_iter().collect();
+        let pred = FnPredicate::new(support, "x0 + x3 == 9", move |st| {
+            st.get(x0).expect_int() + st.get(x3).expect_int() == 9
+        });
+        (comp, pred)
+    };
+    let runs = [
+        ("primary-secondary seed 3", injected(ps, 3)),
+        ("database-partitioning seed 5", injected(db, 5)),
+        ("partial support seed 3", partial()),
+    ];
+    // (verdict, witness size, [cuts, max stored, peak bytes, sleep-set
+    // skips, persistent pruned, hits, inserts])
+    let expect = [
+        (true, Some(29), [47, 47, 12804, 0, 0, 18, 47]),
+        (true, Some(21), [108, 108, 17688, 0, 0, 122, 108]),
+        (false, None, [146, 146, 19536, 80, 89, 98, 146]),
+    ];
+    for ((tag, (comp, pred)), (detected, size, counts)) in runs.into_iter().zip(expect) {
+        let rec = Arc::new(MemoryRecorder::new(Level::Trace));
+        let d = {
+            let _guard = slicing_observe::scoped(rec.clone());
+            detect_pom(&comp, &pred, &Limits::none())
+        };
+        assert!(d.completed(), "{tag}");
+        assert_eq!(
+            (d.detected(), d.found.as_ref().map(|c| c.size())),
+            (detected, size),
+            "{tag}"
+        );
+        let got = [
+            d.cuts_explored,
+            d.max_stored_cuts,
+            d.peak_bytes,
+            rec.counter_total("detect.pom.sleep_set_skips"),
+            rec.counter_total("detect.pom.persistent_pruned"),
+            rec.counter_total("detect.visited.hits"),
+            rec.counter_total("detect.visited.inserts"),
+        ];
+        assert_eq!(got, counts, "{tag}");
+    }
+}
+
+#[test]
 fn slicer_kernel_counters_are_pinned() {
     // The kernelized slicer's deterministic work counters on fixed-seed
     // protocol workloads: J-row joins (the flat-table hot loop), J-table

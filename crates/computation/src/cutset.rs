@@ -57,7 +57,7 @@ pub fn hash_counts(counts: &[u32]) -> u64 {
 
 /// Hashes a packed cut key ([`CutPacking`](crate::CutPacking)) with the
 /// same FxHash mix family (and carry-down finalizer) as [`hash_counts`];
-/// [`PackedCutSet`] indexes its slots with the low bits.
+/// the packed tables index their slots with the low bits.
 #[inline]
 fn hash_packed(key: u64) -> u64 {
     fx_fold(fx_mix(0, key))
@@ -522,9 +522,131 @@ impl CutMap64 {
     }
 }
 
-/// Empty-slot marker in a [`PackedCutSet`]: unreachable as a key because
+/// Empty-slot marker in the packed tables: unreachable as a key because
 /// [`CutPacking`](crate::CutPacking) leaves the top bit clear.
 const EMPTY_PACKED: u64 = u64::MAX;
+
+/// Open-addressing core shared by [`PackedCutSet`] and [`PackedCutMap64`]:
+/// packed cut keys ([`CutPacking`](crate::CutPacking)) stored in the
+/// slots themselves, each beside one `V`, linearly probed at a load of at
+/// most 1/2. A membership check touches one table and no arena.
+#[derive(Debug, Clone)]
+struct PackedTable<V> {
+    slots: Vec<(u64, V)>,
+    mask: usize,
+    len: u32,
+    stats: CutSetStats,
+}
+
+impl<V: Copy + Default> PackedTable<V> {
+    fn new() -> Self {
+        const INITIAL_SLOTS: usize = 64;
+        PackedTable {
+            slots: vec![(EMPTY_PACKED, V::default()); INITIAL_SLOTS],
+            mask: INITIAL_SLOTS - 1,
+            len: 0,
+            stats: CutSetStats::default(),
+        }
+    }
+
+    /// Finds `key`: `Ok(slot)` if present (a hit), `Err(slot)` at the
+    /// first empty slot otherwise. Counts one probe per slot inspected.
+    #[inline]
+    fn find(&mut self, key: u64) -> Result<usize, usize> {
+        debug_assert_ne!(key, EMPTY_PACKED);
+        let mut slot = hash_packed(key) as usize & self.mask;
+        loop {
+            self.stats.probes += 1;
+            let k = self.slots[slot].0;
+            if k == EMPTY_PACKED {
+                return Err(slot);
+            }
+            if k == key {
+                self.stats.hits += 1;
+                return Ok(slot);
+            }
+            slot = (slot + 1) & self.mask;
+        }
+    }
+
+    /// Fills the empty `slot` found for `key`, grows the table if that
+    /// took it past 1/2 load (the same cap as `Pool`: linear probing
+    /// degrades past it), and returns the slot the entry then holds.
+    #[inline]
+    fn fill(&mut self, slot: usize, key: u64, value: V) -> usize {
+        self.slots[slot] = (key, value);
+        self.len += 1;
+        self.stats.inserts += 1;
+        if (self.len as usize + 1) * 2 > self.slots.len() {
+            return self.grow_holding(key);
+        }
+        slot
+    }
+
+    /// [`grow`](Self::grow), then the slot `key` (present) moved to.
+    #[cold]
+    #[inline(never)]
+    fn grow_holding(&mut self, key: u64) -> usize {
+        self.grow();
+        let mut slot = hash_packed(key) as usize & self.mask;
+        while self.slots[slot].0 != key {
+            slot = (slot + 1) & self.mask;
+        }
+        slot
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill((EMPTY_PACKED, V::default()));
+        self.len = 0;
+    }
+
+    fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + std::mem::size_of::<(u64, V)>() * self.slots.capacity()
+    }
+
+    /// Doubles the table in place. Every key lands where a rebuild would
+    /// put it — the old slots' keys, in slot order, each inserted into an
+    /// empty table of twice the size — so the probe counters do not
+    /// depend on how the table grew. The slot vector is reallocated, not
+    /// copied into a second one, so the allocator may extend or remap it
+    /// instead of holding both tables at once.
+    fn grow(&mut self) {
+        let old = self.slots.len();
+        self.slots.resize(2 * old, (EMPTY_PACKED, V::default()));
+        self.mask = 2 * old - 1;
+        // Slots holding a key already re-placed.
+        let mut placed = vec![0u64; 2 * old / 64];
+        let is_placed = |placed: &[u64], s: usize| placed[s / 64] >> (s % 64) & 1 == 1;
+        // Keys a re-placed key pushed out before their turn, as (old slot,
+        // slot they wait in). Only a cluster that wrapped past the end of
+        // the old table produces any.
+        let mut waiting: Vec<(usize, usize)> = Vec::new();
+        for j in 0..old {
+            let at = match waiting.iter().position(|&(from, _)| from == j) {
+                Some(w) => waiting.swap_remove(w).1,
+                None if self.slots[j].0 == EMPTY_PACKED || is_placed(&placed, j) => continue,
+                None => j,
+            };
+            let entry = self.slots[at];
+            let mut slot = hash_packed(entry.0) as usize & self.mask;
+            while is_placed(&placed, slot) {
+                slot = (slot + 1) & self.mask;
+            }
+            placed[slot / 64] |= 1 << (slot % 64);
+            if slot == at {
+                continue;
+            }
+            let evicted = std::mem::replace(&mut self.slots[slot], entry);
+            self.slots[at] = evicted;
+            if evicted.0 != EMPTY_PACKED {
+                match waiting.iter_mut().find(|w| w.1 == slot) {
+                    Some(w) => w.1 = at,
+                    None => waiting.push((slot, at)),
+                }
+            }
+        }
+    }
+}
 
 /// A flat open-addressed set of packed cut keys
 /// ([`CutPacking`](crate::CutPacking)), the layer-local store of the
@@ -533,10 +655,11 @@ const EMPTY_PACKED: u64 = u64::MAX;
 ///
 /// There is no entry budget: the caller owns the lifecycle.
 /// [`clear`](PackedCutSet::clear) empties the table while keeping its
-/// capacity, so a layer-synchronous search reuses one warm allocation
-/// across every layer. The probe/hit/insert counters accumulate across
-/// clears — they describe the whole run, not one layer — and are exact
-/// functions of the insert sequence, like every pooled container here.
+/// capacity, so a layer-synchronous search
+/// reuses one warm allocation across every layer. The probe/hit/insert
+/// counters accumulate across clears — they describe the whole run, not
+/// one layer — and are exact functions of the insert sequence, like every
+/// pooled container here.
 ///
 /// # Examples
 ///
@@ -552,21 +675,14 @@ const EMPTY_PACKED: u64 = u64::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct PackedCutSet {
-    slots: Vec<u64>,
-    mask: usize,
-    len: u32,
-    stats: CutSetStats,
+    table: PackedTable<()>,
 }
 
 impl PackedCutSet {
     /// An empty set.
     pub fn new() -> Self {
-        const INITIAL_SLOTS: usize = 64;
         PackedCutSet {
-            slots: vec![EMPTY_PACKED; INITIAL_SLOTS],
-            mask: INITIAL_SLOTS - 1,
-            len: 0,
-            stats: CutSetStats::default(),
+            table: PackedTable::new(),
         }
     }
 
@@ -574,77 +690,143 @@ impl PackedCutSet {
     /// per slot inspected, like [`CutSet`].
     #[inline]
     pub fn insert(&mut self, key: u64) -> bool {
-        debug_assert_ne!(key, EMPTY_PACKED);
-        let mut slot = hash_packed(key) as usize & self.mask;
-        loop {
-            self.stats.probes += 1;
-            let v = self.slots[slot];
-            if v == EMPTY_PACKED {
-                break;
+        match self.table.find(key) {
+            Ok(_) => false,
+            Err(slot) => {
+                self.table.fill(slot, key, ());
+                true
             }
-            if v == key {
-                self.stats.hits += 1;
-                return false;
-            }
-            slot = (slot + 1) & self.mask;
         }
-        self.slots[slot] = key;
-        self.len += 1;
-        self.stats.inserts += 1;
-        // Same 1/2 load cap as `Pool`: linear probing degrades past it.
-        if (self.len as usize + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        true
     }
 
     /// Empties the set, keeping the table allocation (and the cumulative
     /// counters).
     pub fn clear(&mut self) {
-        self.slots.fill(EMPTY_PACKED);
-        self.len = 0;
+        self.table.clear();
     }
 
     /// Number of keys currently stored.
     pub fn len(&self) -> u32 {
-        self.len
+        self.table.len
     }
 
     /// `true` if no key is stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.table.len == 0
     }
 
     /// Deterministic probe/hit/insert counters, cumulative across
     /// [`clear`](PackedCutSet::clear)s.
     pub fn stats(&self) -> CutSetStats {
-        self.stats
+        self.table.stats
     }
 
     /// Actual heap footprint of the table.
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + 8 * self.slots.capacity()
-    }
-
-    fn grow(&mut self) {
-        let old = std::mem::take(&mut self.slots);
-        let new_slots = old.len() * 2;
-        self.slots.resize(new_slots, EMPTY_PACKED);
-        self.mask = new_slots - 1;
-        for key in old {
-            if key == EMPTY_PACKED {
-                continue;
-            }
-            let mut slot = hash_packed(key) as usize & self.mask;
-            while self.slots[slot] != EMPTY_PACKED {
-                slot = (slot + 1) & self.mask;
-            }
-            self.slots[slot] = key;
-        }
+        self.table.approx_bytes()
     }
 }
 
 impl Default for PackedCutSet {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// A flat open-addressed map from packed cut keys
+/// ([`CutPacking`](crate::CutPacking)) to one `u64` each: the
+/// partial-order engine's visited states and their sleep masks, with the
+/// same entry ceiling, scratch-on-refusal contract and counters as
+/// [`CutMap64`], keyed by one word instead of a count slice.
+///
+/// # Examples
+///
+/// ```
+/// use slicing_computation::PackedCutMap64;
+///
+/// let mut visited = PackedCutMap64::new();
+/// let (new, sleep) = visited.insert_or_get(0b10_01, 0b10);
+/// assert!(new);
+/// *sleep &= 0b00;
+/// let (new, sleep) = visited.insert_or_get(0b10_01, 0b11);
+/// assert!(!new);
+/// assert_eq!(*sleep, 0);
+/// assert_eq!((visited.len(), visited.stats().hits), (1, 1));
+/// ```
+#[derive(Debug, Clone)]
+pub struct PackedCutMap64 {
+    table: PackedTable<u64>,
+    /// Entry ceiling (≤ `u32::MAX - 1`); inserts at the ceiling are
+    /// refused and latch `saturated`.
+    max_entries: u32,
+    saturated: bool,
+    /// Scratch value handed out when an insert is refused at the entry
+    /// ceiling, as in [`CutMap64`].
+    overflow: u64,
+}
+
+impl PackedCutMap64 {
+    /// An empty map.
+    pub fn new() -> Self {
+        PackedCutMap64::with_max_entries(MAX_ENTRIES)
+    }
+
+    /// An empty map that refuses inserts past `max_entries` keys; see
+    /// [`CutSet::with_max_entries`].
+    pub fn with_max_entries(max_entries: u32) -> Self {
+        PackedCutMap64 {
+            table: PackedTable::new(),
+            max_entries: max_entries.min(MAX_ENTRIES),
+            saturated: false,
+            overflow: 0,
+        }
+    }
+
+    /// `true` once an insert was refused because the map reached its
+    /// entry ceiling.
+    pub fn saturated(&self) -> bool {
+        self.saturated
+    }
+
+    /// Looks up the key, inserting `default` if absent. Returns whether
+    /// the key was newly inserted, and the (mutable) stored value.
+    ///
+    /// At the entry ceiling the key is *not* stored: the call returns
+    /// `(false, scratch)` where the scratch value reads as `default`, and
+    /// [`saturated`](PackedCutMap64::saturated) latches.
+    #[inline]
+    pub fn insert_or_get(&mut self, key: u64, default: u64) -> (bool, &mut u64) {
+        match self.table.find(key) {
+            Ok(slot) => (false, &mut self.table.slots[slot].1),
+            Err(_) if self.table.len >= self.max_entries => {
+                self.saturated = true;
+                self.overflow = default;
+                (false, &mut self.overflow)
+            }
+            Err(slot) => {
+                let slot = self.table.fill(slot, key, default);
+                (true, &mut self.table.slots[slot].1)
+            }
+        }
+    }
+
+    /// Number of distinct keys stored.
+    pub fn len(&self) -> usize {
+        self.table.len as usize
+    }
+
+    /// `true` if no key was inserted yet.
+    pub fn is_empty(&self) -> bool {
+        self.table.len == 0
+    }
+
+    /// Deterministic probe/hit/insert counters since construction.
+    pub fn stats(&self) -> CutSetStats {
+        self.table.stats
+    }
+}
+
+impl Default for PackedCutMap64 {
     fn default() -> Self {
         Self::new()
     }
@@ -940,6 +1122,102 @@ mod tests {
         }
         assert_eq!(packed.stats().inserts, inserts_before * 2);
         assert_eq!(PackedCutSet::default().len(), 0);
+    }
+
+    /// The packed table as it grew before growth moved in place: insert,
+    /// then rebuild into a fresh table of twice the size past 1/2 load.
+    struct RebuiltTable {
+        slots: Vec<u64>,
+        probes: u64,
+    }
+
+    impl RebuiltTable {
+        fn insert(&mut self, key: u64) {
+            let mask = self.slots.len() - 1;
+            let mut slot = hash_packed(key) as usize & mask;
+            loop {
+                self.probes += 1;
+                match self.slots[slot] {
+                    k if k == key => return,
+                    EMPTY_PACKED => break,
+                    _ => slot = (slot + 1) & mask,
+                }
+            }
+            self.slots[slot] = key;
+            let len = self.slots.iter().filter(|&&k| k != EMPTY_PACKED).count();
+            if (len + 1) * 2 > self.slots.len() {
+                let old = std::mem::replace(&mut self.slots, vec![EMPTY_PACKED; 2 * (mask + 1)]);
+                for k in old.into_iter().filter(|&k| k != EMPTY_PACKED) {
+                    let mut slot = hash_packed(k) as usize & (2 * mask + 1);
+                    while self.slots[slot] != EMPTY_PACKED {
+                        slot = (slot + 1) & (2 * mask + 1);
+                    }
+                    self.slots[slot] = k;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn growth_in_place_lays_keys_out_as_a_rebuild() {
+        // The level-order search's gated probe counts depend on the slot
+        // layout, so doubling in place must reproduce the rebuild's layout
+        // exactly, wrapped clusters included.
+        for seed in 0..20u64 {
+            let mut packed = PackedCutSet::new();
+            let mut rebuilt = RebuiltTable {
+                slots: vec![EMPTY_PACKED; 64],
+                probes: 0,
+            };
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            for _ in 0..3000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let key = (x >> 1) % 5000;
+                packed.insert(key);
+                rebuilt.insert(key);
+                let keys: Vec<u64> = packed.table.slots.iter().map(|s| s.0).collect();
+                if keys.len() == rebuilt.slots.len() {
+                    assert_eq!(keys, rebuilt.slots, "seed {seed}");
+                }
+                assert_eq!(packed.stats().probes, rebuilt.probes, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_map_keeps_values_through_growth_and_refuses_at_the_ceiling() {
+        let mut map = PackedCutMap64::new();
+        for key in 0..2000u64 {
+            let (new, v) = map.insert_or_get(key * 7, key);
+            assert!(new);
+            assert_eq!(*v, key);
+        }
+        for key in 0..2000u64 {
+            let (new, v) = map.insert_or_get(key * 7, 0);
+            assert!(!new);
+            assert_eq!(*v, key, "value survived growth");
+            *v = key + 1;
+        }
+        assert_eq!(*map.insert_or_get(14, 0).1, 3);
+        let stats = map.stats();
+        assert_eq!((stats.inserts, stats.hits), (2000, 2001));
+        assert_eq!(map.len(), 2000);
+
+        let mut capped = PackedCutMap64::with_max_entries(2);
+        *capped.insert_or_get(1, 10).1 = 11;
+        *capped.insert_or_get(2, 20).1 = 21;
+        assert!(!capped.saturated());
+        // Third distinct key: refused, scratch reads as the default.
+        let (new, v) = capped.insert_or_get(3, 30);
+        assert!(!new);
+        assert_eq!(*v, 30);
+        assert!(capped.saturated());
+        assert_eq!(capped.len(), 2);
+        assert_eq!(*capped.insert_or_get(1, 0).1, 11);
+        assert_eq!(*capped.insert_or_get(2, 0).1, 21);
+        assert!(PackedCutMap64::default().is_empty());
     }
 
     #[test]

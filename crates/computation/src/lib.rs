@@ -71,7 +71,8 @@ pub use builder::{BuildError, ComputationBuilder};
 pub use computation::{Computation, VarRef};
 pub use cut::{cut_heap_allocs, Cut, CutPacking};
 pub use cutset::{
-    hash_counts, CutBuildHasher, CutHasher, CutMap64, CutSet, CutSetStats, PackedCutSet,
+    hash_counts, CutBuildHasher, CutHasher, CutMap64, CutSet, CutSetStats, PackedCutMap64,
+    PackedCutSet,
 };
 pub use event::{EventId, Message};
 pub use lattice::CutSpace;

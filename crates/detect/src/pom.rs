@@ -10,92 +10,168 @@
 //! all transitions of processes in its support are treated as *visible*
 //! and mutually dependent, which preserves detection (the cut lattice is
 //! acyclic, so the ignoring problem does not arise).
+//!
+//! Every relation a state needs — which processes are enabled, which hold
+//! a missing prerequisite of another's next event, which transitions are
+//! dependent — is a process bitmask derived in one pass over the state's
+//! processes, from per-event tables built once per run.
 
 use std::time::Instant;
 
-use slicing_computation::{Computation, Cut, CutMap64, GlobalState, ProcSet, ProcessId};
+use slicing_computation::{
+    Computation, Cut, CutMap64, CutPacking, CutSetStats, GlobalState, PackedCutMap64, ProcessId,
+};
 use slicing_predicates::Predicate;
 
 use crate::metrics::{emit_visited_stats, AbortReason, Detection, Limits, Tracker};
 
-/// Dependency analysis for transitions, fixed per computation + predicate.
-struct Dependencies<'a> {
-    comp: &'a Computation,
-    support: ProcSet,
+/// Dependency analysis for transitions, fixed per computation + predicate:
+/// every event's message partners and causal prerequisites, flattened so
+/// that a state's relations cost a few word operations per process.
+struct Dependencies {
+    n: usize,
+    /// Per process: itself, and the predicate's support if it is in it —
+    /// visible transitions are mutually dependent.
+    visible: Vec<u64>,
+    /// Number of events (with the initial one) of each process.
+    len: Vec<u32>,
+    /// Flat index of each process's initial event; its event at position
+    /// `c` is `first[p] + c`.
+    first: Vec<usize>,
+    /// Per event: the processes it receives from or sends to.
+    partners: Vec<u64>,
+    /// Per event: its least cut, `n` counts per event.
+    least: Vec<u32>,
 }
 
-impl<'a> Dependencies<'a> {
-    fn new(comp: &'a Computation, support: ProcSet) -> Self {
-        Dependencies { comp, support }
+/// The relations of one state, as process bitmasks.
+struct Relations {
+    /// Processes with a next event.
+    live: u64,
+    /// Live processes whose next event's prerequisites are all in the cut.
+    enabled: u64,
+    /// Per live process: the other processes that hold a missing
+    /// prerequisite of its next event.
+    needs: Vec<u64>,
+    /// Per process `p`: the processes whose next transition does not
+    /// commute with `p`'s — `p` itself, the support if `p` is in it, the
+    /// partners of `p`'s next event, and every live `q` whose next event
+    /// has `p` as a partner.
+    dep: Vec<u64>,
+}
+
+impl Dependencies {
+    fn new(comp: &Computation, support: u64) -> Self {
+        let n = comp.num_processes();
+        let mut len = Vec::with_capacity(n);
+        let mut first = Vec::with_capacity(n);
+        let mut partners = Vec::with_capacity(comp.num_events());
+        let mut least = Vec::with_capacity(comp.num_events() * n);
+        for p in comp.processes() {
+            len.push(comp.len(p));
+            first.push(partners.len());
+            for c in 0..comp.len(p) {
+                let e = comp.event_at(p, c);
+                let senders = comp.messages_into(e).map(|m| comp.process_of(m.send));
+                let receivers = comp.messages_out_of(e).map(|m| comp.process_of(m.recv));
+                partners.push(
+                    senders
+                        .chain(receivers)
+                        .fold(0u64, |mask, q| mask | 1 << q.as_usize()),
+                );
+                least.extend_from_slice(comp.min_cut(e).counts());
+            }
+        }
+        let visible = (0..n)
+            .map(|p| {
+                let bit = 1u64 << p;
+                bit | if support & bit != 0 { support } else { 0 }
+            })
+            .collect();
+        Dependencies {
+            n,
+            visible,
+            len,
+            first,
+            partners,
+            least,
+        }
     }
 
-    /// `true` if advancing `p` (next event at `cut`) and advancing `q` do
-    /// not commute — over-approximated statically:
-    /// message partners and predicate-visible pairs are dependent.
-    fn dependent(&self, cut: &Cut, p: ProcessId, q: ProcessId) -> bool {
-        if p == q {
-            return true;
-        }
-        // Visible transitions are mutually dependent.
-        if self.support.contains(p) && self.support.contains(q) {
-            return true;
-        }
-        // Message coupling between the *next* events.
-        for (a, b) in [(p, q), (q, p)] {
-            let ca = cut.count(a);
-            if ca >= self.comp.len(a) {
+    /// Derives the relations of the state `counts` into `rel`, in one
+    /// pass over its processes.
+    ///
+    /// A pair is dependent — over-approximated statically — when it is a
+    /// pair of visible transitions or when either's next event exchanges
+    /// a message with the other process.
+    fn relate(&self, counts: &[u32], rel: &mut Relations) {
+        let n = self.n;
+        rel.dep.copy_from_slice(&self.visible);
+        rel.live = 0;
+        rel.enabled = 0;
+        for p in 0..n {
+            let c = counts[p];
+            if c >= self.len[p] {
                 continue;
             }
-            let ea = self.comp.event_at(a, ca);
-            // ea receives from or sends to process b.
-            for m in self.comp.messages_into(ea) {
-                if self.comp.process_of(m.send) == b {
-                    return true;
+            let bit = 1u64 << p;
+            let e = self.first[p] + c as usize;
+            let mut needs = 0u64;
+            for (q, (&need, &have)) in self.least[e * n..(e + 1) * n]
+                .iter()
+                .zip(counts)
+                .enumerate()
+            {
+                if need > have {
+                    needs |= 1 << q;
                 }
             }
-            for m in self.comp.messages_out_of(ea) {
-                if self.comp.process_of(m.recv) == b {
-                    return true;
-                }
+            needs &= !bit;
+            rel.needs[p] = needs;
+            rel.live |= bit;
+            if needs == 0 {
+                rel.enabled |= bit;
+            }
+            let partners = self.partners[e];
+            rel.dep[p] |= partners;
+            let mut rest = partners;
+            while rest != 0 {
+                rel.dep[rest.trailing_zeros() as usize] |= bit;
+                rest &= rest - 1;
             }
         }
-        false
+    }
+}
+
+impl Relations {
+    fn new(n: usize) -> Self {
+        Relations {
+            live: 0,
+            enabled: 0,
+            needs: vec![0; n],
+            dep: vec![0; n],
+        }
     }
 
-    /// A persistent set of processes at `cut`, as a closure starting from
-    /// one enabled seed: if a member's next event is dependent on another
-    /// process's next event — or is disabled *because* of that process —
-    /// the other process joins the set.
-    fn persistent_set(&self, cut: &Cut, enabled: ProcSet) -> ProcSet {
-        let Some(seed) = enabled.iter().next() else {
-            return ProcSet::empty();
-        };
-        let mut set = ProcSet::singleton(seed);
-        loop {
-            let mut grew = false;
-            for p in set {
-                let cp = cut.count(p);
-                if cp >= self.comp.len(p) {
-                    continue;
-                }
-                let ep = self.comp.event_at(p, cp);
-                for q in self.comp.processes() {
-                    if set.contains(q) {
-                        continue;
-                    }
-                    // Disabled because q has not yet produced a causal
-                    // prerequisite of ep.
-                    let needs_q = self.comp.min_cut(ep).count(q) > cut.count(q);
-                    if needs_q || self.dependent(cut, p, q) {
-                        set.insert(q);
-                        grew = true;
-                    }
-                }
+    /// A persistent set of processes, as a closure starting from the
+    /// lowest enabled process: if a live member's next event is dependent
+    /// on another process's next event — or is disabled *because* of that
+    /// process — the other process joins the set.
+    fn persistent_set(&self) -> u64 {
+        let seed = self.enabled & self.enabled.wrapping_neg();
+        let mut set = seed;
+        let mut todo = seed;
+        while todo != 0 {
+            let p = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
+            if self.live & (1 << p) == 0 {
+                continue;
             }
-            if !grew {
-                return set;
-            }
+            let joins = (self.needs[p] | self.dep[p]) & !set;
+            set |= joins;
+            todo |= joins;
         }
+        set
     }
 }
 
@@ -107,12 +183,145 @@ impl<'a> Dependencies<'a> {
 /// satisfying cut whenever one exists. Matches the behaviour the paper
 /// reports for its baseline: fast when a fault is found early, but with
 /// state storage that can still grow exponentially.
+///
+/// States are packed into `u64` keys ([`CutPacking`]) whenever the
+/// computation's counts fit, as in [`detect_bfs`](crate::detect_bfs);
+/// wider or longer computations keep whole cuts. Both stores explore
+/// identically — packing is a bijection — and are charged the same
+/// tracked bytes per state.
 pub fn detect_pom<P: Predicate + ?Sized>(
     comp: &Computation,
     pred: &P,
     limits: &Limits,
 ) -> Detection {
+    detect_pom_capped(comp, pred, limits, u32::MAX - 1)
+}
+
+/// [`detect_pom`] with an explicit ceiling on the states its visited map
+/// holds; unit tests mock a tiny one to pin the
+/// [`AbortReason::ArenaFull`] guard, as for `detect_bfs_capped`.
+pub(crate) fn detect_pom_capped<P: Predicate + ?Sized>(
+    comp: &Computation,
+    pred: &P,
+    limits: &Limits,
+    max_entries: u32,
+) -> Detection {
     let _span = slicing_observe::span("detect.pom");
+    let n = comp.num_processes();
+    let maxima: Vec<u32> = comp.processes().map(|p| comp.len(p)).collect();
+    let bottom = Cut::bottom(n);
+    match CutPacking::for_maxima(&maxima) {
+        Some(packing) => {
+            let key = packing.pack(bottom.counts());
+            let store = Packed {
+                visited: PackedCutMap64::with_max_entries(max_entries),
+                packing,
+            };
+            search(comp, pred, limits, store, key)
+        }
+        None => {
+            let store = Wide {
+                visited: CutMap64::with_max_entries(n, max_entries),
+            };
+            search(comp, pred, limits, store, bottom)
+        }
+    }
+}
+
+/// Where [`search`] keeps its visited states, and how it names them on
+/// the stack.
+trait Store {
+    /// A state as the DFS stack holds it.
+    type State;
+    /// The visited map's `insert_or_get`: whether `state` is new, and the
+    /// sleep mask stored for it (`sleep` if it is new).
+    fn insert_or_get(&mut self, state: &Self::State, sleep: u64) -> (bool, &mut u64);
+    /// `true` once the visited map refused a state at its entry ceiling.
+    fn saturated(&self) -> bool;
+    /// Copies the counts of `state` into `cut`.
+    fn load(&self, state: &Self::State, cut: &mut Cut);
+    /// `state` advanced by one event of process `p`.
+    fn child(&self, state: &Self::State, p: usize) -> Self::State;
+    /// Deterministic probe/hit/insert counters of the visited map.
+    fn stats(&self) -> CutSetStats;
+}
+
+/// States packed into `u64` keys: a child is one addition, and a state is
+/// unpacked only when it is explored.
+struct Packed {
+    visited: PackedCutMap64,
+    packing: CutPacking,
+}
+
+impl Store for Packed {
+    type State = u64;
+
+    fn insert_or_get(&mut self, &key: &u64, sleep: u64) -> (bool, &mut u64) {
+        self.visited.insert_or_get(key, sleep)
+    }
+
+    fn saturated(&self) -> bool {
+        self.visited.saturated()
+    }
+
+    fn load(&self, &key: &u64, cut: &mut Cut) {
+        self.packing.unpack_into(key, cut);
+    }
+
+    fn child(&self, &key: &u64, p: usize) -> u64 {
+        key + (1 << (p as u32 * self.packing.lane_bits()))
+    }
+
+    fn stats(&self) -> CutSetStats {
+        self.visited.stats()
+    }
+}
+
+/// Whole cuts, for computations whose counts do not pack.
+struct Wide {
+    visited: CutMap64,
+}
+
+impl Store for Wide {
+    type State = Cut;
+
+    fn insert_or_get(&mut self, cut: &Cut, sleep: u64) -> (bool, &mut u64) {
+        self.visited.insert_or_get(cut, sleep)
+    }
+
+    fn saturated(&self) -> bool {
+        self.visited.saturated()
+    }
+
+    fn load(&self, state: &Cut, cut: &mut Cut) {
+        cut.copy_from_counts(state.counts());
+    }
+
+    fn child(&self, cut: &Cut, p: usize) -> Cut {
+        let p = ProcessId::new(p);
+        let mut child = cut.clone();
+        child.set_count(p, cut.count(p) + 1);
+        child
+    }
+
+    fn stats(&self) -> CutSetStats {
+        self.visited.stats()
+    }
+}
+
+/// The persistent/sleep-set DFS behind [`detect_pom`], over one of the
+/// two stores.
+fn search<P, S>(
+    comp: &Computation,
+    pred: &P,
+    limits: &Limits,
+    mut store: S,
+    bottom: S::State,
+) -> Detection
+where
+    P: Predicate + ?Sized,
+    S: Store,
+{
     let start = Instant::now();
     let mut tracker = Tracker::default();
     let n = comp.num_processes();
@@ -123,36 +332,45 @@ pub fn detect_pom<P: Predicate + ?Sized>(
     let mut sleep_skips = 0u64;
     let mut persistent_pruned = 0u64;
 
-    let deps = Dependencies::new(comp, pred.support());
+    let support = pred
+        .support()
+        .iter()
+        .fold(0u64, |mask, p| mask | 1 << p.as_usize());
+    let deps = Dependencies::new(comp, support);
+    let mut rel = Relations::new(n);
 
-    // Visited cache: cut → sleep mask it was (or is being) explored with.
-    // Re-exploration is needed only with a strictly smaller sleep set; we
-    // then continue with the intersection.
-    let mut visited = CutMap64::new(n);
-
-    // DFS stack: (cut, sleep mask).
-    let bottom = Cut::bottom(n);
-    let mut stack: Vec<(Cut, u64)> = vec![(bottom.clone(), 0)];
+    // DFS stack of (state, sleep mask). The visited map holds the sleep
+    // mask each state was (or is being) explored with; re-exploration is
+    // needed only when a transition sleeping there is awake now, and the
+    // stored mask then narrows to the intersection.
+    let mut stack: Vec<(S::State, u64)> = vec![(bottom, 0)];
     tracker.charge(entry_bytes);
 
-    let mut found = None;
+    let mut cut = Cut::bottom(n);
+    let mut found = false;
     let mut aborted = None;
-    while let Some((cut, sleep)) = stack.pop() {
+    while let Some((state, sleep)) = stack.pop() {
         tracker.release(entry_bytes);
-        let (inserted, prev) = visited.insert_or_get(&cut, sleep);
-        if !inserted {
-            // Already explored with sleep set `*prev`; only transitions
-            // sleeping there but awake now need exploration.
-            if *prev & !sleep == 0 {
-                continue;
-            }
-            *prev &= sleep;
-        } else {
+        let (inserted, prev) = store.insert_or_get(&state, sleep);
+        let covered = !inserted && *prev & !sleep == 0;
+        *prev &= sleep;
+        // Read right after the insert: a refused state would otherwise
+        // read as explored. A full map drops unseen states, so the search
+        // can no longer prove absence; stop with a budget verdict.
+        if store.saturated() {
+            aborted = Some(AbortReason::ArenaFull);
+            break;
+        }
+        if covered {
+            continue;
+        }
+        store.load(&state, &mut cut);
+        if inserted {
             tracker.store_cut(entry_bytes);
             tracker.cuts_explored += 1;
             match pred.try_eval(&GlobalState::new(comp, &cut)) {
                 Ok(true) => {
-                    found = Some(cut);
+                    found = true;
                     break;
                 }
                 Ok(false) => {}
@@ -166,51 +384,36 @@ pub fn detect_pom<P: Predicate + ?Sized>(
                 break;
             }
         }
-        if visited.saturated() {
-            aborted = Some(AbortReason::ArenaFull);
-            break;
-        }
 
-        let enabled: ProcSet = comp
-            .processes()
-            .filter(|&p| comp.can_advance(&cut, p))
-            .collect();
-        if enabled.is_empty() {
+        deps.relate(cut.counts(), &mut rel);
+        if rel.enabled == 0 {
             continue;
         }
-        let persistent = deps.persistent_set(&cut, enabled);
-        persistent_pruned += enabled.iter().filter(|&p| !persistent.contains(p)).count() as u64;
+        let persistent = rel.persistent_set();
+        persistent_pruned += u64::from((rel.enabled & !persistent).count_ones());
 
-        // Explore enabled persistent transitions not in the sleep set.
-        let mut explored_mask = 0u64;
-        for p in persistent {
-            if !enabled.contains(p) {
-                continue;
-            }
-            if sleep & (1 << p.as_usize()) != 0 {
+        // Explore enabled persistent transitions not in the sleep set, in
+        // process order. A child sleeps on previously explored siblings
+        // and inherited sleepers independent of the taken transition.
+        let mut explored = 0u64;
+        let mut todo = persistent & rel.enabled;
+        while todo != 0 {
+            let p = todo.trailing_zeros() as usize;
+            let bit = 1u64 << p;
+            todo &= todo - 1;
+            if sleep & bit != 0 {
                 sleep_skips += 1;
                 continue;
             }
-            let mut child = cut.clone();
-            child.set_count(p, cut.count(p) + 1);
-            // Child sleep: previously-explored siblings and inherited
-            // sleepers that are independent of the taken transition.
-            let mut child_sleep = 0u64;
-            for q in comp.processes() {
-                let bit = 1u64 << q.as_usize();
-                if (sleep | explored_mask) & bit != 0 && !deps.dependent(&cut, p, q) {
-                    child_sleep |= bit;
-                }
-            }
-            stack.push((child, child_sleep));
+            stack.push((store.child(&state, p), (sleep | explored) & !rel.dep[p]));
             tracker.charge(entry_bytes);
-            explored_mask |= 1 << p.as_usize();
+            explored |= bit;
         }
     }
     slicing_observe::counter("detect.pom.sleep_set_skips", sleep_skips);
     slicing_observe::counter("detect.pom.persistent_pruned", persistent_pruned);
-    emit_visited_stats(visited.stats());
-    tracker.finish(found, start.elapsed(), aborted)
+    emit_visited_stats(store.stats());
+    tracker.finish(found.then_some(cut), start.elapsed(), aborted)
 }
 
 #[cfg(test)]
@@ -219,6 +422,7 @@ mod tests {
     use slicing_computation::lattice::count_cuts;
     use slicing_computation::oracle::satisfying_cuts;
     use slicing_computation::test_fixtures::{figure1, grid, random_computation, RandomConfig};
+    use slicing_computation::ProcSet;
     use slicing_predicates::{expr::parse_predicate, FnPredicate};
 
     #[test]
@@ -298,6 +502,26 @@ mod tests {
         let never = FnPredicate::new(ProcSet::all(2), "false", |_| false);
         let d = detect_pom(&comp, &never, &Limits::bytes(100));
         assert!(!d.completed());
+    }
+
+    #[test]
+    fn arena_full_aborts_instead_of_wrapping() {
+        // A mocked 4-entry visited-map ceiling stands in for the real
+        // u32::MAX - 1: the search must stop with a budget verdict, never
+        // report "not detected" off states it silently dropped.
+        let comp = grid(6, 6);
+        let top = comp.top_cut();
+        let at_top = FnPredicate::new(ProcSet::all(2), "at top", move |st| *st.cut() == top);
+        let d = detect_pom_capped(&comp, &at_top, &Limits::none(), 4);
+        assert!(!d.detected());
+        assert!(!d.completed());
+        assert_eq!(d.aborted, Some(AbortReason::ArenaFull));
+        assert_eq!(d.cuts_explored, 4);
+        // A witness inside the budget is still found and completes.
+        let hit = FnPredicate::new(ProcSet::all(2), "true", |_| true);
+        let d = detect_pom_capped(&comp, &hit, &Limits::none(), 4);
+        assert!(d.detected());
+        assert!(d.completed());
     }
 
     #[test]
