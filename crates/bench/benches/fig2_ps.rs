@@ -1,8 +1,8 @@
 //! Criterion micro-benchmark tracking **Figure 2**: computation slicing
 //! vs. partial-order methods on primary–secondary runs, fault-free and
 //! with one injected fault. The paper's full sweep lives in the
-//! `fig2_primary_secondary` binary; this bench pins a few points so
-//! regressions show in `cargo bench`.
+//! `table_figures` binary; this bench pins a few points so regressions
+//! show in `cargo bench`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

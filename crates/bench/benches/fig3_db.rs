@@ -1,6 +1,6 @@
 //! Criterion micro-benchmark tracking **Figure 3**: computation slicing
 //! vs. partial-order methods on database-partitioning runs. The paper's
-//! full sweep lives in the `fig3_database` binary.
+//! full sweep lives in the `table_figures` binary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

@@ -3,34 +3,36 @@
 //! memory in a fraction of runs (≈6% for primary–secondary at n = 12 under
 //! their 100 MB cap; ≈1% for database partitioning at n = 10), while
 //! slicing stays within budget — making resource provisioning predictable.
+//! The committed baseline is `BENCH_oom.json`, a `slicing.bench/v1` table.
 //!
 //! ```text
 //! cargo run --release -p slicing-bench --bin table_oom_rate -- \
-//!     [--procs 7] [--events 22] [--seeds 20] [--cap-kb 256] \
-//!     [--max-cuts 5000000] [--faults 1] [--report oom.json]
+//!     [--procs 6] [--events 20] [--seeds 20] [--cap-kb 128] \
+//!     [--max-cuts 5000000] [--faults 1] [--out BENCH_oom.json]
 //! ```
 //!
-//! The cap defaults to a deliberately small value so the effect shows at
-//! laptop scale; the paper's absolute 100 MB corresponds to much larger
-//! runs. `--max-cuts` adds a state-count cap on top of the byte cap (both
-//! are enforced together); `--report <path>` writes every per-seed run as
-//! a `slicing.bench-report/v1` JSON document.
+//! One row per (workload, engine) for slicing, POM and the paper's hybrid
+//! (POM under a `4·n·|E|`-entry budget, slicing fallback), with the
+//! columns of `table_figures`: a run that hits the byte cap or the
+//! `--max-cuts` state cap (both are enforced together) counts under
+//! `aborted`, the out-of-memory rate being `aborted / (completed +
+//! aborted)`. The cap defaults to a deliberately small value so the
+//! effect shows at laptop scale; the paper's absolute 100 MB corresponds
+//! to much larger runs. For each seed the binary asserts that every
+//! engine that completed reports the same verdict.
 
-use slicing_bench::{
-    measure_hybrid, measure_pom, measure_slicing, sweep_samples, Aggregate, Workload,
-};
+use slicing_bench::{compare, Workload, HYBRID, POM, SLICING};
 use slicing_detect::Limits;
-use slicing_observe::RunReportSet;
+use slicing_observe::diff::BenchTable;
 
 fn main() {
-    let mut procs: usize = 7;
-    let mut events: u32 = 22;
+    let mut procs: usize = 6;
+    let mut events: u32 = 20;
     let mut seeds: u64 = 20;
-    let mut cap_kb: u64 = 256;
+    let mut cap_kb: u64 = 128;
     let mut max_cuts: u64 = 5_000_000;
     let mut faults: u32 = 1;
-    let mut timeout_ms: Option<u64> = None;
-    let mut report_path: Option<String> = None;
+    let mut out = String::from("BENCH_oom.json");
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let value = it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
@@ -41,55 +43,37 @@ fn main() {
             "--cap-kb" => cap_kb = value.parse().expect("integer"),
             "--max-cuts" => max_cuts = value.parse().expect("integer"),
             "--faults" => faults = value.parse().expect("integer"),
-            "--timeout-ms" => timeout_ms = Some(value.parse().expect("integer")),
-            "--report" => report_path = Some(value),
+            "--out" => out = value,
             other => panic!("unknown flag {other}"),
         }
     }
     // All caps at once: a run aborts on whichever budget it hits first.
-    let mut limits = Limits::new(Some(cap_kb * 1024), Some(max_cuts));
-    if let Some(t) = timeout_ms {
-        limits = limits.with_deadline(std::time::Duration::from_millis(t));
+    let limits = Limits::new(Some(cap_kb * 1024), Some(max_cuts));
+    let mut table = BenchTable::new("table_oom_rate")
+        .param("procs", procs as u64)
+        .param("events", events)
+        .param("seeds", seeds)
+        .param("cap_kb", cap_kb)
+        .param("max_cuts", max_cuts)
+        .param("faults", faults);
+    for w in Workload::PAPER {
+        let aggs = compare(
+            w,
+            procs,
+            events,
+            seeds,
+            faults,
+            &limits,
+            &[SLICING, POM, HYBRID],
+        );
+        for (engine, agg) in aggs {
+            table.row(format!("{}.{engine}", w.name()), agg.fields());
+        }
     }
-    let mut report = RunReportSet::new("table_oom_rate");
-
     println!(
         "# Out-of-memory rates under a {cap_kb} KiB cap — n = {procs}, events/process = {events}, {seeds} seeds, {faults} fault(s)"
     );
-    println!(
-        "{:<24} {:>12} {:>12} {:>12} {:>11} {:>11} {:>11}",
-        "workload", "slice_oom%", "pom_oom%", "hybrid_oom%", "slice_det", "pom_det", "hybrid_det"
-    );
-    for w in [Workload::PrimarySecondary, Workload::DatabasePartitioning] {
-        let s_runs = sweep_samples(w, procs, events, 0..seeds, faults, &limits, measure_slicing);
-        let p_runs = sweep_samples(w, procs, events, 0..seeds, faults, &limits, measure_pom);
-        let h_runs = sweep_samples(w, procs, events, 0..seeds, faults, &limits, measure_hybrid);
-        if report_path.is_some() {
-            for (engine, runs) in [("slice", &s_runs), ("pom", &p_runs), ("hybrid", &h_runs)] {
-                for (seed, sample) in runs {
-                    report.push(sample.to_report(w, engine, procs, events, *seed));
-                }
-            }
-        }
-        let s = Aggregate::of(&s_runs.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>());
-        let p = Aggregate::of(&p_runs.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>());
-        let h = Aggregate::of(&h_runs.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>());
-        println!(
-            "{:<24} {:>11.1}% {:>11.1}% {:>11.1}% {:>11} {:>11} {:>11}",
-            w.name(),
-            s.abort_rate() * 100.0,
-            p.abort_rate() * 100.0,
-            h.abort_rate() * 100.0,
-            format!("{}/{}", s.detections, s.completed),
-            format!("{}/{}", p.detections, p.completed),
-            format!("{}/{}", h.detections, h.completed),
-        );
-    }
-    println!("\n# Expected shape (paper): the baseline hits the cap on a fraction");
-    println!("# of runs (its memory depends on where — and whether — the fault");
-    println!("# occurs), while slicing's footprint is stable and cap-free.");
-    if let Some(path) = &report_path {
-        report.write_to(path).expect("write report");
-        eprintln!("# wrote {} runs to {path}", report.runs.len());
-    }
+    print!("{}", table.render_text());
+    table.write(&out).expect("write bench artifact");
+    eprintln!("# wrote {out}");
 }

@@ -1,24 +1,28 @@
 //! Measures the full fault-tolerance loop the paper motivates (Section 1):
 //! inject a fault, detect it through the graceful-degradation engine
 //! chain, compute the recovery line from the slice, roll back, and replay
-//! until the invariant holds — reporting detect+recover latency, retry
-//! counts, and verdict rates per workload × fault kind.
+//! until the invariant holds — reporting verdict counts, retries and
+//! detect+recover latency per workload × fault kind. The committed
+//! baseline is `BENCH_recovery.json`, a `slicing.bench/v1` table.
 //!
 //! ```text
 //! cargo run --release -p slicing-bench --bin table_recovery -- \
 //!     [--procs 4] [--events 12] [--seeds 10] [--attempts 3] \
-//!     [--timeout-ms N] [--report recovery.json]
+//!     [--out BENCH_recovery.json]
 //! ```
 //!
-//! `--report <path>` writes every per-seed run as a
-//! `slicing.bench-report/v1` JSON document whose engine field is
-//! `recover/<fault-kind>`; failing verdicts land in the run's `aborted`
-//! field so downstream tooling can gate on them.
+//! One row per (workload, fault kind), named like
+//! `primary-secondary.corrupt`. The counts are exact: `injected` runs
+//! (seeds whose run offered an injection site of that kind), how many
+//! were `detected`, `recovered` or `clean` (the fault never produced a
+//! violating cut), `failed` (any other verdict), the replay attempts and
+//! the engine fallbacks of the resilient chain. `avg_ms` is info. The
+//! binary asserts that no run failed before it writes the table.
 
 use std::time::Instant;
 
 use slicing_bench::Workload;
-use slicing_observe::{RunReport, RunReportSet};
+use slicing_observe::diff::{exact, info, BenchTable};
 use slicing_recover::{recover, RecoverConfig, RecoveryOutcome, RecoveryVerdict};
 use slicing_sim::crdt::{self, CrdtReplication};
 use slicing_sim::database::{self, DatabasePartitioning};
@@ -100,8 +104,7 @@ fn main() {
     let mut events: u32 = 12;
     let mut seeds: u64 = 10;
     let mut attempts: u32 = 3;
-    let mut timeout_ms: Option<u64> = None;
-    let mut report_path: Option<String> = None;
+    let mut out = String::from("BENCH_recovery.json");
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let value = it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
@@ -110,28 +113,15 @@ fn main() {
             "--events" => events = value.parse().expect("integer"),
             "--seeds" => seeds = value.parse().expect("integer"),
             "--attempts" => attempts = value.parse().expect("integer"),
-            "--timeout-ms" => timeout_ms = Some(value.parse().expect("integer")),
-            "--report" => report_path = Some(value),
+            "--out" => out = value,
             other => panic!("unknown flag {other}"),
         }
     }
-    let mut report = RunReportSet::new("table_recovery");
-
-    println!(
-        "# Detect → recovery-line → rollback → replay — n = {procs}, events/process = {events}, {seeds} seeds, {attempts} attempt(s)"
-    );
-    println!(
-        "{:<24} {:<18} {:>4} {:>9} {:>10} {:>7} {:>7} {:>8} {:>9}",
-        "workload",
-        "fault",
-        "runs",
-        "detected",
-        "recovered",
-        "clean",
-        "failed",
-        "replays",
-        "avg_ms"
-    );
+    let mut table = BenchTable::new("table_recovery")
+        .param("procs", procs as u64)
+        .param("events", events)
+        .param("seeds", seeds)
+        .param("attempts", attempts);
     let mut failures = 0u64;
     for workload in Workload::PAPER.into_iter().chain(Workload::PROTOCOLS) {
         for kind in FAULT_KINDS {
@@ -141,6 +131,7 @@ fn main() {
             let mut clean = 0u64;
             let mut failed = 0u64;
             let mut replays = 0u64;
+            let mut fallbacks = 0u64;
             let mut elapsed = 0.0f64;
             for seed in 0..seeds {
                 let mut cfg = RecoverConfig {
@@ -152,17 +143,13 @@ fn main() {
                     ..RecoverConfig::default()
                 };
                 cfg.retry.max_attempts = attempts;
-                if let Some(ms) = timeout_ms {
-                    cfg.detect = cfg
-                        .detect
-                        .with_total_deadline(std::time::Duration::from_millis(ms));
-                }
                 let Some((outcome, secs)) = run_one(workload, procs, kind, &cfg) else {
                     continue;
                 };
                 injected += 1;
                 elapsed += secs;
                 replays += outcome.attempts.len() as u64;
+                fallbacks += outcome.engine_fallbacks as u64;
                 if outcome.detected {
                     detected += 1;
                 }
@@ -171,55 +158,33 @@ fn main() {
                     RecoveryVerdict::CleanAlready => clean += 1,
                     _ => failed += 1,
                 }
-                if report_path.is_some() {
-                    let mut run_report = RunReport::new(workload.name(), format!("recover/{kind}"));
-                    run_report.seed = Some(seed);
-                    run_report.procs = Some(procs as u64);
-                    run_report.events = Some(events as u64);
-                    run_report.detected = Some(outcome.detected);
-                    run_report.elapsed_secs = Some(secs);
-                    if !matches!(
-                        outcome.verdict,
-                        RecoveryVerdict::Recovered | RecoveryVerdict::CleanAlready
-                    ) {
-                        run_report.aborted = Some(outcome.verdict.name().to_owned());
-                    }
-                    report.push(
-                        run_report
-                            .counter("replays", outcome.attempts.len() as u64)
-                            .counter("engine_fallbacks", outcome.engine_fallbacks as u64)
-                            .counter(
-                                "recovered",
-                                u64::from(outcome.verdict == RecoveryVerdict::Recovered),
-                            ),
-                    );
-                }
             }
             failures += failed;
-            println!(
-                "{:<24} {:<18} {:>4} {:>9} {:>10} {:>7} {:>7} {:>8} {:>9.2}",
-                workload.name(),
-                kind,
-                injected,
-                detected,
-                recovered,
-                clean,
-                failed,
-                replays,
-                if injected > 0 {
-                    elapsed * 1000.0 / injected as f64
-                } else {
-                    0.0
-                },
+            let avg_ms = if injected > 0 {
+                elapsed * 1000.0 / injected as f64
+            } else {
+                0.0
+            };
+            table.row(
+                format!("{}.{kind}", workload.name()),
+                [
+                    exact("injected", injected),
+                    exact("detected", detected),
+                    exact("recovered", recovered),
+                    exact("clean", clean),
+                    exact("failed", failed),
+                    exact("replays", replays),
+                    exact("engine_fallbacks", fallbacks),
+                    info("avg_ms", avg_ms),
+                ],
             );
         }
     }
-    println!("\n# `clean` runs carried a fault that never produced a violating cut");
-    println!("# (structural faults are often absorbed); `failed` counts verdicts");
-    println!("# other than recovered/clean-already and should be zero.");
-    if let Some(path) = &report_path {
-        report.write_to(path).expect("write report");
-        eprintln!("# wrote {} runs to {path}", report.runs.len());
-    }
+    println!(
+        "# Detect → recovery-line → rollback → replay — n = {procs}, events/process = {events}, {seeds} seeds, {attempts} attempt(s)"
+    );
+    print!("{}", table.render_text());
     assert_eq!(failures, 0, "some runs failed to recover");
+    table.write(&out).expect("write bench artifact");
+    eprintln!("# wrote {out}");
 }

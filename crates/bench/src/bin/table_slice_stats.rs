@@ -1,84 +1,57 @@
 //! Reproduces the paper's state-space-reduction claims ("the slice has
 //! much fewer consistent cuts than the computation itself — exponentially
 //! smaller in many cases"): cut counts of computation versus slice across
-//! the workloads in this repository.
+//! the workloads in this repository. The committed baseline is
+//! `BENCH_slice_stats.json`, a `slicing.bench/v1` table.
 //!
 //! ```text
 //! cargo run --release -p slicing-bench --bin table_slice_stats -- \
-//!     [--events 14] [--cap 5000000] [--report stats.json]
+//!     [--events 14] [--cap 5000000] [--out BENCH_slice_stats.json]
 //! ```
 //!
-//! `--report <path>` writes one `slicing.bench-report/v1` run per table
-//! row, with the cut counts as counters.
-
-use std::cell::RefCell;
+//! One row per workload and predicate; every column is exact. Cut counts
+//! stop at `--cap`: `lattice_capped` and `slice_capped` mark a count that
+//! reached it, whose true value is at least the one shown.
 
 use slicing_bench::Workload;
 use slicing_computation::test_fixtures::figure1;
 use slicing_core::{slice_decomposable, SliceStats};
-use slicing_observe::{RunReport, RunReportSet};
+use slicing_observe::diff::{exact, BenchTable, Field};
 use slicing_sim::clock_sync::{self, ClockSync};
 use slicing_sim::token_ring::{no_token_spec, TokenRing};
 use slicing_sim::{run, SimConfig};
 
+/// One row's cells: the predicate, then the computation's and the
+/// slice's sizes.
+fn fields(predicate: &str, stats: &SliceStats) -> [Field; 7] {
+    [
+        exact("predicate", predicate),
+        exact("events", stats.num_events as u64),
+        exact("lattice_cuts", stats.computation_cuts.value()),
+        exact("lattice_capped", !stats.computation_cuts.is_exact()),
+        exact("slice_cuts", stats.slice_cuts.value()),
+        exact("slice_capped", !stats.slice_cuts.is_exact()),
+        exact("meta_events", stats.num_meta_events as u64),
+    ]
+}
+
 fn main() {
     let mut events: u32 = 14;
     let mut cap: u64 = 5_000_000;
-    let mut timeout_ms: Option<u64> = None;
-    let mut report_path: Option<String> = None;
+    let mut out = String::from("BENCH_slice_stats.json");
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let value = it.next().unwrap_or_else(|| panic!("{flag} needs a value"));
         match flag.as_str() {
             "--events" => events = value.parse().expect("integer"),
             "--cap" => cap = value.parse().expect("integer"),
-            "--timeout-ms" => timeout_ms = Some(value.parse().expect("integer")),
-            "--report" => report_path = Some(value),
+            "--out" => out = value,
             other => panic!("unknown flag {other}"),
         }
     }
-    let report = RefCell::new(RunReportSet::new("table_slice_stats"));
-
-    // A whole-table deadline: rows started after it has passed are skipped
-    // so a large `--events` sweep degrades to a partial table instead of
-    // hanging CI.
-    let started = std::time::Instant::now();
-    let deadline = timeout_ms.map(std::time::Duration::from_millis);
-    let expired = move || deadline.is_some_and(|d| started.elapsed() > d);
-
-    println!(
-        "{:<34} {:>8} {:>14} {:>12} {:>10} {:>12}",
-        "workload / predicate", "events", "lattice_cuts", "slice_cuts", "metas", "reduction"
-    );
-
-    let row = |name: &str, stats: &SliceStats| {
-        println!(
-            "{:<34} {:>8} {:>13}{} {:>11}{} {:>10} {:>11.1}x",
-            name,
-            stats.num_events,
-            stats.computation_cuts.value(),
-            if stats.computation_cuts.is_exact() {
-                " "
-            } else {
-                "+"
-            },
-            stats.slice_cuts.value(),
-            if stats.slice_cuts.is_exact() {
-                " "
-            } else {
-                "+"
-            },
-            stats.num_meta_events,
-            stats.reduction_factor(),
-        );
-        let mut r = RunReport::new(name, "slice-stats");
-        r.events = Some(stats.num_events as u64);
-        let r = r
-            .counter("computation_cuts", stats.computation_cuts.value())
-            .counter("slice_cuts", stats.slice_cuts.value())
-            .counter("meta_events", stats.num_meta_events as u64);
-        report.borrow_mut().push(r);
-    };
+    let mut table = BenchTable::new("table_slice_stats")
+        .param("events", events)
+        .param("cap", cap);
 
     // Figure 1.
     {
@@ -87,14 +60,12 @@ fn main() {
             .expect("fixture predicate parses");
         let conj = pred.to_conjunctive().expect("conjunctive");
         let slice = slicing_core::slice_conjunctive(&comp, &conj);
-        row(
-            "figure-1 / (x1>1)∧(x3≤3)",
-            &SliceStats::gather(&comp, &slice, Some(cap)),
-        );
+        let stats = SliceStats::gather(&comp, &slice, Some(cap));
+        table.row("figure-1", fields("(x1>1)∧(x3≤3)", &stats));
     }
 
     // Token ring: no process has the token.
-    if !expired() {
+    {
         let cfg = SimConfig {
             seed: 5,
             max_events_per_process: events,
@@ -102,35 +73,25 @@ fn main() {
         };
         let comp = run(&mut TokenRing::new(4), &cfg).expect("run builds");
         let slice = no_token_spec(&comp).slice(&comp);
-        row(
-            "token-ring / no-token",
-            &SliceStats::gather(&comp, &slice, Some(cap)),
-        );
+        let stats = SliceStats::gather(&comp, &slice, Some(cap));
+        table.row("token-ring", fields("no-token", &stats));
     }
 
     // Primary-secondary and database partitioning, fault-free and faulty.
-    for w in [Workload::PrimarySecondary, Workload::DatabasePartitioning] {
-        for faults in [0u32, 1] {
-            if expired() {
-                break;
-            }
+    for w in Workload::PAPER {
+        for (panel, faults) in [("fault-free", 0u32), ("one-fault", 1)] {
             let mut comp = w.simulate(5, events, 11);
             for f in 0..faults {
                 comp = w.inject_fault(&comp, 77 + u64::from(f));
             }
             let slice = w.violation_spec(&comp).slice(&comp);
             let stats = SliceStats::gather(&comp, &slice, Some(cap));
-            let name = format!(
-                "{} / ¬I ({})",
-                w.name(),
-                if faults == 0 { "fault-free" } else { "1 fault" }
-            );
-            row(&name, &stats);
+            table.row(format!("{}.{panel}", w.name()), fields("¬I", &stats));
         }
     }
 
     // Decomposable regular predicate on monotone clocks.
-    if !expired() {
+    {
         let cfg = SimConfig {
             seed: 99,
             max_events_per_process: events,
@@ -139,19 +100,12 @@ fn main() {
         let comp = run(&mut ClockSync::new(4), &cfg).expect("run builds");
         let clauses = clock_sync::synchronized_clauses(&comp, 2);
         let slice = slice_decomposable(&comp, &clauses);
-        row(
-            "clock-sync / |ci-cj|≤2",
-            &SliceStats::gather(&comp, &slice, Some(cap)),
-        );
+        let stats = SliceStats::gather(&comp, &slice, Some(cap));
+        table.row("clock-sync", fields("|ci-cj|≤2", &stats));
     }
 
-    if expired() {
-        println!("\n# --timeout-ms deadline passed: remaining rows skipped");
-    }
-    println!("\n(+ marks a capped count: the true value is at least the shown one; cap = {cap})");
-    if let Some(path) = &report_path {
-        let report = report.borrow();
-        report.write_to(path).expect("write report");
-        eprintln!("# wrote {} runs to {path}", report.runs.len());
-    }
+    println!("# State-space reduction — events/process = {events}, cut counts capped at {cap}");
+    print!("{}", table.render_text());
+    table.write(&out).expect("write bench artifact");
+    eprintln!("# wrote {out}");
 }

@@ -1,9 +1,10 @@
 //! Shared experiment harness for reproducing the paper's figures and
 //! tables.
 //!
-//! The binaries in `src/bin/` regenerate each figure's series (see
-//! `EXPERIMENTS.md` at the repository root); the Criterion benches in
-//! `benches/` track the same workloads as micro-benchmarks.
+//! The binaries in `src/bin/` regenerate each figure's series as a
+//! `slicing.bench/v1` table, committed at the repository root as a
+//! `BENCH_*.json` baseline (see `EXPERIMENTS.md`); the Criterion benches
+//! in `benches/` track the same workloads as micro-benchmarks.
 
 #![warn(missing_docs)]
 
@@ -14,7 +15,7 @@ use slicing_core::PredicateSpec;
 use slicing_detect::{
     detect_hybrid, detect_pom, detect_with_slicing, suggested_pom_budget, Limits,
 };
-use slicing_observe::RunReport;
+use slicing_observe::diff::{exact, gated, info, Field};
 use slicing_predicates::{FnPredicate, Predicate};
 use slicing_sim::crdt::{self, CrdtReplication};
 use slicing_sim::database::{self, DatabasePartitioning};
@@ -156,34 +157,6 @@ pub struct Sample {
     pub cuts: u64,
     /// Whether the run hit a resource limit.
     pub aborted: bool,
-    /// Per-phase wall-time breakdown, when the engine reports one.
-    pub phases: Vec<(String, Duration)>,
-}
-
-impl Sample {
-    /// Converts the sample into a [`RunReport`] row for `--report` output.
-    pub fn to_report(
-        &self,
-        workload: Workload,
-        engine: &str,
-        procs: usize,
-        events: u32,
-        seed: u64,
-    ) -> RunReport {
-        let mut r = RunReport::new(workload.name(), engine);
-        r.seed = Some(seed);
-        r.procs = Some(procs as u64);
-        r.events = Some(u64::from(events));
-        r.detected = Some(self.detected);
-        r.aborted = self.aborted.then(|| "limit".to_owned());
-        r.cuts_explored = Some(self.cuts);
-        r.peak_bytes = Some(self.bytes);
-        r.elapsed_secs = Some(self.time.as_secs_f64());
-        for (name, d) in &self.phases {
-            r = r.phase(name.clone(), d.as_secs_f64());
-        }
-        r
-    }
 }
 
 /// Runs the computation-slicing approach on one computation.
@@ -196,7 +169,6 @@ pub fn measure_slicing(workload: Workload, comp: &Computation, limits: &Limits) 
         bytes: outcome.total_peak_bytes(),
         cuts: outcome.search.cuts_explored,
         aborted: !outcome.search.completed(),
-        phases: outcome.search.phases.clone(),
     }
 }
 
@@ -226,7 +198,6 @@ pub fn measure_hybrid(workload: Workload, comp: &Computation, limits: &Limits) -
                 .map(|s| s.search.cuts_explored)
                 .unwrap_or(0),
         aborted,
-        phases: outcome.pom.phases.clone(),
     }
 }
 
@@ -240,9 +211,21 @@ pub fn measure_pom(workload: Workload, comp: &Computation, limits: &Limits) -> S
         bytes: outcome.peak_bytes,
         cuts: outcome.cuts_explored,
         aborted: !outcome.completed(),
-        phases: outcome.phases.clone(),
     }
 }
+
+/// A detection approach the paper's tables compare: the engine name its
+/// rows carry and the function that measures one computation.
+pub type Approach = (&'static str, fn(Workload, &Computation, &Limits) -> Sample);
+
+/// Slicing, then search ([`measure_slicing`]).
+pub const SLICING: Approach = ("slicing", measure_slicing);
+
+/// The partial-order-methods baseline ([`measure_pom`]).
+pub const POM: Approach = ("pom", measure_pom);
+
+/// POM first, slicing when POM's budget runs out ([`measure_hybrid`]).
+pub const HYBRID: Approach = ("hybrid", measure_hybrid);
 
 /// Aggregate of several samples (the paper averages over runs, excluding
 /// out-of-memory runs from the averages but reporting their rate).
@@ -293,67 +276,70 @@ impl Aggregate {
         agg
     }
 
-    /// Fraction of samples that hit the limit (the paper's ~6% / ~1%
-    /// out-of-memory rates).
-    pub fn abort_rate(&self) -> f64 {
-        let total = self.completed + self.aborted;
-        if total == 0 {
-            0.0
-        } else {
-            f64::from(self.aborted) / f64::from(total)
-        }
+    /// The aggregate as the cells of one `slicing.bench/v1` row. The run
+    /// counts are exact: the means leave aborted runs out, so only
+    /// `aborted` shows them. The cut and byte figures are deterministic
+    /// and gated; wall-clock is info.
+    pub fn fields(&self) -> [Field; 7] {
+        [
+            exact("completed", self.completed),
+            exact("aborted", self.aborted),
+            exact("detected", self.detections),
+            gated("mean_cuts", self.mean_cuts),
+            gated("max_cuts", self.max_cuts),
+            gated("mean_bytes", self.mean_bytes),
+            info("mean_ms", self.mean_time.as_secs_f64() * 1e3),
+        ]
     }
 }
 
-/// Runs one approach over seeds for a fixed (workload, n, events),
-/// returning the per-seed samples — for `--report` output and for
-/// aggregation via [`Aggregate::of`].
-pub fn sweep_samples(
+/// Measures every approach on the same computations, one per seed in
+/// `0..seeds` for a fixed (workload, n, events) with `faults` injected
+/// faults, and folds
+/// each approach's samples into an [`Aggregate`] under its engine name,
+/// in `approaches` order.
+///
+/// # Panics
+///
+/// When two approaches that both completed on one seed disagree on the
+/// verdict. The message names the workload, the panel (its fault count),
+/// n and the seed.
+pub fn compare(
     workload: Workload,
     procs: usize,
     events: u32,
-    seeds: std::ops::Range<u64>,
+    seeds: u64,
     faults: u32,
     limits: &Limits,
-    approach: fn(Workload, &Computation, &Limits) -> Sample,
-) -> Vec<(u64, Sample)> {
-    seeds
-        .map(|seed| {
-            let mut comp = workload.simulate(procs, events, seed);
-            for f in 0..faults {
-                comp = workload.inject_fault(&comp, seed.wrapping_mul(1009) + u64::from(f));
+    approaches: &[Approach],
+) -> Vec<(&'static str, Aggregate)> {
+    let mut samples = vec![Vec::new(); approaches.len()];
+    for seed in 0..seeds {
+        let mut comp = workload.simulate(procs, events, seed);
+        for f in 0..faults {
+            comp = workload.inject_fault(&comp, seed.wrapping_mul(1009) + u64::from(f));
+        }
+        let mut verdict: Option<(&str, bool)> = None;
+        for (&(engine, measure), runs) in approaches.iter().zip(&mut samples) {
+            let sample = measure(workload, &comp, limits);
+            if !sample.aborted {
+                let (first, detected) = *verdict.get_or_insert((engine, sample.detected));
+                assert_eq!(
+                    detected,
+                    sample.detected,
+                    "{}, {faults} injected fault(s), n = {procs}, seed {seed}: \
+                     {first} and {engine} disagree on the verdict",
+                    workload.name()
+                );
             }
-            (seed, approach(workload, &comp, limits))
-        })
+            runs.push(sample);
+        }
+    }
+    approaches
+        .iter()
+        .zip(&samples)
+        .map(|(&(engine, _), runs)| (engine, Aggregate::of(runs)))
         .collect()
-}
-
-/// Sweeps one approach over seeds for a fixed (workload, n, events).
-pub fn sweep(
-    workload: Workload,
-    procs: usize,
-    events: u32,
-    seeds: std::ops::Range<u64>,
-    faults: u32,
-    limits: &Limits,
-    approach: fn(Workload, &Computation, &Limits) -> Sample,
-) -> Aggregate {
-    let samples: Vec<Sample> =
-        sweep_samples(workload, procs, events, seeds, faults, limits, approach)
-            .into_iter()
-            .map(|(_, s)| s)
-            .collect();
-    Aggregate::of(&samples)
-}
-
-/// Formats a duration in fractional milliseconds for table output.
-pub fn ms(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64() * 1e3)
-}
-
-/// Formats bytes in KiB for table output.
-pub fn kib(bytes: f64) -> String {
-    format!("{:.1}", bytes / 1024.0)
 }
 
 #[cfg(test)]
@@ -363,46 +349,64 @@ mod tests {
     #[test]
     fn sweep_runs_both_approaches() {
         for w in Workload::PAPER.into_iter().chain(Workload::PROTOCOLS) {
-            let procs = 3;
-            let s = sweep(w, procs, 6, 0..3, 0, &Limits::none(), measure_slicing);
-            assert_eq!(s.completed + s.aborted, 3, "{w:?}");
-            assert_eq!(s.detections, 0, "{w:?}: fault-free false alarm");
-            let p = sweep(w, procs, 6, 0..3, 0, &Limits::none(), measure_pom);
-            assert_eq!(p.detections, 0, "{w:?}");
+            let aggs = compare(w, 3, 6, 3, 0, &Limits::none(), &[SLICING, POM]);
+            for (_, agg) in &aggs {
+                assert_eq!(agg.completed + agg.aborted, 3, "{w:?}");
+                assert_eq!(agg.detections, 0, "{w:?}: fault-free false alarm");
+            }
         }
     }
 
     #[test]
     fn protocol_faulty_sweeps_detect_and_agree() {
         for w in Workload::PROTOCOLS {
-            let s = sweep(w, 3, 8, 0..6, 1, &Limits::none(), measure_slicing);
-            let p = sweep(w, 3, 8, 0..6, 1, &Limits::none(), measure_pom);
-            assert_eq!(s.detections, p.detections, "{w:?}: approaches must agree");
-            assert!(s.detections > 0, "{w:?}: no injected fault was detected");
+            let aggs = compare(w, 3, 8, 6, 1, &Limits::none(), &[SLICING, POM]);
+            assert_eq!(aggs[0].1.detections, aggs[1].1.detections, "{w:?}");
+            assert!(
+                aggs[0].1.detections > 0,
+                "{w:?}: no injected fault was detected"
+            );
         }
     }
 
     #[test]
     fn faulty_sweeps_detect_sometimes() {
-        let s = sweep(
+        let aggs = compare(
             Workload::PrimarySecondary,
             3,
             8,
-            0..6,
+            6,
             1,
             &Limits::none(),
-            measure_slicing,
+            &[SLICING, POM, HYBRID],
         );
-        let p = sweep(
+        assert!(aggs
+            .iter()
+            .all(|(_, a)| a.detections == aggs[0].1.detections));
+    }
+
+    #[test]
+    #[should_panic(expected = "primary-secondary, 0 injected fault(s), n = 3, seed 0: \
+                               pom and always disagree on the verdict")]
+    fn disagreeing_verdicts_panic() {
+        fn always(_: Workload, _: &Computation, _: &Limits) -> Sample {
+            Sample {
+                detected: true,
+                time: Duration::ZERO,
+                bytes: 0,
+                cuts: 0,
+                aborted: false,
+            }
+        }
+        compare(
             Workload::PrimarySecondary,
             3,
-            8,
-            0..6,
+            6,
             1,
+            0,
             &Limits::none(),
-            measure_pom,
+            &[POM, ("always", always)],
         );
-        assert_eq!(s.detections, p.detections, "approaches must agree");
     }
 
     #[test]
@@ -414,7 +418,6 @@ mod tests {
                 bytes: 100,
                 cuts: 10,
                 aborted: false,
-                phases: Vec::new(),
             },
             Sample {
                 detected: false,
@@ -422,7 +425,6 @@ mod tests {
                 bytes: 300,
                 cuts: 30,
                 aborted: false,
-                phases: Vec::new(),
             },
             Sample {
                 detected: false,
@@ -430,7 +432,6 @@ mod tests {
                 bytes: 0,
                 cuts: 0,
                 aborted: true,
-                phases: Vec::new(),
             },
         ];
         let agg = Aggregate::of(&samples);
@@ -440,12 +441,5 @@ mod tests {
         assert_eq!(agg.mean_time, Duration::from_millis(3));
         assert!((agg.mean_bytes - 200.0).abs() < 1e-9);
         assert_eq!(agg.max_cuts, 30);
-        assert!((agg.abort_rate() - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(ms(Duration::from_millis(1)), "1.000");
-        assert_eq!(kib(2048.0), "2.0");
     }
 }

@@ -55,7 +55,7 @@ pub mod snapshot;
 
 pub use histogram::Histogram;
 pub use profile::{ProfileReport, ProfileSpan, Profiler};
-pub use report::{RunReport, RunReportSet};
+pub use report::RunReport;
 pub use sinks::{JsonlWriter, MemoryRecorder, OwnedEvent, StderrLogger};
 pub use snapshot::MetricsSnapshotter;
 

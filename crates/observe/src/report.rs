@@ -2,10 +2,8 @@
 //!
 //! A [`RunReport`] captures one detection (or simulation) run — workload,
 //! engine, scale parameters, the detection outcome, a per-phase time
-//! breakdown, and any end-of-run counters — in a stable JSON schema so
-//! that benchmark results can be regenerated and diffed mechanically. A
-//! [`RunReportSet`] wraps the runs a binary produced into a single
-//! document.
+//! breakdown, and any end-of-run counters — in a stable JSON schema that
+//! `slicing detect --report` writes.
 //!
 //! Schema (`slicing.run-report/v1`); absent optional fields are omitted:
 //!
@@ -28,16 +26,10 @@
 //! }
 //! ```
 
-use std::io::Write;
-use std::path::Path;
-
 use crate::json::{JsonArray, JsonObject};
 
 /// Identifies the per-run schema emitted by [`RunReport::to_json`].
 pub const RUN_REPORT_SCHEMA: &str = crate::schema::RUN_REPORT;
-
-/// Identifies the document schema emitted by [`RunReportSet::to_json`].
-pub const REPORT_SET_SCHEMA: &str = crate::schema::BENCH_REPORT;
 
 /// One run's report; see the module docs for the JSON shape.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -86,12 +78,6 @@ impl RunReport {
     /// Adds a named phase duration (builder style).
     pub fn phase(mut self, name: impl Into<String>, secs: f64) -> Self {
         self.phases.push((name.into(), secs));
-        self
-    }
-
-    /// Adds a named counter total (builder style).
-    pub fn counter(mut self, name: impl Into<String>, value: u64) -> Self {
-        self.counters.push((name.into(), value));
         self
     }
 
@@ -165,50 +151,6 @@ impl RunReport {
     }
 }
 
-/// A document collecting every run a binary produced.
-#[derive(Debug, Clone, Default)]
-pub struct RunReportSet {
-    /// Name of the producing binary (e.g. `"fig2_primary_secondary"`).
-    pub binary: String,
-    /// The collected runs, in production order.
-    pub runs: Vec<RunReport>,
-}
-
-impl RunReportSet {
-    /// An empty report set for `binary`.
-    pub fn new(binary: impl Into<String>) -> Self {
-        RunReportSet {
-            binary: binary.into(),
-            runs: Vec::new(),
-        }
-    }
-
-    /// Appends one run.
-    pub fn push(&mut self, run: RunReport) {
-        self.runs.push(run);
-    }
-
-    /// Renders the whole set as one JSON document.
-    pub fn to_json(&self) -> String {
-        let runs = self
-            .runs
-            .iter()
-            .fold(JsonArray::new(), |arr, run| arr.push_raw(&run.to_json()))
-            .finish();
-        JsonObject::new()
-            .str("schema", REPORT_SET_SCHEMA)
-            .str("binary", &self.binary)
-            .raw("runs", &runs)
-            .finish()
-    }
-
-    /// Writes the document to `path`, trailing newline included.
-    pub fn write_to<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
-        let mut file = std::fs::File::create(path)?;
-        writeln!(file, "{}", self.to_json())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,10 +176,8 @@ mod tests {
         r.max_stored_cuts = Some(128);
         r.peak_bytes = Some(16384);
         r.elapsed_secs = Some(0.5);
-        let r = r
-            .phase("slice", 0.25)
-            .phase("search", 0.25)
-            .counter("detect.cuts_explored", 512);
+        let mut r = r.phase("slice", 0.25).phase("search", 0.25);
+        r.counters.push(("detect.cuts_explored".to_owned(), 512));
         let json = r.to_json();
         assert!(json.contains("\"seed\":7"));
         assert!(json.contains("\"detected\":true"));
@@ -252,30 +192,5 @@ mod tests {
         r.detected = Some(false);
         r.aborted = Some("memory".to_owned());
         assert!(r.to_json().contains("\"aborted\":\"memory\""));
-    }
-
-    #[test]
-    fn report_set_wraps_runs() {
-        let mut set = RunReportSet::new("fig2_primary_secondary");
-        set.push(RunReport::new("primary-secondary", "slice"));
-        set.push(RunReport::new("primary-secondary", "pom"));
-        let json = set.to_json();
-        assert!(json.starts_with("{\"schema\":\"slicing.bench-report/v1\""));
-        assert!(json.contains("\"binary\":\"fig2_primary_secondary\""));
-        assert_eq!(json.matches("slicing.run-report/v1").count(), 2);
-    }
-
-    #[test]
-    fn write_to_emits_parseable_line() {
-        let dir = std::env::temp_dir().join("slicing-observe-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("report.json");
-        let mut set = RunReportSet::new("t");
-        set.push(RunReport::new("w", "e"));
-        set.write_to(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.ends_with('\n'));
-        assert!(text.trim_end().starts_with('{') && text.trim_end().ends_with('}'));
-        std::fs::remove_file(&path).unwrap();
     }
 }

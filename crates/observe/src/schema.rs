@@ -10,16 +10,13 @@
 //!
 //! Validation is deliberately shallow: it checks the `schema` field, the
 //! presence and JSON type of every required field, and recurses into
-//! nested runs/entries/spans. It does not constrain values — drift gating
+//! nested entries and spans. It does not constrain values — drift gating
 //! is [`crate::diff`]'s job.
 
 use crate::json::JsonValue;
 
 /// One detection (or simulation) run: [`crate::RunReport`].
 pub const RUN_REPORT: &str = "slicing.run-report/v1";
-
-/// A set of runs from one binary: [`crate::RunReportSet`].
-pub const BENCH_REPORT: &str = "slicing.bench-report/v1";
 
 /// A bench table — every committed `BENCH_*.json` baseline
 /// ([`crate::diff::BenchTable`]).
@@ -48,7 +45,6 @@ pub const SERVE_CHECKPOINT: &str = "slicing.serve-checkpoint/v1";
 /// and tools.
 pub const ALL: &[&str] = &[
     RUN_REPORT,
-    BENCH_REPORT,
     BENCH,
     RECOVERY_REPORT,
     PROFILE,
@@ -117,18 +113,6 @@ pub(crate) fn require_array<'a>(
         .ok_or_else(|| fail(format!("{at}: field {field:?} must be an array")))
 }
 
-/// Extracts and checks a document's `schema` field against `expected`.
-fn expect_schema(doc: &JsonValue, expected: &'static str, at: &str) -> Result<(), SchemaError> {
-    let actual = require_str(doc, "schema", at)?;
-    if actual == expected {
-        Ok(())
-    } else {
-        Err(fail(format!(
-            "{at}: schema is {actual:?}, expected {expected:?}"
-        )))
-    }
-}
-
 /// Validates `doc` against whichever schema its `schema` field names.
 ///
 /// Returns the canonical schema constant on success; unknown schema
@@ -140,8 +124,7 @@ pub fn validate(doc: &JsonValue) -> Result<&'static str, SchemaError> {
         .find(|s| **s == name)
         .ok_or_else(|| fail(format!("unknown schema {name:?}")))?;
     match *known {
-        RUN_REPORT => validate_run_report(doc, "run")?,
-        BENCH_REPORT => validate_bench_report(doc)?,
+        RUN_REPORT => validate_run_report(doc)?,
         BENCH => crate::diff::validate_table(doc)?,
         RECOVERY_REPORT => validate_recovery_report(doc)?,
         PROFILE => validate_profile(doc)?,
@@ -154,18 +137,17 @@ pub fn validate(doc: &JsonValue) -> Result<&'static str, SchemaError> {
     Ok(known)
 }
 
-fn validate_run_report(doc: &JsonValue, at: &str) -> Result<(), SchemaError> {
-    expect_schema(doc, RUN_REPORT, at)?;
-    require_str(doc, "workload", at)?;
-    require_str(doc, "engine", at)?;
-    for (i, phase) in require_array(doc, "phases", at)?.iter().enumerate() {
-        let pat = format!("{at}.phases[{i}]");
+fn validate_run_report(doc: &JsonValue) -> Result<(), SchemaError> {
+    require_str(doc, "workload", "document")?;
+    require_str(doc, "engine", "document")?;
+    for (i, phase) in require_array(doc, "phases", "document")?.iter().enumerate() {
+        let pat = format!("phases[{i}]");
         require_str(phase, "name", &pat)?;
         require(phase, "secs", &pat)?
             .as_f64()
             .ok_or_else(|| fail(format!("{pat}: field \"secs\" must be a number")))?;
     }
-    validate_counter_list(doc, "counters", at)?;
+    validate_counter_list(doc, "counters", "document")?;
     Ok(())
 }
 
@@ -175,14 +157,6 @@ fn validate_counter_list(doc: &JsonValue, field: &str, at: &str) -> Result<(), S
         let cat = format!("{at}.{field}[{i}]");
         require_str(counter, "name", &cat)?;
         require_u64(counter, "value", &cat)?;
-    }
-    Ok(())
-}
-
-fn validate_bench_report(doc: &JsonValue) -> Result<(), SchemaError> {
-    require_str(doc, "binary", "document")?;
-    for (i, run) in require_array(doc, "runs", "document")?.iter().enumerate() {
-        validate_run_report(run, &format!("runs[{i}]"))?;
     }
     Ok(())
 }
@@ -367,20 +341,10 @@ mod tests {
 
     #[test]
     fn run_report_round_trips_through_validate() {
-        let json = crate::RunReport::new("figure1", "bfs")
-            .counter("detect.cuts_explored", 9)
-            .phase("search", 0.25)
-            .to_json();
-        let doc = parse(&json).unwrap();
+        let mut run = crate::RunReport::new("figure1", "bfs").phase("search", 0.25);
+        run.counters.push(("detect.cuts_explored".to_owned(), 9));
+        let doc = parse(&run.to_json()).unwrap();
         assert_eq!(validate(&doc).unwrap(), RUN_REPORT);
-    }
-
-    #[test]
-    fn report_set_round_trips_through_validate() {
-        let mut set = crate::RunReportSet::new("bench");
-        set.push(crate::RunReport::new("w", "e"));
-        let doc = parse(&set.to_json()).unwrap();
-        assert_eq!(validate(&doc).unwrap(), BENCH_REPORT);
     }
 
     #[test]

@@ -314,9 +314,8 @@ fn run() -> Result<(), String> {
             let outcome = engine.detect(&comp, &pred, &spec, &limits);
             outln!("{engine}: {outcome}");
             if let Some(path) = &report {
-                // A real slicing.run-report/v1 document (the same shape
-                // the bench binaries emit), so `slicing validate` and
-                // bench tooling can consume it.
+                // A real slicing.run-report/v1 document, so `slicing
+                // validate` and other tooling can consume it.
                 let mut run =
                     slicing_observe::RunReport::new(workload_name(trace), engine_name.as_str());
                 run.procs = Some(comp.num_processes() as u64);

@@ -412,12 +412,16 @@ fn profile_folded_emits_span_paths() {
     std::fs::remove_file(&trace_path).ok();
 }
 
-/// The four committed bench tables.
-const COMMITTED_TABLES: [&str; 4] = [
+/// The eight committed bench tables.
+const COMMITTED_TABLES: [&str; 8] = [
     concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_detect.json"),
     concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_protocols.json"),
     concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_soak.json"),
     concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_serve.json"),
+    concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_figures.json"),
+    concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_oom.json"),
+    concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_slice_stats.json"),
+    concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_recovery.json"),
 ];
 
 #[test]
