@@ -1,14 +1,14 @@
 //! Cross-engine comparison on one fixed workload: how the detection
-//! engines (BFS, DFS, reverse search, partial-order methods,
-//! slice-then-search, hybrid) trade time against each other when the
+//! engines (BFS, reverse search, partial-order methods, slice-then-search,
+//! and the hybrid chain preset) trade time against each other when the
 //! predicate holds nowhere (worst case: the space must be exhausted).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use slicing_bench::Workload;
 use slicing_detect::{
-    detect_bfs, detect_dfs, detect_hybrid, detect_pom, detect_reverse_search, detect_with_slicing,
-    suggested_pom_budget, Limits,
+    detect_bfs, detect_chain, detect_pom, detect_reverse_search, detect_with_slicing, hybrid_chain,
+    Limits,
 };
 
 fn bench_engines(c: &mut Criterion) {
@@ -25,9 +25,6 @@ fn bench_engines(c: &mut Criterion) {
     group.bench_function("bfs", |b| {
         b.iter(|| detect_bfs(&comp, &comp, &pred, &limits))
     });
-    group.bench_function("dfs", |b| {
-        b.iter(|| detect_dfs(&comp, &comp, &pred, &limits))
-    });
     group.bench_function("reverse_search", |b| {
         b.iter(|| detect_reverse_search(&comp, &pred, &limits))
     });
@@ -35,10 +32,8 @@ fn bench_engines(c: &mut Criterion) {
     group.bench_function("slicing", |b| {
         b.iter(|| detect_with_slicing(&comp, &spec, &limits))
     });
-    let budget = suggested_pom_budget(&comp, 4);
-    group.bench_function("hybrid", |b| {
-        b.iter(|| detect_hybrid(&comp, &spec, budget, &limits))
-    });
+    let hybrid = hybrid_chain(&comp, &limits);
+    group.bench_function("hybrid", |b| b.iter(|| detect_chain(&comp, &spec, &hybrid)));
     group.finish();
 }
 

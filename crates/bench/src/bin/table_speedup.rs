@@ -34,9 +34,7 @@ use std::time::Instant;
 use slicing_bench::Workload;
 use slicing_computation::test_fixtures::{grid, hypercube};
 use slicing_computation::{cut_heap_allocs, ProcSet};
-use slicing_detect::{
-    detect_bfs, detect_dfs, detect_pom, detect_with_slicing, Detection, Engine, Limits,
-};
+use slicing_detect::{detect_bfs, detect_pom, detect_with_slicing, Detection, Engine, Limits};
 use slicing_observe::diff::{exact, gated, info, BenchTable, Field};
 use slicing_observe::{Level, MemoryRecorder};
 use slicing_predicates::FnPredicate;
@@ -113,12 +111,6 @@ fn main() {
         &grid_row,
         measure(Engine::Bfs, reps, || {
             outcome(&detect_bfs(&comp, &comp, &never, &limits))
-        }),
-    );
-    table.row(
-        format!("dfs.grid{grid_size}"),
-        measure(Engine::Dfs, reps, || {
-            outcome(&detect_dfs(&comp, &comp, &never, &limits))
         }),
     );
     // The partial-order baseline on the same sweep: a predicate reading

@@ -12,9 +12,7 @@ use std::time::Duration;
 
 use slicing_computation::Computation;
 use slicing_core::PredicateSpec;
-use slicing_detect::{
-    detect_hybrid, detect_pom, detect_with_slicing, suggested_pom_budget, Limits,
-};
+use slicing_detect::{detect_chain, detect_pom, detect_with_slicing, hybrid_chain, Limits};
 use slicing_observe::diff::{exact, gated, info, Field};
 use slicing_predicates::{FnPredicate, Predicate};
 use slicing_sim::crdt::{self, CrdtReplication};
@@ -172,32 +170,19 @@ pub fn measure_slicing(workload: Workload, comp: &Computation, limits: &Limits) 
     }
 }
 
-/// Runs the paper's hybrid strategy (POM under a `4·n·|E|`-entry budget,
-/// slicing fallback) on one computation.
+/// Runs the paper's hybrid strategy ([`hybrid_chain`]: POM under a
+/// `4·n·|E|`-entry budget, slicing fallback) on one computation. Time,
+/// bytes and cuts sum over both attempts when POM falls through.
 pub fn measure_hybrid(workload: Workload, comp: &Computation, limits: &Limits) -> Sample {
     let spec = workload.violation_spec(comp);
-    let budget = suggested_pom_budget(comp, 4);
-    let outcome = detect_hybrid(comp, &spec, budget, limits);
-    let aborted = match &outcome.slicing {
-        Some(s) => !s.search.completed(),
-        None => false,
-    };
+    let outcome = detect_chain(comp, &spec, &hybrid_chain(comp, limits));
+    let attempts = &outcome.attempts;
     Sample {
         detected: outcome.detected(),
-        time: outcome.total_elapsed(),
-        bytes: outcome.pom.peak_bytes
-            + outcome
-                .slicing
-                .as_ref()
-                .map(|s| s.total_peak_bytes())
-                .unwrap_or(0),
-        cuts: outcome.pom.cuts_explored
-            + outcome
-                .slicing
-                .as_ref()
-                .map(|s| s.search.cuts_explored)
-                .unwrap_or(0),
-        aborted,
+        time: attempts.iter().map(|a| a.total_elapsed()).sum(),
+        bytes: attempts.iter().map(|a| a.total_peak_bytes()).sum(),
+        cuts: attempts.iter().map(|a| a.detection.cuts_explored).sum(),
+        aborted: outcome.exhausted,
     }
 }
 

@@ -14,9 +14,7 @@ use slicing_bench::Workload;
 use slicing_computation::lattice::count_cuts;
 use slicing_computation::test_fixtures::{figure1, grid, random_computation, RandomConfig};
 use slicing_computation::{cut_heap_allocs, Computation, Cut, ProcSet};
-use slicing_detect::{
-    detect_bfs, detect_dfs, detect_pom, detect_reverse_search, detect_with_slicing, Limits,
-};
+use slicing_detect::{detect_bfs, detect_pom, detect_reverse_search, detect_with_slicing, Limits};
 use slicing_observe::{Level, MemoryRecorder, OwnedEvent};
 use slicing_predicates::{expr::parse_predicate, FnPredicate};
 use slicing_recover::{recovery_line, LineMethod, RecoverConfig, RecoveryLine};
@@ -25,11 +23,10 @@ use slicing_sim::{inject_plan, primary_secondary, sample_fault_plan};
 /// (detected, witness size, cuts explored) for one engine run.
 type Row = (bool, Option<u64>, u64);
 
-fn check(tag: &str, comp: &Computation, pred: &FnPredicate, expect: [Row; 4]) {
+fn check(tag: &str, comp: &Computation, pred: &FnPredicate, expect: [Row; 3]) {
     let l = Limits::none();
     let rows = [
         ("bfs", detect_bfs(comp, comp, pred, &l)),
-        ("dfs", detect_dfs(comp, comp, pred, &l)),
         ("pom", detect_pom(comp, pred, &l)),
         ("rev", detect_reverse_search(comp, pred, &l)),
     ];
@@ -52,43 +49,27 @@ fn random_computations_match_the_old_kernel() {
         send_percent: 40,
         recv_percent: 40,
     };
-    // seed → (bfs, dfs, pom, rev) rows.
-    let table: [(u64, [Row; 4]); 4] = [
+    // seed → (bfs, pom, rev) rows.
+    let table: [(u64, [Row; 3]); 4] = [
         (
             1,
             [
                 (true, Some(7), 25),
-                (true, Some(13), 27),
                 (true, Some(13), 27),
                 (true, Some(8), 160),
             ],
         ),
         (
             7,
-            [
-                (true, Some(6), 8),
-                (true, Some(11), 8),
-                (true, Some(11), 8),
-                (true, Some(11), 8),
-            ],
+            [(true, Some(6), 8), (true, Some(11), 8), (true, Some(11), 8)],
         ),
         (
             13,
-            [
-                (true, Some(7), 29),
-                (true, Some(7), 4),
-                (true, Some(7), 4),
-                (true, Some(8), 5),
-            ],
+            [(true, Some(7), 29), (true, Some(7), 4), (true, Some(8), 5)],
         ),
         (
             42,
-            [
-                (true, Some(4), 1),
-                (true, Some(4), 1),
-                (true, Some(4), 1),
-                (true, Some(4), 1),
-            ],
+            [(true, Some(4), 1), (true, Some(4), 1), (true, Some(4), 1)],
         ),
     ];
     for (seed, expect) in table {
@@ -124,12 +105,7 @@ fn exhaustive_grid_sweep_matches_the_old_kernel() {
         "grid12",
         &comp,
         &never,
-        [
-            (false, None, 169),
-            (false, None, 169),
-            (false, None, 169),
-            (false, None, 169),
-        ],
+        [(false, None, 169), (false, None, 169), (false, None, 169)],
     );
 }
 

@@ -104,7 +104,7 @@ fn primary_secondary_slice_keeps_two_ranks_live() {
     let spec = w.violation_spec(&faulty);
     let d = detect_with_slicing(&faulty, &spec, &Limits::none()).search;
     assert!(d.completed(), "aborted under no limits: {:?}", d.aborted);
-    let reference = reference_bfs(&spec.slice(&faulty), &faulty, &SpecPredicate(&spec));
+    let reference = reference_bfs(&spec.slice(&faulty), &faulty, &SpecPredicate::new(&spec));
     assert_eq!(d.found, reference.found, "witness vs reference");
     assert_eq!(
         d.cuts_explored, reference.cuts_explored,

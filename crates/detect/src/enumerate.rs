@@ -1,9 +1,9 @@
-//! Breadth-first (level-order) and depth-first predicate detection by
-//! explicit lattice enumeration (Cooper–Marzullo style), over any
-//! [`CutSpace`] — a computation or a slice. Every space is graded (its
-//! successors are upper covers), so the level-order engine walks it rank
-//! by rank and keeps two layers of cuts alive; the depth-first engine
-//! keeps every cut it visits.
+//! Level-order predicate detection by explicit lattice enumeration
+//! (Cooper–Marzullo style), over any [`CutSpace`] — a computation, a
+//! slice, or the cuts a controller can keep a predicate true through
+//! ([`detect_controllable`](crate::detect_controllable)). Every space is
+//! graded (its successors are upper covers), so the engine walks it rank
+//! by rank and keeps two layers of cuts alive.
 
 use std::time::Instant;
 
@@ -313,74 +313,6 @@ impl Store for Layers {
     }
 }
 
-/// Depth-first variant of [`detect_bfs`]. Explores the same cut set but
-/// stores every visited cut; the traversal order differs, which matters
-/// when the predicate holds somewhere and the search can stop early.
-pub fn detect_dfs<S: CutSpace + ?Sized, P: Predicate + ?Sized>(
-    space: &S,
-    comp: &Computation,
-    pred: &P,
-    limits: &Limits,
-) -> Detection {
-    let _span = slicing_observe::span("detect.dfs");
-    let start = Instant::now();
-    let mut tracker = Tracker::default();
-    let entry_bytes = Tracker::hash_entry_bytes(space.num_processes());
-
-    let Some(bottom) = space.bottom() else {
-        return tracker.finish(None, start.elapsed(), None);
-    };
-
-    // Same arena-index frontier as BFS (see above), LIFO order.
-    let mut visited = CutSet::new(space.num_processes());
-    let mut stack: Vec<u32> = Vec::new();
-    let bottom_idx = visited.insert_indexed(&bottom).expect("empty set");
-    tracker.store_cut(entry_bytes);
-    stack.push(bottom_idx);
-    tracker.charge(entry_bytes);
-
-    let mut found = None;
-    let mut aborted = None;
-    let mut cut = bottom;
-    while let Some(idx) = stack.pop() {
-        cut.copy_from_counts(visited.counts_at(idx));
-        tracker.release(entry_bytes);
-        tracker.cuts_explored += 1;
-        if tracker.cuts_explored.is_multiple_of(GAUGE_SAMPLE_EVERY) {
-            slicing_observe::gauge("detect.dfs.frontier", stack.len() as u64);
-            slicing_observe::gauge("detect.dfs.visited", visited.len() as u64);
-        }
-        match pred.try_eval(&GlobalState::new(comp, &cut)) {
-            Ok(true) => {
-                found = Some(cut);
-                break;
-            }
-            Ok(false) => {}
-            Err(_) => {
-                aborted = Some(AbortReason::PredicateError);
-                break;
-            }
-        }
-        if let Some(reason) = tracker.over_limit(limits, start) {
-            aborted = Some(reason);
-            break;
-        }
-        space.for_each_successor(&cut, &mut |next| {
-            if let Some(next_idx) = visited.insert_indexed(next) {
-                tracker.store_cut(entry_bytes);
-                stack.push(next_idx);
-                tracker.charge(entry_bytes);
-            }
-        });
-        if visited.saturated() {
-            aborted = Some(AbortReason::ArenaFull);
-            break;
-        }
-    }
-    emit_visited_stats(visited.stats());
-    tracker.finish(found, start.elapsed(), aborted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,9 +341,6 @@ mod tests {
         let d = detect_bfs(&comp, &comp, &pred, &Limits::none());
         assert!(!d.detected());
         assert_eq!(d.cuts_explored, 28);
-        let d = detect_dfs(&comp, &comp, &pred, &Limits::none());
-        assert!(!d.detected());
-        assert_eq!(d.cuts_explored, 28);
     }
 
     #[test]
@@ -428,30 +357,6 @@ mod tests {
             .min()
             .unwrap();
         assert_eq!(witness.size(), min_size);
-    }
-
-    #[test]
-    fn dfs_and_bfs_agree_on_random_instances() {
-        let cfg = RandomConfig {
-            processes: 3,
-            events_per_process: 4,
-            value_range: 3,
-            ..RandomConfig::default()
-        };
-        for seed in 0..30 {
-            let comp = random_computation(seed, &cfg);
-            let x0 = comp.var(comp.process(0), "x").unwrap();
-            let x1 = comp.var(comp.process(1), "x").unwrap();
-            let t = (seed % 3) as i64;
-            let pred = FnPredicate::new(ProcSet::all(3), "x0 + x1 == t", move |st| {
-                st.get(x0).expect_int() + st.get(x1).expect_int() == t
-            });
-            let b = detect_bfs(&comp, &comp, &pred, &Limits::none());
-            let d = detect_dfs(&comp, &comp, &pred, &Limits::none());
-            assert_eq!(b.detected(), d.detected(), "seed {seed}");
-            let oracle = !satisfying_cuts(&comp, |st| pred.eval(st)).is_empty();
-            assert_eq!(b.detected(), oracle, "seed {seed} oracle");
-        }
     }
 
     #[test]
@@ -537,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn predicate_error_aborts_bfs_and_dfs() {
+    fn predicate_error_aborts_bfs() {
         use slicing_computation::{ComputationBuilder, Value};
         // x declared Int, flipped to Bool: the expression errors at the
         // second cut of the sweep.
@@ -546,13 +451,9 @@ mod tests {
         b.step(b.process(0), &[(x, Value::Bool(true))]);
         let comp = b.build().unwrap();
         let pred = parse_predicate(&comp, "x@0 > 1").unwrap();
-        for d in [
-            detect_bfs(&comp, &comp, &pred, &Limits::none()),
-            detect_dfs(&comp, &comp, &pred, &Limits::none()),
-        ] {
-            assert!(!d.detected());
-            assert_eq!(d.aborted, Some(crate::AbortReason::PredicateError));
-        }
+        let d = detect_bfs(&comp, &comp, &pred, &Limits::none());
+        assert!(!d.detected());
+        assert_eq!(d.aborted, Some(crate::AbortReason::PredicateError));
     }
 
     #[test]

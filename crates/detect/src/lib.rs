@@ -5,12 +5,12 @@
 //! `O(kⁿ)` elements. This crate implements the approaches the paper
 //! compares, all instrumented with deterministic time/space metrics:
 //!
-//! - [`detect_bfs`] / [`detect_dfs`]: explicit lattice enumeration
-//!   (Cooper–Marzullo style) over any [`CutSpace`] — a computation **or a
-//!   slice**, which is how slicing plugs in. BFS is level-order: on a
-//!   computation it keeps only two lattice layers of cuts alive (peak
-//!   memory O(widest layer), not O(lattice)) with the verdict, witness and
-//!   explored count of a global-visited-set BFS;
+//! - [`detect_bfs`]: explicit lattice enumeration (Cooper–Marzullo
+//!   style) over any [`CutSpace`] — a computation **or a slice**, which is
+//!   how slicing plugs in. It is level-order: it keeps only two lattice
+//!   layers of cuts alive (peak memory O(widest layer), not O(lattice))
+//!   with the verdict, witness and explored count of a global-visited-set
+//!   BFS;
 //! - [`detect_pom`]: selective search with persistent sets and sleep sets
 //!   — the partial-order-methods baseline (Stoller–Unnikrishnan–Liu) the
 //!   paper evaluates against;
@@ -19,14 +19,18 @@
 //! - [`detect_with_slicing`]: the paper's pipeline — compute the slice for
 //!   a [`PredicateSpec`](slicing_core::PredicateSpec), then search its few
 //!   cuts evaluating the exact predicate;
-//! - [`definitely`]: the `definitely` modality (every observation passes
-//!   through a satisfying cut), as an extension;
-//! - [`detect_resilient`]: graceful degradation — a chain of the above
-//!   engines under per-engine budgets, falling through on exhaustion.
+//! - [`detect_controllable`], [`definitely`] and [`invariant`]: the other
+//!   modalities, as extensions; the two path searches (`definitely: b` is
+//!   `¬controllable: ¬b`) run on the level-order engine;
+//! - [`detect_chain`]: graceful degradation — an ordered list of the
+//!   above engines under per-engine budgets, falling through on
+//!   exhaustion. [`detect_resilient`] runs the default chain (slicing,
+//!   POM, BFS); [`hybrid_chain`] is the paper's Section 5.1 hybrid (POM
+//!   under a small memory budget, then slicing).
 //!
 //! [`Engine`] is the one registry of engine names (`slicing`, `hybrid`,
-//! `pom`, `bfs`, `dfs`, `reverse`): the CLI, the resilient chain and the
-//! test kit all parse and dispatch through it.
+//! `pom`, `bfs`, `reverse`): the CLI, the chains and the test kit all
+//! parse and dispatch through it.
 //!
 //! The [`testkit`] module (and the [`engine_matrix!`](engine_matrix)
 //! macro) run any of these engines against the brute-force lattice oracle
@@ -56,9 +60,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-mod definitely;
 mod enumerate;
-mod hybrid;
 mod metrics;
 mod modalities;
 mod monitor;
@@ -70,11 +72,11 @@ pub mod serve_checkpoint;
 mod slicing;
 pub mod testkit;
 
-pub use definitely::{definitely, detect_not_definitely};
-pub use enumerate::{detect_bfs, detect_dfs, detect_lean};
-pub use hybrid::{detect_hybrid, suggested_pom_budget, HybridDetection, HybridPhase};
+pub use enumerate::{detect_bfs, detect_lean};
 pub use metrics::{AbortReason, Detection, Limits};
-pub use modalities::{controllable, detect_controllable, invariant, invariant_via_slicing};
+pub use modalities::{
+    controllable, definitely, detect_controllable, invariant, invariant_via_slicing,
+};
 pub use monitor::OnlineMonitor;
 pub use multiplex::{
     AlarmReport, GcConfig, GroupState, HubAlarm, HubState, HubStats, MonitorHub, SlotState,
@@ -82,7 +84,8 @@ pub use multiplex::{
 };
 pub use pom::detect_pom;
 pub use resilient::{
-    detect_resilient, Engine, ParseEngineError, ResilientConfig, ResilientDetection, SpecPredicate,
+    detect_chain, detect_resilient, hybrid_chain, suggested_pom_budget, Attempt, Engine,
+    ParseEngineError, ResilientConfig, ResilientDetection, SpecPredicate,
 };
 pub use reverse_search::detect_reverse_search;
 pub use slicing::{detect_on_slice, detect_with_slicing, SliceDetection};

@@ -178,56 +178,6 @@ impl Detection {
     pub fn completed(&self) -> bool {
         self.aborted.is_none()
     }
-
-    /// The duration of the named phase, if recorded.
-    pub fn phase(&self, name: &str) -> Option<Duration> {
-        self.phases.iter().find(|(n, _)| n == name).map(|&(_, d)| d)
-    }
-
-    /// Renders the detection as one JSON object with a stable field set:
-    ///
-    /// ```json
-    /// {"detected":true,"witness":[1,2,2],"cuts_explored":9,
-    ///  "max_stored_cuts":4,"peak_bytes":256,"elapsed_secs":0.001,
-    ///  "aborted":null,"phases":[{"name":"slice","secs":0.0004}]}
-    /// ```
-    pub fn to_json(&self) -> String {
-        use slicing_observe::json::{JsonArray, JsonObject};
-        let mut obj = JsonObject::new().bool("detected", self.detected());
-        obj = match &self.found {
-            Some(cut) => {
-                let witness = (0..cut.num_processes())
-                    .fold(JsonArray::new(), |arr, p| {
-                        arr.push_raw(
-                            &cut.count(slicing_computation::ProcessId::new(p))
-                                .to_string(),
-                        )
-                    })
-                    .finish();
-                obj.raw("witness", &witness)
-            }
-            None => obj.raw("witness", "null"),
-        };
-        obj = obj
-            .u64("cuts_explored", self.cuts_explored)
-            .u64("max_stored_cuts", self.max_stored_cuts)
-            .u64("peak_bytes", self.peak_bytes)
-            .f64("elapsed_secs", self.elapsed.as_secs_f64())
-            .opt_str("aborted", self.aborted.map(AbortReason::code));
-        let phases = self
-            .phases
-            .iter()
-            .fold(JsonArray::new(), |arr, (name, d)| {
-                arr.push_raw(
-                    &JsonObject::new()
-                        .str("name", name)
-                        .f64("secs", d.as_secs_f64())
-                        .finish(),
-                )
-            })
-            .finish();
-        obj.raw("phases", &phases).finish()
-    }
 }
 
 impl fmt::Display for Detection {
@@ -482,34 +432,5 @@ mod tests {
         };
         assert!(!a.completed());
         assert!(a.to_string().contains("memory limit"));
-    }
-
-    #[test]
-    fn detection_json_is_stable() {
-        let mut d = Detection {
-            found: Some(Cut::from(vec![1, 2, 2])),
-            cuts_explored: 9,
-            max_stored_cuts: 4,
-            peak_bytes: 256,
-            elapsed: Duration::from_millis(2),
-            aborted: None,
-            phases: vec![("slice".to_owned(), Duration::from_millis(1))],
-        };
-        let json = d.to_json();
-        assert!(json.starts_with("{\"detected\":true,\"witness\":[1,2,2],"));
-        assert!(json.contains("\"cuts_explored\":9"));
-        assert!(json.contains("\"aborted\":null"));
-        assert!(json.contains("{\"name\":\"slice\",\"secs\":0.001}"));
-        assert_eq!(d.phase("slice"), Some(Duration::from_millis(1)));
-        assert_eq!(d.phase("missing"), None);
-
-        d.found = None;
-        d.aborted = Some(AbortReason::CutLimit);
-        let json = d.to_json();
-        assert!(json.contains("\"detected\":false,\"witness\":null"));
-        assert!(json.contains("\"aborted\":\"cuts\""));
-
-        d.aborted = Some(AbortReason::LiveCutLimit);
-        assert!(d.to_json().contains("\"aborted\":\"live-cuts\""));
     }
 }

@@ -1,22 +1,29 @@
-//! The engine registry and graceful degradation across it.
+//! The engine registry and the one fallthrough chain over it.
 //!
 //! [`Engine`] names every detection engine once: it parses from the names
 //! the CLI accepts ([`FromStr`]) and dispatches a run
 //! ([`Engine::detect`]), so the CLI, the differential test kit and the
-//! degradation chain share one table.
+//! chain share one table.
 //!
-//! [`detect_resilient`] tries the cheapest suitable engine first and falls
-//! through to progressively more general ones whenever a budget (memory,
-//! cut count, or deadline) is exhausted, so a single engine hitting its
-//! limit degrades the run instead of failing it. The default chain mirrors
-//! the paper's preference order: slice-then-search (exponentially cheaper
-//! when the predicate slices well), the hybrid strategy of Section 5.1,
-//! the partial-order-methods baseline, and finally level-order
-//! enumeration (two lattice layers of live cuts) as the engine of last
-//! resort.
+//! [`detect_chain`] runs an ordered list of (engine, budget) pairs and
+//! falls through to the next pair whenever a budget (memory, cut count,
+//! or deadline) is exhausted, so a single engine hitting its limit
+//! degrades the run instead of failing it. Two presets feed it:
+//!
+//! - [`detect_resilient`], the default chain in the paper's preference
+//!   order: slice-then-search (exponentially cheaper when the predicate
+//!   slices well), the partial-order-methods baseline, and level-order
+//!   enumeration (two lattice layers of live cuts) as the engine of last
+//!   resort;
+//! - [`hybrid_chain`], the paper's Section 5.1 hybrid: "predicate
+//!   detection can be first done using the partial-order methods approach.
+//!   In case it turns out that the approach is using too much memory … it
+//!   can be aborted and the computation slicing approach can then be
+//!   used." [`Engine::Hybrid`] runs it.
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::Duration;
 
 use slicing_computation::{Computation, Cut, GlobalState, ProcSet};
@@ -24,9 +31,8 @@ use slicing_core::PredicateSpec;
 use slicing_observe::Level;
 use slicing_predicates::Predicate;
 
-use crate::enumerate::{detect_bfs, detect_dfs};
-use crate::hybrid::{detect_hybrid, suggested_pom_budget, HybridPhase};
-use crate::metrics::{AbortReason, Detection, Limits};
+use crate::enumerate::detect_bfs;
+use crate::metrics::{Detection, Limits, Tracker};
 use crate::pom::detect_pom;
 use crate::reverse_search::detect_reverse_search;
 use crate::slicing::detect_with_slicing;
@@ -36,14 +42,12 @@ use crate::slicing::detect_with_slicing;
 pub enum Engine {
     /// Slice-then-search ([`detect_with_slicing`]).
     Slicing,
-    /// The paper's hybrid strategy ([`detect_hybrid`]).
+    /// The paper's hybrid: the [`hybrid_chain`] preset.
     Hybrid,
     /// Partial-order methods ([`detect_pom`]).
     Pom,
     /// Level-order lattice enumeration ([`detect_bfs`]).
     Bfs,
-    /// Depth-first lattice enumeration ([`detect_dfs`]).
-    Dfs,
     /// Polynomial-space reverse search
     /// ([`detect_reverse_search`](crate::detect_reverse_search)).
     Reverse,
@@ -51,12 +55,11 @@ pub enum Engine {
 
 impl Engine {
     /// Every engine, in registry order.
-    pub const ALL: [Engine; 6] = [
+    pub const ALL: [Engine; 5] = [
         Engine::Slicing,
         Engine::Hybrid,
         Engine::Pom,
         Engine::Bfs,
-        Engine::Dfs,
         Engine::Reverse,
     ];
 
@@ -67,7 +70,6 @@ impl Engine {
             Engine::Hybrid => "hybrid",
             Engine::Pom => "pom",
             Engine::Bfs => "bfs",
-            Engine::Dfs => "dfs",
             Engine::Reverse => "reverse",
         }
     }
@@ -76,9 +78,8 @@ impl Engine {
     ///
     /// The lattice engines evaluate `pred` directly; the slice-based ones
     /// (slicing, hybrid) slice `spec`, which must denote the same
-    /// predicate. The hybrid returns the detection of the phase that
-    /// answered, with [`suggested_pom_budget`] as its partial-order
-    /// budget.
+    /// predicate. The hybrid returns the detection of the attempt that
+    /// answered ([`ResilientDetection::into_detection`]).
     pub fn detect<P: Predicate + ?Sized>(
         self,
         comp: &Computation,
@@ -88,22 +89,13 @@ impl Engine {
     ) -> Detection {
         match self {
             Engine::Slicing => detect_with_slicing(comp, spec, limits).search,
-            Engine::Hybrid => hybrid(comp, spec, suggested_pom_budget(comp, 4), limits),
+            Engine::Hybrid => {
+                detect_chain(comp, spec, &hybrid_chain(comp, limits)).into_detection()
+            }
             Engine::Pom => detect_pom(comp, pred, limits),
             Engine::Bfs => detect_bfs(comp, comp, pred, limits),
-            Engine::Dfs => detect_dfs(comp, comp, pred, limits),
             Engine::Reverse => detect_reverse_search(comp, pred, limits),
         }
-    }
-}
-
-/// The hybrid run's answer: the partial-order detection, or the slicing
-/// one when the partial-order phase ran out of budget.
-fn hybrid(comp: &Computation, spec: &PredicateSpec, pom_budget: u64, limits: &Limits) -> Detection {
-    let h = detect_hybrid(comp, spec, pom_budget, limits);
-    match h.phase {
-        HybridPhase::PartialOrder => h.pom,
-        HybridPhase::Slicing => h.slicing.expect("slicing phase ran").search,
     }
 }
 
@@ -116,8 +108,8 @@ impl fmt::Display for Engine {
 /// Why a name does not parse as an [`Engine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseEngineError {
-    /// The name of an engine folded into `bfs`: `lean`, `parallel` or
-    /// `lean-parallel`. Level-order search now keeps lean's two layers of
+    /// The name of an engine folded into `bfs`: `lean`, `parallel`,
+    /// `lean-parallel` or `dfs`. Level-order search keeps two layers of
     /// live cuts on one thread.
     Retired(String),
     /// A name that is not in the registry.
@@ -157,7 +149,7 @@ impl FromStr for Engine {
             return Ok(engine);
         }
         match name {
-            "lean" | "parallel" | "lean-parallel" => {
+            "lean" | "parallel" | "lean-parallel" | "dfs" => {
                 Err(ParseEngineError::Retired(name.to_owned()))
             }
             _ => Err(ParseEngineError::Unknown(name.to_owned())),
@@ -166,30 +158,79 @@ impl FromStr for Engine {
 }
 
 /// A [`PredicateSpec`] viewed as a plain [`Predicate`], for the engines
-/// that evaluate one (the spec-taking engines slice it instead).
+/// that evaluate one (the spec-taking engines slice it instead), and the
+/// residual predicate of a slice search.
+///
+/// Top-level conjunctions carry a *failed-clause hint*: lattice-adjacent
+/// cuts tend to fail the same conjunct, so remembering the last refuting
+/// child and trying it first turns the common reject into one child eval
+/// instead of a scan to the refuting position. Conjunction is
+/// order-blind, so the verdict is bit-identical to in-order evaluation.
 #[derive(Debug)]
-pub struct SpecPredicate<'s>(pub &'s PredicateSpec);
+pub struct SpecPredicate<'s> {
+    spec: &'s PredicateSpec,
+    failed_clause: AtomicUsize,
+}
 
-impl Predicate for SpecPredicate<'_> {
-    fn support(&self) -> ProcSet {
-        self.0.support()
-    }
-    fn eval(&self, state: &GlobalState<'_>) -> bool {
-        self.0.eval(state)
+impl<'s> SpecPredicate<'s> {
+    /// Wraps `spec`, with no clause hinted yet.
+    pub fn new(spec: &'s PredicateSpec) -> Self {
+        SpecPredicate {
+            spec,
+            failed_clause: AtomicUsize::new(usize::MAX),
+        }
     }
 }
 
-/// Per-engine budgets for a [`detect_resilient`] run. `None` disables the
-/// engine entirely (it is skipped, not attempted).
+impl Predicate for SpecPredicate<'_> {
+    fn support(&self) -> ProcSet {
+        self.spec.support()
+    }
+
+    fn eval(&self, state: &GlobalState<'_>) -> bool {
+        let PredicateSpec::And(children) = self.spec else {
+            return self.spec.eval(state);
+        };
+        let hint = self.failed_clause.load(Relaxed);
+        if let Some(c) = children.get(hint) {
+            if !c.eval(state) {
+                return false;
+            }
+        }
+        for (i, c) in children.iter().enumerate() {
+            if i != hint && !c.eval(state) {
+                self.failed_clause.store(i, Relaxed);
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// The paper's suggested partial-order budget: `c·n·|E|` for some small
+/// constant `c`, in bytes of cut entries.
+pub fn suggested_pom_budget(comp: &Computation, c: u64) -> u64 {
+    c * comp.num_events() as u64 * Tracker::hash_entry_bytes(comp.num_processes())
+}
+
+/// The paper's hybrid as a [`detect_chain`] preset: partial-order methods
+/// under [`suggested_pom_budget`] with `c = 4` (or `limits.max_bytes`,
+/// if smaller), then slice-then-search under `limits`.
+pub fn hybrid_chain(comp: &Computation, limits: &Limits) -> [(Engine, Limits); 2] {
+    let budget = suggested_pom_budget(comp, 4);
+    let pom = Limits {
+        max_bytes: Some(budget.min(limits.max_bytes.unwrap_or(u64::MAX))),
+        ..*limits
+    };
+    [(Engine::Pom, pom), (Engine::Slicing, *limits)]
+}
+
+/// Per-engine budgets of the default chain ([`detect_resilient`]). `None`
+/// disables the engine entirely (it is skipped, not attempted).
 #[derive(Debug, Clone)]
 pub struct ResilientConfig {
     /// Budget of the slice-then-search attempt.
     pub slicing: Option<Limits>,
-    /// Budget of the hybrid attempt.
-    pub hybrid: Option<Limits>,
-    /// Byte budget handed to the hybrid's partial-order phase; `None`
-    /// means [`suggested_pom_budget`] with the paper's small constant.
-    pub hybrid_pom_budget: Option<u64>,
     /// Budget of the partial-order-methods attempt.
     pub pom: Option<Limits>,
     /// Budget of the last-resort level-order attempt. Pairs naturally with
@@ -212,8 +253,6 @@ impl ResilientConfig {
     pub fn uniform(limits: Limits) -> Self {
         ResilientConfig {
             slicing: Some(limits),
-            hybrid: Some(limits),
-            hybrid_pom_budget: None,
             pom: Some(limits),
             bfs: Some(limits),
         }
@@ -222,46 +261,52 @@ impl ResilientConfig {
     /// Splits a wall-clock budget evenly over the enabled engines, on top
     /// of the existing per-engine limits.
     pub fn with_total_deadline(mut self, total: Duration) -> Self {
-        let enabled = [
-            self.slicing.is_some(),
-            self.hybrid.is_some(),
-            self.pom.is_some(),
-            self.bfs.is_some(),
-        ]
-        .iter()
-        .filter(|&&on| on)
-        .count() as u32;
-        if enabled == 0 {
-            return self;
-        }
-        let share = total / enabled;
-        for slot in [
-            &mut self.slicing,
-            &mut self.hybrid,
-            &mut self.pom,
-            &mut self.bfs,
-        ] {
-            if let Some(l) = slot.take() {
-                *slot = Some(l.with_deadline(share));
+        let slots = [&mut self.slicing, &mut self.pom, &mut self.bfs];
+        let enabled = slots.iter().filter(|slot| slot.is_some()).count() as u32;
+        if enabled > 0 {
+            for limits in slots.into_iter().flatten() {
+                *limits = limits.with_deadline(total / enabled);
             }
         }
         self
     }
 }
 
-/// The outcome of a [`detect_resilient`] run.
+/// One engine's run in a chain, with what it cost.
+#[derive(Debug, Clone)]
+pub struct Attempt {
+    /// The engine that ran.
+    pub engine: Engine,
+    /// Its search; `aborted` is set when the chain fell through it.
+    pub detection: Detection,
+    /// Time spent building the slice; zero for the engines that do not
+    /// slice.
+    pub slicing_elapsed: Duration,
+    /// Tracked bytes of the slice; zero for the engines that do not slice.
+    pub slice_bytes: u64,
+}
+
+impl Attempt {
+    /// Wall time of the attempt, the slice build included.
+    pub fn total_elapsed(&self) -> Duration {
+        self.slicing_elapsed + self.detection.elapsed
+    }
+
+    /// Peak tracked bytes of the attempt, the slice included.
+    pub fn total_peak_bytes(&self) -> u64 {
+        self.slice_bytes + self.detection.peak_bytes
+    }
+}
+
+/// The outcome of a [`detect_chain`] run.
 #[derive(Debug, Clone)]
 pub struct ResilientDetection {
-    /// The engine that produced the final verdict (the first one to finish
-    /// within budget, or the last attempted engine when all exhausted).
-    pub engine: Engine,
-    /// Every attempt in order, with the abort reason of the ones that fell
-    /// through (`None` marks the engine that completed).
-    pub attempts: Vec<(Engine, Option<AbortReason>)>,
-    /// The final engine's detection result.
-    pub detection: Detection,
-    /// `true` when every enabled engine exhausted its budget; the
-    /// `detection` verdict is then *inconclusive*, not a clean "absent".
+    /// Every attempt in chain order. The last one gave the verdict: the
+    /// first to finish within budget, or the last engine of an exhausted
+    /// chain.
+    pub attempts: Vec<Attempt>,
+    /// `true` when every engine exhausted its budget; the verdict is then
+    /// *inconclusive*, not a clean "absent".
     pub exhausted: bool,
     /// The bottom of the slice of the spec, when the slicing engine gave
     /// the verdict on a non-empty slice; `None` when another engine
@@ -271,9 +316,50 @@ pub struct ResilientDetection {
 }
 
 impl ResilientDetection {
+    fn last(&self) -> &Attempt {
+        self.attempts
+            .last()
+            .expect("a chain runs at least one engine")
+    }
+
+    /// The engine that gave the verdict.
+    pub fn engine(&self) -> Engine {
+        self.last().engine
+    }
+
+    /// The detection of the engine that gave the verdict.
+    pub fn detection(&self) -> &Detection {
+        &self.last().detection
+    }
+
+    /// The detection of the engine that gave the verdict, with one phase
+    /// per attempt in chain order: an engine's own phases (the slice and
+    /// search of slice-then-search), or its name and wall time.
+    pub fn into_detection(self) -> Detection {
+        let mut phases = Vec::new();
+        let mut last = None;
+        for Attempt {
+            engine,
+            mut detection,
+            ..
+        } in self.attempts
+        {
+            if detection.phases.is_empty() {
+                detection
+                    .phases
+                    .push((engine.name().to_owned(), detection.elapsed));
+            }
+            phases.append(&mut detection.phases);
+            last = Some(detection);
+        }
+        let mut detection = last.expect("a chain runs at least one engine");
+        detection.phases = phases;
+        detection
+    }
+
     /// `true` if a violating cut was found by any engine.
     pub fn detected(&self) -> bool {
-        self.detection.detected()
+        self.detection().detected()
     }
 
     /// Number of engines that fell through before the final one.
@@ -282,76 +368,98 @@ impl ResilientDetection {
     }
 }
 
-/// Detects `possibly: spec` with graceful degradation: each enabled engine
-/// runs under its own budget from [`ResilientConfig`], and a budget
-/// exhaustion falls through to the next engine instead of aborting the
-/// run. Every fallback increments the `detect.resilient.fallback` counter;
-/// if the whole chain exhausts, `detect.resilient.exhausted` is bumped and
-/// the result is marked inconclusive.
-pub fn detect_resilient(
+/// Detects `possibly: spec` through `chain`: each engine runs under its
+/// own budget, and a budget exhaustion falls through to the next engine
+/// instead of aborting the run. Every fallback increments the
+/// `detect.resilient.fallback` counter; if the whole chain exhausts,
+/// `detect.resilient.exhausted` is bumped and the result is marked
+/// inconclusive.
+///
+/// # Panics
+///
+/// Panics if `chain` is empty.
+pub fn detect_chain(
     comp: &Computation,
     spec: &PredicateSpec,
-    config: &ResilientConfig,
+    chain: &[(Engine, Limits)],
 ) -> ResilientDetection {
     let _span = slicing_observe::span("detect.resilient");
-    let chain: [(Engine, &Option<Limits>); 4] = [
-        (Engine::Slicing, &config.slicing),
-        (Engine::Hybrid, &config.hybrid),
-        (Engine::Pom, &config.pom),
-        (Engine::Bfs, &config.bfs),
-    ];
-    let mut attempts: Vec<(Engine, Option<AbortReason>)> = Vec::new();
-    let mut last: Option<(Engine, Detection)> = None;
+    let pred = SpecPredicate::new(spec);
+    let mut attempts = Vec::with_capacity(chain.len());
     for (engine, limits) in chain {
-        let Some(limits) = limits else { continue };
-        let (detection, slice_bottom) = match (engine, config.hybrid_pom_budget) {
-            (Engine::Slicing, _) => {
+        let (attempt, slice_bottom) = match engine {
+            Engine::Slicing => {
                 let sliced = detect_with_slicing(comp, spec, limits);
-                (sliced.search, sliced.slice_bottom)
+                let attempt = Attempt {
+                    engine: Engine::Slicing,
+                    detection: sliced.search,
+                    slicing_elapsed: sliced.slicing_elapsed,
+                    slice_bytes: sliced.slice_bytes,
+                };
+                (attempt, sliced.slice_bottom)
             }
-            (Engine::Hybrid, Some(budget)) => (hybrid(comp, spec, budget, limits), None),
-            _ => (
-                engine.detect(comp, &SpecPredicate(spec), spec, limits),
-                None,
-            ),
+            &engine => {
+                let attempt = Attempt {
+                    engine,
+                    detection: engine.detect(comp, &pred, spec, limits),
+                    slicing_elapsed: Duration::ZERO,
+                    slice_bytes: 0,
+                };
+                (attempt, None)
+            }
         };
-        let aborted = detection.aborted;
-        attempts.push((engine, aborted));
-        if aborted.is_none() {
+        let aborted = attempt.detection.aborted;
+        let cuts = attempt.detection.cuts_explored;
+        attempts.push(attempt);
+        let Some(reason) = aborted else {
             return ResilientDetection {
-                engine,
                 attempts,
-                detection,
                 exhausted: false,
                 slice_bottom,
             };
-        }
+        };
         slicing_observe::counter("detect.resilient.fallback", 1);
         slicing_observe::message(Level::Info, || {
-            format!(
-                "resilient: {engine} aborted ({}) after {} cuts; falling through",
-                aborted.map(|r| r.to_string()).unwrap_or_default(),
-                detection.cuts_explored,
-            )
+            format!("resilient: {engine} aborted ({reason}) after {cuts} cuts; falling through")
         });
-        last = Some((engine, detection));
     }
+    assert!(!attempts.is_empty(), "at least one engine must be enabled");
     slicing_observe::counter("detect.resilient.exhausted", 1);
-    let (engine, detection) = last.expect("at least one engine must be enabled");
     ResilientDetection {
-        engine,
         attempts,
-        detection,
         exhausted: true,
         slice_bottom: None,
     }
 }
 
+/// Detects `possibly: spec` through the default chain: slicing, then
+/// partial-order methods, then level-order enumeration, each under its
+/// budget from `config` and skipped when that budget is `None`.
+///
+/// # Panics
+///
+/// Panics if `config` disables every engine.
+pub fn detect_resilient(
+    comp: &Computation,
+    spec: &PredicateSpec,
+    config: &ResilientConfig,
+) -> ResilientDetection {
+    let chain: Vec<(Engine, Limits)> = [
+        (Engine::Slicing, config.slicing),
+        (Engine::Pom, config.pom),
+        (Engine::Bfs, config.bfs),
+    ]
+    .into_iter()
+    .filter_map(|(engine, limits)| Some((engine, limits?)))
+    .collect();
+    detect_chain(comp, spec, &chain)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::AbortReason;
     use slicing_computation::test_fixtures::figure1;
-    use slicing_computation::GlobalState;
     use slicing_predicates::{Conjunctive, LocalPredicate};
     use slicing_sim::fault::inject_primary_secondary_fault;
     use slicing_sim::primary_secondary::{self, PrimarySecondary};
@@ -366,15 +474,23 @@ mod tests {
         ]))
     }
 
+    /// Each attempt's engine and abort reason, in chain order.
+    fn trail(r: &ResilientDetection) -> Vec<(Engine, Option<AbortReason>)> {
+        r.attempts
+            .iter()
+            .map(|a| (a.engine, a.detection.aborted))
+            .collect()
+    }
+
     #[test]
     fn first_engine_answers_when_unlimited() {
         let comp = figure1();
         let spec = figure1_spec(&comp);
         let r = detect_resilient(&comp, &spec, &ResilientConfig::default());
-        assert_eq!(r.engine, Engine::Slicing);
+        assert_eq!(r.engine(), Engine::Slicing);
         assert_eq!(r.fallbacks(), 0);
         assert!(r.detected() && !r.exhausted);
-        let cut = r.detection.found.as_ref().unwrap();
+        let cut = r.detection().found.as_ref().unwrap();
         assert!(spec.eval(&GlobalState::new(&comp, cut)));
     }
 
@@ -420,23 +536,46 @@ mod tests {
         let starved = Limits::new(None, Some(1));
         let config = ResilientConfig {
             slicing: Some(starved),
-            hybrid: Some(starved),
-            hybrid_pom_budget: None,
             pom: Some(starved),
             bfs: Some(Limits::none()),
         };
         let r = detect_resilient(&comp, &spec, &config);
-        assert_eq!(r.engine, Engine::Bfs);
-        assert_eq!(r.fallbacks(), 3);
+        assert_eq!(r.engine(), Engine::Bfs);
+        assert_eq!(r.fallbacks(), 2);
         assert!(!r.exhausted);
-        let engines: Vec<Engine> = r.attempts.iter().map(|&(e, _)| e).collect();
-        assert_eq!(
-            engines,
-            vec![Engine::Slicing, Engine::Hybrid, Engine::Pom, Engine::Bfs]
-        );
-        for (e, reason) in &r.attempts[..3] {
-            assert!(reason.is_some(), "{e} should have aborted");
+        let engines: Vec<Engine> = r.attempts.iter().map(|a| a.engine).collect();
+        assert_eq!(engines, vec![Engine::Slicing, Engine::Pom, Engine::Bfs]);
+        for a in &r.attempts[..2] {
+            assert!(
+                a.detection.aborted.is_some(),
+                "{} should have aborted",
+                a.engine
+            );
         }
+    }
+
+    /// The default chain runs each engine once, so the slice is built once
+    /// even when every engine before the last starves.
+    #[test]
+    fn starved_chain_slices_once() {
+        let (comp, spec) = starvable_input();
+        let starved = Limits::new(None, Some(1));
+        let config = ResilientConfig {
+            slicing: Some(starved),
+            pom: Some(starved),
+            bfs: Some(Limits::none()),
+        };
+        let rec = std::sync::Arc::new(slicing_observe::MemoryRecorder::new(Level::Trace));
+        let r = {
+            let _g = slicing_observe::scoped(rec.clone());
+            detect_resilient(&comp, &spec, &config)
+        };
+        let engines: Vec<Engine> = r.attempts.iter().map(|a| a.engine).collect();
+        assert_eq!(engines, [Engine::Slicing, Engine::Pom, Engine::Bfs]);
+        let spans = rec.span_counts();
+        assert_eq!(spans.get("detect.slice_then_search"), Some(&(1, 1)));
+        assert_eq!(spans.get("detect.pom"), Some(&(1, 1)));
+        assert_eq!(rec.counter_total("detect.resilient.fallback"), 2);
     }
 
     #[test]
@@ -446,8 +585,8 @@ mod tests {
         let r = detect_resilient(&comp, &spec, &ResilientConfig::uniform(starved));
         assert!(r.exhausted);
         assert!(!r.detected());
-        assert_eq!(r.attempts.len(), 4);
-        assert!(r.attempts.iter().all(|&(_, reason)| reason.is_some()));
+        assert_eq!(r.attempts.len(), 3);
+        assert!(r.attempts.iter().all(|a| a.detection.aborted.is_some()));
     }
 
     /// The slice bottom rides along only when slicing gave the verdict: it
@@ -465,7 +604,7 @@ mod tests {
             )])),
         ] {
             let r = detect_resilient(&comp, &spec, &ResilientConfig::default());
-            assert_eq!(r.engine, Engine::Slicing);
+            assert_eq!(r.engine(), Engine::Slicing);
             assert_eq!(r.slice_bottom.as_ref(), spec.slice(&comp).bottom_cut());
         }
 
@@ -475,8 +614,9 @@ mod tests {
             ..ResilientConfig::default()
         };
         let r = detect_resilient(&comp, &spec, &config);
-        assert!(r.attempts[0].0 == Engine::Slicing && r.attempts[0].1.is_some());
-        assert_ne!(r.engine, Engine::Slicing);
+        let first = &r.attempts[0];
+        assert!(first.engine == Engine::Slicing && first.detection.aborted.is_some());
+        assert_ne!(r.engine(), Engine::Slicing);
         assert!(spec.slice(&comp).bottom_cut().is_some());
         assert_eq!(r.slice_bottom, None);
     }
@@ -487,13 +627,11 @@ mod tests {
         let spec = figure1_spec(&comp);
         let config = ResilientConfig {
             slicing: None,
-            hybrid: None,
-            hybrid_pom_budget: None,
             pom: None,
             bfs: Some(Limits::none()),
         };
         let r = detect_resilient(&comp, &spec, &config);
-        assert_eq!(r.engine, Engine::Bfs);
+        assert_eq!(r.engine(), Engine::Bfs);
         assert_eq!(r.attempts.len(), 1);
         assert!(r.detected());
     }
@@ -507,26 +645,22 @@ mod tests {
         let spec = figure1_spec(&comp);
         let config = ResilientConfig {
             slicing: None,
-            hybrid: None,
-            hybrid_pom_budget: None,
             pom: Some(Limits::live_cuts(1)),
             bfs: Some(Limits::live_cuts(64)),
         };
-        let rec = std::sync::Arc::new(slicing_observe::MemoryRecorder::new(
-            slicing_observe::Level::Trace,
-        ));
+        let rec = std::sync::Arc::new(slicing_observe::MemoryRecorder::new(Level::Trace));
         let r = {
             let _g = slicing_observe::scoped(rec.clone());
             detect_resilient(&comp, &spec, &config)
         };
         assert_eq!(
-            r.attempts,
+            trail(&r),
             vec![
                 (Engine::Pom, Some(AbortReason::LiveCutLimit)),
                 (Engine::Bfs, None)
             ]
         );
-        assert_eq!(r.engine, Engine::Bfs);
+        assert_eq!(r.engine(), Engine::Bfs);
         assert!(r.detected() && !r.exhausted);
         assert_eq!(rec.counter_total("detect.resilient.fallback"), 1);
         assert_eq!(rec.counter_total("detect.resilient.exhausted"), 0);
@@ -537,10 +671,7 @@ mod tests {
         };
         let r = detect_resilient(&comp, &spec, &starved);
         assert!(r.exhausted && !r.detected());
-        assert_eq!(
-            r.attempts[1],
-            (Engine::Bfs, Some(AbortReason::LiveCutLimit))
-        );
+        assert_eq!(trail(&r)[1], (Engine::Bfs, Some(AbortReason::LiveCutLimit)));
     }
 
     #[test]
@@ -549,7 +680,7 @@ mod tests {
             assert_eq!(engine.name().parse::<Engine>(), Ok(engine));
         }
         assert_eq!("slice".parse::<Engine>(), Ok(Engine::Slicing));
-        for retired in ["lean", "parallel", "lean-parallel"] {
+        for retired in ["lean", "parallel", "lean-parallel", "dfs"] {
             let err = retired.parse::<Engine>().unwrap_err();
             assert_eq!(err, ParseEngineError::Retired(retired.to_owned()));
             assert!(err.to_string().contains("folded into bfs"), "{err}");
@@ -562,8 +693,6 @@ mod tests {
     fn total_deadline_splits_over_enabled_engines() {
         let config = ResilientConfig {
             slicing: Some(Limits::none()),
-            hybrid: None,
-            hybrid_pom_budget: None,
             pom: None,
             bfs: Some(Limits::none()),
         }
@@ -576,7 +705,7 @@ mod tests {
             config.bfs.as_ref().unwrap().max_elapsed,
             Some(Duration::from_millis(50))
         );
-        assert!(config.hybrid.is_none());
+        assert!(config.pom.is_none());
     }
 
     #[test]
@@ -594,5 +723,90 @@ mod tests {
             let resilient = detect_resilient(&faulty, &spec, &ResilientConfig::default());
             assert_eq!(direct.detected(), resilient.detected(), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn pom_answers_within_generous_budget() {
+        let comp = figure1();
+        let spec = figure1_spec(&comp);
+        let r = detect_chain(&comp, &spec, &hybrid_chain(&comp, &Limits::none()));
+        assert_eq!(trail(&r), [(Engine::Pom, None)]);
+        assert!(r.detected());
+        let cut = r.detection().found.as_ref().unwrap();
+        assert!(spec.eval(&GlobalState::new(&comp, cut)));
+        let d = Engine::Hybrid.detect(&comp, &SpecPredicate::new(&spec), &spec, &Limits::none());
+        assert_eq!(d.found.as_ref(), Some(cut));
+        assert_eq!(d.phases, [("pom".to_owned(), d.elapsed)]);
+    }
+
+    #[test]
+    fn tight_budget_falls_back_to_slicing() {
+        // Fault-free protocol run: POM must sweep a large space; a tiny
+        // budget forces the fallback, and slicing still answers correctly.
+        let cfg = SimConfig {
+            seed: 3,
+            max_events_per_process: 10,
+            ..SimConfig::default()
+        };
+        let comp = run(&mut PrimarySecondary::new(4), &cfg).unwrap();
+        let spec = primary_secondary::violation_spec(&comp);
+        let chain = [
+            (Engine::Pom, Limits::bytes(512)),
+            (Engine::Slicing, Limits::none()),
+        ];
+        let r = detect_chain(&comp, &spec, &chain);
+        assert_eq!(
+            trail(&r),
+            [
+                (Engine::Pom, Some(AbortReason::MemoryLimit)),
+                (Engine::Slicing, None)
+            ]
+        );
+        assert!(!r.detected(), "fault-free run must stay clean");
+        let slicing = &r.attempts[1];
+        assert!(slicing.slice_bytes > 0);
+        assert!(slicing.total_elapsed() >= slicing.detection.elapsed);
+        let phases: Vec<String> = r.into_detection().phases.into_iter().map(|p| p.0).collect();
+        assert_eq!(phases, ["pom", "slice", "search"]);
+    }
+
+    #[test]
+    fn hybrid_agrees_with_slicing_on_faulty_runs() {
+        let cfg = SimConfig {
+            seed: 8,
+            max_events_per_process: 8,
+            ..SimConfig::default()
+        };
+        let comp = run(&mut PrimarySecondary::new(3), &cfg).unwrap();
+        let (faulty, _) = inject_primary_secondary_fault(&comp, 4).unwrap();
+        let spec = primary_secondary::violation_spec(&faulty);
+        let direct = detect_with_slicing(&faulty, &spec, &Limits::none());
+        for budget in [256u64, 1 << 24] {
+            let chain = [
+                (Engine::Pom, Limits::bytes(budget)),
+                (Engine::Slicing, Limits::none()),
+            ];
+            let r = detect_chain(&faulty, &spec, &chain);
+            assert_eq!(r.detected(), direct.detected(), "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn suggested_budget_scales_with_size() {
+        let comp = figure1();
+        let small = suggested_pom_budget(&comp, 1);
+        let big = suggested_pom_budget(&comp, 10);
+        assert_eq!(big, 10 * small);
+        assert!(small > 0);
+        // The hybrid preset caps POM at 4× that, or at a smaller byte
+        // limit, and hands slicing the caller's limits unchanged.
+        let limits = Limits::cuts(7);
+        let [(pom, pom_limits), (slicing, slicing_limits)] = hybrid_chain(&comp, &limits);
+        assert_eq!((pom, slicing), (Engine::Pom, Engine::Slicing));
+        assert_eq!(pom_limits.max_bytes, Some(4 * small));
+        assert_eq!(pom_limits.max_cuts, Some(7));
+        assert_eq!(slicing_limits.max_bytes, None);
+        let [(_, capped), _] = hybrid_chain(&comp, &Limits::bytes(small));
+        assert_eq!(capped.max_bytes, Some(small));
     }
 }

@@ -7,6 +7,7 @@ use slicing_core::{PredicateSpec, Slice};
 
 use crate::enumerate::detect_bfs;
 use crate::metrics::{AbortReason, Detection, Limits};
+use crate::resilient::SpecPredicate;
 
 /// The outcome of slice-based detection: slicing cost plus the (usually
 /// tiny) residual search.
@@ -97,57 +98,13 @@ pub fn detect_on_slice(
     slicing_elapsed: Duration,
     limits: &Limits,
 ) -> SliceDetection {
-    /// The exact spec as a detection predicate, with a *failed-clause
-    /// hint* for top-level conjunctions: lattice-adjacent cuts tend to
-    /// fail the same conjunct, so remembering the last refuting child and
-    /// trying it first turns the common reject into one child eval instead
-    /// of a scan to the refuting position. Conjunction is order-blind, so
-    /// the verdict is bit-identical to in-order evaluation.
-    struct SpecPred<'s> {
-        spec: &'s PredicateSpec,
-        failed_clause: std::sync::atomic::AtomicUsize,
-    }
-    impl std::fmt::Debug for SpecPred<'_> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "{:?}", self.spec)
-        }
-    }
-    impl slicing_predicates::Predicate for SpecPred<'_> {
-        fn support(&self) -> slicing_computation::ProcSet {
-            self.spec.support()
-        }
-        fn eval(&self, state: &slicing_computation::GlobalState<'_>) -> bool {
-            use std::sync::atomic::Ordering::Relaxed;
-            let PredicateSpec::And(children) = self.spec else {
-                return self.spec.eval(state);
-            };
-            let hint = self.failed_clause.load(Relaxed);
-            if let Some(c) = children.get(hint) {
-                if !c.eval(state) {
-                    return false;
-                }
-            }
-            for (i, c) in children.iter().enumerate() {
-                if i != hint && !c.eval(state) {
-                    self.failed_clause.store(i, Relaxed);
-                    return false;
-                }
-            }
-            true
-        }
-    }
-
     let errors_before = slicing_predicates::eval_type_errors();
     let mut search = {
         let _span = slicing_observe::span("detect.search_phase");
         // The residual search walks the slice by meta-event rank and keeps
         // two adjacent layers live: the slice's widest layer pair, not the
         // whole slice, bounds its memory.
-        let pred = SpecPred {
-            spec,
-            failed_clause: std::sync::atomic::AtomicUsize::new(usize::MAX),
-        };
-        detect_bfs(slice, comp, &pred, limits)
+        detect_bfs(slice, comp, &SpecPredicate::new(spec), limits)
     };
     downgrade_on_eval_errors(&mut search, errors_before);
     search.phases = vec![

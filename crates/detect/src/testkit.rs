@@ -49,7 +49,7 @@ pub use crate::resilient::SpecPredicate;
 
 /// The engine names [`check_engine`] understands — the rows of the
 /// differential matrix, each an [`Engine`] registry name.
-pub const ENGINES: [&str; 5] = ["bfs", "dfs", "pom", "slicing", "hybrid"];
+pub const ENGINES: [&str; 4] = ["bfs", "pom", "slicing", "hybrid"];
 
 /// Runs the named engine on `case` (unlimited budget) through the
 /// [`Engine`] registry and asserts the contract every engine shares:
@@ -68,7 +68,7 @@ pub fn check_engine(name: &str, case: &Case) {
     let engine: Engine = name
         .parse()
         .unwrap_or_else(|e| panic!("unknown engine {name:?}: {e}"));
-    let detection = engine.detect(comp, &SpecPredicate(spec), spec, &Limits::none());
+    let detection = engine.detect(comp, &SpecPredicate::new(spec), spec, &Limits::none());
     assert!(
         detection.completed(),
         "[{tag}] {name}: aborted under no limits: {:?}",
@@ -181,14 +181,14 @@ pub fn reference_bfs<S: CutSpace + ?Sized, P: Predicate + ?Sized>(
 /// # fn main() { assert_eq!(cases().len(), 1); }
 /// ```
 ///
-/// The generated test names are the engine names (`bfs`, `dfs`, `pom`,
+/// The generated test names are the engine names (`bfs`, `pom`,
 /// `slicing`, `hybrid`), so a failing row is visible directly in the test
 /// report.
 #[macro_export]
 macro_rules! engine_matrix {
     ($case_fn:path) => {
         $crate::engine_matrix!(
-            @tests $case_fn, bfs dfs pom slicing hybrid
+            @tests $case_fn, bfs pom slicing hybrid
         );
     };
     (@tests $case_fn:path, $($engine:ident)+) => {

@@ -1,4 +1,4 @@
-//! The differential engine matrix: every detection engine — BFS, DFS,
+//! The differential engine matrix: every detection engine — BFS,
 //! partial-order methods, slicing, and hybrid — runs over the same seeded
 //! corpus and is checked against the
 //! brute-force lattice oracle by

@@ -1,17 +1,18 @@
 //! Property tests pinning the fast cut kernel to the brute-force lattice
-//! oracle: BFS and DFS must return the same verdict as exhaustive
-//! enumeration on arbitrary computations — including ones wide enough to
-//! spill the `Cut` inline buffer (more than 16 processes), where the
-//! pooled arena and hashing take the heap path. The level-order engine's
-//! exact agreement with a global-visited BFS is checked separately, in
+//! oracle: BFS must return the same verdict as exhaustive enumeration on
+//! arbitrary computations — including ones wide enough to spill the `Cut`
+//! inline buffer (more than 16 processes), where the pooled arena and
+//! hashing take the heap path. The level-order engine's exact agreement
+//! with a global-visited BFS is checked separately, in
 //! `bfs_oracle_proptest.rs`.
 
 use proptest::prelude::*;
 
+use slicing_computation::lattice::count_cuts;
 use slicing_computation::oracle::satisfying_cuts;
 use slicing_computation::test_fixtures::{random_computation, RandomConfig};
 use slicing_computation::{Computation, Cut, GlobalState, ProcSet};
-use slicing_detect::{detect_bfs, detect_dfs, Limits};
+use slicing_detect::{detect_bfs, Limits};
 use slicing_predicates::{FnPredicate, Predicate};
 
 /// Narrow-but-deep computations: few processes, several events each.
@@ -55,23 +56,18 @@ fn sum_equals(comp: &Computation, target: i64) -> FnPredicate {
     })
 }
 
-/// Checks both kernel-backed engines against the oracle verdict and
-/// validates any witness they return.
-fn check_engines(comp: &Computation, pred: &FnPredicate) {
-    let limits = Limits::none();
+/// Checks the kernel-backed engine against the oracle verdict and
+/// validates any witness it returns.
+fn check_bfs(comp: &Computation, pred: &FnPredicate) {
     let expected = !satisfying_cuts(comp, |st| pred.eval(st)).is_empty();
-    let bfs = detect_bfs(comp, comp, pred, &limits);
-    let dfs = detect_dfs(comp, comp, pred, &limits);
+    let bfs = detect_bfs(comp, comp, pred, &Limits::none());
     prop_assert_eq!(bfs.detected(), expected, "bfs verdict");
-    prop_assert_eq!(dfs.detected(), expected, "dfs verdict");
-    for d in [&bfs, &dfs] {
-        if let Some(cut) = &d.found {
-            prop_assert!(pred.eval(&GlobalState::new(comp, cut)));
-        }
+    if let Some(cut) = &bfs.found {
+        prop_assert!(pred.eval(&GlobalState::new(comp, cut)));
     }
-    // On a miss both engines exhaust the same lattice.
+    // On a miss the engine exhausts the lattice.
     if !expected {
-        prop_assert_eq!(bfs.cuts_explored, dfs.cuts_explored);
+        prop_assert_eq!(bfs.cuts_explored, count_cuts(comp, None).value());
     }
 }
 
@@ -84,7 +80,7 @@ proptest! {
         target in 0i64..8,
     ) {
         let pred = sum_equals(&comp, target);
-        check_engines(&comp, &pred);
+        check_bfs(&comp, &pred);
     }
 
     #[test]
@@ -96,6 +92,6 @@ proptest! {
         let bottom = Cut::bottom(comp.num_processes());
         prop_assert_eq!(bottom.counts().len(), comp.num_processes());
         let pred = sum_equals(&comp, target);
-        check_engines(&comp, &pred);
+        check_bfs(&comp, &pred);
     }
 }

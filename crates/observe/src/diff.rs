@@ -229,10 +229,14 @@ impl BenchTable {
     }
 
     /// The table as aligned text: a header of column names, then one line
-    /// per row. Fractional numbers print to one decimal.
+    /// per row. Fractional numbers print to one decimal, or below 1 to as
+    /// many as two significant digits need (0.033, not 0.0).
     pub fn render_text(&self) -> String {
         let cell = |v: &JsonValue| match v {
-            JsonValue::Number(n) if n.fract() != 0.0 => format!("{n:.1}"),
+            JsonValue::Number(n) if n.fract() != 0.0 => {
+                let decimals = (1 - n.abs().log10().floor() as i32).max(1) as usize;
+                format!("{n:.decimals$}")
+            }
             JsonValue::String(s) => s.clone(),
             other => other.to_json(),
         };
@@ -707,6 +711,21 @@ mod tests {
         assert!(report.pass(), "{}", report.render_text());
         let fields: Vec<&str> = report.checks.iter().map(|c| c.field.as_str()).collect();
         assert_eq!(fields, ["cost_per_event_milli", "heap_allocs"]);
+    }
+
+    #[test]
+    fn small_fractions_render_with_two_significant_digits() {
+        let mut table = BenchTable::new("table_oom_rate");
+        for (name, ms) in [("pom", 0.033), ("slicing", 2.31), ("hybrid", 0.5)] {
+            table.row(name, [info("mean_ms", ms)]);
+        }
+        let text = table.render_text();
+        let cells: Vec<&str> = text
+            .lines()
+            .skip(1)
+            .map(|l| l.split_whitespace().last().unwrap())
+            .collect();
+        assert_eq!(cells, ["0.033", "2.3", "0.50"], "{text}");
     }
 
     #[test]

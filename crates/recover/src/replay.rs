@@ -234,7 +234,7 @@ where
     let spec = spec_of(faulty);
     let detection = detect_resilient(faulty, &spec, &cfg.detect);
     let mut outcome = RecoveryOutcome::new(RecoveryVerdict::Undetermined);
-    outcome.engine = Some(detection.engine);
+    outcome.engine = Some(detection.engine());
     outcome.engine_fallbacks = detection.fallbacks();
     if detection.exhausted {
         slicing_observe::counter("recover.fallback_exhausted", 1);
@@ -245,7 +245,7 @@ where
         outcome.verdict = RecoveryVerdict::CleanAlready;
         return outcome;
     }
-    outcome.witness = detection.detection.found.clone();
+    outcome.witness = detection.detection().found.clone();
 
     let line = match &detection.slice_bottom {
         Some(w) => {

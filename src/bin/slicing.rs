@@ -63,7 +63,7 @@ fn usage() -> &'static str {
 
   slicing stats   <trace> <predicate>
   slicing detect  <trace> <predicate>
-                  [--engine slicing|hybrid|pom|bfs|dfs|reverse]
+                  [--engine slicing|hybrid|pom|bfs|reverse]
                   [--max-cuts N] [--max-live-cuts N] [--cap-kb N] [--timeout-ms N]
   slicing modality <trace> <predicate> --mode possibly|definitely|invariant|controllable
   slicing monitor <trace> <predicate> [--check-every N]
@@ -77,7 +77,7 @@ fn usage() -> &'static str {
                   [--checkpoint <path>] [--checkpoint-every N] [--checkpoint-keep K]
                   [--resume <path>]
   slicing profile <trace> <predicate>
-                  [--engine slicing|hybrid|pom|bfs|dfs|reverse] [--folded] [--out <path>]
+                  [--engine slicing|hybrid|pom|bfs|reverse] [--folded] [--out <path>]
   slicing bench-diff <baseline.json> <current.json> [--threshold T]
   slicing validate <file>...
   slicing recover --protocol ps|db [--procs N] [--events N] [--seed S]
@@ -92,6 +92,8 @@ fn usage() -> &'static str {
 `slicing` (also spelled `slice`), slices the predicate and searches the
 slice. `bfs` is level-order search: on a computation it keeps two lattice
 layers of cuts alive, so `--max-live-cuts` bounds it by the widest layer.
+`hybrid` is the paper's two-step chain: partial-order methods (`pom`)
+under a small memory budget, then slicing.
 --log mirrors the SLICING_LOG environment variable (the flag wins) and
 prints leveled span/counter traces to stderr. --report writes the detect
 outcome as one `slicing.run-report/v1` JSON object to <path> (`-` for
@@ -99,7 +101,9 @@ stdout); on `recover` it writes the `slicing.recovery-report/v1` outcome,
 on `monitor` and `serve` the `slicing.serve-report/v1` stream summary, and
 on `bench-diff` the `slicing.bench-diff/v1` verdict document.
 `recover` simulates a protocol run, injects the chosen fault, and drives
-the full detect → recovery line → rollback → replay loop. `monitor`
+the full detect → recovery line → rollback → replay loop; detection runs
+the chain slicing → pom → bfs, and `--timeout-ms` splits evenly over
+those three engines. `monitor`
 replays the trace through the online monitoring hub with one tenant
 (amortized O(1) per check), reporting every distinct alarm cut as it
 appears; the predicate must be a conjunction of local clauses.
@@ -736,7 +740,8 @@ fn parse_engine(name: &str) -> Result<Engine, String> {
     })
 }
 
-/// The one error for an option of the removed lean and parallel engines.
+/// The one error for an option of the removed lean, parallel and
+/// depth-first engines.
 fn retired_option(flag: &str) -> String {
     format!(
         "{flag} is no longer supported: --engine bfs now has lean's memory bound \

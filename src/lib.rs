@@ -64,10 +64,9 @@ pub use slicing_core::{
     slice_postlinear, slice_regular, OnlineSlicer, PredicateSpec, Slice, SliceStats,
 };
 pub use slicing_detect::{
-    definitely, detect_bfs, detect_dfs, detect_hybrid, detect_pom, detect_resilient,
-    detect_reverse_search, detect_with_slicing, AlarmReport, Detection, HubAlarm, HubStats,
-    HybridDetection, Limits, MonitorHub, OnlineMonitor, ResilientConfig, ResilientDetection,
-    SliceDetection,
+    definitely, detect_bfs, detect_chain, detect_pom, detect_resilient, detect_reverse_search,
+    detect_with_slicing, hybrid_chain, AlarmReport, Detection, HubAlarm, HubStats, Limits,
+    MonitorHub, OnlineMonitor, ResilientConfig, ResilientDetection, SliceDetection,
 };
 pub use slicing_predicates::{
     AtLeastInTransit, AtMostInTransit, BoundedDifference, Conjunctive, FnPredicate,

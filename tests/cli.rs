@@ -1207,6 +1207,7 @@ fn retired_engine_options_fail_with_one_typed_message() {
             (&["--engine", "lean"][..], "--engine lean"),
             (&["--engine", "parallel"][..], "--engine parallel"),
             (&["--engine", "lean-parallel"][..], "--engine lean-parallel"),
+            (&["--engine", "dfs"][..], "--engine dfs"),
             (&["--threads", "2"][..], "--threads"),
         ] {
             let mut args = vec![sub, "-", "x1@0 > 1"];
