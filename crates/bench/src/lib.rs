@@ -3,8 +3,8 @@
 //!
 //! The binaries in `src/bin/` regenerate each figure's series as a
 //! `slicing.bench/v1` table, committed at the repository root as a
-//! `BENCH_*.json` baseline (see `EXPERIMENTS.md`); the Criterion benches
-//! in `benches/` track the same workloads as micro-benchmarks.
+//! `BENCH_*.json` baseline (see `EXPERIMENTS.md`), `table_complexity`
+//! the §4 cost claims as work counters.
 
 #![warn(missing_docs)]
 

@@ -136,7 +136,7 @@ fn protocol_workload_counters_are_pinned() {
     // reads, which the predicate evaluations pin.
     //
     // (workload, seed, cuts, row_joins, probes, hits, inserts, linear
-    // evals, co-regular violations)
+    // evals, co-regular violations, conjunctive evals, graft row meets)
     let table = [
         (
             Workload::LeaderElection,
@@ -148,11 +148,23 @@ fn protocol_workload_counters_are_pinned() {
             1u64,
             0u64,
             0u64,
+            (223u64, 25u64),
         ),
-        (Workload::CrdtReplication, 0, 1, 17, 1, 0, 1, 336, 0),
-        (Workload::WorkQueue, 0, 1, 24, 1, 0, 1, 45, 0),
+        (
+            Workload::CrdtReplication,
+            0,
+            1,
+            17,
+            1,
+            0,
+            1,
+            336,
+            0,
+            (261, 160),
+        ),
+        (Workload::WorkQueue, 0, 1, 24, 1, 0, 1, 45, 0, (44, 62)),
     ];
-    for (w, seed, cuts, row_joins, probes, hits, inserts, evals, violations) in table {
+    for (w, seed, cuts, row_joins, probes, hits, inserts, evals, violations, leaf_work) in table {
         let comp = w.simulate(4, 8, seed);
         let faulty = w.inject_fault(&comp, seed.wrapping_mul(1009));
         let spec = w.violation_spec(&faulty);
@@ -181,6 +193,11 @@ fn protocol_workload_counters_are_pinned() {
             rec.counter_total("slice.co_regular.violations"),
         );
         assert_eq!(walks, (evals, violations), "{tag}: §4.3 walks");
+        let leaves = (
+            rec.counter_total("slice.conjunctive.evals"),
+            rec.counter_total("slice.graft.row_meets"),
+        );
+        assert_eq!(leaves, leaf_work, "{tag}: leaf evaluations and row meets");
     }
 }
 
@@ -265,13 +282,21 @@ fn slicer_kernel_counters_are_pinned() {
     // children's edges or rows, so each spec builds one J table, at its
     // root.
     //
-    // (workload, seed, row_joins, builds, edges_merged)
+    // (workload, seed, row_joins, builds, edges_merged, conjunctive
+    // evals, graft row meets)
     let table = [
-        (Workload::PrimarySecondary, 3u64, 47u64, 1u64, 332u64),
-        (Workload::PrimarySecondary, 8, 34, 1, 29),
-        (Workload::DatabasePartitioning, 5, 14, 1, 74),
+        (
+            Workload::PrimarySecondary,
+            3u64,
+            47u64,
+            1u64,
+            332u64,
+            (288u64, 1432u64),
+        ),
+        (Workload::PrimarySecondary, 8, 34, 1, 29, (240, 1167)),
+        (Workload::DatabasePartitioning, 5, 14, 1, 74, (88, 105)),
     ];
-    for (w, seed, row_joins, builds, merged) in table {
+    for (w, seed, row_joins, builds, merged, leaf_work) in table {
         let comp = w.simulate(5, 10, seed);
         let faulty = w.inject_fault(&comp, seed);
         let spec = w.violation_spec(&faulty);
@@ -290,6 +315,11 @@ fn slicer_kernel_counters_are_pinned() {
             rec.counter_total("slice.graft.edges_merged"),
         );
         assert_eq!(got, (row_joins, builds, merged), "{tag}");
+        let leaves = (
+            rec.counter_total("slice.conjunctive.evals"),
+            rec.counter_total("slice.graft.row_meets"),
+        );
+        assert_eq!(leaves, leaf_work, "{tag}: leaf evaluations and row meets");
     }
 }
 

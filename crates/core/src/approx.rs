@@ -56,7 +56,7 @@ pub enum PredicateSpec {
     Conjunctive(Conjunctive),
     /// A regular predicate — lean slice in `O(n²|E|)`.
     Regular(Arc<dyn RegularPredicate>),
-    /// The complement of a regular predicate — `O(n²|E|²)`.
+    /// The complement of a regular predicate — `O(nk|E|²)`.
     CoRegular(Arc<dyn RegularPredicate>),
     /// A linear predicate — smallest containing sublattice in `O(n²|E|)`.
     Linear(Arc<dyn LinearPredicate>),
@@ -184,7 +184,10 @@ impl PredicateSpec {
     fn meet_rows(&self, comp: &Computation, rows: &mut LeastCuts) {
         let _span = self.span();
         match self {
-            PredicateSpec::Conjunctive(p) => meet_conjunctive_rows(comp, p, rows),
+            PredicateSpec::Conjunctive(p) => {
+                let evals = meet_conjunctive_rows(comp, p, rows);
+                slicing_observe::counter("slice.conjunctive.evals", evals);
+            }
             PredicateSpec::Regular(p) => meet_linear_rows(comp, p.as_ref(), rows),
             PredicateSpec::Linear(p) => meet_linear_rows(comp, p.as_ref(), rows),
             PredicateSpec::CoRegular(p) => {
@@ -499,7 +502,9 @@ mod tests {
                 let cases = [
                     (
                         "conjunctive",
-                        rows(&comp, |r| meet_conjunctive_rows(&comp, &conj, r)),
+                        rows(&comp, |r| {
+                            meet_conjunctive_rows(&comp, &conj, r);
+                        }),
                         slice_conjunctive(&comp, &conj),
                     ),
                     (

@@ -31,6 +31,7 @@ pub fn slice_conjunctive<'a>(comp: &'a Computation, pred: &Conjunctive) -> Slice
 /// Appends the constraint edges of the conjunctive slice to `out`.
 pub(crate) fn push_conjunctive_edges(comp: &Computation, pred: &Conjunctive, out: &mut Vec<Edge>) {
     let _span = slicing_observe::span("slice.conjunctive");
+    let mut evals = 0u64;
     for p in comp.processes() {
         // Skip processes hosting no conjunct entirely.
         if pred.clauses_on(p).next().is_none() {
@@ -38,6 +39,7 @@ pub(crate) fn push_conjunctive_edges(comp: &Computation, pred: &Conjunctive, out
         }
         let len = comp.len(p);
         for pos in 0..len {
+            evals += 1;
             if pred.holds_at(comp, p, pos) {
                 continue;
             }
@@ -49,6 +51,7 @@ pub(crate) fn push_conjunctive_edges(comp: &Computation, pred: &Conjunctive, out
             }
         }
     }
+    slicing_observe::counter("slice.conjunctive.evals", evals);
 }
 
 /// Meets the least-cut rows of the conjunctive slice into `rows`, without
@@ -61,8 +64,16 @@ pub(crate) fn push_conjunctive_edges(comp: &Computation, pred: &Conjunctive, out
 /// no false frontier remains; a process with no true event left means no
 /// slice cut contains `e`. `J` is monotone along a process, so each event
 /// resumes from the previous event's row.
-pub(crate) fn meet_conjunctive_rows(comp: &Computation, pred: &Conjunctive, rows: &mut LeastCuts) {
+///
+/// Returns the number of local evaluations, which the caller emits as
+/// `slice.conjunctive.evals` once for all the clauses it meets.
+pub(crate) fn meet_conjunctive_rows(
+    comp: &Computation,
+    pred: &Conjunctive,
+    rows: &mut LeastCuts,
+) -> u64 {
     let _span = slicing_observe::span("slice.conjunctive");
+    let mut evals = 0u64;
     // Per constrained process, the first position at or after each
     // position whose event satisfies the process's conjuncts (`len` when
     // none does) — the truth table the edges above are read from.
@@ -74,6 +85,7 @@ pub(crate) fn meet_conjunctive_rows(comp: &Computation, pred: &Conjunctive, rows
             let mut next = vec![len; len as usize];
             let mut t = len;
             for pos in (0..len).rev() {
+                evals += 1;
                 if pred.holds_at(comp, p, pos) {
                     t = pos;
                 }
@@ -95,6 +107,7 @@ pub(crate) fn meet_conjunctive_rows(comp: &Computation, pred: &Conjunctive, rows
             rows.meet_row(e, &cur);
         }
     }
+    evals
 }
 
 /// Advances `cur` until every constrained process's frontier is true;

@@ -8,8 +8,10 @@ use crate::linear::push_regular_edges;
 use crate::slice::{Edge, Node, Slice};
 
 /// Computes the slice of `comp` with respect to `¬b` for a regular
-/// predicate `b`, in `O(n²|E|²)` time (the co-regular algorithm the paper
-/// inherits from DISC'01).
+/// predicate `b` that reads `k` processes, in `O(nk|E|²)` time (the
+/// co-regular algorithm the paper inherits from DISC'01): at most `O(k)`
+/// violation slices per event, each met into `n`-wide rows for every
+/// event.
 ///
 /// Since `b` is regular, its slice `S_b` is lean: a consistent cut violates
 /// `b` exactly when it violates at least one constraint of `S_b`. Each

@@ -31,6 +31,9 @@ fn assert_same_computation(a: &Slice<'_>, b: &Slice<'_>) {
 pub(crate) struct LeastCuts {
     n: usize,
     counts: Vec<u32>,
+    /// Rows met so far: [`push_disjunction_edges`] emits it as
+    /// `slice.graft.row_meets`.
+    meets: u64,
 }
 
 impl LeastCuts {
@@ -40,6 +43,7 @@ impl LeastCuts {
         LeastCuts {
             n,
             counts: vec![0; comp.num_events() * n],
+            meets: 0,
         }
     }
 
@@ -51,6 +55,7 @@ impl LeastCuts {
 
     /// Meets one more disjunct's `J(e)` into the table.
     pub(crate) fn meet_row(&mut self, e: EventId, row: &[u32]) {
+        self.meets += 1;
         let acc = &mut self.counts[e.as_usize() * self.n..][..self.n];
         if acc[0] == 0 {
             acc.copy_from_slice(row);
@@ -115,7 +120,9 @@ pub(crate) fn push_disjunction_edges(
     fold: impl FnOnce(&mut LeastCuts) -> usize,
 ) {
     let mut rows = LeastCuts::none(comp);
-    if fold(&mut rows) == 0 {
+    let disjuncts = fold(&mut rows);
+    slicing_observe::counter("slice.graft.row_meets", rows.meets);
+    if disjuncts == 0 {
         out.push(empty_slice_edge(comp));
     } else {
         rows.push_edges(comp, out);

@@ -36,9 +36,11 @@ pub(crate) fn meet_klocal_rows(
     let _span = slicing_observe::span("slice.klocal");
     let dnf = pred.to_dnf(comp);
     slicing_observe::counter("slice.klocal.clauses", dnf.len() as u64);
-    for clause in &dnf {
-        meet_conjunctive_rows(comp, clause, rows);
-    }
+    let evals = dnf
+        .iter()
+        .map(|clause| meet_conjunctive_rows(comp, clause, rows))
+        .sum();
+    slicing_observe::counter("slice.conjunctive.evals", evals);
     slicing_observe::counter("slice.graft.disjuncts", dnf.len() as u64);
     dnf.len()
 }

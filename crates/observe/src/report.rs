@@ -1,9 +1,10 @@
 //! Machine-readable run reports.
 //!
-//! A [`RunReport`] captures one detection (or simulation) run — workload,
-//! engine, scale parameters, the detection outcome, a per-phase time
-//! breakdown, and any end-of-run counters — in a stable JSON schema that
-//! `slicing detect --report` writes.
+//! A [`RunReport`] captures one detection run — workload, engine, scale
+//! parameters, the detection outcome and a per-phase time breakdown — in
+//! a stable JSON schema that `slicing detect --report` writes. It carries
+//! no counters: `slicing profile`'s `totals` is the one place a
+//! detection's counters appear.
 //!
 //! Schema (`slicing.run-report/v1`); absent optional fields are omitted:
 //!
@@ -12,7 +13,6 @@
 //!   "schema": "slicing.run-report/v1",
 //!   "workload": "primary-secondary",
 //!   "engine": "slice",
-//!   "seed": 7,
 //!   "procs": 4,
 //!   "events": 40,
 //!   "detected": true,
@@ -21,8 +21,7 @@
 //!   "max_stored_cuts": 128,
 //!   "peak_bytes": 16384,
 //!   "elapsed_secs": 0.0123,
-//!   "phases": [{"name":"slice","secs":0.004},{"name":"search","secs":0.008}],
-//!   "counters": [{"name":"detect.cuts_explored","value":512}]
+//!   "phases": [{"name":"slice","secs":0.004},{"name":"search","secs":0.008}]
 //! }
 //! ```
 
@@ -38,8 +37,6 @@ pub struct RunReport {
     pub workload: String,
     /// Detection engine (e.g. `"slice"`, `"bfs"`, `"hybrid"`).
     pub engine: String,
-    /// RNG seed of the simulated run, when one was used.
-    pub seed: Option<u64>,
     /// Number of processes in the computation.
     pub procs: Option<u64>,
     /// Events per process (or total events, per the binary's convention).
@@ -60,8 +57,6 @@ pub struct RunReport {
     pub elapsed_secs: Option<f64>,
     /// Ordered per-phase wall-time breakdown, in seconds.
     pub phases: Vec<(String, f64)>,
-    /// End-of-run counter totals.
-    pub counters: Vec<(String, u64)>,
 }
 
 impl RunReport {
@@ -87,9 +82,6 @@ impl RunReport {
             .str("schema", RUN_REPORT_SCHEMA)
             .str("workload", &self.workload)
             .str("engine", &self.engine);
-        if let Some(v) = self.seed {
-            obj = obj.u64("seed", v);
-        }
         if let Some(v) = self.procs {
             obj = obj.u64("procs", v);
         }
@@ -134,19 +126,6 @@ impl RunReport {
             })
             .finish();
         obj = obj.raw("phases", &phases);
-        let counters = self
-            .counters
-            .iter()
-            .fold(JsonArray::new(), |arr, (name, value)| {
-                arr.push_raw(
-                    &JsonObject::new()
-                        .str("name", name)
-                        .u64("value", *value)
-                        .finish(),
-                )
-            })
-            .finish();
-        obj = obj.raw("counters", &counters);
         obj.finish()
     }
 }
@@ -161,14 +140,13 @@ mod tests {
         assert_eq!(
             json,
             "{\"schema\":\"slicing.run-report/v1\",\"workload\":\"figure1\",\
-             \"engine\":\"bfs\",\"phases\":[],\"counters\":[]}"
+             \"engine\":\"bfs\",\"phases\":[]}"
         );
     }
 
     #[test]
     fn full_report_round_trips_every_field() {
         let mut r = RunReport::new("primary-secondary", "slice");
-        r.seed = Some(7);
         r.procs = Some(4);
         r.events = Some(40);
         r.detected = Some(true);
@@ -176,14 +154,13 @@ mod tests {
         r.max_stored_cuts = Some(128);
         r.peak_bytes = Some(16384);
         r.elapsed_secs = Some(0.5);
-        let mut r = r.phase("slice", 0.25).phase("search", 0.25);
-        r.counters.push(("detect.cuts_explored".to_owned(), 512));
+        let r = r.phase("slice", 0.25).phase("search", 0.25);
         let json = r.to_json();
-        assert!(json.contains("\"seed\":7"));
+        assert!(json.contains("\"procs\":4"));
         assert!(json.contains("\"detected\":true"));
         assert!(json.contains("\"aborted\":null"));
         assert!(json.contains("{\"name\":\"slice\",\"secs\":0.25}"));
-        assert!(json.contains("{\"name\":\"detect.cuts_explored\",\"value\":512}"));
+        assert!(!json.contains("counters"));
     }
 
     #[test]

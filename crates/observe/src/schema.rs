@@ -147,7 +147,6 @@ fn validate_run_report(doc: &JsonValue) -> Result<(), SchemaError> {
             .as_f64()
             .ok_or_else(|| fail(format!("{pat}: field \"secs\" must be a number")))?;
     }
-    validate_counter_list(doc, "counters", "document")?;
     Ok(())
 }
 
@@ -341,8 +340,7 @@ mod tests {
 
     #[test]
     fn run_report_round_trips_through_validate() {
-        let mut run = crate::RunReport::new("figure1", "bfs").phase("search", 0.25);
-        run.counters.push(("detect.cuts_explored".to_owned(), 9));
+        let run = crate::RunReport::new("figure1", "bfs").phase("search", 0.25);
         let doc = parse(&run.to_json()).unwrap();
         assert_eq!(validate(&doc).unwrap(), RUN_REPORT);
     }
@@ -358,7 +356,7 @@ mod tests {
     fn wrong_types_are_rejected() {
         let doc = parse(
             "{\"schema\":\"slicing.run-report/v1\",\"workload\":\"w\",\
-             \"engine\":\"e\",\"phases\":[],\"counters\":[{\"name\":\"c\",\"value\":-1}]}",
+             \"engine\":\"e\",\"phases\":[{\"name\":\"slice\",\"secs\":\"fast\"}]}",
         )
         .unwrap();
         assert!(validate(&doc).is_err());

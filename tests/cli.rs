@@ -413,7 +413,7 @@ fn profile_folded_emits_span_paths() {
 }
 
 /// The eight committed bench tables.
-const COMMITTED_TABLES: [&str; 8] = [
+const COMMITTED_TABLES: [&str; 9] = [
     concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_detect.json"),
     concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_protocols.json"),
     concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_soak.json"),
@@ -422,6 +422,7 @@ const COMMITTED_TABLES: [&str; 8] = [
     concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_oom.json"),
     concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_slice_stats.json"),
     concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_recovery.json"),
+    concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_complexity.json"),
 ];
 
 #[test]
@@ -875,6 +876,8 @@ fn detect_report_is_a_valid_run_report() {
     );
     assert_eq!(doc.get("engine").unwrap().as_str(), Some("slice"));
     assert_eq!(doc.get("detected").unwrap().as_bool(), Some(true));
+    // Counters live in `slicing profile`'s totals, not in the run report.
+    assert!(doc.get("counters").is_none(), "{line}");
     let witness: Vec<u64> = doc
         .get("witness")
         .unwrap()
