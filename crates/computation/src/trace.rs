@@ -18,13 +18,18 @@
 //! process ids (`p2`). The key `label` inside an `event` line attaches an
 //! event label instead of assigning a variable, so `label` is reserved and
 //! cannot be used as a variable name in traces.
+//!
+//! [`parse_line`] checks one line's syntax; [`TraceReader`] checks the
+//! rules that span lines, and its documentation is the format's spec.
+//! [`from_text`] and the streaming `slicing monitor` and `slicing serve`
+//! all read through it, so they reject the same traces.
 
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 
 use crate::builder::{BuildError, ComputationBuilder};
-use crate::computation::Computation;
-use crate::event::EventId;
+use crate::computation::{Computation, VarRef};
 use crate::process::ProcessId;
 use crate::value::Value;
 
@@ -32,7 +37,8 @@ use crate::value::Value;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TraceError {
-    /// A line could not be parsed.
+    /// A line broke the format: its own syntax, or a rule of
+    /// [`TraceReader`] (line 0 when the trace has no `procs` line).
     Syntax {
         /// 1-based line number.
         line: usize,
@@ -88,14 +94,9 @@ fn format_value(v: Value) -> String {
 /// ingestion.
 ///
 /// [`parse_line`] turns each input line into one of these without needing
-/// the rest of the trace, so long-running consumers (`slicing monitor`,
-/// `slicing serve`) can feed events into an online engine as they arrive
-/// instead of materializing the whole computation first. [`from_text`] is
-/// the batch consumer built on the same parser.
-///
-/// Syntax is checked here; *context* (process indices in range, variables
-/// declared, endpoints existing) is the consumer's job, because only the
-/// consumer knows how much of the trace it has seen.
+/// the rest of the trace. Only syntax is checked here; [`TraceReader`]
+/// checks the *context* (process indices in range, variables declared,
+/// endpoints existing) and hands back the ops that pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TraceOp {
@@ -309,96 +310,253 @@ pub fn to_text(comp: &Computation) -> String {
     out
 }
 
-/// Parses a computation from the textual trace format.
+/// The streaming reader of the trace format: [`parse_line`] plus every
+/// rule that spans lines. Call [`feed`](TraceReader::feed) once per line,
+/// then [`finish`](TraceReader::finish) at the end of input. A trace is
+/// valid exactly when every call succeeds. The rules:
 ///
-/// # Errors
+/// - `procs` comes first (after blank lines and comments only) and appears
+///   once.
+/// - A `var` names a process in range and a name not yet declared on it,
+///   and comes before that process's first event.
+/// - An `event` names a process in range and writes only names declared on
+///   it, each with a value of the same type as the initial value.
+/// - A `msg` joins two different processes in range, at positions ≥ 1
+///   (position 0 is the initial event, which neither sends nor receives)
+///   and ≤ the process's final event count. A message may be written
+///   before its endpoints; `finish` rejects it if they never come.
 ///
-/// Returns [`TraceError::Syntax`] for malformed lines and
-/// [`TraceError::Build`] if the described computation is invalid (cyclic
-/// messages, duplicate variables, ...).
-pub fn from_text(text: &str) -> Result<Computation, TraceError> {
-    let mut builder: Option<ComputationBuilder> = None;
-    // Deferred messages: (send proc, send pos, recv proc, recv pos, line).
-    let mut messages: Vec<(usize, u32, usize, u32, usize)> = Vec::new();
+/// Every error is a [`TraceError::Syntax`] naming the offending line. An
+/// endpoint that never came is reported at its `msg` line, the first such
+/// message in file order (its send before its receive).
+///
+/// Two faults only the causal store can see are not checked here: a
+/// message given twice, and messages that form a cycle. [`from_text`]
+/// rejects both as [`TraceError::Build`]; `slicing monitor` and
+/// `slicing serve` print one warning and skip the message.
+#[derive(Debug, Default)]
+pub struct TraceReader {
+    /// Per process: each declared name's dense index and initial value.
+    vars: Vec<HashMap<String, (u16, Value)>>,
+    /// Per process: events read so far. Empty until `procs`.
+    events: Vec<u32>,
+    /// Per process: the message endpoints past its events, by position,
+    /// each with the first `msg` line naming it and its index in
+    /// [`BAD_ENDPOINT`]. An entry leaves when its event is read.
+    pending: Vec<BTreeMap<u32, (usize, usize)>>,
+    /// The resolved writes of the last `event` line.
+    writes: Vec<(VarRef, Value)>,
+}
 
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let Some(op) = parse_line(raw, lineno)? else {
-            continue;
-        };
-        match op {
+impl TraceReader {
+    /// A reader at the start of a trace.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Reads one line and returns what [`parse_line`] made of it, once it
+    /// passes every rule; `Ok(None)` for blank lines and comments.
+    /// `lineno` is the 1-based line number used in error messages.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Syntax`] for a line [`parse_line`] rejects or one that
+    /// breaks a rule of the [format](TraceReader).
+    pub fn feed(&mut self, raw: &str, lineno: usize) -> Result<Option<TraceOp>, TraceError> {
+        let op = parse_line(raw, lineno)?;
+        if let Some(op) = &op {
+            self.accept(op, lineno)
+                .map_err(|message| syntax(lineno, message))?;
+        }
+        Ok(op)
+    }
+
+    /// Checks `op` against the lines read so far, then records it.
+    fn accept(&mut self, op: &TraceOp, lineno: usize) -> Result<(), String> {
+        let procs = self.events.len();
+        match *op {
+            TraceOp::Procs(_) if procs > 0 => Err("duplicate procs line".into()),
             TraceOp::Procs(n) => {
-                if builder.is_some() {
-                    return Err(syntax(lineno, "duplicate procs line"));
-                }
-                builder = Some(ComputationBuilder::new(n));
+                self.vars = vec![HashMap::new(); n];
+                self.events = vec![0; n];
+                self.pending = vec![BTreeMap::new(); n];
+                Ok(())
+            }
+            TraceOp::Var { .. } if procs == 0 => Err("var before procs".into()),
+            TraceOp::Event { .. } if procs == 0 => Err("event before procs".into()),
+            TraceOp::Msg { .. } if procs == 0 => Err("msg before procs".into()),
+            TraceOp::Var { process, .. } | TraceOp::Event { process, .. } if process >= procs => {
+                Err("process index out of range".into())
             }
             TraceOp::Var {
-                process,
-                name,
+                process: p,
+                ref name,
                 initial,
             } => {
-                let b = builder
-                    .as_mut()
-                    .ok_or_else(|| syntax(lineno, "var before procs"))?;
-                if process >= b.num_processes() {
-                    return Err(syntax(lineno, "process index out of range"));
+                if self.vars[p].contains_key(name) {
+                    return Err(format!("variable {name:?} declared twice on process {p}"));
                 }
-                b.try_declare_var(ProcessId::new(process), &name, initial)?;
+                if self.events[p] > 0 {
+                    return Err(format!(
+                        "variable {name:?} declared after process {p}'s first event"
+                    ));
+                }
+                let index = u16::try_from(self.vars[p].len())
+                    .map_err(|_| format!("too many variables on process {p}"))?;
+                self.vars[p].insert(name.clone(), (index, initial));
+                Ok(())
             }
             TraceOp::Event {
-                process,
-                label,
-                writes,
+                process: p,
+                ref writes,
+                ..
             } => {
-                let b = builder
-                    .as_mut()
-                    .ok_or_else(|| syntax(lineno, "event before procs"))?;
-                if process >= b.num_processes() {
-                    return Err(syntax(lineno, "process index out of range"));
+                self.writes.clear();
+                for (name, value) in writes {
+                    let &(index, declared) = self.vars[p]
+                        .get(name)
+                        .ok_or_else(|| format!("unknown variable {name:?} on process {p}"))?;
+                    if !declared.same_type(*value) {
+                        let (want, got) = (declared.type_name(), value.type_name());
+                        return Err(format!(
+                            "variable {name:?} on process {p} is declared {want} but written {got}"
+                        ));
+                    }
+                    let process = ProcessId::new(p);
+                    self.writes.push((VarRef { process, index }, *value));
                 }
-                let pid = ProcessId::new(process);
-                let e = b.append_event(pid);
-                if let Some(l) = &label {
-                    b.set_label(e, l);
-                }
-                for (key, value) in writes {
-                    let var = match b.var(pid, &key) {
-                        Some(v) => v,
-                        None => {
-                            return Err(syntax(
-                                lineno,
-                                format!("unknown variable {key:?} on process {process}"),
-                            ))
-                        }
-                    };
-                    b.assign(e, var, value)?;
-                }
+                self.events[p] = self.events[p]
+                    .checked_add(1)
+                    .ok_or_else(|| format!("too many events on process {p}"))?;
+                self.pending[p].remove(&self.events[p]);
+                Ok(())
             }
             TraceOp::Msg { send, recv } => {
-                messages.push((send.0, send.1, recv.0, recv.1, lineno));
+                let ends = [(send, 0), (recv, 1)];
+                if let Some(&(_, end)) = ends.iter().find(|((p, pos), _)| *p >= procs || *pos == 0)
+                {
+                    return Err(BAD_ENDPOINT[end].into());
+                }
+                if send.0 == recv.0 {
+                    return Err(format!("msg joins process {} to itself", send.0));
+                }
+                for ((p, pos), end) in ends {
+                    if pos > self.events[p] {
+                        self.pending[p].entry(pos).or_insert((lineno, end));
+                    }
+                }
+                Ok(())
             }
         }
     }
 
-    let mut b = builder.ok_or_else(|| syntax(0, "trace has no procs line"))?;
-    for (sp, spos, rp, rpos, lineno) in messages {
-        let send = event_ref(&b, sp, spos).ok_or_else(|| syntax(lineno, "bad send endpoint"))?;
-        let recv = event_ref(&b, rp, rpos).ok_or_else(|| syntax(lineno, "bad recv endpoint"))?;
+    /// The writes of the last `event` line, in line order, each resolved
+    /// to its variable.
+    pub fn writes(&self) -> &[(VarRef, Value)] {
+        &self.writes
+    }
+
+    /// The variable `name` of process `p`, once declared: the handle the
+    /// reader resolves writes to, which is also the one a
+    /// [`ComputationBuilder`] (or an online slicer) gives when the trace's
+    /// `var` lines are declared in order.
+    pub fn var(&self, p: usize, name: &str) -> Option<VarRef> {
+        let &(index, _) = self.vars.get(p)?.get(name)?;
+        Some(VarRef {
+            process: ProcessId::new(p),
+            index,
+        })
+    }
+
+    /// The variables declared so far with their initial values, as a
+    /// computation without events: what predicates over the trace are
+    /// parsed against. Its `VarRef`s are the ones the reader hands out.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the `procs` line.
+    pub fn header(&self) -> Computation {
+        let mut b = ComputationBuilder::new(self.vars.len());
+        for (p, vars) in self.vars.iter().enumerate() {
+            let mut decls: Vec<_> = vars.iter().collect();
+            decls.sort_unstable_by_key(|(_, (index, _))| *index);
+            for (name, &(_, initial)) in decls {
+                b.declare_var(ProcessId::new(p), name, initial);
+            }
+        }
+        b.build().expect("a computation without events is acyclic")
+    }
+
+    /// Ends the input: the trace must have had a `procs` line, and every
+    /// message endpoint must have arrived.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Syntax`]: on line 0 without `procs`, else on the
+    /// first `msg` line whose endpoint never came.
+    pub fn finish(&self) -> Result<(), TraceError> {
+        if self.events.is_empty() {
+            return Err(syntax(0, "trace has no procs line"));
+        }
+        // Every endpoint still pending lies past its process's last event.
+        match self.pending.iter().flat_map(BTreeMap::values).min() {
+            Some(&(line, end)) => Err(syntax(line, BAD_ENDPOINT[end])),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The error for a `msg` line's send (0) or receive (1).
+const BAD_ENDPOINT: [&str; 2] = ["bad send endpoint", "bad recv endpoint"];
+
+/// Parses a computation from the textual trace format: a [`TraceReader`]
+/// feeding a [`ComputationBuilder`]. Messages are added in file order once
+/// every line is read, so `messages()` lists them as the trace does.
+///
+/// # Errors
+///
+/// Returns [`TraceError::Syntax`] for any line the reader rejects and
+/// [`TraceError::Build`] for a repeated message or cyclic messages.
+pub fn from_text(text: &str) -> Result<Computation, TraceError> {
+    let mut reader = TraceReader::new();
+    let mut builder: Option<ComputationBuilder> = None;
+    let mut messages = Vec::new();
+    for (idx, raw) in text.lines().enumerate() {
+        // The reader's first op is always `Procs`, so every other one
+        // finds the builder.
+        match (reader.feed(raw, idx + 1)?, builder.as_mut()) {
+            (Some(TraceOp::Procs(n)), _) => builder = Some(ComputationBuilder::new(n)),
+            (
+                Some(TraceOp::Var {
+                    process,
+                    name,
+                    initial,
+                }),
+                Some(b),
+            ) => {
+                b.try_declare_var(ProcessId::new(process), &name, initial)?;
+            }
+            (Some(TraceOp::Event { process, label, .. }), Some(b)) => {
+                let e = b.append_event(ProcessId::new(process));
+                if let Some(l) = &label {
+                    b.set_label(e, l);
+                }
+                for &(var, value) in reader.writes() {
+                    b.assign(e, var, value)?;
+                }
+            }
+            (Some(TraceOp::Msg { send, recv }), _) => messages.push((send, recv)),
+            _ => {}
+        }
+    }
+    reader.finish()?;
+    let mut b = builder.expect("finish rejects a trace without procs");
+    for ((sp, spos), (rp, rpos)) in messages {
+        let send = b.event_at(ProcessId::new(sp), spos);
+        let recv = b.event_at(ProcessId::new(rp), rpos);
         b.message(send, recv)?;
     }
     Ok(b.build()?)
-}
-
-fn event_ref(b: &ComputationBuilder, p: usize, pos: u32) -> Option<EventId> {
-    if p >= b.num_processes() {
-        return None;
-    }
-    let pid = ProcessId::new(p);
-    if pos >= b.len(pid) {
-        return None;
-    }
-    Some(b.event_at(pid, pos))
 }
 
 #[cfg(test)]
@@ -531,6 +689,101 @@ mod tests {
                 other => panic!("unexpected error {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn reader_checks_every_context_rule() {
+        for (text, line, needle) in [
+            ("var 0 x 0\nprocs 1\n", 1, "var before procs"),
+            ("procs 1\nprocs 1\n", 2, "duplicate procs line"),
+            ("procs 1\nvar 3 x 0\n", 2, "process index out of range"),
+            ("procs 1\nevent 1\n", 2, "process index out of range"),
+            ("procs 1\nvar 0 x 0\nvar 0 x 1\n", 3, "declared twice"),
+            (
+                "procs 1\nevent 0\nvar 0 x 0\n",
+                3,
+                "after process 0's first event",
+            ),
+            (
+                "procs 1\nvar 0 x 0\nevent 0 x=true\n",
+                3,
+                "declared int but written bool",
+            ),
+            ("procs 1\nevent 0 y=1\n", 2, "unknown variable"),
+            (
+                "procs 2\nevent 0\nevent 1\nmsg 0 0 1 1\n",
+                4,
+                "bad send endpoint",
+            ),
+            (
+                "procs 2\nevent 0\nevent 1\nmsg 0 1 1 0\n",
+                4,
+                "bad recv endpoint",
+            ),
+            (
+                "procs 2\nevent 0\nevent 1\nmsg 0 1 7 1\n",
+                4,
+                "bad recv endpoint",
+            ),
+            ("procs 2\nevent 0\nevent 0\nmsg 0 1 0 2\n", 4, "to itself"),
+            (
+                "procs 2\nmsg 0 1 1 4294967295\nevent 0\nevent 1\n",
+                2,
+                "bad recv endpoint",
+            ),
+            (
+                "procs 2\nmsg 0 2 1 3\nmsg 0 1 1 1\nevent 0\nevent 1\n",
+                2,
+                "bad send endpoint",
+            ),
+            ("# no header\n", 0, "no procs line"),
+        ] {
+            let mut reader = TraceReader::new();
+            let streamed = text
+                .lines()
+                .enumerate()
+                .try_for_each(|(i, raw)| reader.feed(raw, i + 1).map(drop))
+                .and_then(|()| reader.finish());
+            for err in [streamed.unwrap_err(), from_text(text).unwrap_err()] {
+                match err {
+                    TraceError::Syntax { line: l, message } => {
+                        assert_eq!(l, line, "{text:?}: {message}");
+                        assert!(message.contains(needle), "{text:?}: {message}");
+                    }
+                    other => panic!("{text:?}: unexpected error {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reader_resolves_writes_and_waits_for_endpoints() {
+        let mut reader = TraceReader::new();
+        assert_eq!(reader.feed("procs 2", 1).unwrap(), Some(TraceOp::Procs(2)));
+        // A message may name events the trace has not reached yet.
+        assert!(reader.feed("msg 0 1 1 1", 2).unwrap().is_some());
+        assert!(reader.finish().is_err(), "its endpoints never came");
+        reader.feed("var 1 ok true", 3).unwrap();
+        reader.feed("var 1 y 0", 4).unwrap();
+        let (ok, y) = (reader.var(1, "ok").unwrap(), reader.var(1, "y").unwrap());
+        assert_eq!((ok.index(), y.index(), reader.var(0, "y")), (0, 1, None));
+        reader.feed("event 0", 5).unwrap();
+        assert!(matches!(
+            reader.feed("event 1 y=3 ok=false", 6).unwrap(),
+            Some(TraceOp::Event { process: 1, .. })
+        ));
+        assert_eq!(
+            reader.writes(),
+            [(y, Value::Int(3)), (ok, Value::Bool(false))]
+        );
+        // Each endpoint is forgotten as soon as its event is read.
+        assert!(reader.pending.iter().all(BTreeMap::is_empty));
+        reader.finish().expect("both endpoints arrived");
+        let header = reader.header();
+        assert_eq!(
+            (header.var(ProcessId::new(1), "y"), header.num_events()),
+            (Some(y), 2)
+        );
     }
 
     #[test]

@@ -4,14 +4,13 @@
 //! The crate provides one small vocabulary — leveled [`Event`]s carrying
 //! spans (monotonic enter/exit timing), monotonic counters, gauges,
 //! histogram samples, and text messages — and a [`Recorder`] trait that
-//! sinks implement. Four sinks ship with the crate:
+//! sinks implement. Three sinks ship with the crate:
 //!
 //! * [`NullRecorder`] — discards everything; equivalent to the default
 //!   state where no recorder is installed at all.
 //! * [`StderrLogger`] — human-readable leveled output on stderr,
 //!   conventionally configured through the `SLICING_LOG` environment
 //!   variable (see [`StderrLogger::from_env`]).
-//! * [`JsonlWriter`] — one JSON object per event, for machine ingestion.
 //! * [`MemoryRecorder`] — buffers events in memory for test assertions.
 //!
 //! # Dispatch model
@@ -56,7 +55,7 @@ pub mod snapshot;
 pub use histogram::Histogram;
 pub use profile::{ProfileReport, ProfileSpan, Profiler};
 pub use report::RunReport;
-pub use sinks::{JsonlWriter, MemoryRecorder, OwnedEvent, StderrLogger};
+pub use sinks::{MemoryRecorder, OwnedEvent, StderrLogger};
 pub use snapshot::MetricsSnapshotter;
 
 /// Verbosity levels, ordered from silent to most verbose.
@@ -200,8 +199,7 @@ impl Event<'_> {
 ///   contributes one observation to the named histogram; neither
 ///   replacement (gauge) nor summation (counter) semantics apply.
 ///
-/// `tests/` in this crate pin the contract with a cross-sink
-/// equivalence test (MemoryRecorder vs. a parsed-back JSONL stream).
+/// The `sinks` module's tests pin the contract on [`MemoryRecorder`].
 pub trait Recorder: Send + Sync {
     /// The most verbose level this recorder wants. Events above it are
     /// filtered out before `record` is called.

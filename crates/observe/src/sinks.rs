@@ -1,14 +1,10 @@
-//! The recorders shipped with the crate: stderr logging, JSONL streaming,
-//! and in-memory buffering for tests. The null recorder lives in the
-//! crate root next to the dispatch machinery.
+//! The recorders shipped with the crate: stderr logging and in-memory
+//! buffering for tests. The null recorder lives in the crate root next to
+//! the dispatch machinery.
 
 use std::collections::HashMap;
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
 use std::sync::Mutex;
 
-use crate::json::JsonObject;
 use crate::{Event, Level, Recorder};
 
 /// Environment variable read by [`StderrLogger::from_env`].
@@ -80,99 +76,6 @@ impl Recorder for StderrLogger {
             Event::Message { level, text } => format!("[{level}] {text}"),
         };
         eprintln!("{line}");
-    }
-}
-
-/// Streams one JSON object per event to an arbitrary writer.
-///
-/// Event shapes (all on a single line each):
-///
-/// ```text
-/// {"type":"span_enter","name":"slice.j_table","id":3}
-/// {"type":"span_exit","name":"slice.j_table","id":3,"nanos":1243000}
-/// {"type":"counter","name":"detect.cuts_explored","delta":294}
-/// {"type":"gauge","name":"detect.bfs.frontier","value":17}
-/// {"type":"sample","name":"monitor.check.cost","value":5}
-/// {"type":"message","level":"info","text":"engine bfs starting"}
-/// ```
-pub struct JsonlWriter<W: Write + Send> {
-    level: Level,
-    out: Mutex<W>,
-}
-
-impl JsonlWriter<BufWriter<File>> {
-    /// A writer appending to a freshly created file at `path`, admitting
-    /// everything up to [`Level::Trace`].
-    pub fn create<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
-        Ok(JsonlWriter::new(
-            BufWriter::new(File::create(path)?),
-            Level::Trace,
-        ))
-    }
-}
-
-impl<W: Write + Send> JsonlWriter<W> {
-    /// A writer over `out` admitting events up to `level`.
-    pub fn new(out: W, level: Level) -> Self {
-        JsonlWriter {
-            level,
-            out: Mutex::new(out),
-        }
-    }
-}
-
-impl<W: Write + Send> std::fmt::Debug for JsonlWriter<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlWriter")
-            .field("level", &self.level)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<W: Write + Send> Recorder for JsonlWriter<W> {
-    fn level(&self) -> Level {
-        self.level
-    }
-
-    fn record(&self, event: &Event<'_>) {
-        let json = match event {
-            Event::SpanEnter { name, id } => JsonObject::new()
-                .str("type", "span_enter")
-                .str("name", name)
-                .u64("id", *id)
-                .finish(),
-            Event::SpanExit { name, id, nanos } => JsonObject::new()
-                .str("type", "span_exit")
-                .str("name", name)
-                .u64("id", *id)
-                .u64("nanos", *nanos)
-                .finish(),
-            Event::Counter { name, delta } => JsonObject::new()
-                .str("type", "counter")
-                .str("name", name)
-                .u64("delta", *delta)
-                .finish(),
-            Event::Gauge { name, value } => JsonObject::new()
-                .str("type", "gauge")
-                .str("name", name)
-                .u64("value", *value)
-                .finish(),
-            Event::Sample { name, value } => JsonObject::new()
-                .str("type", "sample")
-                .str("name", name)
-                .u64("value", *value)
-                .finish(),
-            Event::Message { level, text } => JsonObject::new()
-                .str("type", "message")
-                .str("level", level.name())
-                .str("text", text)
-                .finish(),
-        };
-        let mut out = self.out.lock().expect("jsonl writer lock");
-        // A failed write on a telemetry stream must not take down the
-        // instrumented computation; drop the line instead.
-        let _ = writeln!(out, "{json}");
-        let _ = out.flush();
     }
 }
 
@@ -401,49 +304,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn jsonl_writer_emits_one_object_per_line() {
-        let sink = JsonlWriter::new(Vec::new(), Level::Trace);
-        sink.record(&Event::SpanEnter { name: "a.b", id: 1 });
-        sink.record(&Event::SpanExit {
-            name: "a.b",
-            id: 1,
-            nanos: 42,
-        });
-        sink.record(&Event::Counter {
-            name: "c",
-            delta: 3,
-        });
-        sink.record(&Event::Gauge {
-            name: "g",
-            value: 7,
-        });
-        sink.record(&Event::Message {
-            level: Level::Warn,
-            text: "odd \"thing\"",
-        });
-        let text = String::from_utf8(sink.out.into_inner().unwrap()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5);
-        assert_eq!(
-            lines[0],
-            "{\"type\":\"span_enter\",\"name\":\"a.b\",\"id\":1}"
-        );
-        assert_eq!(
-            lines[1],
-            "{\"type\":\"span_exit\",\"name\":\"a.b\",\"id\":1,\"nanos\":42}"
-        );
-        assert_eq!(
-            lines[2],
-            "{\"type\":\"counter\",\"name\":\"c\",\"delta\":3}"
-        );
-        assert_eq!(lines[3], "{\"type\":\"gauge\",\"name\":\"g\",\"value\":7}");
-        assert_eq!(
-            lines[4],
-            "{\"type\":\"message\",\"level\":\"warn\",\"text\":\"odd \\\"thing\\\"\"}"
-        );
-    }
-
-    #[test]
     fn memory_recorder_helpers() {
         let mem = MemoryRecorder::new(Level::Trace);
         mem.record(&Event::SpanEnter { name: "s", id: 1 });
@@ -501,17 +361,42 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert_eq!(h.max(), 100);
         assert_eq!(mem.sample_histogram("missing").count(), 0);
+    }
 
-        let sink = JsonlWriter::new(Vec::new(), Level::Trace);
-        sink.record(&Event::Sample {
-            name: "probe.len",
-            value: 5,
-        });
-        let text = String::from_utf8(sink.out.into_inner().unwrap()).unwrap();
-        assert_eq!(
-            text.trim_end(),
-            "{\"type\":\"sample\",\"name\":\"probe.len\",\"value\":5}"
-        );
+    /// The contract documented on [`Recorder`] — counters are monotonic
+    /// sums, gauges last-write-wins with a max kept as a secondary, every
+    /// sample feeds a histogram — on one stream through the scoped
+    /// dispatch, with spans nested among the metrics.
+    #[test]
+    fn scoped_stream_aggregates_in_memory() {
+        let mem = std::sync::Arc::new(MemoryRecorder::new(Level::Trace));
+        {
+            let _guard = crate::scoped(mem.clone());
+            let _outer = crate::span("xsink.outer");
+            crate::counter("xsink.cuts", 3);
+            crate::gauge("xsink.frontier", 7);
+            {
+                let _inner = crate::span("xsink.inner");
+                crate::counter("xsink.cuts", 4);
+                crate::counter("xsink.probes", 10);
+                crate::gauge("xsink.frontier", 2); // last write wins; max stays 7
+                crate::gauge("xsink.depth", 9);
+            }
+            for value in [1u64, 8, 3, 900, 0, 17] {
+                crate::sample("xsink.cost", value);
+            }
+        }
+        assert_eq!(mem.counter_total("xsink.cuts"), 7);
+        assert_eq!(mem.counter_total("xsink.probes"), 10);
+        assert_eq!(mem.gauge_last("xsink.frontier"), Some(2));
+        assert_eq!(mem.gauge_max("xsink.frontier"), Some(7));
+        assert_eq!(mem.gauge_last("xsink.depth"), Some(9));
+        let cost = mem.sample_histogram("xsink.cost");
+        assert_eq!((cost.count(), cost.max()), (6, 900));
+        assert!(mem.spans_balanced());
+        let counts = mem.span_counts();
+        assert_eq!(counts["xsink.outer"], (1, 1));
+        assert_eq!(counts["xsink.inner"], (1, 1));
     }
 
     #[test]

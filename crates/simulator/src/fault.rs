@@ -487,6 +487,13 @@ pub fn inject_plan(comp: &Computation, plan: &FaultPlan) -> Result<Computation, 
     Ok(current)
 }
 
+/// A chosen site applied: the faulty computation and its fault.
+fn inject_at(comp: &Computation, site: Option<FaultSpec>) -> Option<(Computation, FaultSpec)> {
+    let fault = site?;
+    let faulty = inject(comp, &fault).expect("sites are valid positions");
+    Some((faulty, fault))
+}
+
 /// Injects a transient "secondary dropped its role" fault into a
 /// primary–secondary run: at a random event where some process is acting
 /// as secondary, its `isSecondary` flag reads `false` — the classic bug
@@ -498,6 +505,11 @@ pub fn inject_primary_secondary_fault(
     comp: &Computation,
     seed: u64,
 ) -> Option<(Computation, FaultSpec)> {
+    inject_at(comp, primary_secondary_site(comp, seed))
+}
+
+/// The site [`inject_primary_secondary_fault`] picks, by the same draws, not applied.
+fn primary_secondary_site(comp: &Computation, seed: u64) -> Option<FaultSpec> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut candidates: Vec<(ProcessId, u32)> = Vec::new();
     for p in comp.processes() {
@@ -514,15 +526,13 @@ pub fn inject_primary_secondary_fault(
         return None;
     }
     let (process, position) = candidates[rng.random_range(0..candidates.len())];
-    let fault = FaultSpec {
+    Some(FaultSpec {
         process,
         position,
         var_name: "isSecondary".to_owned(),
         value: Value::Bool(false),
         transient: true,
-    };
-    let faulty = inject(comp, &fault).expect("candidate positions are valid");
-    Some((faulty, fault))
+    })
 }
 
 /// Injects a transient partition corruption into a database-partitioning
@@ -531,6 +541,11 @@ pub fn inject_primary_secondary_fault(
 ///
 /// Returns `None` if the computation has no holder events.
 pub fn inject_database_fault(comp: &Computation, seed: u64) -> Option<(Computation, FaultSpec)> {
+    inject_at(comp, database_site(comp, seed))
+}
+
+/// The site [`inject_database_fault`] picks, by the same draws, not applied.
+fn database_site(comp: &Computation, seed: u64) -> Option<FaultSpec> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut candidates: Vec<(ProcessId, u32)> = Vec::new();
     for p in comp.processes() {
@@ -545,15 +560,13 @@ pub fn inject_database_fault(comp: &Computation, seed: u64) -> Option<(Computati
         return None;
     }
     let (process, position) = candidates[rng.random_range(0..candidates.len())];
-    let fault = FaultSpec {
+    Some(FaultSpec {
         process,
         position,
         var_name: "partition".to_owned(),
         value: Value::Int(-1),
         transient: true,
-    };
-    let faulty = inject(comp, &fault).expect("candidate positions are valid");
-    Some((faulty, fault))
+    })
 }
 
 /// Injects a transient over-acknowledgement into a leader-election run: at
@@ -566,6 +579,11 @@ pub fn inject_leader_election_fault(
     comp: &Computation,
     seed: u64,
 ) -> Option<(Computation, FaultSpec)> {
+    inject_at(comp, leader_election_site(comp, seed))
+}
+
+/// The site [`inject_leader_election_fault`] picks, by the same draws, not applied.
+fn leader_election_site(comp: &Computation, seed: u64) -> Option<FaultSpec> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut candidates: Vec<(ProcessId, u32)> = Vec::new();
     for p in comp.processes() {
@@ -582,15 +600,13 @@ pub fn inject_leader_election_fault(
         return None;
     }
     let (process, position) = candidates[rng.random_range(0..candidates.len())];
-    let fault = FaultSpec {
+    Some(FaultSpec {
         process,
         position,
         var_name: "acked".to_owned(),
         value: Value::Int(999),
         transient: true,
-    };
-    let faulty = inject(comp, &fault).expect("candidate positions are valid");
-    Some((faulty, fault))
+    })
 }
 
 /// Injects a transient sum corruption into a CRDT-replication run: at a
@@ -600,6 +616,11 @@ pub fn inject_leader_election_fault(
 ///
 /// Returns `None` if no replica has events.
 pub fn inject_crdt_fault(comp: &Computation, seed: u64) -> Option<(Computation, FaultSpec)> {
+    inject_at(comp, crdt_site(comp, seed))
+}
+
+/// The site [`inject_crdt_fault`] picks, by the same draws, not applied.
+fn crdt_site(comp: &Computation, seed: u64) -> Option<FaultSpec> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut candidates: Vec<(ProcessId, u32)> = Vec::new();
     for p in comp.processes() {
@@ -614,15 +635,13 @@ pub fn inject_crdt_fault(comp: &Computation, seed: u64) -> Option<(Computation, 
         return None;
     }
     let (process, position) = candidates[rng.random_range(0..candidates.len())];
-    let fault = FaultSpec {
+    Some(FaultSpec {
         process,
         position,
         var_name: "sum".to_owned(),
         value: Value::Int(999),
         transient: true,
-    };
-    let faulty = inject(comp, &fault).expect("candidate positions are valid");
-    Some((faulty, fault))
+    })
 }
 
 /// Injects a transient enqueue-counter corruption into a work-queue run:
@@ -636,6 +655,11 @@ pub fn inject_crdt_fault(comp: &Computation, seed: u64) -> Option<(Computation, 
 /// Returns `None` if the run is not a work-queue run or the broker never
 /// acted.
 pub fn inject_work_queue_fault(comp: &Computation, seed: u64) -> Option<(Computation, FaultSpec)> {
+    inject_at(comp, work_queue_site(comp, seed))
+}
+
+/// The site [`inject_work_queue_fault`] picks, by the same draws, not applied.
+fn work_queue_site(comp: &Computation, seed: u64) -> Option<FaultSpec> {
     let mut rng = StdRng::seed_from_u64(seed);
     let broker = comp.processes().next()?;
     comp.var(broker, "enq")?;
@@ -644,15 +668,13 @@ pub fn inject_work_queue_fault(comp: &Computation, seed: u64) -> Option<(Computa
         return None;
     }
     let position = rng.random_range(1..comp.len(broker));
-    let fault = FaultSpec {
+    Some(FaultSpec {
         process: broker,
         position,
         var_name: "enq".to_owned(),
         value: Value::Int(-1),
         transient: true,
-    };
-    let faulty = inject(comp, &fault).expect("broker positions are valid");
-    Some((faulty, fault))
+    })
 }
 
 /// Picks a representative injectable fault of the named `kind`
@@ -668,12 +690,16 @@ pub fn inject_work_queue_fault(comp: &Computation, seed: u64) -> Option<(Computa
 /// can absorb" without hand-picking coordinates.
 pub fn sample_fault_plan(comp: &Computation, kind: &str, seed: u64) -> Option<FaultPlan> {
     let corrupt = |seed| {
-        inject_primary_secondary_fault(comp, seed)
-            .or_else(|| inject_database_fault(comp, seed))
-            .or_else(|| inject_leader_election_fault(comp, seed))
-            .or_else(|| inject_crdt_fault(comp, seed))
-            .or_else(|| inject_work_queue_fault(comp, seed))
-            .map(|(_, spec)| FaultKind::Corrupt(spec))
+        [
+            primary_secondary_site,
+            database_site,
+            leader_election_site,
+            crdt_site,
+            work_queue_site,
+        ]
+        .iter()
+        .find_map(|site| site(comp, seed))
+        .map(FaultKind::Corrupt)
     };
     let msg_index = |seed: u64| {
         let count = comp.messages().len();

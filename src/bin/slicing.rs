@@ -66,13 +66,13 @@ fn usage() -> &'static str {
                   [--engine slicing|hybrid|pom|bfs|reverse]
                   [--max-cuts N] [--max-live-cuts N] [--cap-kb N] [--timeout-ms N]
   slicing modality <trace> <predicate> --mode possibly|definitely|invariant|controllable
-  slicing monitor <trace> <predicate> [--check-every N]
+  slicing monitor <trace> <predicate>
                   [--metrics <path>] [--metrics-every N]
                   [--gc-lag N] [--gc-every N]
                   [--checkpoint <path>] [--checkpoint-every N] [--checkpoint-keep K]
                   [--resume <path>]
   slicing serve   [<stream>] [--tenant id=EXPR]... [--listen <addr>]
-                  [--check-every N] [--metrics <path>] [--metrics-every N]
+                  [--metrics <path>] [--metrics-every N]
                   [--gc-lag N] [--gc-every N]
                   [--checkpoint <path>] [--checkpoint-every N] [--checkpoint-keep K]
                   [--resume <path>]
@@ -150,7 +150,12 @@ and checks every document against the known `slicing.*/v1` schemas; a
 consistency checks `--resume` runs.
 
 <trace> is a file path or `-` for stdin; predicates use the expression
-language, e.g. \"x1@0 > 1 && x3@2 <= 3\"."
+language, e.g. \"x1@0 > 1 && x3@2 <= 3\". `detect`, `monitor` and `serve`
+check a trace by the same rules (`slicing_computation::trace::TraceReader`)
+and reject the same traces with the same error line; `monitor` and `serve`
+may print alarms for the lines before it. The one exception is a message
+given twice or messages that form a cycle, which only the causal store
+sees: `detect` rejects them, `monitor` and `serve` warn once and skip."
 }
 
 /// Checks a parsed document against the schema registry. A hub
@@ -181,18 +186,19 @@ fn parse_positive(flag: &str, value: &str) -> Result<u64, String> {
     Ok(n)
 }
 
+/// The whole text of a file, or of stdin for `-`.
+fn read_input(path: &str) -> Result<String, String> {
+    if path != "-" {
+        return std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"));
+    }
+    let mut buf = String::new();
+    std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf)
+        .map_err(|e| format!("reading stdin: {e}"))?;
+    Ok(buf)
+}
+
 fn load_trace(path: &str) -> Result<Computation, String> {
-    let text = if path == "-" {
-        use std::io::Read;
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("reading stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?
-    };
-    from_text(&text).map_err(|e| e.to_string())
+    from_text(&read_input(path)?).map_err(|e| e.to_string())
 }
 
 /// Strips the global `--log`/`--report` flags (valid before or after the
@@ -338,13 +344,7 @@ fn run() -> Result<(), String> {
                 for (name, d) in &outcome.phases {
                     run = run.phase(name.as_str(), d.as_secs_f64());
                 }
-                let json = run.to_json();
-                if path == "-" {
-                    outln!("{json}");
-                } else {
-                    std::fs::write(path, format!("{json}\n"))
-                        .map_err(|e| format!("writing {path}: {e}"))?;
-                }
+                write_report(path, &run.to_json())?;
             }
             match &outcome.found {
                 Some(cut) => {
@@ -365,8 +365,10 @@ fn run() -> Result<(), String> {
                         );
                     }
                 }
-                None if outcome.completed() => outln!("predicate does not hold anywhere"),
-                None => outln!("undecided: search hit a resource limit"),
+                None => match outcome.aborted {
+                    Some(reason) => outln!("undecided: {reason}"),
+                    None => outln!("predicate does not hold anywhere"),
+                },
             }
             Ok(())
         }
@@ -463,13 +465,7 @@ fn run() -> Result<(), String> {
                 );
             }
             if let Some(path) = &report {
-                let json = outcome.to_json();
-                if path == "-" {
-                    outln!("{json}");
-                } else {
-                    std::fs::write(path, format!("{json}\n"))
-                        .map_err(|e| format!("writing {path}: {e}"))?;
-                }
+                write_report(path, &outcome.to_json())?;
             }
             match outcome.verdict {
                 RecoveryVerdict::CleanAlready | RecoveryVerdict::Recovered => Ok(()),
@@ -540,13 +536,7 @@ fn run() -> Result<(), String> {
             let verdict = slicing_observe::diff::diff(&baseline, &current, threshold)?;
             out!("{}", verdict.render_text());
             if let Some(path) = &report {
-                let json = verdict.to_json();
-                if path == "-" {
-                    outln!("{json}");
-                } else {
-                    std::fs::write(path, format!("{json}\n"))
-                        .map_err(|e| format!("writing {path}: {e}"))?;
-                }
+                write_report(path, &verdict.to_json())?;
             }
             if verdict.pass() {
                 Ok(())
@@ -769,17 +759,7 @@ fn grid40_fixture() -> Computation {
 
 /// Reads and parses one JSON document from a file (or stdin via `-`).
 fn load_json_doc(path: &str) -> Result<slicing_observe::json::JsonValue, String> {
-    let text = if path == "-" {
-        use std::io::Read;
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("reading stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?
-    };
-    slicing_observe::json::parse(&text).map_err(|e| format!("{path}: {e}"))
+    slicing_observe::json::parse(&read_input(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Workload label for profile reports: the trace file's stem.
@@ -820,15 +800,9 @@ fn main() -> ExitCode {
 // stream.
 // ---------------------------------------------------------------------------
 
-use computation_slicing::computation::trace::{parse_line, TraceOp};
+use computation_slicing::computation::trace::{TraceOp, TraceReader};
 use computation_slicing::detect::{GcConfig, HubState, MonitorHub};
-use computation_slicing::{Conjunctive, Cut, Value};
-
-/// A contextual trace error in the same shape `TraceError::Syntax`
-/// renders, so streaming and batch parsing report problems identically.
-fn trace_syntax(line: usize, message: &str) -> String {
-    format!("trace syntax error on line {line}: {message}")
-}
+use computation_slicing::{Conjunctive, Cut, Value, VarRef};
 
 /// A seekable handle on the trace: real files are read in place, stdin is
 /// spooled to a temporary file (constant memory) so the monitor can make
@@ -864,11 +838,26 @@ impl TraceSource {
         }
     }
 
-    fn reader(&self) -> Result<std::io::BufReader<std::fs::File>, String> {
-        Ok(std::io::BufReader::new(
-            std::fs::File::open(&self.path)
-                .map_err(|e| format!("reading {}: {e}", self.display()))?,
-        ))
+    /// Reads the trace through a fresh [`TraceReader`], handing `f` each
+    /// op it accepts with the reader and the line number. Returns the
+    /// reader at the end of input, before its `finish`.
+    fn read(
+        &self,
+        mut f: impl FnMut(TraceOp, &TraceReader, usize) -> Result<(), String>,
+    ) -> Result<TraceReader, String> {
+        use std::io::BufRead;
+        let err = |e: std::io::Error| format!("reading {}: {e}", self.display());
+        let file = std::fs::File::open(&self.path).map_err(err)?;
+        let mut reader = TraceReader::new();
+        for (i, raw) in std::io::BufReader::new(file).lines().enumerate() {
+            if let Some(op) = reader
+                .feed(&raw.map_err(err)?, i + 1)
+                .map_err(|e| e.to_string())?
+            {
+                f(op, &reader, i + 1)?;
+            }
+        }
+        Ok(reader)
     }
 }
 
@@ -880,133 +869,25 @@ impl Drop for TraceSource {
     }
 }
 
-/// A message edge read from the stream, by (process, position) endpoints.
-struct TraceMsg {
-    send: (usize, u32),
-    recv: (usize, u32),
-}
+/// A message edge read from the stream: (send, receive), each by
+/// (process, position).
+type TraceMsg = ((usize, u32), (usize, u32));
 
-/// What the monitor's header pass gathers: the process count, variable
-/// declarations in file order, message edges, and per-process event
-/// counts — never the events themselves.
-struct TraceIndex {
-    procs: usize,
-    decls: Vec<(usize, String, Value, usize)>,
-    msgs: Vec<TraceMsg>,
-}
-
-/// Header pass: validates line syntax, directive ordering, process
-/// ranges, event variable names, and message endpoints — everything
-/// `from_text` rejects — while retaining only O(vars + messages) state.
-fn scan_trace(source: &TraceSource) -> Result<TraceIndex, String> {
-    use std::io::BufRead;
-    let mut procs: Option<usize> = None;
-    let mut decls: Vec<(usize, String, Value, usize)> = Vec::new();
-    let mut raw_msgs: Vec<(TraceMsg, usize)> = Vec::new();
-    let mut counts: Vec<u32> = Vec::new();
-    let mut names: Vec<std::collections::HashSet<String>> = Vec::new();
-    for (i, raw) in source.reader()?.lines().enumerate() {
-        let lineno = i + 1;
-        let raw = raw.map_err(|e| format!("reading {}: {e}", source.display()))?;
-        let Some(op) = parse_line(&raw, lineno).map_err(|e| e.to_string())? else {
-            continue;
-        };
-        match op {
-            TraceOp::Procs(n) => {
-                if procs.is_some() {
-                    return Err(trace_syntax(lineno, "duplicate procs line"));
-                }
-                procs = Some(n);
-                counts = vec![0; n];
-                names = vec![std::collections::HashSet::new(); n];
-            }
-            TraceOp::Var {
-                process,
-                name,
-                initial,
-            } => {
-                let n = procs.ok_or_else(|| trace_syntax(lineno, "var before procs"))?;
-                if process >= n {
-                    return Err(trace_syntax(lineno, "process index out of range"));
-                }
-                names[process].insert(name.clone());
-                decls.push((process, name, initial, lineno));
-            }
-            TraceOp::Event {
-                process, writes, ..
-            } => {
-                let n = procs.ok_or_else(|| trace_syntax(lineno, "event before procs"))?;
-                if process >= n {
-                    return Err(trace_syntax(lineno, "process index out of range"));
-                }
-                for (key, _) in &writes {
-                    if !names[process].contains(key) {
-                        return Err(trace_syntax(
-                            lineno,
-                            &format!("unknown variable {key:?} on process {process}"),
-                        ));
-                    }
-                }
-                counts[process] += 1;
-            }
-            TraceOp::Msg { send, recv } => {
-                raw_msgs.push((TraceMsg { send, recv }, lineno));
-            }
-            _ => {}
-        }
-    }
-    let procs = procs.ok_or_else(|| trace_syntax(0, "trace has no procs line"))?;
-    let mut msgs = Vec::with_capacity(raw_msgs.len());
-    for (m, lineno) in raw_msgs {
-        if m.send.0 >= procs || m.send.1 > counts[m.send.0] {
-            return Err(trace_syntax(lineno, "bad send endpoint"));
-        }
-        if m.recv.0 >= procs || m.recv.1 > counts[m.recv.0] {
-            return Err(trace_syntax(lineno, "bad recv endpoint"));
-        }
-        msgs.push(m);
-    }
-    Ok(TraceIndex { procs, decls, msgs })
-}
-
-/// The header-only computation (declared variables, no steps) that
-/// predicates are parsed against. Variables are declared in file order,
-/// so the `VarRef`s the expression parser hands out line up with the
-/// online engine's own declarations.
-fn header_computation(
-    procs: usize,
-    decls: &[(usize, String, Value, usize)],
-) -> Result<Computation, String> {
-    let mut b = computation_slicing::ComputationBuilder::new(procs);
-    for (p, name, initial, lineno) in decls {
-        b.try_declare_var(computation_slicing::ProcessId::new(*p), name, *initial)
-            .map_err(|e| trace_syntax(*lineno, &e.to_string()))?;
-    }
-    b.build().map_err(|e| e.to_string())
-}
-
-/// Tracks which message edges have both endpoints replayed. Endpoints at
-/// position 0 are initial events and always ready; the rest become ready
-/// when their event streams past. O(messages) memory.
+/// Tracks which message edges have both endpoints replayed: an endpoint
+/// becomes ready when its event streams past. O(messages) memory.
+#[derive(Default)]
 struct MsgTracker {
     remaining: Vec<u8>,
     by_endpoint: std::collections::HashMap<(usize, u32), Vec<usize>>,
 }
 
 impl MsgTracker {
-    fn new() -> Self {
-        MsgTracker {
-            remaining: Vec::new(),
-            by_endpoint: std::collections::HashMap::new(),
-        }
-    }
-
     /// Registers message `idx`; returns true if it is ready right now
     /// given the already-replayed per-process positions.
     fn add(&mut self, idx: usize, msg: &TraceMsg, positions: &[u32]) -> bool {
         debug_assert_eq!(idx, self.remaining.len());
         let mut need = 0u8;
-        for ep in [msg.send, msg.recv] {
+        for ep in [msg.0, msg.1] {
             if ep.1 > positions[ep.0] {
                 self.by_endpoint.entry(ep).or_default().push(idx);
                 need += 1;
@@ -1041,10 +922,9 @@ fn write_report(path: &str, json: &str) -> Result<(), String> {
     }
 }
 
-/// The flags `monitor` and `serve` share: check cadence, metrics stream,
-/// stability GC, rotated checkpoints and resume.
+/// The flags `monitor` and `serve` share: metrics stream, stability GC,
+/// rotated checkpoints and resume.
 struct OnlineFlags {
-    check_every: u64,
     metrics_path: Option<String>,
     metrics_every: u64,
     checkpoint_path: Option<String>,
@@ -1058,7 +938,6 @@ struct OnlineFlags {
 impl OnlineFlags {
     fn new() -> Self {
         OnlineFlags {
-            check_every: 1,
             metrics_path: None,
             metrics_every: 100,
             checkpoint_path: None,
@@ -1073,7 +952,6 @@ impl OnlineFlags {
     /// Applies one `flag value` pair; `Ok(false)` if `flag` is not shared.
     fn apply(&mut self, flag: &str, value: &str) -> Result<bool, String> {
         match flag {
-            "--check-every" => self.check_every = parse_positive(flag, value)?,
             "--metrics" => self.metrics_path = Some(value.to_owned()),
             "--metrics-every" => self.metrics_every = parse_positive(flag, value)?,
             "--checkpoint" => self.checkpoint_path = Some(value.to_owned()),
@@ -1130,8 +1008,6 @@ struct OnlineRun {
     msgs: Vec<TraceMsg>,
     /// Per process: events read from the trace so far.
     positions: Vec<u32>,
-    /// Per process: the last position inside the resumed prefix.
-    skipped_until: Vec<u32>,
     /// Events the resumed checkpoint already consumed.
     skip: u64,
     /// Events read from the trace so far.
@@ -1181,10 +1057,9 @@ impl OnlineRun {
             snapshotter,
             metrics_out,
             _metrics_guard: metrics_guard,
-            tracker: MsgTracker::new(),
+            tracker: MsgTracker::default(),
             msgs: Vec::new(),
             positions: Vec::new(),
-            skipped_until: Vec::new(),
             skip: 0,
             observed: 0,
             last_ckpt: None,
@@ -1199,7 +1074,6 @@ impl OnlineRun {
     /// flags' GC.
     fn hub(&mut self, procs: usize, resume: Option<HubState>) -> Result<MonitorHub, String> {
         self.positions = vec![0; procs];
-        self.skipped_until = vec![0; procs];
         let Some(state) = resume else {
             let hub = MonitorHub::new(procs);
             return Ok(match (self.flags.gc_every, self.flags.gc_lag) {
@@ -1224,19 +1098,21 @@ impl OnlineRun {
     }
 
     /// Declares a trace variable on a fresh hub; a resumed hub must
-    /// already declare it.
+    /// already declare it, as the `VarRef` `reader` resolves its writes to.
     fn declare(
         &self,
         hub: &mut MonitorHub,
+        reader: &TraceReader,
         process: usize,
         name: &str,
         initial: Value,
-        lineno: usize,
     ) -> Result<(), String> {
         if self.flags.resume_path.is_none() {
-            hub.declare_var(process, name, initial)
-                .map_err(|e| trace_syntax(lineno, &e.to_string()))?;
-        } else if hub.var(process, name).is_none() {
+            let declared = hub
+                .declare_var(process, name, initial)
+                .map_err(|e| e.to_string())?;
+            debug_assert_eq!(Some(declared), reader.var(process, name));
+        } else if hub.var(process, name) != reader.var(process, name) {
             return Err(format!(
                 "checkpoint does not declare {name}@{process} — wrong trace?"
             ));
@@ -1254,24 +1130,26 @@ impl OnlineRun {
         }
     }
 
-    /// Delivers message `idx`. Messages whose receive lies inside a
-    /// resumed prefix are already part of the checkpointed state and are
-    /// never redelivered; endpoints compacted by GC (or rejected by the
-    /// hub) are warned about and skipped — the stream keeps flowing.
+    /// Delivers message `idx`, which just became ready. A message the hub
+    /// rejects (a repeat, a cycle, an endpoint compacted by GC) is warned
+    /// about and skipped, so the stream keeps flowing. On `--resume`, a
+    /// message ready before the consumed prefix's last event is part of
+    /// the checkpointed state. One ready right after that event may or may
+    /// not be, since the checkpoint was written either at that event or at
+    /// the end of the stream, so a repeat is then taken as held, without a
+    /// warning: the one message a resumed stream may skip silently.
     fn deliver(&self, hub: &mut MonitorHub, idx: usize) {
-        let msg = &self.msgs[idx];
-        if msg.recv.1 <= self.skipped_until[msg.recv.0] {
+        if self.observed < self.skip {
             return;
         }
-        match (
-            hub.event_at(msg.send.0, msg.send.1),
-            hub.event_at(msg.recv.0, msg.recv.1),
-        ) {
-            (Some(s), Some(r)) => {
-                if let Err(err) = hub.message(s, r) {
-                    eprintln!("warning: skipped message {s} -> {r}: {err}");
-                }
-            }
+        let held = self.skip > 0 && self.observed == self.skip;
+        let (send, recv) = self.msgs[idx];
+        match (hub.event_at(send.0, send.1), hub.event_at(recv.0, recv.1)) {
+            (Some(s), Some(r)) => match hub.message(s, r) {
+                Err(computation_slicing::BuildError::DuplicateMessage { .. }) if held => {}
+                Err(err) => eprintln!("warning: skipped message {s} -> {r}: {err}"),
+                Ok(()) => {}
+            },
             _ => eprintln!("warning: skipped message into history compacted by GC"),
         }
     }
@@ -1285,7 +1163,6 @@ impl OnlineRun {
         if self.observed > self.skip {
             return true;
         }
-        self.skipped_until[p] = self.positions[p];
         for idx in self.tracker.touch(p, self.positions[p]) {
             self.deliver(hub, idx);
         }
@@ -1299,25 +1176,16 @@ impl OnlineRun {
         &mut self,
         hub: &mut MonitorHub,
         p: usize,
-        writes: &[(String, Value)],
+        writes: &[(VarRef, Value)],
         lineno: usize,
     ) -> Result<(), String> {
-        let mut assignments = Vec::with_capacity(writes.len());
-        for (name, value) in writes {
-            let var = hub.var(p, name).ok_or_else(|| {
-                trace_syntax(lineno, &format!("unknown variable {name:?} on process {p}"))
-            })?;
-            assignments.push((var, *value));
-        }
-        hub.observe(p, &assignments)
+        hub.observe(p, writes)
             .map_err(|e| format!("trace line {lineno}: {e}"))?;
         for idx in self.tracker.touch(p, self.positions[p]) {
             self.deliver(hub, idx);
         }
+        self.check(hub);
         let ev = hub.stats().events;
-        if ev.is_multiple_of(self.flags.check_every) {
-            self.check(hub);
-        }
         if ev.is_multiple_of(self.flags.metrics_every) {
             self.snapshot(ev)?;
         }
@@ -1368,15 +1236,12 @@ impl OnlineRun {
         Ok(())
     }
 
-    /// End of stream: a final check, checkpoint and metrics snapshot so
-    /// the artifacts cover the tail whatever the cadences (each skipped
-    /// when its cadence just ran, so no rotation generation is wasted on a
+    /// End of stream: a final checkpoint and metrics snapshot so the
+    /// artifacts cover the tail whatever the cadences (each skipped when
+    /// its cadence just ran, so no rotation generation is wasted on a
     /// duplicate).
-    fn finish(&mut self, hub: &mut MonitorHub) -> Result<(), String> {
+    fn finish(&mut self, hub: &MonitorHub) -> Result<(), String> {
         let ev = hub.stats().events;
-        if !ev.is_multiple_of(self.flags.check_every) {
-            self.check(hub);
-        }
         if self.last_ckpt != Some(ev) {
             self.checkpoint(hub)?;
         }
@@ -1436,11 +1301,10 @@ impl OnlineRun {
 
 /// `slicing monitor`: replay one conjunctive predicate over a recorded
 /// trace through a one-tenant hub. Ingestion is streaming: a header pass
-/// gathers declarations and message edges (so every message is known
-/// before its endpoints replay), then events are fed line by line.
+/// reads the whole trace and keeps its declarations and message edges (so
+/// every message is known before its endpoints replay), then a second
+/// pass feeds the events line by line.
 fn monitor_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
-    use std::io::BufRead;
-
     let (trace, pred_src) = two_args(args)?;
     let mut flags = OnlineFlags::new();
     let mut it = args[3..].iter();
@@ -1456,8 +1320,21 @@ fn monitor_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
     })?;
 
     let source = TraceSource::open(trace)?;
-    let index = scan_trace(&source)?;
-    let comp = header_computation(index.procs, &index.decls)?;
+    let (mut decls, mut msgs) = (Vec::new(), Vec::new());
+    let header = source.read(|op, _, _| {
+        match op {
+            TraceOp::Var {
+                process,
+                name,
+                initial,
+            } => decls.push((process, name, initial)),
+            TraceOp::Msg { send, recv } => msgs.push((send, recv)),
+            _ => {}
+        }
+        Ok(())
+    })?;
+    header.finish().map_err(|e| e.to_string())?;
+    let comp = header.header();
     let pred = parse_predicate(&comp, pred_src).map_err(|e| e.to_string())?;
     let conj = pred.to_conjunctive().ok_or_else(|| {
         "monitor needs a conjunctive predicate (local clauses joined by &&)".to_owned()
@@ -1475,9 +1352,9 @@ fn monitor_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
             ))
         }
     };
-    let mut hub = run.hub(index.procs, resume)?;
-    for (p, name, initial, lineno) in &index.decls {
-        run.declare(&mut hub, *p, name, *initial, *lineno)?;
+    let mut hub = run.hub(comp.num_processes(), resume)?;
+    for (process, name, initial) in decls {
+        run.declare(&mut hub, &header, process, &name, initial)?;
     }
     match &resumed_tenant {
         Some(id) => hub.restore_tenant(id, &conj),
@@ -1485,26 +1362,19 @@ fn monitor_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
     }
     .map_err(|e| e.to_string())?;
 
-    for msg in index.msgs {
+    for msg in msgs {
         run.add_msg(&mut hub, msg);
     }
-    for (i, raw) in source.reader()?.lines().enumerate() {
-        let lineno = i + 1;
-        let raw = raw.map_err(|e| format!("reading {}: {e}", source.display()))?;
-        let Some(op) = parse_line(&raw, lineno).map_err(|e| e.to_string())? else {
-            continue;
-        };
-        let TraceOp::Event {
-            process: p, writes, ..
-        } = op
-        else {
-            continue; // header and messages were consumed in the first pass
-        };
-        if run.advance(&mut hub, p) {
-            run.observe(&mut hub, p, &writes, lineno)?;
+    source.read(|op, reader, lineno| {
+        // Header and messages were consumed in the first pass.
+        if let TraceOp::Event { process: p, .. } = op {
+            if run.advance(&mut hub, p) {
+                run.observe(&mut hub, p, reader.writes(), lineno)?;
+            }
         }
-    }
-    run.finish(&mut hub)?;
+        Ok(())
+    })?;
+    run.finish(&hub)?;
 
     let stats = hub.stats();
     outln!(
@@ -1524,20 +1394,6 @@ fn monitor_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
         run.report(&hub, path)?;
     }
     Ok(())
-}
-
-/// Builds (and caches) the header-only [`Computation`] that tenant
-/// predicate expressions are parsed against: the declared variables with
-/// their initial values, no events.
-fn header_comp<'a>(
-    cache: &'a mut Option<Computation>,
-    procs: usize,
-    decls: &[(usize, String, Value, usize)],
-) -> Result<&'a Computation, String> {
-    if cache.is_none() {
-        *cache = Some(header_computation(procs, decls)?);
-    }
-    Ok(cache.as_ref().expect("just filled"))
 }
 
 /// Parses a tenant predicate expression and requires the conjunctive
@@ -1656,10 +1512,12 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
         )),
     };
 
+    let mut reader = TraceReader::new();
     let mut hub: Option<MonitorHub> = None;
     let mut resume_tenants: Vec<(String, String)> = Vec::new();
     let mut tenants_ensured = false;
-    let mut decls: Vec<(usize, String, Value, usize)> = Vec::new();
+    // The computation tenant predicates are parsed against; a new
+    // variable invalidates it.
     let mut header: Option<Computation> = None;
 
     let mut buf = String::new();
@@ -1678,15 +1536,15 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
         // Roster directives are a serve-only extension of the trace
         // grammar and are peeled off before the line parser sees them.
         if let Some(rest) = line.strip_prefix("tenant ") {
-            let h = hub
-                .as_mut()
-                .ok_or_else(|| trace_syntax(lineno, "tenant directive before procs"))?;
+            let h = hub.as_mut().ok_or_else(|| {
+                format!("line {lineno}: tenant directive ahead of the procs line")
+            })?;
             let (id, expr) = rest.trim().split_once(char::is_whitespace).ok_or_else(|| {
-                trace_syntax(lineno, "tenant directive needs an id and an expression")
+                format!("line {lineno}: tenant directive needs an id and an expression")
             })?;
             let expr = expr.trim();
+            let comp = header.get_or_insert_with(|| reader.header());
             if !tenants_ensured {
-                let comp = header_comp(&mut header, h.num_processes(), &decls)?;
                 ensure_tenants(h, comp, &resume_tenants, &cli_tenants)?;
                 tenants_ensured = true;
             }
@@ -1694,7 +1552,6 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
             if in_skip && h.group_of(id).is_some() {
                 continue; // replay of an add the checkpoint already holds
             }
-            let comp = header_comp(&mut header, h.num_processes(), &decls)?;
             match parse_tenant(comp, expr)
                 .and_then(|conj| h.add_tenant(id, &conj, expr).map_err(|e| e.to_string()))
             {
@@ -1710,9 +1567,9 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
             continue;
         }
         if let Some(rest) = line.strip_prefix("untenant ") {
-            let h = hub
-                .as_mut()
-                .ok_or_else(|| trace_syntax(lineno, "untenant directive before procs"))?;
+            let h = hub.as_mut().ok_or_else(|| {
+                format!("line {lineno}: untenant directive ahead of the procs line")
+            })?;
             let id = rest.trim();
             let removed = h.remove_tenant(id);
             if run.observed >= run.skip {
@@ -1725,14 +1582,12 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
             continue;
         }
 
-        let Some(op) = parse_line(&buf, lineno).map_err(|e| e.to_string())? else {
+        let Some(op) = reader.feed(&buf, lineno).map_err(|e| e.to_string())? else {
             continue;
         };
-        match op {
-            TraceOp::Procs(procs) => {
-                if hub.is_some() {
-                    return Err(trace_syntax(lineno, "duplicate procs line"));
-                }
+        // The reader's first op is always `Procs`, and only the first.
+        let Some(h) = hub.as_mut() else {
+            if let TraceOp::Procs(procs) = op {
                 if let Some(state) = &resume_state {
                     resume_tenants = state
                         .tenants
@@ -1742,61 +1597,37 @@ fn serve_cmd(args: &[String], report: Option<&str>) -> Result<(), String> {
                 }
                 hub = Some(run.hub(procs, resume_state.take())?);
             }
+            continue;
+        };
+        match op {
             TraceOp::Var {
                 process,
                 name,
                 initial,
             } => {
-                let h = hub
-                    .as_mut()
-                    .ok_or_else(|| trace_syntax(lineno, "var before procs"))?;
-                if process >= h.num_processes() {
-                    return Err(trace_syntax(lineno, "process index out of range"));
-                }
-                run.declare(h, process, &name, initial, lineno)?;
-                decls.push((process, name, initial, lineno));
-                header = None; // new variable invalidates the parse context
+                run.declare(h, &reader, process, &name, initial)?;
+                header = None;
             }
-            TraceOp::Event {
-                process: p, writes, ..
-            } => {
-                let h = hub
-                    .as_mut()
-                    .ok_or_else(|| trace_syntax(lineno, "event before procs"))?;
-                if p >= h.num_processes() {
-                    return Err(trace_syntax(lineno, "process index out of range"));
-                }
+            TraceOp::Event { process: p, .. } => {
                 if !run.advance(h, p) {
                     continue;
                 }
                 if !tenants_ensured {
-                    let comp = header_comp(&mut header, h.num_processes(), &decls)?;
+                    let comp = header.get_or_insert_with(|| reader.header());
                     ensure_tenants(h, comp, &resume_tenants, &cli_tenants)?;
                     tenants_ensured = true;
                 }
-                run.observe(h, p, &writes, lineno)?;
+                run.observe(h, p, reader.writes(), lineno)?;
             }
-            TraceOp::Msg { send, recv } => {
-                let h = hub
-                    .as_mut()
-                    .ok_or_else(|| trace_syntax(lineno, "msg before procs"))?;
-                if send.0 >= h.num_processes() {
-                    return Err(trace_syntax(lineno, "bad send endpoint"));
-                }
-                if recv.0 >= h.num_processes() {
-                    return Err(trace_syntax(lineno, "bad recv endpoint"));
-                }
-                run.add_msg(h, TraceMsg { send, recv });
-            }
+            TraceOp::Msg { send, recv } => run.add_msg(h, (send, recv)),
             _ => {}
         }
     }
 
-    let h = hub
-        .as_mut()
-        .ok_or_else(|| "stream has no procs line".to_owned())?;
+    reader.finish().map_err(|e| e.to_string())?;
+    let h = hub.as_mut().expect("finish rejects a stream without procs");
     if !tenants_ensured {
-        let comp = header_comp(&mut header, h.num_processes(), &decls)?;
+        let comp = header.get_or_insert_with(|| reader.header());
         ensure_tenants(h, comp, &resume_tenants, &cli_tenants)?;
     }
     run.finish(h)?;

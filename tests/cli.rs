@@ -694,7 +694,7 @@ fn monitor_metrics_stream_is_valid_jsonl() {
 #[test]
 fn monitor_rejects_zero_and_garbage_cadences() {
     let trace = figure1_trace();
-    for flag in ["--check-every", "--metrics-every", "--checkpoint-every"] {
+    for flag in ["--metrics-every", "--checkpoint-every"] {
         let out = slicing_with_stdin(&["monitor", "-", "x1@0 > 1", flag, "0"], &trace);
         assert!(!out.status.success(), "{flag} 0 must be rejected");
         let err = String::from_utf8_lossy(&out.stderr).into_owned();
@@ -1228,30 +1228,133 @@ fn retired_engine_options_fail_with_one_typed_message() {
     }
 }
 
-/// Malformed traces and predicates must come back as error messages, not
-/// panics — the `expect`-on-untrusted-input regression lockdown.
+/// Runs `detect`, `monitor` and `serve` on one trace from stdin, each
+/// with the predicate `x@0 > 1`.
+fn every_reader(trace: &str) -> [(&'static str, Output); 3] {
+    [
+        (
+            "detect",
+            slicing_with_stdin(&["detect", "-", "x@0 > 1"], trace),
+        ),
+        (
+            "monitor",
+            slicing_with_stdin(&["monitor", "-", "x@0 > 1"], trace),
+        ),
+        (
+            "serve",
+            slicing_with_stdin(&["serve", "--tenant", "t=x@0 > 1"], trace),
+        ),
+    ]
+}
+
+/// A malformed trace gets one verdict from every command that reads one:
+/// `detect`, `monitor` and `serve` exit 1 with the same error line, and
+/// none panics. Messages given twice or forming a cycle are the one
+/// exception, because only the causal store sees them: `detect` rejects
+/// the trace, and the streams print one warning, skip the message and
+/// exit 0. Malformed predicates come back as errors too.
 #[test]
 fn malformed_input_never_panics_the_cli() {
+    let header = "procs 2\nvar 0 x 0\nvar 1 y 0\n";
+    let two_events = "event 0 x=2\nevent 1 y=1\n";
+    let rejected = [
+        (
+            format!("{header}event 0 x=1\nvar 0 z 0\n"),
+            "line 5: variable \"z\" declared after process 0's first event",
+        ),
+        (
+            format!("{header}event 0 x=true\n"),
+            "line 4: variable \"x\" on process 0 is declared int but written bool",
+        ),
+        (
+            format!("{header}{two_events}msg 0 1 1 5\n"),
+            "line 6: bad recv endpoint",
+        ),
+        (
+            format!("{header}{two_events}msg 0 1 1 4294967295\n"),
+            "line 6: bad recv endpoint",
+        ),
+        (
+            format!("{header}{two_events}msg 0 1 7 1\n"),
+            "line 6: bad recv endpoint",
+        ),
+        (
+            format!("{header}{two_events}msg 0 0 1 1\n"),
+            "line 6: bad send endpoint",
+        ),
+        (
+            format!("{header}{two_events}msg 0 1 1 0\n"),
+            "line 6: bad recv endpoint",
+        ),
+        (
+            format!("{header}event 0 x=2\nevent 0 x=3\nmsg 0 1 0 2\n"),
+            "line 6: msg joins process 0 to itself",
+        ),
+        (
+            format!("{header}event 0 q=2\n"),
+            "line 4: unknown variable \"q\" on process 0",
+        ),
+        (
+            format!("{header}event 7 x=2\n"),
+            "line 4: process index out of range",
+        ),
+        (
+            "var 0 x 0\nprocs 2\n".to_owned(),
+            "line 1: var before procs",
+        ),
+        (format!("{header}procs 2\n"), "line 4: duplicate procs line"),
+        (
+            format!("{header}var 0 x 1\n"),
+            "line 4: variable \"x\" declared twice on process 0",
+        ),
+        (
+            "# no header\n".to_owned(),
+            "line 0: trace has no procs line",
+        ),
+    ];
+    for (trace, line) in &rejected {
+        let want = format!("trace syntax error on {line}");
+        for (command, out) in every_reader(trace) {
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} on {trace:?}: {err}");
+            assert_eq!(
+                err.lines().last(),
+                Some(want.as_str()),
+                "{command} on {trace:?}"
+            );
+        }
+    }
+
+    for (trace, build_error) in [
+        (
+            format!("{header}{two_events}msg 0 1 1 1\nmsg 0 1 1 1\n"),
+            "trace build error: duplicate message from e2 to e3",
+        ),
+        (
+            format!("{header}{two_events}event 0 x=3\nevent 1 y=2\nmsg 0 2 1 1\nmsg 1 2 0 1\n"),
+            "trace build error: happened-before relation contains a cycle",
+        ),
+    ] {
+        let [(_, detect), streams @ ..] = every_reader(&trace);
+        let err = String::from_utf8_lossy(&detect.stderr);
+        assert_eq!(detect.status.code(), Some(1), "detect on {trace:?}: {err}");
+        assert_eq!(err.trim_end(), build_error, "detect on {trace:?}");
+        for (command, out) in streams {
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{command} on {trace:?}: {err}");
+            assert_eq!(err.lines().count(), 1, "{command} on {trace:?}: {err}");
+            assert!(
+                err.starts_with("warning: skipped message"),
+                "{command} on {trace:?}: {err}"
+            );
+        }
+    }
+
     let cases: &[(&[&str], &str, &str)] = &[
-        (
-            &["monitor", "-", "x@0 > 1"],
-            "procs 1\nvar 0 x 0\nevent 0 y=1\n",
-            "unknown variable",
-        ),
-        (
-            &["monitor", "-", "x@0 > 1"],
-            "procs 1\nvar 0 x 0\nevent 5 x=1\n",
-            "process index out of range",
-        ),
         (
             &["monitor", "-", "nope@0 > 1"],
             "procs 1\nvar 0 x 0\nevent 0 x=1\n",
             "no variable named",
-        ),
-        (
-            &["serve", "--tenant", "t=x@0 > 1"],
-            "procs 1\nvar 0 x 0\nmsg 0 1 7 1\n",
-            "bad recv endpoint",
         ),
         (
             &["serve", "--tenant", "t=x@0 > 1 || y@1 > 1"],
@@ -1273,5 +1376,131 @@ fn malformed_input_never_panics_the_cli() {
             "{args:?} panicked on malformed input:\n{err}"
         );
         assert!(err.contains(needle), "{args:?}: wanted {needle:?} in {err}");
+    }
+}
+
+/// An undecided `detect` names why its search stopped.
+#[test]
+fn undecided_detect_names_the_abort() {
+    let trace = figure1_trace();
+    for (flags, reason) in [
+        // x2 reaches 0 at event h, so the division fails there.
+        (
+            &["x1@0 / x2@1 > 5", "--engine", "bfs"][..],
+            "predicate evaluation error",
+        ),
+        (
+            &["x1@0 > 5", "--engine", "bfs", "--max-cuts", "1"][..],
+            "explored-cut limit exceeded",
+        ),
+    ] {
+        let mut args = vec!["detect", "-"];
+        args.extend_from_slice(flags);
+        let out = slicing_with_stdin(&args, &trace);
+        assert!(out.status.success());
+        assert_eq!(
+            stdout(&out).lines().last(),
+            Some(format!("undecided: {reason}").as_str())
+        );
+    }
+}
+
+/// A resumed stream delivers every message the checkpoint does not hold:
+/// one whose line follows the checkpointed event, and one whose send
+/// comes after the consumed prefix while its receive lies inside it.
+#[test]
+fn resume_delivers_messages_the_checkpoint_missed() {
+    let ckpt = tmp_path("missed.ckpt");
+    let ckpt_s = ckpt.to_str().unwrap();
+    let pred = "x@0 > 2 && y@1 > 1";
+    let late = "procs 2\nvar 0 x 0\nvar 1 y 0\nevent 0 x=1\nevent 1 y=1\nevent 0 x=2\n\
+                msg 0 1 1 1\nevent 1 y=2\nevent 0 x=3\n";
+    let backward = "procs 2\nvar 0 x 0\nvar 1 y 0\nevent 1 y=1\nevent 0 x=1\nevent 0 x=3\n\
+                    msg 0 2 1 1\nevent 1 y=2\n";
+    let tenant = format!("t={pred}");
+    let serve = ["serve", "--tenant", tenant.as_str()];
+    let monitor = ["monitor", "-", pred];
+    for (command, trace, checkpointed) in [
+        (&serve[..], late, late),
+        (&monitor[..], late, late),
+        (
+            &serve[..],
+            backward,
+            &backward[..backward.find("event 0 x=3").unwrap()],
+        ),
+        (
+            &monitor[..],
+            backward,
+            &backward[..backward.find("event 0 x=3").unwrap()],
+        ),
+    ] {
+        // The first incarnation checkpoints after three events and reads
+        // on (a cadence checkpoint) or stops there (the final one).
+        let mut args = command.to_vec();
+        args.extend_from_slice(&["--checkpoint", ckpt_s, "--checkpoint-every", "3"]);
+        args.extend_from_slice(&["--checkpoint-keep", "2"]);
+        assert!(slicing_with_stdin(&args, checkpointed).status.success());
+        let third = if checkpointed == trace {
+            format!("{ckpt_s}.1") // the generation written at event 3
+        } else {
+            ckpt_s.to_owned()
+        };
+        let mut args = command.to_vec();
+        args.extend_from_slice(&["--resume", &third]);
+        let resumed = slicing_with_stdin(&args, trace);
+        let err = String::from_utf8_lossy(&resumed.stderr);
+        assert!(
+            resumed.status.success() && err.is_empty(),
+            "{command:?}: {err}"
+        );
+        let summary = stdout(&resumed);
+        assert!(
+            summary.contains("1 messages"),
+            "{command:?} on {trace:?}: {summary}"
+        );
+        std::fs::remove_file(&ckpt).ok();
+        std::fs::remove_file(format!("{ckpt_s}.1")).ok();
+    }
+}
+
+/// A message into history GC compacted is warned about on resume as in
+/// the unbroken run, also when it becomes ready right after the
+/// checkpointed event.
+#[test]
+fn resume_warns_about_a_compacted_endpoint() {
+    let ckpt = tmp_path("compacted.ckpt");
+    let ckpt_s = ckpt.to_str().unwrap();
+    // Ping-pong messages make every event stable, so GC at lag 1 drops
+    // (0, 1) long before the late message from it is read.
+    let mut prefix = "procs 2\nvar 0 x 0\nvar 1 y 0\n".to_owned();
+    for i in 1..=8 {
+        prefix.push_str(&format!("event 0 x={i}\n"));
+        if i > 1 {
+            prefix.push_str(&format!("msg 1 {} 0 {i}\n", i - 1));
+        }
+        prefix.push_str(&format!("event 1 y={i}\nmsg 0 {i} 1 {i}\n"));
+    }
+    let trace = format!("{prefix}msg 0 1 1 8\nevent 0 x=99\n");
+    let pred = "x@0 > 1000 && y@1 > 1000";
+    let tenant = format!("t={pred}");
+    let gc = ["--gc-lag", "1", "--gc-every", "1"];
+    for command in [&["serve", "--tenant", &tenant][..], &["monitor", "-", pred]] {
+        let warned = |out: &Output| {
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{command:?}: {err}");
+            assert_eq!(
+                err.trim_end(),
+                "warning: skipped message into history compacted by GC",
+                "{command:?}"
+            );
+        };
+        warned(&slicing_with_stdin(&[command, &gc].concat(), &trace));
+        let first = [command, &gc, &["--checkpoint", ckpt_s]].concat();
+        assert!(slicing_with_stdin(&first, &prefix).status.success());
+        warned(&slicing_with_stdin(
+            &[command, &["--resume", ckpt_s]].concat(),
+            &trace,
+        ));
+        std::fs::remove_file(&ckpt).ok();
     }
 }
